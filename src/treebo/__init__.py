@@ -3,8 +3,8 @@
 The search space is a rooted tree whose categorical choices select a
 root-to-leaf path of bounded continuous variables.  One GP with an additive
 path kernel models every path jointly, sharing observations through common
-ancestors; acquisition maximizes per-vertex confidence bounds in parallel
-and recombines them along the best path.
+ancestors; acquisition maximizes per-vertex confidence bounds one vertex at
+a time and recombines them along the best path.
 """
 
 from .acquisition import (
@@ -15,11 +15,11 @@ from .acquisition import (
     log_schedule,
     mutual_information,
     propose,
-    select_schedule,
     ucb,
 )
 from .bench import (
     BoConfig,
+    NonFiniteObjectiveError,
     Objective,
     RunTrace,
     jenatton_objective,

@@ -2,12 +2,12 @@
 
 The upper confidence bound ``mu + sqrt(beta) * sigma`` is maximized one
 vertex at a time: every vertex's component posterior yields a low-dimensional
-UCB surface over that vertex's own box, each is maximized independently
-(embarrassingly parallel), per-path scores are the sums of the per-vertex
-maxima along the path, and the best path's argmaxes are concatenated into the
-next evaluation point.  Component means add exactly along a path, so the mean
-part of the path score is exact; the summed component deviations are a
-surrogate for the full posterior deviation.
+UCB surface over that vertex's own box, each is maximized independently,
+per-path scores are the sums of the per-vertex maxima along the path, and
+the best path's argmaxes are concatenated into the next evaluation point.
+Component means add exactly along a path, so the mean part of the path score
+is exact; the summed component deviations are a surrogate for the full
+posterior deviation.
 
 ``beta`` follows the adaptive confidence schedule: ``sqrt(beta_t)`` is the
 inflated norm bound ``b(t) * g(t)^d * B0`` plus a mutual-information noise
@@ -18,7 +18,6 @@ term, with monotone inflation functions ``g`` (lengthscale deflation) and
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,6 @@ __all__ = [
     "mutual_information",
     "ucb",
     "propose",
-    "select_schedule",
-    "calibrate_log_gammas",
 ]
 
 DEFAULT_NOISE_FLOOR = 1e-6
@@ -238,13 +235,11 @@ def propose(
     n_starts: int = 5,
     scan_budget: int = 32,
     noise_floor: float = DEFAULT_NOISE_FLOOR,
-    parallel: bool = False,
 ) -> Proposal:
     """Run one round of per-vertex UCB maximization and pick the best path.
 
-    Per-vertex optimizations are independent; with ``parallel=True`` they run
-    on a thread pool and are gathered in vertex order, so results are
-    identical to the serial loop.  Ties between equal path scores resolve to
+    Vertices are maximized independently, one after another in BFS order;
+    the result is deterministic.  Ties between equal path scores resolve to
     the lowest path index.
     """
     if t < 1:
@@ -260,19 +255,10 @@ def propose(
     sqrt_beta = math.sqrt(beta_value)
 
     order = list(index.bfs_order)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=min(8, len(order))) as pool:
-            results = list(
-                pool.map(
-                    lambda vid: _maximize_vertex_ucb(model, vid, sqrt_beta, n_starts, scan_budget),
-                    order,
-                )
-            )
-    else:
-        results = [
-            _maximize_vertex_ucb(model, vid, sqrt_beta, n_starts, scan_budget)
-            for vid in order
-        ]
+    results = [
+        _maximize_vertex_ucb(model, vid, sqrt_beta, n_starts, scan_budget)
+        for vid in order
+    ]
     vertex_points = {vid: res[0] for vid, res in zip(order, results)}
     vertex_ucb = {vid: res[1] for vid, res in zip(order, results)}
 
@@ -294,67 +280,3 @@ def propose(
         point=point,
         beta=beta_value,
     )
-
-
-def select_schedule(
-    reference,
-    info_gains,
-    noise_std: float,
-    B0: float = 1.0,
-    delta: float = 0.1,
-    d: int = 1,
-    split: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inflation factors that make the regret estimate track a reference.
-
-    The cumulative-regret estimator at iteration t is
-    ``sqrt(C1 * t * beta_t * I_t)`` with ``C1 = 8 / log(1 + sigma^-2)``.
-    For each t we solve for the norm-bound multiplier m >= 1 that makes the
-    estimate equal ``reference(t)`` and split its log between b (fraction
-    ``split``) and g (remainder, divided by the dimension d in the exponent):
-    ``b = m**split`` and ``g = m**((1-split)/d)``.
-
-    Where the reference sits at or below the no-adaptation estimate the
-    multiplier clips to 1 (nothing to adapt).  The returned sequences are
-    made monotone non-decreasing with a running maximum, as the schedule
-    contract requires.
-    """
-    if not 0.0 <= split <= 1.0:
-        raise ValueError(f"split must be in [0, 1], got {split}")
-    info_gains = np.asarray(info_gains, dtype=float)
-    T = info_gains.size
-    if noise_std <= 0:
-        return np.ones(T), np.ones(T)
-    C1 = 8.0 / math.log1p(noise_std**-2)
-    ln_term = math.log(1.0 / delta)
-
-    m = np.ones(T)
-    for k in range(T):
-        t = k + 1
-        I_t = info_gains[k]
-        denom = C1 * t * I_t
-        if denom <= 0:
-            continue
-        noise_term = 4.0 * noise_std * math.sqrt(I_t + 1.0 + ln_term)
-        target_root_beta = float(reference(t)) / math.sqrt(denom)
-        m[k] = max(1.0, (target_root_beta - noise_term) / B0)
-
-    m = np.maximum.accumulate(m)
-    b_vals = m**split
-    g_vals = m ** ((1.0 - split) / d)
-    return g_vals, b_vals
-
-
-def calibrate_log_gammas(g_vals, b_vals) -> tuple[float, float]:
-    """Least-squares gamma coefficients fitting 1 + gamma*log(1+t) to
-    realized schedule values (t = 1..T)."""
-    g_vals = np.asarray(g_vals, dtype=float)
-    b_vals = np.asarray(b_vals, dtype=float)
-    t = np.arange(1, g_vals.size + 1)
-    basis = np.log1p(t)
-    denom = float(basis @ basis)
-    if denom == 0:
-        return 0.0, 0.0
-    gamma_g = max(0.0, float(basis @ (g_vals - 1.0)) / denom)
-    gamma_b = max(0.0, float(basis @ (b_vals - 1.0)) / denom)
-    return gamma_g, gamma_b

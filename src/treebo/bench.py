@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -33,6 +34,7 @@ from .tree_space import (
 
 __all__ = [
     "Objective",
+    "NonFiniteObjectiveError",
     "BoConfig",
     "IterationRecord",
     "RunTrace",
@@ -79,6 +81,22 @@ class Objective:
 
     def __call__(self, leaf: int, values) -> float:
         return float(self.fn(int(leaf), np.asarray(values, dtype=float)))
+
+
+class NonFiniteObjectiveError(ValueError):
+    """The objective returned NaN or an infinity; no model can be fitted to it."""
+
+
+def _evaluate(objective: Objective, leaf: int, values, t: int | None = None) -> float:
+    """``objective(leaf, values)``, rejecting non-finite results."""
+    y = objective(leaf, values)
+    if not math.isfinite(y):
+        where = f"t={t}, " if t is not None else ""
+        raise NonFiniteObjectiveError(
+            f"objective {objective.name!r} returned {y} at {where}leaf {leaf}, "
+            f"values {[float(v) for v in values]}"
+        )
+    return y
 
 
 def jenatton_objective() -> Objective:
@@ -271,7 +289,6 @@ class BoConfig:
     delta: float = 0.1
     gamma_g: float = 0.02
     gamma_b: float = 0.3
-    reference_exponent: float = 0.9
     noise_variance: float = 1e-8
     noise_floor: float = 1e-6
     acq_starts: int = 5
@@ -293,6 +310,13 @@ class BoConfig:
                 theta0=self.theta0, B0=self.B0, delta=self.delta, d=d,
             )
         return constant_schedule(theta0=self.theta0, B0=self.B0, delta=self.delta, d=d)
+
+    def kernel(self, spec: TreeSpec, index: PathIndex) -> AddTreeKernel:
+        """The unfitted starting kernel of this config on a space."""
+        return AddTreeKernel.default(
+            spec, index, kind=self.kernel_kind, zero_dim=self.zero_dim,
+            tied_scales=self.tie_scales,
+        )
 
     def fit(self, kernel, data, rng, t: float = 0.0, schedule=None) -> "gp.FitResult":
         """One hyperparameter refit under this config's policy.
@@ -380,6 +404,11 @@ def read_trace(path) -> RunTrace:
     header = lines[0]
     if header.get("format") != TRACE_FORMAT:
         raise ValueError(f"{path}: unknown trace format {header.get('format')!r}")
+    if header.get("version") != TRACE_VERSION:
+        raise ValueError(
+            f"{path}: unsupported trace version {header.get('version')!r} "
+            f"(this reader handles version {TRACE_VERSION})"
+        )
     meta = {k: v for k, v in header.items() if k not in ("format", "version", "kind")}
     records = [
         IterationRecord(
@@ -467,23 +496,14 @@ def run_bo(
     schedule = config.schedule(spec.total_dimension)
 
     # state for addtree
-    kernel = AddTreeKernel.default(
-        spec, index, kind=config.kernel_kind, zero_dim=config.zero_dim,
-        tied_scales=config.tie_scales,
-    )
+    kernel = config.kernel(spec, index)
     data = gp.Dataset.create([], [], noise=config.noise_variance)
 
     # state for independent: one chain space + dataset per leaf
     chains = None
     if algorithm == "independent":
         chains = [_chain_space(spec, index, leaf) for leaf in range(index.n_leaves)]
-        chain_kernels = [
-            AddTreeKernel.default(
-                c, ci, kind=config.kernel_kind, zero_dim=config.zero_dim,
-                tied_scales=config.tie_scales,
-            )
-            for c, ci in chains
-        ]
+        chain_kernels = [config.kernel(c, ci) for c, ci in chains]
         chain_data = [
             gp.Dataset.create([], [], noise=config.noise_variance)
             for _ in range(index.n_leaves)
@@ -526,7 +546,7 @@ def run_bo(
                 _, leaf, prop = max(candidates, key=lambda c: (c[0], -c[1]))
                 values, beta_value = prop.values, prop.beta
 
-            y = objective(leaf, values)
+            y = _evaluate(objective, leaf, values, t)
             best = min(best, y)
 
             point = linearize(spec, index, leaf, values)
@@ -600,8 +620,8 @@ def run_regression_study(
         rng_fit = _fit_rng(seed)
         test = [sample_branch_walk(index, rng) for _ in range(test_size)]
         train = [sample_branch_walk(index, rng) for _ in range(n_max)]
-        y_test = np.array([objective(lf, vals) for lf, vals in test])
-        y_train = np.array([objective(lf, vals) for lf, vals in train])
+        y_test = np.array([_evaluate(objective, lf, vals) for lf, vals in test])
+        y_train = np.array([_evaluate(objective, lf, vals) for lf, vals in train])
         test_points = [linearize(spec, index, lf, vals) for lf, vals in test]
 
         for n in sizes:
@@ -614,11 +634,7 @@ def run_regression_study(
                     y_train[:n],
                     noise=config.noise_variance,
                 )
-                kernel = AddTreeKernel.default(
-                    spec, index, kind=config.kernel_kind, zero_dim=config.zero_dim,
-                    tied_scales=config.tie_scales,
-                )
-                result = config.fit(kernel, dset, rng_fit)
+                result = config.fit(config.kernel(spec, index), dset, rng_fit)
                 model = gp.fit(result.kernel, dset)
                 preds = np.array([gp.posterior(model, p)[0] for p in test_points])
             records.append(
@@ -638,12 +654,7 @@ def run_regression_study(
                         y_train[rows],
                         noise=config.noise_variance,
                     )
-                    ckern = AddTreeKernel.default(
-                        chain, chain_index,
-                        kind=config.kernel_kind, zero_dim=config.zero_dim,
-                        tied_scales=config.tie_scales,
-                    )
-                    result = config.fit(ckern, cdset, rng_fit)
+                    result = config.fit(config.kernel(chain, chain_index), cdset, rng_fit)
                     cmodel = gp.fit(result.kernel, cdset)
                     for k in test_rows:
                         cp = linearize(chain, chain_index, 0, test[k][1])

@@ -84,8 +84,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="lengthscale-deflation rate; 0 disables adaptation")
     p.add_argument("--gamma-b", type=float, default=0.3,
                    help="norm-bound growth rate; 0 disables adaptation")
-    p.add_argument("--reference-exponent", type=float, default=0.9,
-                   help="reference-regret exponent recorded in the config")
     p.add_argument("--noise-variance", type=float, default=1e-8,
                    help="observation noise variance assumed by the GP")
     p.add_argument("--noise-floor", type=float, default=1e-6,
@@ -110,7 +108,6 @@ def _config_from_args(args) -> BoConfig:
         delta=args.delta,
         gamma_g=args.gamma_g,
         gamma_b=args.gamma_b,
-        reference_exponent=args.reference_exponent,
         noise_variance=args.noise_variance,
         noise_floor=args.noise_floor,
         acq_starts=args.acq_starts,

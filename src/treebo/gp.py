@@ -3,12 +3,14 @@
 Inference follows the standard zero-mean GP equations on the linearized
 points.  Two structural shortcuts come from the tree:
 
-* **Row selection.**  For a query, only training rows whose paths share a
-  kernel-contributing vertex with the query path can have nonzero
-  cross-covariance; the tree structure further guarantees those rows are
-  decoupled from the rest, so the posterior computed on the selected subset
-  equals the full-matrix posterior exactly.  One factorization is cached per
-  query leaf (selection depends only on the leaf).
+* **No row selection is needed.**  For a query, only training rows whose
+  paths share a kernel-contributing vertex with the query path can have
+  nonzero cross-covariance.  A row that shares none with the query path also
+  shares none with any row that does (shared vertices form a root prefix, and
+  of three leaves' lowest common ancestors the two shallowest coincide), so
+  the Gram matrix is block-diagonal up to a row permutation and its Cholesky
+  factor has no fill-in across blocks.  The posterior from the one full
+  factorization therefore equals the posterior on the relevant rows alone.
 
 * **Component posteriors.**  The kernel is a sum of per-vertex terms, so each
   vertex has its own latent component.  Its conditional mean/variance given
@@ -21,7 +23,7 @@ points.  Two structural shortcuts come from the tree:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -33,7 +35,6 @@ from .tree_space import LinearizedPoint
 __all__ = [
     "Dataset",
     "GpModel",
-    "SelectionView",
     "FactorizationError",
     "FitResult",
     "fit",
@@ -85,21 +86,6 @@ class Dataset:
         )
 
 
-@dataclass
-class SelectionView:
-    """Training rows relevant to one query leaf, with their factorization.
-
-    ``rows`` indexes the selected observations; ``chol``/``alpha`` factor the
-    selected subsystem.  When every row is selected the full factorization is
-    reused unchanged.
-    """
-
-    leaf: int
-    rows: np.ndarray
-    chol: np.ndarray
-    alpha: np.ndarray
-
-
 def _cholesky_with_jitter(K_y: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor with escalating diagonal jitter.
 
@@ -131,24 +117,21 @@ def _cholesky_with_jitter(K_y: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass
 class GpModel:
-    """A fitted GP: kernel, data, cached factorizations.
+    """A fitted GP: kernel, data, Gram matrix and its Cholesky factor.
 
-    Treat instances as immutable after :func:`fit`; posterior queries are
-    safe to issue concurrently.  ``clamp_count`` tracks how often a
-    numerically negative predictive variance was clamped to zero.
+    Treat instances as immutable after :func:`fit`, apart from
+    ``clamp_count``: posterior queries increment it each time a numerically
+    negative predictive variance is clamped to zero.
     """
 
     kernel: AddTreeKernel
     data: Dataset
     X: np.ndarray
-    leaves: np.ndarray
     K: np.ndarray
     chol: np.ndarray
     alpha: np.ndarray
     jitter: float
-    leaf_shares: np.ndarray
     clamp_count: int = 0
-    _views: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -164,25 +147,6 @@ class GpModel:
             return first
         return None
 
-    def selection_view(self, leaf: int) -> SelectionView:
-        view = self._views.get(leaf)
-        if view is not None:
-            return view
-        rows = np.flatnonzero(self.leaf_shares[self.leaves, leaf]) if self.n else np.empty(0, int)
-        if self.n and rows.size == self.n:
-            view = SelectionView(leaf=leaf, rows=rows, chol=self.chol, alpha=self.alpha)
-        elif rows.size == 0:
-            view = SelectionView(
-                leaf=leaf, rows=rows, chol=np.empty((0, 0)), alpha=np.empty(0)
-            )
-        else:
-            K_sub = self.K[np.ix_(rows, rows)] + np.diag(self.data.noise[rows])
-            L, _ = _cholesky_with_jitter(K_sub)
-            a = cho_solve((L, True), self.data.targets[rows])
-            view = SelectionView(leaf=leaf, rows=rows, chol=L, alpha=a)
-        self._views[leaf] = view
-        return view
-
 
 def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
     """Factor the noisy Gram matrix and cache the dual weights.
@@ -191,10 +155,9 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
     :class:`FactorizationError` when the matrix stays indefinite through the
     jitter schedule.
     """
-    X, leaves = stack_points(data.points)
+    X, _ = stack_points(data.points)
     if len(data) == 0:
         X = np.empty((0, kernel.index.width))
-        leaves = np.empty(0, dtype=np.int64)
     K = kernel.gram_matrix(X) if len(data) else np.empty((0, 0))
     K_y = K + np.diag(data.noise) if len(data) else K
     L, jitter = _cholesky_with_jitter(K_y)
@@ -203,12 +166,10 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
         kernel=kernel,
         data=data,
         X=X,
-        leaves=leaves,
         K=K,
         chol=L,
         alpha=alpha,
         jitter=jitter,
-        leaf_shares=kernel.leaf_shares(),
     )
     if jitter:
         logger.debug("fit: n=%d jitter=%.3e", len(data), jitter)
@@ -218,29 +179,8 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
 def posterior(model: GpModel, query: LinearizedPoint) -> tuple[float, float]:
     """Predictive mean and variance at a query point.
 
-    Computed on the query leaf's selection view; the variance is clamped to
-    ``[0, k(x, x)]``.
-    """
-    q = query.slots[None, :]
-    k_diag = float(model.kernel.diag(q)[0])
-    view = model.selection_view(query.active_leaf)
-    if view.rows.size == 0:
-        return 0.0, k_diag
-    k_star = model.kernel.gram_matrix(q, model.X[view.rows])[0]
-    mean = float(k_star @ view.alpha)
-    v = solve_triangular(view.chol, k_star, lower=True)
-    var = k_diag - float(v @ v)
-    if var < 0:
-        model.clamp_count += 1
-        var = 0.0
-    return mean, min(var, k_diag)
-
-
-def posterior_full(model: GpModel, query: LinearizedPoint) -> tuple[float, float]:
-    """Predictive distribution via the full, unselected factorization.
-
-    Reference path used to validate selection equivalence; prefer
-    :func:`posterior`.
+    Computed on the full factorization (exact, see the module docstring);
+    the variance is clamped to ``[0, k(x, x)]``.
     """
     q = query.slots[None, :]
     k_diag = float(model.kernel.diag(q)[0])
@@ -250,7 +190,10 @@ def posterior_full(model: GpModel, query: LinearizedPoint) -> tuple[float, float
     mean = float(k_star @ model.alpha)
     v = solve_triangular(model.chol, k_star, lower=True)
     var = k_diag - float(v @ v)
-    return mean, max(0.0, min(var, k_diag))
+    if var < 0:
+        model.clamp_count += 1
+        var = 0.0
+    return mean, min(var, k_diag)
 
 
 def component_posterior_batch(

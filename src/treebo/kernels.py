@@ -6,16 +6,16 @@ per-vertex output scale).  The tree kernel between two configurations is the
 sum of the base kernels over the vertices shared by both active paths, i.e.
 over the path from the root to the leaves' lowest common ancestor; each term
 is evaluated on the two points' restrictions to that vertex.  Vertex
-membership is decided by tag-slot equality in the linear layout, so the whole
-kernel evaluates on fixed-width vectors without consulting the tree.
+membership is decided by the sign of the vertex's tag slot in the linear
+layout (non-negative on the active path), so the whole kernel evaluates on
+fixed-width vectors without consulting the tree.
 
 A vertex with no continuous variables contributes its output scale as a
 constant whenever it is shared (``zero_dim="constant"``, the default), which
 keeps an information channel open through shared structural vertices.  The
 alternative ``zero_dim="zero"`` drops such vertices from the sum entirely;
 under that policy points whose paths only share dim-0 vertices have exactly
-zero covariance, which is what makes training-row selection in the GP module
-shrink below the full dataset.
+zero covariance.
 """
 
 from __future__ import annotations
@@ -123,16 +123,13 @@ def base_kernel_eval(params: BaseKernelParams, a, b) -> float:
 def delta_eval(index: PathIndex, vertex_id: str, x: LinearizedPoint, y: LinearizedPoint) -> int:
     """1 iff the vertex lies on both points' active paths, else 0.
 
-    Decided by tag-slot equality: on-path tags are equal non-negative
-    integers, off-path slots hold per-point-unique negative sentinels.  The
-    sign guard keeps a point compared against itself from matching its own
-    sentinels, so self-pairs also follow the shared-path definition.
+    Decided by the tag slots alone: a vertex's tag is non-negative exactly
+    on the points whose active path contains it.
     """
     if vertex_id not in index.offsets:
         raise KeyError(f"unknown vertex id {vertex_id!r}")
     tag_pos = index.offsets[vertex_id][0]
-    tx, ty = x.slots[tag_pos], y.slots[tag_pos]
-    return int(tx == ty and tx >= 0)
+    return int(x.slots[tag_pos] >= 0 and y.slots[tag_pos] >= 0)
 
 
 def stack_points(points: list[LinearizedPoint]) -> tuple[np.ndarray, np.ndarray]:
@@ -152,8 +149,7 @@ class AddTreeKernel:
     ``tied_scales`` the output scales form a single shared hyperparameter
     during fitting instead of one per vertex; evidence maximization then
     cannot silence a rarely-visited branch by collapsing its amplitude.
-    Instances are immutable value objects; evaluation is pure, so Gram
-    assembly can be parallelized freely.
+    Instances are immutable value objects and evaluation is pure.
     """
 
     spec: TreeSpec
@@ -206,18 +202,18 @@ class AddTreeKernel:
     def _contributes(self, vid: str) -> bool:
         return self.spec.vertex(vid).dim > 0 or self.zero_dim == "constant"
 
-    def leaf_shares(self) -> np.ndarray:
-        """Boolean (n_leaves, n_leaves): do two leaves' paths share any
-        kernel-contributing vertex?  Drives training-row selection."""
-        n = self.index.n_leaves
-        out = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                anc = self.index.bfs_order[self.index.lca[i, j]]
-                path = self.index.leaf_paths[i]
-                shared = path[: path.index(anc) + 1]
-                out[i, j] = any(self._contributes(v) for v in shared)
-        return out
+    def _contributing(self) -> list[str]:
+        return [vid for vid in self.index.bfs_order if self._contributes(vid)]
+
+    def _block(self, vid: str, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One vertex's on-path flags and value columns in stacked rows.
+
+        The flags are the one membership rule: a row has the vertex on its
+        active path iff the vertex's tag slot is non-negative.  Value columns
+        of off-path rows are zero-filled junk that callers mask out.
+        """
+        tag_pos, vs, ve = self.index.offsets[vid]
+        return A[:, tag_pos] >= 0, A[:, vs:ve]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -234,20 +230,11 @@ class AddTreeKernel:
         K = np.zeros((m, n))
         if m == 0 or n == 0:
             return K
-        for vid in self.index.bfs_order:
-            tag_pos, vs, ve = self.index.offsets[vid]
-            p = self.params[vid]
-            if p.dim == 0 and self.zero_dim == "zero":
-                continue
-            ta, tb = A[:, tag_pos], B[:, tag_pos]
-            # sign guard: a row against itself must not match its own sentinel
-            mask = (ta[:, None] == tb[None, :]) & (ta[:, None] >= 0)
-            if p.dim == 0:
-                K += np.where(mask, p.output_scale, 0.0)
-            else:
-                # Off-path value slots are zero-filled junk; the mask zeroes
-                # their contribution before it can matter.
-                K += np.where(mask, _pairwise(p, A[:, vs:ve], B[:, vs:ve]), 0.0)
+        for vid in self._contributing():
+            on_a, Va = self._block(vid, A)
+            on_b, Vb = self._block(vid, B)
+            mask = on_a[:, None] & on_b[None, :]
+            K += np.where(mask, _pairwise(self.params[vid], Va, Vb), 0.0)
         return K
 
     def gram(self, points: list[LinearizedPoint]) -> np.ndarray:
@@ -255,18 +242,12 @@ class AddTreeKernel:
         return self.gram_matrix(X)
 
     def diag(self, A: np.ndarray) -> np.ndarray:
-        """k(x, x) for each stacked row: summed output scales on its path.
-
-        Real tags are >= 0 and sentinels are < 0, so the tag slot alone tells
-        path membership.
-        """
+        """k(x, x) for each stacked row: summed contributing output scales
+        on its path."""
         out = np.zeros(A.shape[0])
-        for vid in self.index.bfs_order:
-            p = self.params[vid]
-            if p.dim == 0 and self.zero_dim == "zero":
-                continue
-            tag_pos = self.index.offsets[vid][0]
-            out += np.where(A[:, tag_pos] >= 0, p.output_scale, 0.0)
+        for vid in self._contributing():
+            on, _ = self._block(vid, A)
+            out += np.where(on, self.params[vid].output_scale, 0.0)
         return out
 
     def component_cross(self, vertex_id: str, V: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -277,7 +258,6 @@ class AddTreeKernel:
         restriction when the vertex is on row i's path, else 0.
         """
         p = self.params[vertex_id]
-        tag_pos, vs, ve = self.index.offsets[vertex_id]
         V = np.asarray(V, dtype=float)
         if V.ndim == 1:
             V = V.reshape(1, -1) if p.dim else V.reshape(1, 0)
@@ -286,24 +266,17 @@ class AddTreeKernel:
                 f"vertex {vertex_id!r} expects {p.dim}-dim values, got {V.shape[1]}"
             )
         m, n = V.shape[0], A.shape[0]
-        if n == 0:
-            return np.zeros((m, 0))
-        on = A[:, tag_pos] >= 0  # real tags are >= 0, sentinels < 0
-        if p.dim == 0 and self.zero_dim == "zero":
+        if n == 0 or not self._contributes(vertex_id):
             return np.zeros((m, n))
-        vals = _pairwise(p, V, A[:, vs:ve])
-        return np.where(on[None, :], vals, 0.0)
+        on, VA = self._block(vertex_id, A)
+        return np.where(on[None, :], _pairwise(p, V, VA), 0.0)
 
     def component_prior_variance(self, vertex_id: str) -> float:
-        p = self.params[vertex_id]
-        if p.dim == 0 and self.zero_dim == "zero":
+        if not self._contributes(vertex_id):
             return 0.0
-        return p.output_scale
+        return self.params[vertex_id].output_scale
 
     # -- hyperparameter plumbing ----------------------------------------------
-
-    def _contributing(self) -> list[str]:
-        return [vid for vid in self.index.bfs_order if self._contributes(vid)]
 
     def param_names(self) -> list[str]:
         """Canonical order of free log-parameters for fitting.
@@ -374,17 +347,16 @@ class AddTreeKernel:
         K = np.zeros((n, n))
         grads: list[np.ndarray] = []
         for vid in self._contributing():
-            tag_pos, vs, ve = self.index.offsets[vid]
             p = self.params[vid]
-            ta = A[:, tag_pos]
-            mask = (ta[:, None] == ta[None, :]) & (ta[:, None] >= 0)
+            on, V = self._block(vid, A)
+            mask = on[:, None] & on[None, :]
             if p.dim == 0:
                 term = np.where(mask, p.output_scale, 0.0)
                 K += term
                 if not self.tied_scales:
                     grads.append(term)  # d/dlog scale
                 continue
-            sq = _scaled_sq_dists(p, A[:, vs:ve], A[:, vs:ve])
+            sq = _scaled_sq_dists(p, V, V)
             r2 = sq.sum(axis=2)
             corr = _corr_from_r2(p.kind, r2)
             term = np.where(mask, p.output_scale * corr, 0.0)

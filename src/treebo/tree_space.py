@@ -9,20 +9,19 @@ not exist as far as the objective is concerned.
 
 Configurations are stored in a fixed-width *linear layout*: the vertices are
 laid out in breadth-first order and each vertex occupies ``1 + dim`` slots --
-one integer *tag* slot followed by its value slots.  The tag of a vertex is
-its rank among its siblings (root has tag 0).  When a configuration is
-linearized, vertices on the active path keep their tag and receive their
-values; vertices off the path have their tag replaced by a sentinel that is
-unique per point and can never collide with a real tag.  Tag-slot equality
-between two points therefore decides "is this vertex on both active paths?"
-without consulting the tree, which is what the kernels rely on.
+one *tag* slot followed by its value slots.  The tag of a vertex is its
+branch label (root has tag 0), so every real tag is >= 0.  When a
+configuration is linearized, vertices on the active path keep their tag and
+receive their values; every vertex off the path gets the tag ``OFF_PATH``
+(-1).  A non-negative tag slot therefore decides "is this vertex on the
+point's active path?" without consulting the tree, and a vertex lies on two
+points' paths exactly when both tag slots are non-negative; that is the one
+membership rule the kernels rely on.
 """
-
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +37,11 @@ __all__ = [
     "linearize",
     "restrict",
     "lca_path",
+    "OFF_PATH",
 ]
+
+OFF_PATH = -1.0
+"""Tag-slot value of every vertex off a linearized point's active path."""
 
 
 class TreeSpecError(ValueError):
@@ -51,7 +54,8 @@ class VertexSpec:
 
     ``dim`` may be zero: the vertex then carries no continuous variable and
     contributes only structure.  ``tag`` is the sibling rank assigned during
-    validation; it is -1 until the vertex is part of a validated tree.
+    validation (its incoming branch label, 0 at the root); it is -1 until the
+    vertex is part of a validated tree.
     """
 
     id: str
@@ -88,18 +92,27 @@ class TreeSpec:
     vertices: tuple[VertexSpec, ...]
     root_id: str
     edges: tuple[tuple[str, int, str], ...]
+    _by_id: dict = field(init=False, repr=False, compare=False)
+    _children: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        children: dict[str, list[tuple[int, str]]] = {}
+        for par, lab, child in self.edges:
+            children.setdefault(par, []).append((lab, child))
+        object.__setattr__(self, "_by_id", {v.id: v for v in self.vertices})
+        object.__setattr__(
+            self, "_children", {par: tuple(sorted(out)) for par, out in children.items()}
+        )
 
     def vertex(self, vertex_id: str) -> VertexSpec:
-        for v in self.vertices:
-            if v.id == vertex_id:
-                return v
-        raise KeyError(f"unknown vertex id {vertex_id!r}")
+        try:
+            return self._by_id[vertex_id]
+        except KeyError:
+            raise KeyError(f"unknown vertex id {vertex_id!r}") from None
 
     def children(self, vertex_id: str) -> list[tuple[int, str]]:
         """Outgoing edges of a vertex as (label, child_id), label-ascending."""
-        out = [(lab, child) for par, lab, child in self.edges if par == vertex_id]
-        out.sort()
-        return out
+        return list(self._children.get(vertex_id, ()))
 
     @property
     def total_dimension(self) -> int:
@@ -139,7 +152,7 @@ def make_tree_spec(
     known = set(ids)
 
     parents: dict[str, str] = {}
-    by_parent: dict[str, list[int]] = {}
+    out_edges: dict[str, list[tuple[int, str]]] = {}
     for par, lab, child in edges:
         if par not in known:
             raise TreeSpecError(f"edge ({par!r}, {lab}, {child!r}): unknown parent {par!r}")
@@ -150,9 +163,10 @@ def make_tree_spec(
         if child in parents:
             raise TreeSpecError(f"vertex {child!r} has more than one parent")
         parents[child] = par
-        by_parent.setdefault(par, []).append(lab)
+        out_edges.setdefault(par, []).append((lab, child))
 
-    for par, labels in by_parent.items():
+    for par, out in out_edges.items():
+        labels = [lab for lab, _ in out]
         if len(labels) != len(set(labels)):
             dup_lab = next(l for l in labels if labels.count(l) > 1)
             raise TreeSpecError(f"vertex {par!r}: duplicate branch label {dup_lab}")
@@ -170,23 +184,18 @@ def make_tree_spec(
     # and no disconnected component (each non-root has exactly one parent).
     seen = {root}
     queue = deque([root])
-    edge_map = {(par, lab): child for par, lab, child in edges}
     while queue:
-        cur = queue.popleft()
-        for (par, lab), child in edge_map.items():
-            if par == cur:
-                seen.add(child)
-                queue.append(child)
+        for _, child in out_edges.get(queue.popleft(), ()):
+            seen.add(child)
+            queue.append(child)
     if seen != known:
         stranded = sorted(known - seen)
         raise TreeSpecError(f"vertices unreachable from root {root!r}: {stranded}")
 
-    # Sibling-rank tags: rank of the vertex's incoming label among its
-    # parent's outgoing labels (labels are contiguous, so rank == label).
+    # Labels are contiguous from 0, so a vertex's sibling rank is its label.
     tags = {root: 0}
-    for par, lab, child in edges:
-        siblings = sorted(by_parent[par])
-        tags[child] = siblings.index(lab)
+    for _, lab, child in edges:
+        tags[child] = lab
 
     tagged = tuple(replace(v, tag=tags[v.id]) for v in vertices)
     return TreeSpec(vertices=tagged, root_id=root, edges=tuple(edges))
@@ -365,23 +374,12 @@ class LinearizedPoint:
     """One configuration in the fixed-width linear layout.
 
     ``slots`` holds tags and values; ``active_leaf`` is the leaf index of the
-    active path.  Off-path tag slots contain per-point-unique negative
-    sentinels (real tags are >= 0), and off-path value slots are zero-filled
-    and ignored by every consumer.
+    active path.  Off-path tag slots hold ``OFF_PATH`` (real tags are >= 0),
+    and off-path value slots are zero-filled and ignored by every consumer.
     """
 
     slots: np.ndarray
     active_leaf: int
-
-
-# Sentinels come from a reserved negative range via a monotone counter:
-# uniqueness without randomness, and replays stay deterministic because no
-# computed quantity ever depends on the sentinel magnitude.
-_sentinel_counter = itertools.count(1)
-
-
-def _next_sentinel() -> float:
-    return -float(next(_sentinel_counter))
 
 
 def linearize(
@@ -394,6 +392,7 @@ def linearize(
 
     ``values`` concatenates the continuous variables of the vertices on the
     leaf's path in root-to-leaf order and must respect the declared bounds.
+    Pure: equal arguments give bit-identical slots.
     """
     if not 0 <= leaf < index.n_leaves:
         raise ValueError(f"leaf index {leaf} out of range (space has {index.n_leaves} leaves)")
@@ -409,10 +408,7 @@ def linearize(
     taken = 0
     for vid in index.bfs_order:
         tag_pos = index.offsets[vid][0]
-        if vid in on_path:
-            slots[tag_pos] = float(spec.vertex(vid).tag)
-        else:
-            slots[tag_pos] = _next_sentinel()
+        slots[tag_pos] = float(spec.vertex(vid).tag) if vid in on_path else OFF_PATH
     for vid in index.leaf_paths[leaf]:
         v = spec.vertex(vid)
         _, vs, ve = index.offsets[vid]

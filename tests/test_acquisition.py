@@ -189,7 +189,7 @@ def test_propose_matches_grid_oracle(jenatton):
     assert prop.path_ucb[prop.chosen_leaf] >= grid_best - 1e-2
 
 
-def test_propose_deterministic_and_parallel_equivalent(jenatton):
+def test_propose_deterministic(jenatton):
     spec, index = jenatton.spec, jenatton.index
     rng = np.random.default_rng(23)
     kern = AddTreeKernel.default(spec, index)
@@ -198,13 +198,11 @@ def test_propose_deterministic_and_parallel_equivalent(jenatton):
     sched = acq.constant_schedule(d=spec.total_dimension)
     a = acq.propose(model, sched, t=10)
     b = acq.propose(model, sched, t=10)
-    c = acq.propose(model, sched, t=10, parallel=True)
-    for other in (b, c):
-        assert a.chosen_leaf == other.chosen_leaf
-        np.testing.assert_array_equal(a.values, other.values)
-        np.testing.assert_array_equal(a.path_ucb, other.path_ucb)
-        for vid in a.vertex_ucb:
-            assert a.vertex_ucb[vid] == other.vertex_ucb[vid]
+    assert a.chosen_leaf == b.chosen_leaf
+    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a.path_ucb, b.path_ucb)
+    for vid in a.vertex_ucb:
+        assert a.vertex_ucb[vid] == b.vertex_ucb[vid]
 
 
 def test_proposal_point_restricts_to_vertex_argmaxes(jenatton):
@@ -230,91 +228,3 @@ def test_propose_validates_budget(jenatton):
     sched = acq.constant_schedule()
     with pytest.raises(ValueError, match="budget"):
         acq.propose(model, sched, t=1, scan_budget=0)
-
-
-def _estimate(reference_free=True, T=20, noise_std=0.1, B0=1.0, delta=0.1, d=9):
-    info = np.log1p(np.arange(1, T + 1))  # a plausible growing info-gain curve
-    C1 = 8.0 / math.log1p(noise_std**-2)
-    base = np.array([
-        math.sqrt(
-            C1 * t * (B0 + 4 * noise_std * math.sqrt(info[t - 1] + 1 + math.log(1 / delta))) ** 2
-            * info[t - 1]
-        )
-        for t in range(1, T + 1)
-    ])
-    return info, base
-
-
-def test_select_schedule_no_slack_returns_ones():
-    info, base = _estimate()
-    g, b = acq.select_schedule(
-        lambda t: base[t - 1], info, noise_std=0.1, B0=1.0, delta=0.1, d=9
-    )
-    np.testing.assert_allclose(g, 1.0)
-    np.testing.assert_allclose(b, 1.0)
-    # reference strictly below the estimate: also no adaptation
-    g, b = acq.select_schedule(
-        lambda t: 0.5 * base[t - 1], info, noise_std=0.1, B0=1.0, delta=0.1, d=9
-    )
-    np.testing.assert_allclose(g, 1.0)
-    np.testing.assert_allclose(b, 1.0)
-
-
-def test_select_schedule_doubling_reference_all_slack_to_b():
-    info, base = _estimate()
-    noise_std, B0, delta = 0.1, 1.0, 0.1
-    g, b = acq.select_schedule(
-        lambda t: 2.0 * base[t - 1], info,
-        noise_std=noise_std, B0=B0, delta=delta, d=9, split=1.0,
-    )
-    np.testing.assert_allclose(g, 1.0)
-    # b solves b*B0 + noise_term = 2*(B0 + noise_term):
-    # with a vanishing noise term that is exactly b = 2
-    for t in range(1, info.size + 1):
-        n_t = 4 * noise_std * math.sqrt(info[t - 1] + 1 + math.log(1 / delta))
-        expected = (2.0 * (B0 + n_t) - n_t) / B0
-        assert b[t - 1] == pytest.approx(expected, rel=1e-9)
-    # sigma -> 0 limit gives the clean doubling
-    info0, base0 = _estimate(noise_std=1e-9)
-    g0, b0 = acq.select_schedule(
-        lambda t: 2.0 * base0[t - 1], info0,
-        noise_std=1e-9, B0=B0, delta=delta, d=9, split=1.0,
-    )
-    np.testing.assert_allclose(g0, 1.0)
-    np.testing.assert_allclose(b0, 2.0, rtol=1e-6)
-
-
-def test_select_schedule_matches_reference_exactly():
-    info, base = _estimate()
-    noise_std, B0, delta, d = 0.1, 1.0, 0.1, 9
-    reference = lambda t: 3.0 * base[t - 1]
-    g, b = acq.select_schedule(
-        reference, info, noise_std=noise_std, B0=B0, delta=delta, d=d, split=0.5
-    )
-    C1 = 8.0 / math.log1p(noise_std**-2)
-    for t in range(1, info.size + 1):
-        I = info[t - 1]
-        root_beta = b[t - 1] * g[t - 1] ** d * B0 + 4 * noise_std * math.sqrt(
-            I + 1 + math.log(1 / delta)
-        )
-        achieved = math.sqrt(C1 * t * root_beta**2 * I)
-        assert achieved == pytest.approx(reference(t), rel=1e-9)
-
-
-def test_select_schedule_power_reference_is_monotone():
-    info, _ = _estimate(T=40)
-    g, b = acq.select_schedule(
-        lambda t: 5.0 * t**0.9, info, noise_std=0.1, B0=1.0, delta=0.1, d=9
-    )
-    assert np.all(np.diff(g) >= 0)
-    assert np.all(np.diff(b) >= 0)
-    assert np.all(g >= 1.0) and np.all(b >= 1.0)
-
-
-def test_calibrate_log_gammas_recovers_generator():
-    t = np.arange(1, 30)
-    g = 1 + 0.25 * np.log1p(t)
-    b = 1 + 0.05 * np.log1p(t)
-    gg, gb = acq.calibrate_log_gammas(g, b)
-    assert gg == pytest.approx(0.25, rel=1e-9)
-    assert gb == pytest.approx(0.05, rel=1e-9)

@@ -1,3 +1,9 @@
+import ast
+import dataclasses
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -176,6 +182,44 @@ def test_objective_failure_flushes_partial_trace(tmp_path, jenatton):
     assert len(partial.records) == 3  # flushed up to the failing call
 
 
+def _nan_on_leaf0(jenatton):
+    def fn(leaf, values):
+        return math.nan if leaf == 0 else jenatton.fn(leaf, values)
+
+    return bench.Objective(name="nan-leaf0", spec=jenatton.spec, index=jenatton.index, fn=fn)
+
+
+def test_run_bo_rejects_non_finite_objective(tmp_path, jenatton):
+    path = tmp_path / "nan.jsonl"
+    with pytest.raises(bench.NonFiniteObjectiveError, match=r"nan at t=\d+, leaf 0, values \[") as err:
+        run_bo(_nan_on_leaf0(jenatton), "random", iterations=30, seed=0, trace_path=path)
+    assert isinstance(err.value, ValueError)
+    partial = read_trace(path)
+    assert f"t={len(partial.records) + 1}," in str(err.value)
+    assert all(math.isfinite(rec.y) for rec in partial.records)
+
+
+def test_regression_rejects_non_finite_objective(jenatton):
+    with pytest.raises(bench.NonFiniteObjectiveError, match=r"nan at leaf 0, values \["):
+        run_regression_study(_nan_on_leaf0(jenatton), [4], test_size=8, seeds=[0])
+
+
+def test_every_bo_config_field_is_read():
+    # A field that no code reads is a knob that does nothing.  ``args.<name>``
+    # reads the CLI namespace, not the config, so it does not count.
+    read = set()
+    for path in Path(bench.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and not (isinstance(node.value, ast.Name) and node.value.id == "args")
+            ):
+                read.add(node.attr)
+    unread = [f.name for f in dataclasses.fields(BoConfig) if f.name not in read]
+    assert unread == []
+
+
 # -- traces ----------------------------------------------------------------------
 
 
@@ -199,6 +243,17 @@ def test_read_trace_rejects_garbage(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"kind": "iteration", "t": 1}\n')
     with pytest.raises(ValueError, match="missing header"):
+        read_trace(p)
+
+
+@pytest.mark.parametrize("version", [2, None])
+def test_read_trace_rejects_other_versions(tmp_path, version):
+    header = {"format": bench.TRACE_FORMAT, "kind": "header", "algorithm": "random"}
+    if version is not None:
+        header["version"] = version
+    p = tmp_path / "other.jsonl"
+    p.write_text(json.dumps(header) + "\n")
+    with pytest.raises(ValueError, match=f"unsupported trace version {version}"):
         read_trace(p)
 
 

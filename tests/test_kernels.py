@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,10 +297,17 @@ def test_config_round_trip(two_leaf):
 
 def test_gram_grads_match_finite_differences():
     rng = np.random.default_rng(13)
-    for seed in (0, 4, 9):
+    cases = [
+        (seed, zero_dim, tied)
+        for zero_dim in ("constant", "zero")
+        for tied in (False, True)
+        for seed in (0, 4, 9)
+    ]
+    for seed, zero_dim, tied in cases:
         spec = bench.random_tree_spec(seed, max_dim=2)
         index = build_path_index(spec)
-        kern = random_kernel(spec, index, rng)
+        kern = replace(random_kernel(spec, index, rng, zero_dim=zero_dim), tied_scales=tied)
+        kern = kern.with_log_params(kern.get_log_params())  # tied: one shared scale
         X, _ = stack_points(random_points(spec, index, rng, 6))
         K, grads = kern.gram_and_grads(X)
         np.testing.assert_allclose(K, kern.gram_matrix(X), rtol=1e-12)
@@ -314,3 +322,21 @@ def test_gram_grads_match_finite_differences():
                 - kern.with_log_params(dn).gram_matrix(X)
             ) / (2 * h)
             np.testing.assert_allclose(grads[k], fd, atol=1e-6)
+
+
+@pytest.mark.parametrize("zero_dim", ["constant", "zero"])
+def test_diag_and_component_cross_agree_with_gram(zero_dim):
+    rng = np.random.default_rng(19)
+    for seed in range(10):
+        spec = bench.random_tree_spec(seed)
+        index = build_path_index(spec)
+        kern = random_kernel(spec, index, rng, zero_dim=zero_dim)
+        X, _ = stack_points(random_points(spec, index, rng, 8))
+        np.testing.assert_array_equal(kern.diag(X), np.diag(kern.gram_matrix(X)))
+        for q in random_points(spec, index, rng, 3):
+            total = sum(
+                kern.component_cross(vid, restrict(index, q, vid), X)[0]
+                for vid in index.leaf_paths[q.active_leaf]
+            )
+            expected = kern.gram_matrix(q.slots[None, :], X)[0]
+            np.testing.assert_allclose(total, expected, rtol=1e-13, atol=0)

@@ -123,7 +123,7 @@ def test_linearize_layout_first_leaf(two_leaf):
     np.testing.assert_array_equal(p.slots[1:3], [0.1, 0.2])
     assert p.slots[3] == 0.0
     np.testing.assert_array_equal(p.slots[4:6], [0.3, 0.4])
-    assert p.slots[6] < 0  # sentinel for the inactive leaf
+    assert p.slots[6] < 0  # off-path tag for the inactive leaf
     np.testing.assert_array_equal(p.slots[7:10], [0.0, 0.0, 0.0])
 
 
@@ -189,7 +189,7 @@ def test_dim0_vertex_empty_restriction_but_matching_tag():
     tag_pos = index.offsets["r"][0]
     assert pa.slots[tag_pos] == pb.slots[tag_pos] == 0.0  # on-path: tags match
     apos = index.offsets["a"][0]
-    assert pa.slots[apos] == 0.0 and pb.slots[apos] < 0  # off-path: sentinel
+    assert pa.slots[apos] == 0.0 and pb.slots[apos] < 0  # off-path: negative tag
 
 
 def test_lca_path_two_leaf(two_leaf):
@@ -246,20 +246,23 @@ def test_restriction_round_trip(two_leaf, data):
     np.testing.assert_array_equal(np.concatenate(chunks), values)
 
 
-def test_sentinels_unique_and_disjoint_from_tags(two_leaf):
+def test_tag_slots_mark_path_membership(two_leaf):
     spec, index = two_leaf
+    rank = {spec.root_id: 0}
+    for vid in index.bfs_order:
+        for k, (_, child) in enumerate(spec.children(vid)):
+            rank[child] = k
     rng = np.random.default_rng(0)
-    tag_positions = [index.offsets[v][0] for v in index.bfs_order]
-    all_tags = {float(spec.vertex(v).tag) for v in index.bfs_order}
-    sentinels = []
-    for _ in range(1000):
+    for _ in range(200):
         leaf, values = bench.sample_uniform_point(index, rng)
         p = linearize(spec, index, leaf, values)
-        for pos in tag_positions:
-            v = p.slots[pos]
-            if v < 0:
-                sentinels.append(v)
+        on_path = set(index.leaf_paths[leaf])
+        for vid in index.bfs_order:
+            tag = p.slots[index.offsets[vid][0]]
+            if vid in on_path:
+                assert tag == rank[vid]
             else:
-                assert v in all_tags
-    assert len(sentinels) == len(set(sentinels))
-    assert not set(sentinels) & all_tags
+                assert tag < 0
+        # linearize is pure: a second call gives bit-identical slots
+        again = linearize(spec, index, leaf, values)
+        assert again.slots.tobytes() == p.slots.tobytes()
