@@ -11,8 +11,6 @@ from .acquisition import (
     Proposal,
     UcbSchedule,
     beta,
-    constant_schedule,
-    log_schedule,
     mutual_information,
     propose,
     ucb,

@@ -9,10 +9,12 @@ Component means add exactly along a path, so the mean part of the path score
 is exact; the summed component deviations are a surrogate for the full
 posterior deviation.
 
-``beta`` follows the adaptive confidence schedule: ``sqrt(beta_t)`` is the
-inflated norm bound ``b(t) * g(t)^d * B0`` plus a mutual-information noise
-term, with monotone inflation functions ``g`` (lengthscale deflation) and
-``b`` (norm-bound growth).
+``beta`` follows the adaptive confidence schedule (Berkenkamp et al., JMLR
+2019): ``sqrt(beta_t)`` is the inflated norm bound ``b(t) * g(t)^d * B0``
+plus a mutual-information noise term.  The inflation functions grow
+logarithmically, ``g(t) = 1 + gamma_g * log(1 + t)`` (lengthscale deflation)
+and ``b(t) = 1 + gamma_b * log(1 + t)`` (norm-bound growth); zero rates give
+the constant schedule ``g = b = 1``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .tree_space import LinearizedPoint, linearize
 __all__ = [
     "UcbSchedule",
     "Proposal",
-    "constant_schedule",
-    "log_schedule",
     "norm_bound",
     "beta",
     "mutual_information",
@@ -46,67 +46,38 @@ DEFAULT_NOISE_FLOOR = 1e-6
 class UcbSchedule:
     """Confidence-bound schedule parameters.
 
-    ``g`` and ``b`` are monotone non-decreasing with ``g(0) = b(0) = 1``;
-    ``d`` is the total dimension of the space (continuous plus categorical),
-    the exponent on ``g(t)`` in the norm bound.
+    ``gamma_g`` and ``gamma_b`` are the non-negative rates of the logarithmic
+    inflation functions ``g`` and ``b`` (both equal 1 at t = 0 and are
+    exactly 1 for a zero rate); ``d`` is the total dimension of the space
+    (continuous plus categorical), the exponent on ``g(t)`` in the norm bound.
     """
 
     theta0: float
     B0: float
     delta: float
-    g: object
-    b: object
+    gamma_g: float
+    gamma_b: float
     d: int
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        for name, fn in (("g", self.g), ("b", self.b)):
-            if abs(fn(0) - 1.0) > 1e-12:
-                raise ValueError(f"{name}(0) must equal 1, got {fn(0)}")
+        if not (self.gamma_g >= 0 and self.gamma_b >= 0):  # NaN fails too
+            raise ValueError(
+                f"gamma_g and gamma_b must be >= 0, got {self.gamma_g} and {self.gamma_b}"
+            )
 
-    @property
-    def adaptive(self) -> bool:
-        return self.g(1) > 1.0 + 1e-12 or self.b(1) > 1.0 + 1e-12
+    def g(self, t: float) -> float:
+        """Lengthscale deflation 1 + gamma_g * log(1 + t)."""
+        return 1.0 + self.gamma_g * math.log1p(t)
+
+    def b(self, t: float) -> float:
+        """Norm-bound growth 1 + gamma_b * log(1 + t)."""
+        return 1.0 + self.gamma_b * math.log1p(t)
 
     def lengthscale_cap(self, t: float) -> float:
         """theta_0 / g(t): the cap in the min rule for fitted lengthscales."""
         return self.theta0 / self.g(t)
-
-
-def _one(_t: float) -> float:
-    return 1.0
-
-
-def constant_schedule(
-    theta0: float = 1.0, B0: float = 1.0, delta: float = 0.1, d: int = 1
-) -> UcbSchedule:
-    """No adaptation: g = b = 1 for all t."""
-    return UcbSchedule(theta0=theta0, B0=B0, delta=delta, g=_one, b=_one, d=d)
-
-
-def log_schedule(
-    gamma_g: float,
-    gamma_b: float,
-    theta0: float = 1.0,
-    B0: float = 1.0,
-    delta: float = 0.1,
-    d: int = 1,
-) -> UcbSchedule:
-    """Logarithmic inflation: g(t) = 1 + gamma_g*log(1+t), likewise b.
-
-    Grows slowly enough that the confidence term stays sublinear in t.
-    """
-    if gamma_g < 0 or gamma_b < 0:
-        raise ValueError("gamma_g and gamma_b must be >= 0")
-    return UcbSchedule(
-        theta0=theta0,
-        B0=B0,
-        delta=delta,
-        g=lambda t: 1.0 + gamma_g * math.log1p(t),
-        b=lambda t: 1.0 + gamma_b * math.log1p(t),
-        d=d,
-    )
 
 
 def norm_bound(schedule: UcbSchedule, t: float) -> float:

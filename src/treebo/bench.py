@@ -1,8 +1,9 @@
 """Benchmark objectives, optimization loops, and statistical comparison.
 
 Three optimizers share one harness: the structure-aware GP loop
-(``addtree``), an independent-GP-per-leaf baseline (``independent``), and
-uniform random search (``random``).  All three consume the same
+(``addtree``), an independent-GP-per-leaf baseline (``independent``, the
+same GP loop run on each leaf's single-path subspace), and uniform random
+search (``random``).  All three consume the same
 initialization seed stream, so runs with equal seeds are paired.  Traces are
 line-delimited JSON with a versioned header carrying the full config and its
 digest.
@@ -15,15 +16,16 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.stats import norm, rankdata
 
 from . import gp
-from .acquisition import constant_schedule, log_schedule, propose
+from .acquisition import Proposal, UcbSchedule, propose
 from .kernels import AddTreeKernel
 from .tree_space import (
+    LinearizedPoint,
     PathIndex,
     TreeSpec,
     VertexSpec,
@@ -279,7 +281,9 @@ class BoConfig:
     ``theta0 / g(t)``, which stops evidence maximization from flattening a
     barely-observed region into false certainty.  The fitting bounds here
     are deliberately tighter than the library defaults: scales bounded away
-    from zero keep an exploration bonus alive on unvisited branches.
+    from zero keep an exploration bonus alive on unvisited branches.  A
+    config whose schedule settings are invalid raises ``ValueError`` when it
+    is built.
     """
 
     n_init: int | None = None
@@ -300,16 +304,15 @@ class BoConfig:
     lengthscale_bounds: tuple = (0.05, 20.0)
     scale_bounds: tuple = (0.05, 50.0)
 
+    def __post_init__(self) -> None:
+        self.schedule(1)  # raises on a bad delta or a negative rate
+
     def resolve_n_init(self, spec: TreeSpec) -> int:
         return self.n_init if self.n_init is not None else 4 + spec.continuous_dimension
 
-    def schedule(self, d: int):
-        if self.gamma_g > 0 or self.gamma_b > 0:
-            return log_schedule(
-                self.gamma_g, self.gamma_b,
-                theta0=self.theta0, B0=self.B0, delta=self.delta, d=d,
-            )
-        return constant_schedule(theta0=self.theta0, B0=self.B0, delta=self.delta, d=d)
+    def schedule(self, d: int) -> UcbSchedule:
+        """The confidence schedule on a space of total dimension ``d``."""
+        return UcbSchedule(self.theta0, self.B0, self.delta, self.gamma_g, self.gamma_b, d)
 
     def kernel(self, spec: TreeSpec, index: PathIndex) -> AddTreeKernel:
         """The unfitted starting kernel of this config on a space."""
@@ -351,10 +354,6 @@ class IterationRecord:
 class RunTrace:
     meta: dict
     records: list = field(default_factory=list)
-
-    @property
-    def incumbents(self) -> np.ndarray:
-        return np.array([r.best for r in self.records])
 
 
 def config_digest(config: dict) -> str:
@@ -441,15 +440,63 @@ def _study_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(29,)))
 
 
-def _chain_space(spec: TreeSpec, index: PathIndex, leaf: int) -> tuple[TreeSpec, PathIndex]:
-    """Single-path copy of one leaf's subspace: the per-leaf baseline's view."""
-    path = index.leaf_paths[leaf]
-    vertices = [
-        VertexSpec(vid, spec.vertex(vid).dim, spec.vertex(vid).bounds) for vid in path
-    ]
-    edges = [(path[k], 0, path[k + 1]) for k in range(len(path) - 1)]
-    chain = make_tree_spec(vertices, edges)
-    return chain, build_path_index(chain)
+@dataclass(frozen=True)
+class _Space:
+    """The space one model lives on, and the objective's leaves it covers
+    (``leaves[k]`` is this space's leaf k)."""
+
+    spec: TreeSpec
+    index: PathIndex
+    leaves: tuple
+
+    def point(self, leaf: int, values) -> LinearizedPoint:
+        """Linearize an evaluation given by the objective's leaf index."""
+        return linearize(self.spec, self.index, self.leaves.index(leaf), values)
+
+
+def _model_spaces(algorithm: str, spec: TreeSpec, index: PathIndex) -> list[_Space]:
+    """The spaces an algorithm models, covering the leaves in leaf order: the
+    whole tree for addtree, for independent one chain per leaf (a single-path
+    copy of the leaf's subspace), none for random."""
+    if algorithm == "addtree":
+        return [_Space(spec, index, tuple(range(index.n_leaves)))]
+    chains = []
+    if algorithm == "independent":
+        for leaf, path in enumerate(index.leaf_paths):
+            edges = [(parent, 0, child) for parent, child in zip(path, path[1:])]
+            chain = make_tree_spec([spec.vertex(vid) for vid in path], edges)
+            chains.append(_Space(chain, build_path_index(chain), (leaf,)))
+    return chains
+
+
+class _GpLoop:
+    """One GP-UCB loop on one space: its kernel, observations and schedule."""
+
+    def __init__(self, space: _Space, config: BoConfig):
+        self.space = space
+        self.config = config
+        self.kernel = config.kernel(space.spec, space.index)
+        self.data = gp.Dataset.create([], [], noise=config.noise_variance)
+        self.schedule = config.schedule(space.spec.total_dimension)
+
+    def suggest(self, t: int, rng_fit: np.random.Generator) -> Proposal:
+        """Refit (from two points on), condition on -y and maximize the UCB."""
+        config = self.config
+        if len(self.data) >= 2:
+            self.kernel = config.fit(self.kernel, self.data, rng_fit, t, self.schedule).kernel
+        # minimization runs the UCB machinery on -f
+        model = gp.fit(self.kernel, replace(self.data, targets=-self.data.targets))
+        return propose(
+            model, self.schedule, t,
+            n_starts=config.acq_starts, scan_budget=config.acq_scan,
+            noise_floor=config.noise_floor,
+        )
+
+    def observe(self, leaf: int, values, y: float) -> None:
+        """Record an evaluation if it lies in this loop's space."""
+        if leaf in self.space.leaves:
+            point = self.space.point(leaf, values)
+            self.data = self.data.extended(point, y, self.config.noise_variance)
 
 
 def run_bo(
@@ -463,8 +510,12 @@ def run_bo(
     """Minimize the objective for a fixed budget and return the trace.
 
     All algorithms draw their initialization phase from the same seed stream,
-    so traces with equal seeds are paired across algorithms.  The GP loops
-    maximize the confidence bound of the negated objective (minimization).
+    so traces with equal seeds are paired across algorithms.  ``addtree`` is
+    one GP loop on the whole tree; ``independent`` is one loop per leaf on
+    that leaf's chain; ``random`` has no loop.  A model-based step asks every
+    loop for its path scores and takes the best leaf (the lowest on ties).
+    The loops maximize the confidence bound of the negated objective
+    (minimization).
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
@@ -493,21 +544,7 @@ def run_bo(
     n_init = config.resolve_n_init(spec)
     rng_init = _init_rng(seed)
     rng_fit = _fit_rng(seed)
-    schedule = config.schedule(spec.total_dimension)
-
-    # state for addtree
-    kernel = config.kernel(spec, index)
-    data = gp.Dataset.create([], [], noise=config.noise_variance)
-
-    # state for independent: one chain space + dataset per leaf
-    chains = None
-    if algorithm == "independent":
-        chains = [_chain_space(spec, index, leaf) for leaf in range(index.n_leaves)]
-        chain_kernels = [config.kernel(c, ci) for c, ci in chains]
-        chain_data = [
-            gp.Dataset.create([], [], noise=config.noise_variance)
-            for _ in range(index.n_leaves)
-        ]
+    loops = [_GpLoop(space, config) for space in _model_spaces(algorithm, spec, index)]
 
     best = np.inf
     try:
@@ -515,48 +552,19 @@ def run_bo(
             t_start = time.perf_counter()
             beta_value = None
 
-            if algorithm == "random" or t <= n_init:
+            if not loops or t <= n_init:
                 leaf, values = sample_uniform_point(index, rng_init)
-            elif algorithm == "addtree":
-                if len(data) >= 2:
-                    kernel = config.fit(kernel, data, rng_fit, t, schedule).kernel
-                model = gp.fit(kernel, _negated(data))
-                prop = propose(
-                    model, schedule, t,
-                    n_starts=config.acq_starts, scan_budget=config.acq_scan,
-                    noise_floor=config.noise_floor,
-                )
-                leaf, values, beta_value = prop.chosen_leaf, prop.values, prop.beta
-            else:  # independent
-                candidates = []
-                for li, (chain, chain_index) in enumerate(chains):
-                    cdata = chain_data[li]
-                    ckern = chain_kernels[li]
-                    if len(cdata) >= 2:
-                        ckern = config.fit(ckern, cdata, rng_fit, t, schedule).kernel
-                        chain_kernels[li] = ckern
-                    cmodel = gp.fit(ckern, _negated(cdata))
-                    csched = config.schedule(chain.total_dimension)
-                    prop = propose(
-                        cmodel, csched, t,
-                        n_starts=config.acq_starts, scan_budget=config.acq_scan,
-                        noise_floor=config.noise_floor,
-                    )
-                    candidates.append((float(prop.path_ucb[0]), li, prop))
-                _, leaf, prop = max(candidates, key=lambda c: (c[0], -c[1]))
-                values, beta_value = prop.values, prop.beta
+            else:
+                props = [loop.suggest(t, rng_fit) for loop in loops]
+                by_leaf = [prop for loop, prop in zip(loops, props) for _ in loop.space.leaves]
+                # first max: the lowest leaf wins ties
+                leaf = int(np.argmax(np.concatenate([prop.path_ucb for prop in props])))
+                values, beta_value = by_leaf[leaf].values, by_leaf[leaf].beta
 
             y = _evaluate(objective, leaf, values, t)
             best = min(best, y)
-
-            point = linearize(spec, index, leaf, values)
-            data = data.extended(point, y, config.noise_variance)
-            if algorithm == "independent":
-                chain, chain_index = chains[leaf]
-                cpoint = linearize(chain, chain_index, 0, values)
-                chain_data[leaf] = chain_data[leaf].extended(
-                    cpoint, y, config.noise_variance
-                )
+            for loop in loops:
+                loop.observe(leaf, values, y)
 
             rec = IterationRecord(
                 t=t,
@@ -574,11 +582,6 @@ def run_bo(
         if writer:
             writer.close()
     return trace
-
-
-def _negated(data: gp.Dataset) -> gp.Dataset:
-    """Minimization runs the UCB machinery on -f."""
-    return gp.Dataset(points=data.points, targets=-data.targets, noise=data.noise)
 
 
 # -- regression study ------------------------------------------------------------
@@ -603,7 +606,9 @@ def run_regression_study(
 
     Per seed, one stream of branch-walk samples provides nested training
     prefixes; a held-out set of ``test_size`` points scores mean squared
-    error of the posterior-mean predictions.
+    error of the posterior-mean predictions.  ``addtree`` fits one GP on the
+    whole tree; ``independent`` fits one GP per leaf on that leaf's chain.
+    A space without training points predicts the prior mean 0.
     """
     if test_size < 1:
         raise ValueError(f"test_size must be >= 1, got {test_size}")
@@ -613,7 +618,7 @@ def run_regression_study(
     n_max = max(sizes)
     records: list[RegressionRecord] = []
 
-    chains = [_chain_space(spec, index, leaf) for leaf in range(index.n_leaves)]
+    methods = [(m, _model_spaces(m, spec, index)) for m in ("addtree", "independent")]
 
     for seed in seeds:
         rng = _study_rng(seed)
@@ -622,49 +627,29 @@ def run_regression_study(
         train = [sample_branch_walk(index, rng) for _ in range(n_max)]
         y_test = np.array([_evaluate(objective, lf, vals) for lf, vals in test])
         y_train = np.array([_evaluate(objective, lf, vals) for lf, vals in train])
-        test_points = [linearize(spec, index, lf, vals) for lf, vals in test]
+        # the shared model's test set is linearized once per seed
+        whole_test = [linearize(spec, index, lf, vals) for lf, vals in test]
 
         for n in sizes:
-            # shared-kernel GP over the full space
-            if n == 0:
+            for method, spaces in methods:
                 preds = np.zeros(test_size)
-            else:
-                dset = gp.Dataset.create(
-                    [linearize(spec, index, lf, vals) for lf, vals in train[:n]],
-                    y_train[:n],
-                    noise=config.noise_variance,
-                )
-                result = config.fit(config.kernel(spec, index), dset, rng_fit)
-                model = gp.fit(result.kernel, dset)
-                preds = np.array([gp.posterior(model, p)[0] for p in test_points])
-            records.append(
-                RegressionRecord("addtree", n, seed, float(np.mean((preds - y_test) ** 2)))
-            )
-
-            # one GP per leaf on its own chain space
-            preds = np.zeros(test_size)
-            for li, (chain, chain_index) in enumerate(chains):
-                rows = [k for k in range(n) if train[k][0] == li]
-                test_rows = [k for k in range(test_size) if test[k][0] == li]
-                if not test_rows:
-                    continue
-                if rows:
-                    cdset = gp.Dataset.create(
-                        [linearize(chain, chain_index, 0, train[k][1]) for k in rows],
+                for space in spaces:
+                    rows = [k for k in range(n) if train[k][0] in space.leaves]
+                    test_rows = [k for k in range(test_size) if test[k][0] in space.leaves]
+                    if not rows or not test_rows:
+                        continue
+                    dset = gp.Dataset.create(
+                        [space.point(*train[k]) for k in rows],
                         y_train[rows],
                         noise=config.noise_variance,
                     )
-                    result = config.fit(config.kernel(chain, chain_index), cdset, rng_fit)
-                    cmodel = gp.fit(result.kernel, cdset)
+                    result = config.fit(config.kernel(space.spec, space.index), dset, rng_fit)
+                    model = gp.fit(result.kernel, dset)
                     for k in test_rows:
-                        cp = linearize(chain, chain_index, 0, test[k][1])
-                        preds[k] = gp.posterior(cmodel, cp)[0]
-                # no training data on this leaf: prior mean 0 stands
-            records.append(
-                RegressionRecord(
-                    "independent", n, seed, float(np.mean((preds - y_test) ** 2))
-                )
-            )
+                        q = whole_test[k] if method == "addtree" else space.point(*test[k])
+                        preds[k] = gp.posterior(model, q)[0]
+                mse = float(np.mean((preds - y_test) ** 2))
+                records.append(RegressionRecord(method, n, seed, mse))
     return records
 
 

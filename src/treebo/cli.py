@@ -72,50 +72,41 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-init", type=int, default=None,
-                   help="random iterations before model-based proposals "
-                        "(default: 4 + continuous dimension)")
-    p.add_argument("--restarts", type=int, default=3,
-                   help="hyperparameter optimizer restarts per refit")
-    p.add_argument("--theta0", type=float, default=1.0, help="initial lengthscale guess")
-    p.add_argument("--b0", type=float, default=1.0, help="initial norm-bound guess")
-    p.add_argument("--delta", type=float, default=0.1, help="confidence level in (0,1)")
-    p.add_argument("--gamma-g", type=float, default=0.02,
-                   help="lengthscale-deflation rate; 0 disables adaptation")
-    p.add_argument("--gamma-b", type=float, default=0.3,
-                   help="norm-bound growth rate; 0 disables adaptation")
-    p.add_argument("--noise-variance", type=float, default=1e-8,
-                   help="observation noise variance assumed by the GP")
-    p.add_argument("--noise-floor", type=float, default=1e-6,
-                   help="variance floor for information-gain terms")
-    p.add_argument("--acq-starts", type=int, default=5,
-                   help="local-search starts per vertex acquisition")
-    p.add_argument("--acq-scan", type=int, default=32,
-                   help="low-discrepancy scan budget per vertex acquisition")
-    p.add_argument("--kernel", choices=("se", "matern32", "matern52"), default="se")
-    p.add_argument("--zero-dim", choices=("constant", "zero"), default="constant",
-                   help="kernel contribution of vertices without variables")
-    p.add_argument("--tie-scales", action=argparse.BooleanOptionalAction, default=True,
-                   help="share one fitted output scale across all vertices")
+    """One flag per BoConfig field it sets; defaults come from ``BoConfig()``."""
+    d = BoConfig()
+
+    def flag(name, dest, help=None, **kw):
+        p.add_argument(name, dest=dest, default=getattr(d, dest), help=help, **kw)
+
+    flag("--n-init", "n_init", "random iterations before model-based proposals "
+         "(default: 4 + continuous dimension)", type=int)
+    flag("--restarts", "restarts", "hyperparameter optimizer restarts per refit", type=int)
+    flag("--theta0", "theta0", "initial lengthscale guess", type=float)
+    flag("--b0", "B0", "initial norm-bound guess", type=float)
+    flag("--delta", "delta", "confidence level in (0,1)", type=float)
+    flag("--gamma-g", "gamma_g", "lengthscale-deflation rate; 0 disables adaptation", type=float)
+    flag("--gamma-b", "gamma_b", "norm-bound growth rate; 0 disables adaptation", type=float)
+    flag("--noise-variance", "noise_variance", "observation noise variance assumed by the GP",
+         type=float)
+    flag("--noise-floor", "noise_floor", "variance floor for information-gain terms", type=float)
+    flag("--acq-starts", "acq_starts", "local-search starts per vertex acquisition", type=int)
+    flag("--acq-scan", "acq_scan", "low-discrepancy scan budget per vertex acquisition",
+         type=int)
+    flag("--kernel", "kernel_kind", choices=("se", "matern32", "matern52"))
+    flag("--zero-dim", "zero_dim", "kernel contribution of vertices without variables",
+         choices=("constant", "zero"))
+    flag("--tie-scales", "tie_scales", "share one fitted output scale across all vertices",
+         action=argparse.BooleanOptionalAction)
 
 
 def _config_from_args(args) -> BoConfig:
-    return BoConfig(
-        n_init=args.n_init,
-        restarts=args.restarts,
-        theta0=args.theta0,
-        B0=args.b0,
-        delta=args.delta,
-        gamma_g=args.gamma_g,
-        gamma_b=args.gamma_b,
-        noise_variance=args.noise_variance,
-        noise_floor=args.noise_floor,
-        acq_starts=args.acq_starts,
-        acq_scan=args.acq_scan,
-        kernel_kind=args.kernel,
-        zero_dim=args.zero_dim,
-        tie_scales=args.tie_scales,
-    )
+    """The config from the BoConfig fields in the namespace; bad settings
+    (such as a delta outside (0, 1)) are user errors."""
+    fields = {f.name for f in dataclasses.fields(BoConfig)}
+    try:
+        return BoConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    except ValueError as exc:
+        raise UserError(str(exc)) from None
 
 
 def _build_objective(payload: dict):
@@ -166,10 +157,10 @@ def cmd_run(args) -> int:
         raise UserError("--seeds is empty")
     if args.iterations < 1:
         raise UserError("--iterations must be >= 1")
+    config = _config_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    config = _config_from_args(args)
     base = {
         "objective": args.objective,
         "tree_spec": args.tree_spec,
@@ -275,12 +266,7 @@ def cmd_regression(args) -> int:
         raise UserError("--train-sizes is empty")
     if args.test_size < 1:
         raise UserError("--test-size must be >= 1")
-    payload = {
-        "objective": args.objective,
-        "tree_spec": args.tree_spec,
-        "objective_seed": args.objective_seed,
-    }
-    objective = _build_objective(payload)
+    objective = _build_objective(vars(args))
     config = _config_from_args(args)
     records = run_regression_study(
         objective, sizes, test_size=args.test_size, seeds=seeds, config=config

@@ -155,7 +155,7 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
     :class:`FactorizationError` when the matrix stays indefinite through the
     jitter schedule.
     """
-    X, _ = stack_points(data.points)
+    X = stack_points(data.points)
     if len(data) == 0:
         X = np.empty((0, kernel.index.width))
     K = kernel.gram_matrix(X) if len(data) else np.empty((0, 0))
@@ -323,7 +323,7 @@ def fit_hyperparameters(
     if len(data) == 0:
         raise ValueError("hyperparameter fitting needs at least one observation")
     rng = rng if rng is not None else np.random.default_rng(0)
-    X, _ = stack_points(data.points)
+    X = stack_points(data.points)
     y = data.targets
 
     names = kernel.param_names()

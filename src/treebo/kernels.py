@@ -132,13 +132,11 @@ def delta_eval(index: PathIndex, vertex_id: str, x: LinearizedPoint, y: Lineariz
     return int(x.slots[tag_pos] >= 0 and y.slots[tag_pos] >= 0)
 
 
-def stack_points(points: list[LinearizedPoint]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack linearized points into (slots matrix, active-leaf vector)."""
+def stack_points(points: list[LinearizedPoint]) -> np.ndarray:
+    """Stack linearized points into a slots matrix, one row per point."""
     if not points:
-        return np.empty((0, 0)), np.empty(0, dtype=np.int64)
-    X = np.stack([p.slots for p in points])
-    leaves = np.array([p.active_leaf for p in points], dtype=np.int64)
-    return X, leaves
+        return np.empty((0, 0))
+    return np.stack([p.slots for p in points])
 
 
 @dataclass(frozen=True)
@@ -218,8 +216,8 @@ class AddTreeKernel:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x: LinearizedPoint, y: LinearizedPoint) -> float:
-        Xa, _ = stack_points([x])
-        Xb, _ = stack_points([y])
+        Xa = stack_points([x])
+        Xb = stack_points([y])
         return float(self.gram_matrix(Xa, Xb)[0, 0])
 
     def gram_matrix(self, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -238,7 +236,7 @@ class AddTreeKernel:
         return K
 
     def gram(self, points: list[LinearizedPoint]) -> np.ndarray:
-        X, _ = stack_points(points)
+        X = stack_points(points)
         return self.gram_matrix(X)
 
     def diag(self, A: np.ndarray) -> np.ndarray:
@@ -373,29 +371,36 @@ class AddTreeKernel:
     # -- serialization ---------------------------------------------------------
 
     def to_config(self) -> dict:
-        """Flat named-parameter record: vertex id -> kind/lengthscales/scale."""
+        """Named-parameter record: the zero-dim policy, whether scales are
+        tied, and per vertex id its kind/lengthscales/scale."""
         return {
-            vid: {
-                "kind": p.kind,
-                "lengthscales": list(p.lengthscales),
-                "output_scale": p.output_scale,
-            }
-            for vid, p in ((v, self.params[v]) for v in self.index.bfs_order)
+            "zero_dim": self.zero_dim,
+            "tied_scales": self.tied_scales,
+            "params": {
+                vid: {
+                    "kind": p.kind,
+                    "lengthscales": list(p.lengthscales),
+                    "output_scale": p.output_scale,
+                }
+                for vid, p in ((v, self.params[v]) for v in self.index.bfs_order)
+            },
         }
 
     @classmethod
-    def from_config(
-        cls, spec: TreeSpec, index: PathIndex, record: dict, zero_dim: str = "constant"
-    ) -> "AddTreeKernel":
+    def from_config(cls, spec: TreeSpec, index: PathIndex, record: dict) -> "AddTreeKernel":
+        """The kernel a :meth:`to_config` record describes."""
         params = {
             vid: BaseKernelParams(
                 kind=entry["kind"],
                 lengthscales=tuple(float(x) for x in entry["lengthscales"]),
                 output_scale=float(entry["output_scale"]),
             )
-            for vid, entry in record.items()
+            for vid, entry in record["params"].items()
         }
-        return cls(spec=spec, index=index, params=params, zero_dim=zero_dim)
+        return cls(
+            spec=spec, index=index, params=params,
+            zero_dim=record["zero_dim"], tied_scales=record["tied_scales"],
+        )
 
 
 def add_tree_eval(kernel: AddTreeKernel, x: LinearizedPoint, y: LinearizedPoint) -> float:

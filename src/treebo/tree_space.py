@@ -270,12 +270,9 @@ class PathIndex:
     bfs_order : vertex ids in BFS order.
     offsets : per vertex id, ``(tag_slot, value_start, value_end)`` in the
         linear layout.  Layout width is ``sum(1 + dim)`` over vertices.
-    leaf_ids / leaf_paths : leaves and their root-to-leaf vertex-id paths.
+    leaf_ids / leaf_paths : leaves and their root-to-leaf vertex-id paths;
+        two leaves' common ancestors are the common prefix of their paths.
     effective_dims : per leaf, the sum of dims along its path.
-    lca : matrix of BFS vertex indices, ``lca[i, j]`` is the lowest common
-        ancestor of leaves i and j.
-    leaf_has_vertex : boolean matrix, ``[i, k]`` true iff BFS vertex k lies
-        on leaf i's path.
     """
 
     spec: TreeSpec
@@ -285,8 +282,6 @@ class PathIndex:
     leaf_ids: tuple[str, ...]
     leaf_paths: tuple[tuple[str, ...], ...]
     effective_dims: tuple[int, ...]
-    lca: np.ndarray
-    leaf_has_vertex: np.ndarray
 
     @property
     def n_leaves(self) -> int:
@@ -298,12 +293,6 @@ class PathIndex:
         for vid in self.leaf_paths[leaf]:
             out.extend(self.spec.vertex(vid).bounds)
         return out
-
-    def vertex_index(self, vertex_id: str) -> int:
-        try:
-            return self.bfs_order.index(vertex_id)
-        except ValueError:
-            raise KeyError(f"unknown vertex id {vertex_id!r}") from None
 
 
 def build_path_index(spec: TreeSpec) -> PathIndex:
@@ -339,23 +328,6 @@ def build_path_index(spec: TreeSpec) -> PathIndex:
         sum(spec.vertex(vid).dim for vid in path) for path in leaf_paths
     )
 
-    n_leaves = len(leaf_ids)
-    vidx = {vid: k for k, vid in enumerate(order)}
-    lca = np.zeros((n_leaves, n_leaves), dtype=np.int64)
-    for i in range(n_leaves):
-        for j in range(n_leaves):
-            common = None
-            for a, b in zip(leaf_paths[i], leaf_paths[j]):
-                if a != b:
-                    break
-                common = a
-            lca[i, j] = vidx[common]
-
-    leaf_has_vertex = np.zeros((n_leaves, len(order)), dtype=bool)
-    for i, path in enumerate(leaf_paths):
-        for vid in path:
-            leaf_has_vertex[i, vidx[vid]] = True
-
     return PathIndex(
         spec=spec,
         bfs_order=tuple(order),
@@ -364,8 +336,6 @@ def build_path_index(spec: TreeSpec) -> PathIndex:
         leaf_ids=leaf_ids,
         leaf_paths=leaf_paths,
         effective_dims=effective_dims,
-        lca=lca,
-        leaf_has_vertex=leaf_has_vertex,
     )
 
 
@@ -428,25 +398,27 @@ def restrict(index: PathIndex, point: LinearizedPoint, vertex_id: str) -> np.nda
     """Continuous values of ``point`` at one vertex.
 
     Returns the vertex's value slots when the vertex lies on the point's
-    active path and an empty vector otherwise.  A dim-0 vertex on the path
-    also yields an empty vector; the distinction from "off path" lives in the
-    tag slot, not here.
+    active path (its tag slot is non-negative) and an empty vector otherwise.
+    A dim-0 vertex on the path also yields an empty vector.
     """
-    k = index.vertex_index(vertex_id)
-    if not index.leaf_has_vertex[point.active_leaf, k]:
+    try:
+        tag_pos, vs, ve = index.offsets[vertex_id]
+    except KeyError:
+        raise KeyError(f"unknown vertex id {vertex_id!r}") from None
+    if point.slots[tag_pos] < 0:
         return np.empty(0)
-    _, vs, ve = index.offsets[vertex_id]
     return point.slots[vs:ve].copy()
 
 
 def lca_path(index: PathIndex, leaf_i: int, leaf_j: int) -> tuple[str, ...]:
-    """Vertex ids from the root down to the lowest common ancestor, inclusive.
+    """Vertex ids from the root down to the lowest common ancestor, inclusive:
+    the common prefix of the two leaf paths.
 
     For ``leaf_i == leaf_j`` this is the full leaf path.
     """
     for leaf in (leaf_i, leaf_j):
         if not 0 <= leaf < index.n_leaves:
             raise ValueError(f"leaf index {leaf} out of range")
-    anc = index.bfs_order[index.lca[leaf_i, leaf_j]]
-    path = index.leaf_paths[leaf_i]
-    return path[: path.index(anc) + 1]
+    path_j = index.leaf_paths[leaf_j]
+    # root paths in a tree share a vertex iff they share all its ancestors
+    return tuple(vid for vid in index.leaf_paths[leaf_i] if vid in path_j)

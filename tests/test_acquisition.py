@@ -10,13 +10,18 @@ from treebo.kernels import AddTreeKernel
 from treebo.tree_space import build_path_index, linearize, restrict
 
 
+def zero_rate_schedule(d):
+    """Zero rates: g = b = 1 at every t."""
+    return acq.UcbSchedule(theta0=1.0, B0=1.0, delta=0.1, gamma_g=0.0, gamma_b=0.0, d=d)
+
+
 def empty_model(spec, index, **kw):
     kern = AddTreeKernel.default(spec, index, **kw)
     return gp.fit(kern, gp.Dataset.create([], []))
 
 
 def test_beta_without_noise_equals_norm_bound_squared():
-    sched = acq.constant_schedule(B0=1.0, delta=0.5, d=3)
+    sched = acq.UcbSchedule(theta0=1.0, B0=1.0, delta=0.5, gamma_g=0.0, gamma_b=0.0, d=3)
     for info in (0.0, 2.0, 50.0):
         assert acq.beta(sched, t=1, info_gain=info, noise_std=0.0) == 1.0
 
@@ -24,7 +29,9 @@ def test_beta_without_noise_equals_norm_bound_squared():
 def test_beta_direct_substitution():
     # b = g = 1, B0 = 1, sigma = 1, delta = 1/e, info 0:
     # sqrt(beta) = 1 + 4*sqrt(0 + 1 + 1)
-    sched = acq.constant_schedule(B0=1.0, delta=math.exp(-1.0), d=2)
+    sched = acq.UcbSchedule(
+        theta0=1.0, B0=1.0, delta=math.exp(-1.0), gamma_g=0.0, gamma_b=0.0, d=2
+    )
     expected_root = 1.0 + 4.0 * math.sqrt(2.0)
     assert acq.beta(sched, t=3, info_gain=0.0, noise_std=1.0) == pytest.approx(
         expected_root**2, rel=1e-12
@@ -32,43 +39,51 @@ def test_beta_direct_substitution():
 
 
 def test_norm_bound_arithmetic():
-    # g(t) = sqrt(log(t + e)) has g(0) = 1; pick t where g = 2, d = 2, B0 = 1
-    sched = acq.UcbSchedule(
-        theta0=1.0, B0=1.0, delta=0.1,
-        g=lambda t: math.sqrt(math.log(t + math.e)),
-        b=lambda t: 1.0,
-        d=2,
-    )
-    t_star = math.exp(4.0) - math.e  # g(t_star) = 2
+    # g(t) = 1 + log(1 + t) is 2 at t = e - 1; b = 1, d = 2, B0 = 1: bound 4
+    sched = acq.UcbSchedule(theta0=1.0, B0=1.0, delta=0.1, gamma_g=1.0, gamma_b=0.0, d=2)
+    t_star = math.e - 1.0
+    assert sched.g(t_star) == pytest.approx(2.0, rel=1e-12)
     assert acq.norm_bound(sched, t_star) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_beta_validates_inputs():
-    sched = acq.constant_schedule()
+    sched = acq.UcbSchedule(theta0=1.0, B0=1.0, delta=0.1, gamma_g=0.0, gamma_b=0.0, d=1)
     with pytest.raises(ValueError, match="t must be >= 1"):
         acq.beta(sched, 0, 0.0, 1.0)
     with pytest.raises(ValueError, match="info_gain"):
         acq.beta(sched, 1, -1.0, 1.0)
 
 
-def test_schedule_validates_g0():
-    with pytest.raises(ValueError, match="g\\(0\\)"):
-        acq.UcbSchedule(theta0=1, B0=1, delta=0.1, g=lambda t: 2.0, b=lambda t: 1.0, d=1)
-    with pytest.raises(ValueError, match="delta"):
-        acq.constant_schedule(delta=1.5)
+def test_schedule_validates_delta_and_rates():
+    for delta, gamma_g, gamma_b, match in [
+        (1.5, 0.0, 0.0, "delta"),
+        (0.0, 0.0, 0.0, "delta"),
+        (0.1, -0.5, 0.0, "gamma_g and gamma_b"),
+        (0.1, 0.0, -1e-9, "gamma_g and gamma_b"),
+        (0.1, math.nan, 0.0, "gamma_g and gamma_b"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            acq.UcbSchedule(
+                theta0=1.0, B0=1.0, delta=delta, gamma_g=gamma_g, gamma_b=gamma_b, d=1
+            )
 
 
 def test_log_schedule_monotone_norm_bound():
-    sched = acq.log_schedule(gamma_g=0.3, gamma_b=0.2, B0=2.0, d=3)
+    sched = acq.UcbSchedule(theta0=1.0, B0=2.0, delta=0.1, gamma_g=0.3, gamma_b=0.2, d=3)
     values = [acq.norm_bound(sched, t) for t in range(0, 50)]
     assert values[0] == pytest.approx(2.0)
-    assert all(b2 >= b1 for b1, b2 in zip(values, values[1:]))
-    assert sched.adaptive
-    assert not acq.constant_schedule().adaptive
+    assert all(b2 > b1 for b1, b2 in zip(values, values[1:]))
+
+
+def test_zero_rates_are_exactly_constant():
+    sched = acq.UcbSchedule(theta0=1.0, B0=1.5, delta=0.1, gamma_g=0.0, gamma_b=0.0, d=7)
+    for t in (0, 1, 3.5, 1e6):
+        assert sched.g(t) == 1.0 and sched.b(t) == 1.0
+        assert acq.norm_bound(sched, t) == 1.5
 
 
 def test_lengthscale_cap_follows_g():
-    sched = acq.log_schedule(gamma_g=1.0, gamma_b=0.0, theta0=2.0)
+    sched = acq.UcbSchedule(theta0=2.0, B0=1.0, delta=0.1, gamma_g=1.0, gamma_b=0.0, d=1)
     assert sched.lengthscale_cap(0) == pytest.approx(2.0)
     assert sched.lengthscale_cap(math.e - 1) == pytest.approx(1.0)
 
@@ -137,7 +152,7 @@ def test_ucb_prior_is_scaled_std(two_leaf):
 
 def test_propose_prior_symmetric_tie_breaks_to_first_path(jenatton):
     model = empty_model(jenatton.spec, jenatton.index)
-    sched = acq.constant_schedule(d=jenatton.spec.total_dimension)
+    sched = zero_rate_schedule(jenatton.spec.total_dimension)
     prop = acq.propose(model, sched, t=1)
     np.testing.assert_allclose(prop.path_ucb, prop.path_ucb[0])
     assert prop.chosen_leaf == 0
@@ -171,7 +186,7 @@ def test_propose_matches_grid_oracle(jenatton):
         for p in pts
     ])
     model = gp.fit(kern, gp.Dataset.create(pts, -y, noise=1e-6))
-    sched = acq.constant_schedule(d=spec.total_dimension)
+    sched = zero_rate_schedule(spec.total_dimension)
     prop = acq.propose(model, sched, t=13)
 
     sqrt_beta = math.sqrt(prop.beta)
@@ -195,7 +210,7 @@ def test_propose_deterministic(jenatton):
     kern = AddTreeKernel.default(spec, index)
     pts = random_points(spec, index, rng, 9)
     model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=9), noise=1e-6))
-    sched = acq.constant_schedule(d=spec.total_dimension)
+    sched = zero_rate_schedule(spec.total_dimension)
     a = acq.propose(model, sched, t=10)
     b = acq.propose(model, sched, t=10)
     assert a.chosen_leaf == b.chosen_leaf
@@ -211,7 +226,7 @@ def test_proposal_point_restricts_to_vertex_argmaxes(jenatton):
     kern = AddTreeKernel.default(spec, index)
     pts = random_points(spec, index, rng, 6)
     model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=6), noise=1e-6))
-    sched = acq.constant_schedule(d=spec.total_dimension)
+    sched = zero_rate_schedule(spec.total_dimension)
     prop = acq.propose(model, sched, t=7)
     assert prop.point.active_leaf == prop.chosen_leaf
     for vid in index.leaf_paths[prop.chosen_leaf]:
@@ -225,6 +240,6 @@ def test_proposal_point_restricts_to_vertex_argmaxes(jenatton):
 
 def test_propose_validates_budget(jenatton):
     model = empty_model(jenatton.spec, jenatton.index)
-    sched = acq.constant_schedule()
+    sched = zero_rate_schedule(1)
     with pytest.raises(ValueError, match="budget"):
         acq.propose(model, sched, t=1, scan_budget=0)

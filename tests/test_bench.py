@@ -204,6 +204,13 @@ def test_regression_rejects_non_finite_objective(jenatton):
         run_regression_study(_nan_on_leaf0(jenatton), [4], test_size=8, seeds=[0])
 
 
+def test_bo_config_rejects_bad_schedule_settings():
+    with pytest.raises(ValueError, match="gamma_g and gamma_b"):
+        BoConfig(gamma_g=-0.5, gamma_b=0.0).schedule(3)
+    with pytest.raises(ValueError, match="delta"):
+        BoConfig(delta=1.5).schedule(3)
+
+
 def test_every_bo_config_field_is_read():
     # A field that no code reads is a knob that does nothing.  ``args.<name>``
     # reads the CLI namespace, not the config, so it does not count.

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from treebo import cli
-from treebo.bench import read_trace
+from treebo.bench import BoConfig, read_trace
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,6 +57,24 @@ def test_run_rejects_unknown_algorithm(tmp_path, capsys):
 
 def test_bad_flag_is_user_error(capsys):
     assert run_cli("run", "--no-such-flag") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "regression"])
+@pytest.mark.parametrize(
+    "flags", [("--gamma-g", "-0.5", "--gamma-b", "0"), ("--delta", "1.5")], ids=["rate", "delta"]
+)
+def test_bad_schedule_settings_are_user_errors(tmp_path, capsys, command, flags):
+    out = tmp_path / "o"
+    assert run_cli(command, "--out", str(out), *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()  # rejected before any run started
+
+
+def test_config_flag_defaults_are_bo_config_defaults():
+    parser = cli._build_parser()
+    for argv in (["run", "--out", "X"], ["regression"]):
+        assert cli._config_from_args(parser.parse_args(argv)) == BoConfig()
 
 
 def test_run_on_tree_spec_file(tmp_path):

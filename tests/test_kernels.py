@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -285,14 +286,20 @@ def test_log_param_round_trip(two_leaf):
         )
 
 
-def test_config_round_trip(two_leaf):
-    spec, index = two_leaf
+def test_config_round_trip(two_leaf, jenatton):
+    # Jenatton's root has no variables, so zero_dim changes its parameters
     rng = np.random.default_rng(10)
-    kern = random_kernel(spec, index, rng)
-    record = kern.to_config()
-    back = AddTreeKernel.from_config(spec, index, record)
-    pts = random_points(spec, index, rng, 4)
-    np.testing.assert_allclose(back.gram(pts), kern.gram(pts), rtol=1e-15)
+    for spec, index in (two_leaf, (jenatton.spec, jenatton.index)):
+        for zero_dim in ("constant", "zero"):
+            for tied in (False, True):
+                kern = random_kernel(spec, index, rng, zero_dim=zero_dim)
+                kern = replace(kern, tied_scales=tied)
+                record = json.loads(json.dumps(kern.to_config()))
+                back = AddTreeKernel.from_config(spec, index, record)
+                assert back.param_names() == kern.param_names()
+                np.testing.assert_array_equal(back.get_log_params(), kern.get_log_params())
+                pts = random_points(spec, index, rng, 4)
+                np.testing.assert_array_equal(back.gram(pts), kern.gram(pts))
 
 
 def test_gram_grads_match_finite_differences():
@@ -308,7 +315,7 @@ def test_gram_grads_match_finite_differences():
         index = build_path_index(spec)
         kern = replace(random_kernel(spec, index, rng, zero_dim=zero_dim), tied_scales=tied)
         kern = kern.with_log_params(kern.get_log_params())  # tied: one shared scale
-        X, _ = stack_points(random_points(spec, index, rng, 6))
+        X = stack_points(random_points(spec, index, rng, 6))
         K, grads = kern.gram_and_grads(X)
         np.testing.assert_allclose(K, kern.gram_matrix(X), rtol=1e-12)
         vec = kern.get_log_params()
@@ -331,7 +338,7 @@ def test_diag_and_component_cross_agree_with_gram(zero_dim):
         spec = bench.random_tree_spec(seed)
         index = build_path_index(spec)
         kern = random_kernel(spec, index, rng, zero_dim=zero_dim)
-        X, _ = stack_points(random_points(spec, index, rng, 8))
+        X = stack_points(random_points(spec, index, rng, 8))
         np.testing.assert_array_equal(kern.diag(X), np.diag(kern.gram_matrix(X)))
         for q in random_points(spec, index, rng, 3):
             total = sum(

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,37 @@ def test_lca_symmetry_and_prefix_property(seed):
             assert pij == pji
             assert index.leaf_paths[i][: len(pij)] == pij
             assert index.leaf_paths[j][: len(pij)] == pij
+
+
+@given(st.integers(0, 200))
+@settings(max_examples=30, deadline=None)
+def test_lca_path_is_longest_common_prefix(seed):
+    spec = bench.random_tree_spec(seed)
+    index = build_path_index(spec)
+    for i, path_i in enumerate(index.leaf_paths):
+        for j, path_j in enumerate(index.leaf_paths):
+            expected = tuple(os.path.commonprefix([list(path_i), list(path_j)]))
+            assert lca_path(index, i, j) == expected
+
+
+@given(st.integers(0, 200))
+@settings(max_examples=30, deadline=None)
+def test_restrict_on_random_trees(seed):
+    # empty exactly off the active leaf's path, the value slots on it
+    spec = bench.random_tree_spec(seed)
+    index = build_path_index(spec)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        leaf, values = bench.sample_uniform_point(index, rng)
+        p = linearize(spec, index, leaf, values)
+        for vid in index.bfs_order:
+            got = restrict(index, p, vid)
+            if vid in index.leaf_paths[leaf]:
+                _, vs, ve = index.offsets[vid]
+                np.testing.assert_array_equal(got, p.slots[vs:ve])
+                assert got.size == spec.vertex(vid).dim
+            else:
+                assert got.size == 0
 
 
 def test_effective_dim_bounded_by_total_dimension():
