@@ -60,6 +60,10 @@ class UcbSchedule:
     d: int
 
     def __post_init__(self) -> None:
+        if not (self.theta0 > 0 and math.isfinite(self.theta0)):
+            raise ValueError(f"theta0 must be positive and finite, got {self.theta0}")
+        if not (self.B0 >= 0 and math.isfinite(self.B0)):
+            raise ValueError(f"B0 must be non-negative and finite, got {self.B0}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if not (self.gamma_g >= 0 and self.gamma_b >= 0):  # NaN fails too

@@ -305,7 +305,7 @@ class BoConfig:
     scale_bounds: tuple = (0.05, 50.0)
 
     def __post_init__(self) -> None:
-        self.schedule(1)  # raises on a bad delta or a negative rate
+        self.schedule(1)  # raises on a bad theta0, B0, delta or rate
 
     def resolve_n_init(self, spec: TreeSpec) -> int:
         return self.n_init if self.n_init is not None else 4 + spec.continuous_dimension

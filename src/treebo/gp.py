@@ -18,6 +18,15 @@ points.  Two structural shortcuts come from the tree:
   term, masked by path membership.  Component means along a query's path sum
   exactly to the full posterior mean; variances do not add (components are
   correlated under the posterior).
+
+* **Evidence on vertex blocks.**  Hyperparameter fitting computes the
+  kernel's :class:`~treebo.kernels.VertexBlocks` once per fit and reorders
+  targets and noise to match.  Each evaluation builds the Gram matrix and the
+  per-parameter derivative blocks from them, computes K_y^{-1} from the
+  Cholesky factor (LAPACK ``dpotri``), and contracts each block of
+  ``αα^T − K_y^{-1}`` with its derivative: ∂L/∂θ = ½ tr((αα^T − K_y^{-1})
+  ∂K/∂θ) (Rasmussen & Williams 2006, eq. 5.9).  Evidence and gradient do not
+  depend on the row order.
 """
 
 from __future__ import annotations
@@ -26,10 +35,10 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, lapack, solve_triangular
 from scipy.optimize import minimize
 
-from .kernels import AddTreeKernel, BaseKernelParams, stack_points
+from .kernels import AddTreeKernel, BaseKernelParams, VertexBlocks, stack_points
 from .tree_space import LinearizedPoint
 
 __all__ = [
@@ -50,6 +59,8 @@ logger = logging.getLogger(__name__)
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
 LOG2PI = np.log(2.0 * np.pi)
+# What the fitting objective reports where the Gram cannot be factorized.
+FAILED_EVIDENCE = 1e25
 
 
 class FactorizationError(RuntimeError):
@@ -237,26 +248,61 @@ def component_posterior(model: GpModel, vertex_id: str, values) -> tuple[float, 
 
 def _evidence_and_grad(
     kernel: AddTreeKernel,
-    X: np.ndarray,
+    blocks: VertexBlocks,
     y: np.ndarray,
     noise: np.ndarray,
     noise_is_fitted: bool,
 ) -> tuple[float, np.ndarray]:
-    """Log marginal likelihood and gradient w.r.t. log kernel params (+ log noise)."""
-    n = X.shape[0]
-    K, grads = kernel.gram_and_grads(X)
-    K_y = K + np.diag(noise)
-    L = np.linalg.cholesky(K_y)  # raises LinAlgError; caller decides policy
+    """Log marginal likelihood and gradient w.r.t. log kernel params (+ log noise).
+
+    ``y`` and ``noise`` are in ``blocks.order``.  Each derivative is a
+    diagonal block of dK, so its gradient entry
+    ½ tr((αα^T − K^{-1}) ∂K/∂θ) is contracted on that block alone.
+    """
+    n = y.size
+    K, grads = kernel.gram_and_grads(blocks)
+    L = np.linalg.cholesky(K + np.diag(noise))  # raises LinAlgError; caller decides policy
     alpha = cho_solve((L, True), y)
     lml = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L)))) - 0.5 * n * LOG2PI
-    K_inv = cho_solve((L, True), np.eye(n))
-    inner = np.outer(alpha, alpha) - K_inv
-    grad = np.array([0.5 * np.sum(inner * G) for G in grads])
+    K_inv, info = lapack.dpotri(L, lower=1)  # lower triangle; L's upper is zero
+    if info:
+        raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
+    inner = np.outer(alpha, alpha) - K_inv - K_inv.T
+    inner[np.diag_indices(n)] += np.diag(K_inv)
+    grad = np.array([
+        0.5 * np.einsum("ij,ij->", inner[s, s], G)
+        for s, G in zip(blocks.param_slices, grads)
+    ])
     if noise_is_fitted:
         # shared log-variance parameter: dK_y/dlog s2 = s2 * I
-        g_noise = 0.5 * float(noise[0]) * float(np.trace(inner)) if n else 0.0
-        grad = np.append(grad, g_noise)
+        grad = np.append(grad, 0.5 * float(noise[0]) * float(np.trace(inner)))
     return lml, grad
+
+
+def _negative_evidence(kernel: AddTreeKernel, data: Dataset, fit_noise: bool):
+    """The minimization objective over log kernel params (+ log noise).
+
+    Maps a vector to (-evidence, -gradient), or to ``(FAILED_EVIDENCE, 0)``
+    where the Gram matrix cannot be factorized.  The vertex blocks and the
+    reordered targets are computed here, once, for every evaluation.
+    """
+    blocks = kernel.vertex_blocks(stack_points(data.points))
+    y = data.targets[blocks.order]
+    noise = data.noise[blocks.order]
+    n_kernel = len(kernel.param_names())
+
+    def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
+        kern = kernel.with_log_params(vec[:n_kernel])
+        s2 = np.full(len(y), np.exp(vec[-1])) if fit_noise else noise
+        try:
+            lml, grad = _evidence_and_grad(kern, blocks, y, s2, noise_is_fitted=fit_noise)
+        except np.linalg.LinAlgError:
+            return FAILED_EVIDENCE, np.zeros_like(vec)
+        if not np.isfinite(lml):
+            return FAILED_EVIDENCE, np.zeros_like(vec)
+        return -lml, -grad
+
+    return objective
 
 
 def log_marginal_likelihood(model: GpModel, with_grad: bool = False):
@@ -268,8 +314,10 @@ def log_marginal_likelihood(model: GpModel, with_grad: bool = False):
     """
     if model.n == 0:
         return (0.0, np.zeros(len(model.kernel.param_names()) + 1)) if with_grad else 0.0
+    blocks = model.kernel.vertex_blocks(model.X)
     lml, grad = _evidence_and_grad(
-        model.kernel, model.X, model.data.targets, model.data.noise, noise_is_fitted=True
+        model.kernel, blocks, model.data.targets[blocks.order],
+        model.data.noise[blocks.order], noise_is_fitted=True,
     )
     if not np.isfinite(lml):
         raise FloatingPointError("non-finite evidence; degenerate hyperparameters")
@@ -316,15 +364,14 @@ def fit_hyperparameters(
     a shared noise variance is optimized alongside and replaces the dataset's
     noise vector in the result; otherwise the dataset noise is taken as given.
     ``lengthscale_cap`` applies the min rule afterwards: fitted lengthscales
-    are capped at the given value.
+    are capped at the given value.  Raises :class:`FactorizationError` when
+    every restart ends where the Gram matrix cannot be factorized.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if len(data) == 0:
         raise ValueError("hyperparameter fitting needs at least one observation")
     rng = rng if rng is not None else np.random.default_rng(0)
-    X = stack_points(data.points)
-    y = data.targets
 
     names = kernel.param_names()
     n_kernel = len(names)
@@ -335,17 +382,7 @@ def fit_hyperparameters(
         lo = np.append(lo, np.log(noise_bounds[0]))
         hi = np.append(hi, np.log(noise_bounds[1]))
     bounds = list(zip(lo, hi))
-
-    def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        kern = kernel.with_log_params(vec[:n_kernel])
-        noise = np.full(len(data), np.exp(vec[-1])) if fit_noise else data.noise
-        try:
-            lml, grad = _evidence_and_grad(kern, X, y, noise, noise_is_fitted=fit_noise)
-        except np.linalg.LinAlgError:
-            return 1e25, np.zeros_like(vec)
-        if not np.isfinite(lml):
-            return 1e25, np.zeros_like(vec)
-        return -lml, -grad
+    objective = _negative_evidence(kernel, data, fit_noise)
 
     start0 = np.clip(kernel.get_log_params(), lo[:n_kernel], hi[:n_kernel])
     if fit_noise:
@@ -371,6 +408,11 @@ def fit_hyperparameters(
             best_val, best_vec = float(res.fun), res.x
     if best_vec is None:
         raise last_error if last_error else RuntimeError("all restarts failed")
+    if best_val >= FAILED_EVIDENCE:
+        raise FactorizationError(
+            f"all {len(evidences)} restarts ended on a Gram matrix that is not "
+            "positive definite; duplicate points with zero noise?"
+        )
 
     fitted = kernel.with_log_params(best_vec[:n_kernel])
     if lengthscale_cap is not None:

@@ -16,10 +16,22 @@ keeps an information channel open through shared structural vertices.  The
 alternative ``zero_dim="zero"`` drops such vertices from the sum entirely;
 under that policy points whose paths only share dim-0 vertices have exactly
 zero covariance.
+
+Every method evaluates a vertex's term only on its block: the rows whose path
+contains the vertex (:meth:`AddTreeKernel._block`), through one helper,
+``_term``, on the raw per-dimension squared differences.  For hyperparameter
+fitting, :meth:`AddTreeKernel.vertex_blocks` does the hyperparameter-free
+work once: it orders the rows by the depth-first rank of their leaf, so each
+vertex's rows R_v are one contiguous slice, and keeps the squared
+differences on each R_v x R_v block.  :meth:`AddTreeKernel.gram_and_grads`
+then scales those by 1/lengthscale², adds each term into its block of the
+Gram matrix, and returns every log-parameter derivative as the dense block
+it is non-zero on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +41,7 @@ from .tree_space import LinearizedPoint, PathIndex, TreeSpec
 __all__ = [
     "BaseKernelParams",
     "AddTreeKernel",
+    "VertexBlocks",
     "base_kernel_eval",
     "delta_eval",
     "add_tree_eval",
@@ -57,9 +70,9 @@ class BaseKernelParams:
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; choose from {KERNEL_KINDS}")
-        if any(not (ls > 0 and np.isfinite(ls)) for ls in self.lengthscales):
+        if any(not (ls > 0 and math.isfinite(ls)) for ls in self.lengthscales):
             raise ValueError(f"lengthscales must be positive and finite, got {self.lengthscales}")
-        if not (self.output_scale > 0 and np.isfinite(self.output_scale)):
+        if not (self.output_scale > 0 and math.isfinite(self.output_scale)):
             raise ValueError(f"output_scale must be positive and finite, got {self.output_scale}")
 
     @property
@@ -67,10 +80,9 @@ class BaseKernelParams:
         return len(self.lengthscales)
 
 
-def _scaled_sq_dists(params: BaseKernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Per-dimension scaled squared differences, shape (m, n, d)."""
-    ls = np.asarray(params.lengthscales)
-    D = (A[:, None, :] - B[None, :, :]) / ls
+def _sq_diffs(Va: np.ndarray, Vb: np.ndarray) -> np.ndarray:
+    """Raw per-dimension squared differences between row sets, shape (d, m, n)."""
+    D = Va.T[:, :, None] - Vb.T[:, None, :]
     return D * D
 
 
@@ -97,12 +109,18 @@ def _lengthscale_grad_weight(kind: str, r2: np.ndarray, corr: np.ndarray) -> np.
     return (5.0 / 3.0) * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
 
 
-def _pairwise(params: BaseKernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Base-kernel values between row sets, shape (m, n)."""
-    if params.dim == 0:
-        return np.full((A.shape[0], B.shape[0]), params.output_scale)
-    r2 = _scaled_sq_dists(params, A, B).sum(axis=2)
-    return params.output_scale * _corr_from_r2(params.kind, r2)
+def _term(params: BaseKernelParams, sq: np.ndarray):
+    """One vertex's base-kernel values from raw squared differences.
+
+    ``sq`` is (d, m, n) as from :func:`_sq_diffs`.  Returns the (m, n) values
+    together with the scaled squared distance r² and the correlation, which
+    the lengthscale derivatives reuse.  A dim-0 vertex has r² = 0 and
+    correlation exactly 1, so its term is the constant output scale.
+    """
+    d, m, n = sq.shape
+    r2 = (1.0 / np.square(params.lengthscales) @ sq.reshape(d, m * n)).reshape(m, n)
+    corr = _corr_from_r2(params.kind, r2)
+    return params.output_scale * corr, r2, corr
 
 
 def base_kernel_eval(params: BaseKernelParams, a, b) -> float:
@@ -117,7 +135,7 @@ def base_kernel_eval(params: BaseKernelParams, a, b) -> float:
         raise ValueError(
             f"expected vectors of length {params.dim}, got {a.size} and {b.size}"
         )
-    return float(_pairwise(params, a[None, :], b[None, :])[0, 0])
+    return float(_term(params, _sq_diffs(a[None, :], b[None, :]))[0][0, 0])
 
 
 def delta_eval(index: PathIndex, vertex_id: str, x: LinearizedPoint, y: LinearizedPoint) -> int:
@@ -137,6 +155,32 @@ def stack_points(points: list[LinearizedPoint]) -> np.ndarray:
     if not points:
         return np.empty((0, 0))
     return np.stack([p.slots for p in points])
+
+
+@dataclass(frozen=True)
+class VertexBlocks:
+    """The hyperparameter-free part of a kernel's Gram matrix over fixed rows.
+
+    Built by :meth:`AddTreeKernel.vertex_blocks` once per hyperparameter fit.
+    The rows are reordered (``order`` indexes the original rows) by the
+    depth-first rank of their leaf, so each contributing vertex's rows -- the
+    rows whose path contains it, i.e. the leaves of its subtree -- form one
+    contiguous slice.  ``vertices``, ``slices`` and ``sq`` list, per
+    contributing vertex in BFS order, its id, its slice and the raw squared
+    differences of its values on that slice, shape (d, |R_v|, |R_v|).
+    ``param_slices`` gives, per log-parameter in ``param_names()`` order, the
+    diagonal block of the Gram matrix its derivative lives on.
+    """
+
+    order: np.ndarray
+    vertices: tuple[str, ...]
+    slices: tuple[slice, ...]
+    sq: tuple[np.ndarray, ...]
+    param_slices: tuple[slice, ...]
+
+    @property
+    def n(self) -> int:
+        return self.order.size
 
 
 @dataclass(frozen=True)
@@ -204,14 +248,14 @@ class AddTreeKernel:
         return [vid for vid in self.index.bfs_order if self._contributes(vid)]
 
     def _block(self, vid: str, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One vertex's on-path flags and value columns in stacked rows.
+        """One vertex's rows in stacked slots and their value columns.
 
-        The flags are the one membership rule: a row has the vertex on its
-        active path iff the vertex's tag slot is non-negative.  Value columns
-        of off-path rows are zero-filled junk that callers mask out.
+        This is the one membership rule: a row has the vertex on its active
+        path iff the vertex's tag slot is non-negative.
         """
         tag_pos, vs, ve = self.index.offsets[vid]
-        return A[:, tag_pos] >= 0, A[:, vs:ve]
+        rows = (A[:, tag_pos] >= 0).nonzero()[0]
+        return rows, A[rows, vs:ve]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -224,15 +268,14 @@ class AddTreeKernel:
         """Kernel matrix between stacked slot arrays (B defaults to A)."""
         if B is None:
             B = A
-        m, n = A.shape[0], B.shape[0]
-        K = np.zeros((m, n))
-        if m == 0 or n == 0:
+        K = np.zeros((A.shape[0], B.shape[0]))
+        if K.size == 0:
             return K
         for vid in self._contributing():
-            on_a, Va = self._block(vid, A)
-            on_b, Vb = self._block(vid, B)
-            mask = on_a[:, None] & on_b[None, :]
-            K += np.where(mask, _pairwise(self.params[vid], Va, Vb), 0.0)
+            rows_a, Va = self._block(vid, A)
+            if rows_a.size:
+                rows_b, Vb = self._block(vid, B)
+                K[rows_a[:, None], rows_b] += _term(self.params[vid], _sq_diffs(Va, Vb))[0]
         return K
 
     def gram(self, points: list[LinearizedPoint]) -> np.ndarray:
@@ -241,11 +284,11 @@ class AddTreeKernel:
 
     def diag(self, A: np.ndarray) -> np.ndarray:
         """k(x, x) for each stacked row: summed contributing output scales
-        on its path."""
+        on its path (each vertex term at zero distance)."""
         out = np.zeros(A.shape[0])
         for vid in self._contributing():
-            on, _ = self._block(vid, A)
-            out += np.where(on, self.params[vid].output_scale, 0.0)
+            rows, _ = self._block(vid, A)
+            out[rows] += self.params[vid].output_scale
         return out
 
     def component_cross(self, vertex_id: str, V: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -263,11 +306,12 @@ class AddTreeKernel:
             raise ValueError(
                 f"vertex {vertex_id!r} expects {p.dim}-dim values, got {V.shape[1]}"
             )
-        m, n = V.shape[0], A.shape[0]
-        if n == 0 or not self._contributes(vertex_id):
-            return np.zeros((m, n))
-        on, VA = self._block(vertex_id, A)
-        return np.where(on[None, :], _pairwise(p, V, VA), 0.0)
+        out = np.zeros((V.shape[0], A.shape[0]))
+        if A.shape[0] == 0 or not self._contributes(vertex_id):
+            return out
+        rows, VA = self._block(vertex_id, A)
+        out[:, rows] = _term(p, _sq_diffs(V, VA))[0]
+        return out
 
     def component_prior_variance(self, vertex_id: str) -> float:
         if not self._contributes(vertex_id):
@@ -280,92 +324,116 @@ class AddTreeKernel:
         """Canonical order of free log-parameters for fitting.
 
         Per BFS vertex: one lengthscale per dimension, then the output scale
-        (one trailing shared scale instead when scales are tied).  Dim-0
-        output scales are skipped under the 'zero' policy (the kernel never
-        uses them there, so they are unidentifiable).
+        (one trailing shared scale instead when scales are tied, present
+        only when some vertex contributes).  Dim-0 output scales are skipped
+        under the 'zero' policy (the kernel never uses them there, so they
+        are unidentifiable).
         """
         names: list[str] = []
-        for vid in self._contributing():
+        contributing = self._contributing()
+        for vid in contributing:
             names.extend(f"{vid}::ls{d}" for d in range(self.params[vid].dim))
             if not self.tied_scales:
                 names.append(f"{vid}::scale")
-        if self.tied_scales:
+        if self.tied_scales and contributing:
             names.append("shared::scale")
         return names
 
     def get_log_params(self) -> np.ndarray:
+        """Current values in :meth:`param_names` order, as logarithms."""
         vec: list[float] = []
-        for name in self.param_names():
-            vid, what = name.split("::")
-            if vid == "shared":
-                vid = self._contributing()[0]
+        contributing = self._contributing()
+        for vid in contributing:
             p = self.params[vid]
-            if what == "scale":
-                vec.append(np.log(p.output_scale))
-            else:
-                vec.append(np.log(p.lengthscales[int(what[2:])]))
-        return np.array(vec)
+            vec.extend(p.lengthscales)
+            if not self.tied_scales:
+                vec.append(p.output_scale)
+        if self.tied_scales and contributing:
+            vec.append(self.params[contributing[0]].output_scale)
+        return np.log(np.array(vec, dtype=float))
 
     def with_log_params(self, vec: np.ndarray) -> "AddTreeKernel":
-        names = self.param_names()
-        if len(vec) != len(names):
-            raise ValueError(f"expected {len(names)} log-parameters, got {len(vec)}")
-        by_vertex: dict[str, dict] = {}
-        shared_scale = None
-        for name, val in zip(names, vec):
-            vid, what = name.split("::")
-            if vid == "shared":
-                shared_scale = float(np.exp(val))
-            else:
-                by_vertex.setdefault(vid, {})[what] = float(np.exp(val))
-        new_params = dict(self.params)
-        for vid, p in self.params.items():
-            upd = by_vertex.get(vid, {})
-            ls = list(p.lengthscales)
-            for what, val in upd.items():
-                if what != "scale":
-                    ls[int(what[2:])] = val
-            scale = upd.get("scale", p.output_scale)
-            if shared_scale is not None:
-                scale = shared_scale
-            if not upd and shared_scale is None:
-                continue
-            new_params[vid] = BaseKernelParams(
-                kind=p.kind, lengthscales=tuple(ls), output_scale=scale
-            )
+        """The kernel with the :meth:`param_names` values exp(vec).
+
+        A tied shared scale becomes every vertex's output scale.
+        """
+        values = np.exp(np.asarray(vec, dtype=float)).tolist()
+        n_names = len(self.param_names())
+        if len(values) != n_names:
+            raise ValueError(f"expected {n_names} log-parameters, got {len(values)}")
+        shared = values[-1] if self.tied_scales and values else None
+        new_params = {}
+        pos = 0
+        for vid in self.index.bfs_order:
+            p = self.params[vid]
+            lengthscales, scale = p.lengthscales, p.output_scale
+            if self._contributes(vid):
+                lengthscales = tuple(values[pos:pos + p.dim])
+                pos += p.dim
+                if shared is None:
+                    scale = values[pos]
+                    pos += 1
+            if shared is not None:
+                scale = shared
+            new_params[vid] = BaseKernelParams(p.kind, lengthscales, scale)
         return replace(self, params=new_params)
 
-    def gram_and_grads(self, A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Gram matrix plus dK/d(log param) in param_names() order.
+    def vertex_blocks(self, A: np.ndarray) -> VertexBlocks:
+        """The hyperparameter-free block data of stacked rows ``A``.
 
-        With tied scales every vertex term is proportional to the one shared
-        scale, so that parameter's gradient is the Gram matrix itself.
+        Depends on the kernel's structure only (contributing vertices, tied
+        scales), so it serves every :meth:`with_log_params` variant.
         """
-        n = A.shape[0]
-        K = np.zeros((n, n))
+        index = self.index
+        # Leaves sorted by their paths' BFS positions come in depth-first
+        # order, where the leaves of every subtree are adjacent.
+        bfs_pos = {vid: i for i, vid in enumerate(index.bfs_order)}
+        dfs = sorted(
+            range(index.n_leaves), key=lambda i: [bfs_pos[v] for v in index.leaf_paths[i]]
+        )
+        dfs_rank = np.empty(index.n_leaves, dtype=int)
+        dfs_rank[dfs] = np.arange(index.n_leaves)
+        leaf_tags = [index.offsets[leaf][0] for leaf in index.leaf_ids]
+        leaf = np.argmax(A[:, leaf_tags] >= 0, axis=1)
+        order = np.argsort(dfs_rank[leaf], kind="stable")
+        A = A[order]
+
+        vertices = tuple(self._contributing())
+        slices, sq, param_slices = [], [], []
+        for vid in vertices:
+            rows, V = self._block(vid, A)
+            s = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
+            slices.append(s)
+            sq.append(_sq_diffs(V, V))
+            param_slices.extend([s] * (self.params[vid].dim + (not self.tied_scales)))
+        if self.tied_scales and vertices:
+            param_slices.append(slice(0, order.size))
+        return VertexBlocks(order, vertices, tuple(slices), tuple(sq), tuple(param_slices))
+
+    def gram_and_grads(self, blocks: VertexBlocks) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Gram matrix of the blocks' rows (in ``blocks.order``) plus
+        dK/d(log param) in param_names() order.
+
+        Derivative k is the dense diagonal block ``blocks.param_slices[k]``
+        of the full derivative, which is zero elsewhere.  With tied scales
+        every vertex term is proportional to the one shared scale, so that
+        parameter's derivative is the Gram matrix itself (the same array).
+        """
+        K = np.zeros((blocks.n, blocks.n))
         grads: list[np.ndarray] = []
-        for vid in self._contributing():
+        for vid, s, sq in zip(blocks.vertices, blocks.slices, blocks.sq):
             p = self.params[vid]
-            on, V = self._block(vid, A)
-            mask = on[:, None] & on[None, :]
-            if p.dim == 0:
-                term = np.where(mask, p.output_scale, 0.0)
-                K += term
-                if not self.tied_scales:
-                    grads.append(term)  # d/dlog scale
-                continue
-            sq = _scaled_sq_dists(p, V, V)
-            r2 = sq.sum(axis=2)
-            corr = _corr_from_r2(p.kind, r2)
-            term = np.where(mask, p.output_scale * corr, 0.0)
-            K += term
-            w = p.output_scale * _lengthscale_grad_weight(p.kind, r2, corr)
-            for d in range(p.dim):
-                grads.append(np.where(mask, w * sq[:, :, d], 0.0))
+            term, r2, corr = _term(p, sq)
+            K[s, s] += term
+            if p.dim:
+                # d term / d log ls_d = w * sq_d / ls_d^2
+                w = p.output_scale * _lengthscale_grad_weight(p.kind, r2, corr)
+                inv_ls2 = 1.0 / np.square(p.lengthscales)
+                grads.extend(sq * inv_ls2[:, None, None] * w)
             if not self.tied_scales:
                 grads.append(term)  # d/dlog scale
-        if self.tied_scales:
-            grads.append(K.copy())
+        if self.tied_scales and blocks.vertices:
+            grads.append(K)
         return K, grads
 
     # -- serialization ---------------------------------------------------------

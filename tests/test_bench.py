@@ -209,6 +209,13 @@ def test_bo_config_rejects_bad_schedule_settings():
         BoConfig(gamma_g=-0.5, gamma_b=0.0).schedule(3)
     with pytest.raises(ValueError, match="delta"):
         BoConfig(delta=1.5).schedule(3)
+    for field, value in [
+        ("theta0", 0.0), ("theta0", -1.0), ("theta0", math.inf), ("theta0", math.nan),
+        ("B0", -1.0), ("B0", math.inf), ("B0", math.nan),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            BoConfig(**{field: value})
+    BoConfig(B0=0.0)  # a zero norm bound is allowed
 
 
 def test_every_bo_config_field_is_read():

@@ -61,7 +61,14 @@ def test_bad_flag_is_user_error(capsys):
 
 @pytest.mark.parametrize("command", ["run", "regression"])
 @pytest.mark.parametrize(
-    "flags", [("--gamma-g", "-0.5", "--gamma-b", "0"), ("--delta", "1.5")], ids=["rate", "delta"]
+    "flags",
+    [
+        ("--gamma-g", "-0.5", "--gamma-b", "0"),
+        ("--delta", "1.5"),
+        ("--theta0", "0"),
+        ("--b0", "-1"),
+    ],
+    ids=["rate", "delta", "theta0", "b0"],
 )
 def test_bad_schedule_settings_are_user_errors(tmp_path, capsys, command, flags):
     out = tmp_path / "o"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -238,6 +239,38 @@ def test_lml_gradient_matches_finite_differences():
             fd[-1] += sgn * val / (2 * h)
         scale = np.maximum(np.abs(fd), 1.0)
         assert np.max(np.abs(grad - fd) / scale) < 1e-5
+
+
+def test_fitting_objective_gradient_matches_finite_differences():
+    # the L-BFGS objective with a fitted noise variance (last entry), on
+    # random trees with per-vertex and with tied output scales
+    for seed in range(8):
+        _, _, kern, data = random_gp_instance(seed, n=10, zero_dim=("constant", "zero")[seed % 2])
+        kern = dataclasses.replace(kern, tied_scales=seed % 4 >= 2)
+        objective = gp._negative_evidence(kern, data, fit_noise=True)
+        vec = np.append(kern.get_log_params(), math.log(1e-2))
+        value, grad = objective(vec)
+        model = gp.fit(kern.with_log_params(vec[:-1]), gp.Dataset.create(
+            data.points, data.targets, noise=1e-2))
+        assert value == pytest.approx(-gp.log_marginal_likelihood(model), rel=1e-10)
+        h = 1e-5
+        fd = np.zeros_like(vec)
+        for k in range(len(vec)):
+            up, dn = vec.copy(), vec.copy()
+            up[k] += h
+            dn[k] -= h
+            fd[k] = (objective(up)[0] - objective(dn)[0]) / (2 * h)
+        scale = np.maximum(np.abs(fd), 1.0)
+        assert np.max(np.abs(grad - fd) / scale) < 1e-5
+
+
+def test_fit_hyperparameters_raises_when_every_restart_fails(jenatton):
+    # three identical points and zero noise: no hyperparameters factorize
+    p = linearize(jenatton.spec, jenatton.index, 0, [0.3, 0.7])
+    data = gp.Dataset.create([p, p, p], [1.0, 1.0, 1.0], noise=0.0)
+    kern = bench.BoConfig().kernel(jenatton.spec, jenatton.index)
+    with pytest.raises(gp.FactorizationError, match="all 3 restarts"):
+        gp.fit_hyperparameters(kern, data, restarts=3, rng=np.random.default_rng(0))
 
 
 def test_fit_hyperparameters_recovers_lengthscale():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -288,8 +289,11 @@ def test_log_param_round_trip(two_leaf):
 
 def test_config_round_trip(two_leaf, jenatton):
     # Jenatton's root has no variables, so zero_dim changes its parameters
+    # random tree 3 is one dim-0 vertex: under "zero" nothing contributes
+    # and there is no shared scale to tie
     rng = np.random.default_rng(10)
-    for spec, index in (two_leaf, (jenatton.spec, jenatton.index)):
+    lone = bench.random_tree_spec(3, max_dim=2)
+    for spec, index in (two_leaf, (jenatton.spec, jenatton.index), (lone, build_path_index(lone))):
         for zero_dim in ("constant", "zero"):
             for tied in (False, True):
                 kern = random_kernel(spec, index, rng, zero_dim=zero_dim)
@@ -303,32 +307,53 @@ def test_config_round_trip(two_leaf, jenatton):
 
 
 def test_gram_grads_match_finite_differences():
+    # The block engine against a dense oracle: K against gram_matrix on the
+    # reordered rows, each derivative block scattered into an n x n matrix
+    # against central differences of gram_matrix.  The depth-4 trees have
+    # leaves at three depths, and BFS leaf order splits one of their subtrees.
+    def bfs_splits_a_subtree(index):
+        for vid in index.bfs_order:
+            leaves = [i for i, path in enumerate(index.leaf_paths) if vid in path]
+            if leaves[-1] - leaves[0] + 1 != len(leaves):
+                return True
+        return False
+
     rng = np.random.default_rng(13)
-    cases = [
-        (seed, zero_dim, tied)
-        for zero_dim in ("constant", "zero")
-        for tied in (False, True)
-        for seed in (0, 4, 9)
-    ]
-    for seed, zero_dim, tied in cases:
-        spec = bench.random_tree_spec(seed, max_dim=2)
+    for seed, depth in ((0, 3), (4, 3), (9, 3), (11, 4), (32, 4)):
+        spec = bench.random_tree_spec(seed, max_depth=depth, max_dim=2)
         index = build_path_index(spec)
-        kern = replace(random_kernel(spec, index, rng, zero_dim=zero_dim), tied_scales=tied)
-        kern = kern.with_log_params(kern.get_log_params())  # tied: one shared scale
-        X = stack_points(random_points(spec, index, rng, 6))
-        K, grads = kern.gram_and_grads(X)
-        np.testing.assert_allclose(K, kern.gram_matrix(X), rtol=1e-12)
-        vec = kern.get_log_params()
-        h = 1e-6
-        for k in range(len(vec)):
-            up, dn = vec.copy(), vec.copy()
-            up[k] += h
-            dn[k] -= h
-            fd = (
-                kern.with_log_params(up).gram_matrix(X)
-                - kern.with_log_params(dn).gram_matrix(X)
-            ) / (2 * h)
-            np.testing.assert_allclose(grads[k], fd, atol=1e-6)
+        assert bfs_splits_a_subtree(index) == (depth == 4)
+        for kind, zero_dim, tied in itertools.product(
+            ("se", "matern32", "matern52", "mixed"), ("constant", "zero"), (False, True)
+        ):
+            if kind == "mixed":
+                kern = random_kernel(spec, index, rng, zero_dim=zero_dim)
+            else:
+                kern = AddTreeKernel.default(spec, index, kind=kind, zero_dim=zero_dim)
+            kern = replace(kern, tied_scales=tied)
+            kern = kern.with_log_params(rng.uniform(-1.0, 1.0, len(kern.param_names())))
+            X = stack_points(random_points(spec, index, rng, 12))
+            blocks = kern.vertex_blocks(X)
+            X = X[blocks.order]
+            for vid, s in zip(blocks.vertices, blocks.slices):  # R_v is the slice
+                on = X[:, index.offsets[vid][0]] >= 0
+                np.testing.assert_array_equal(np.flatnonzero(on), np.arange(X.shape[0])[s])
+            K, grads = kern.gram_and_grads(blocks)
+            np.testing.assert_allclose(K, kern.gram_matrix(X), rtol=1e-12)
+            vec = kern.get_log_params()
+            assert len(grads) == len(blocks.param_slices) == len(vec)
+            h = 1e-6
+            for k, (s, G) in enumerate(zip(blocks.param_slices, grads)):
+                full = np.zeros_like(K)
+                full[s, s] = G
+                up, dn = vec.copy(), vec.copy()
+                up[k] += h
+                dn[k] -= h
+                fd = (
+                    kern.with_log_params(up).gram_matrix(X)
+                    - kern.with_log_params(dn).gram_matrix(X)
+                ) / (2 * h)
+                np.testing.assert_allclose(full, fd, atol=1e-6)
 
 
 @pytest.mark.parametrize("zero_dim", ["constant", "zero"])
