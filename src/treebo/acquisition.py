@@ -2,9 +2,11 @@
 
 The upper confidence bound ``mu + sqrt(beta) * sigma`` is maximized one
 vertex at a time: every vertex's component posterior yields a low-dimensional
-UCB surface over that vertex's own box, each is maximized independently,
-per-path scores are the sums of the per-vertex maxima along the path, and
-the best path's argmaxes are concatenated into the next evaluation point.
+UCB surface over that vertex's own box, each is maximized independently (a
+fixed Sobol scan, then L-BFGS-B from the best scan points with the
+closed-form gradient of the component UCB), per-path scores are the sums of
+the per-vertex maxima along the path, and the best path's argmaxes are
+concatenated into the next evaluation point.
 Component means add exactly along a path, so the mean part of the path score
 is exact; the summed component deviations are a surrogate for the full
 posterior deviation.
@@ -19,6 +21,7 @@ the constant schedule ``g = b = 1``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,10 +153,13 @@ class Proposal:
     beta: float
 
 
-def _sobol_starts(dim: int, lo: np.ndarray, hi: np.ndarray, budget: int) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _unit_sobol(dim: int, budget: int) -> np.ndarray:
+    """The first ``budget`` unscrambled Sobol points in [0, 1)^dim, read-only."""
     m = max(1, math.ceil(math.log2(max(2, budget))))
     pts = qmc.Sobol(d=dim, scramble=False).random_base2(m)[:budget]
-    return lo + pts * (hi - lo)
+    pts.flags.writeable = False
+    return pts
 
 
 def _maximize_vertex_ucb(
@@ -166,7 +172,9 @@ def _maximize_vertex_ucb(
     """Maximize the component UCB over one vertex's box.
 
     Deterministic: a fixed low-discrepancy scan picks the best ``n_starts``
-    seeds for bounded local polishing.
+    seeds for bounded L-BFGS-B polishing.  The polish uses the closed-form
+    gradient d UCB = d mu + sqrt(beta) * d sigma^2 / (2 sigma), taking the
+    sigma part as 0 where sigma is 0.
     """
     vertex = model.kernel.spec.vertex(vertex_id)
     if vertex.dim == 0:
@@ -176,23 +184,26 @@ def _maximize_vertex_ucb(
     lo = np.array([b[0] for b in vertex.bounds])
     hi = np.array([b[1] for b in vertex.bounds])
 
-    def batch_score(V: np.ndarray) -> np.ndarray:
-        means, variances = component_posterior_batch(model, vertex_id, V)
-        return means + sqrt_beta * np.sqrt(variances)
-
-    scan = _sobol_starts(vertex.dim, lo, hi, scan_budget)
-    scores = batch_score(scan)
+    scan = lo + _unit_sobol(vertex.dim, scan_budget) * (hi - lo)
+    means, variances = component_posterior_batch(model, vertex_id, scan)
+    scores = means + sqrt_beta * np.sqrt(variances)
     order = np.argsort(-scores)[:n_starts]
 
-    def neg_score(x: np.ndarray) -> float:
-        return -float(batch_score(x[None, :])[0])
+    def neg_score_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        mean, var, dmean, dvar = component_posterior_batch(
+            model, vertex_id, x[None, :], with_grad=True
+        )
+        sigma = math.sqrt(var[0])
+        grad = dmean[0] + (sqrt_beta / (2.0 * sigma)) * dvar[0] if sigma > 0 else dmean[0]
+        return -float(mean[0] + sqrt_beta * sigma), -grad
 
     best_x = scan[order[0]]
     best = float(scores[order[0]])
     for idx in order:
         res = minimize(
-            neg_score,
+            neg_score_and_grad,
             scan[idx],
+            jac=True,
             method="L-BFGS-B",
             bounds=list(zip(lo, hi)),
             options={"maxiter": 60},

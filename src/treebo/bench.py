@@ -282,8 +282,8 @@ class BoConfig:
     barely-observed region into false certainty.  The fitting bounds here
     are deliberately tighter than the library defaults: scales bounded away
     from zero keep an exploration bonus alive on unvisited branches.  A
-    config whose schedule settings are invalid raises ``ValueError`` when it
-    is built.
+    config whose schedule, acquisition or fit settings are invalid raises
+    ``ValueError`` when it is built.
     """
 
     n_init: int | None = None
@@ -305,6 +305,13 @@ class BoConfig:
     scale_bounds: tuple = (0.05, 50.0)
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "acq_starts", "acq_scan"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (self.noise_variance >= 0 and math.isfinite(self.noise_variance)):
+            raise ValueError(
+                f"noise_variance must be non-negative and finite, got {self.noise_variance}"
+            )
         self.schedule(1)  # raises on a bad theta0, B0, delta or rate
 
     def resolve_n_init(self, spec: TreeSpec) -> int:

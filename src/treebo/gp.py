@@ -14,10 +14,14 @@ points.  Two structural shortcuts come from the tree:
 
 * **Component posteriors.**  The kernel is a sum of per-vertex terms, so each
   vertex has its own latent component.  Its conditional mean/variance given
-  all observations uses the cross-covariance restricted to that vertex's
-  term, masked by path membership.  Component means along a query's path sum
-  exactly to the full posterior mean; variances do not add (components are
-  correlated under the posterior).
+  all observations uses the cross-covariance c restricted to that vertex's
+  term, masked by path membership: μ = c^T α and σ² = s_v − c^T K_y^{-1} c,
+  with K_y^{-1} computed once per :func:`fit` from the Cholesky factor (LAPACK
+  ``dpotri``) and kept on the model.  With J = ∂c/∂v from
+  :meth:`~treebo.kernels.AddTreeKernel.component_cross`, the gradients in the
+  query values are ∂μ = J^T α and ∂σ² = −2 J^T K_y^{-1} c.  Component means
+  along a query's path sum exactly to the full posterior mean; variances do
+  not add (components are correlated under the posterior).
 
 * **Evidence on vertex blocks.**  Hyperparameter fitting computes the
   kernel's :class:`~treebo.kernels.VertexBlocks` once per fit and reorders
@@ -126,13 +130,25 @@ def _cholesky_with_jitter(K_y: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
+def _inverse_lower(L: np.ndarray) -> np.ndarray:
+    """Lower triangle of (L L^T)^{-1} from a lower Cholesky factor (LAPACK
+    ``dpotri``); the strict upper triangle is L's, i.e. zero.  Raises
+    :class:`numpy.linalg.LinAlgError` when ``dpotri`` reports failure."""
+    K_inv, info = lapack.dpotri(L, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
+    return K_inv
+
+
 @dataclass
 class GpModel:
     """A fitted GP: kernel, data, Gram matrix and its Cholesky factor.
 
-    Treat instances as immutable after :func:`fit`, apart from
-    ``clamp_count``: posterior queries increment it each time a numerically
-    negative predictive variance is clamped to zero.
+    ``alpha`` is K_y^{-1} y and ``K_inv`` the full symmetric K_y^{-1}, both
+    from the (possibly jittered) factor ``chol``; component posteriors and
+    their gradients read them.  Treat instances as immutable after
+    :func:`fit`, apart from ``clamp_count``: posterior queries increment it
+    each time a numerically negative predictive variance is clamped to zero.
     """
 
     kernel: AddTreeKernel
@@ -141,6 +157,7 @@ class GpModel:
     K: np.ndarray
     chol: np.ndarray
     alpha: np.ndarray
+    K_inv: np.ndarray
     jitter: float
     clamp_count: int = 0
 
@@ -173,6 +190,8 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
     K_y = K + np.diag(data.noise) if len(data) else K
     L, jitter = _cholesky_with_jitter(K_y)
     alpha = cho_solve((L, True), data.targets) if len(data) else np.empty(0)
+    K_inv = _inverse_lower(L) if len(data) else np.empty((0, 0))
+    K_inv += np.tril(K_inv, -1).T  # mirror the lower triangle
     model = GpModel(
         kernel=kernel,
         data=data,
@@ -180,6 +199,7 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
         K=K,
         chol=L,
         alpha=alpha,
+        K_inv=K_inv,
         jitter=jitter,
     )
     if jitter:
@@ -208,13 +228,15 @@ def posterior(model: GpModel, query: LinearizedPoint) -> tuple[float, float]:
 
 
 def component_posterior_batch(
-    model: GpModel, vertex_id: str, V: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    model: GpModel, vertex_id: str, V: np.ndarray, with_grad: bool = False
+) -> tuple[np.ndarray, ...]:
     """Vectorized per-vertex component posterior over query value rows.
 
     ``V`` is (m, dim) for the vertex (use shape (m, 0) when dim is 0).
     Returns per-row means and clamped variances of the vertex's additive
-    latent component given all observations.
+    latent component given all observations.  With ``with_grad`` also
+    returns their (m, dim) derivatives with respect to the query values;
+    the variance derivative is 0 where the variance was clamped.
     """
     prior = model.kernel.component_prior_variance(vertex_id)
     V = np.asarray(V, dtype=float)
@@ -222,16 +244,25 @@ def component_posterior_batch(
         V = V.reshape(1, -1)
     m = V.shape[0]
     if model.n == 0:
-        return np.zeros(m), np.full(m, prior)
-    C = model.kernel.component_cross(vertex_id, V, model.X)  # (m, n)
+        out = np.zeros(m), np.full(m, prior)
+        return (*out, np.zeros(V.shape), np.zeros(V.shape)) if with_grad else out
+    if with_grad:
+        C, J = model.kernel.component_cross(vertex_id, V, model.X, with_grad=True)
+    else:
+        C = model.kernel.component_cross(vertex_id, V, model.X)  # (m, n)
     means = C @ model.alpha
-    W = solve_triangular(model.chol, C.T, lower=True)  # (n, m)
-    variances = prior - np.einsum("ij,ij->j", W, W)
+    KC = C @ model.K_inv  # row q is K_y^{-1} c_q
+    variances = prior - np.einsum("ij,ij->i", KC, C)
     neg = variances < 0
     if np.any(neg):
         model.clamp_count += int(neg.sum())
         variances = np.where(neg, 0.0, variances)
-    return means, variances
+    if not with_grad:
+        return means, variances
+    dmeans = (J @ model.alpha).T
+    dvariances = -2.0 * np.einsum("dqi,qi->qd", J, KC)
+    dvariances[neg] = 0.0
+    return means, variances, dmeans, dvariances
 
 
 def component_posterior(model: GpModel, vertex_id: str, values) -> tuple[float, float]:
@@ -264,9 +295,7 @@ def _evidence_and_grad(
     L = np.linalg.cholesky(K + np.diag(noise))  # raises LinAlgError; caller decides policy
     alpha = cho_solve((L, True), y)
     lml = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L)))) - 0.5 * n * LOG2PI
-    K_inv, info = lapack.dpotri(L, lower=1)  # lower triangle; L's upper is zero
-    if info:
-        raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
+    K_inv = _inverse_lower(L)
     inner = np.outer(alpha, alpha) - K_inv - K_inv.T
     inner[np.diag_indices(n)] += np.diag(K_inv)
     grad = np.array([

@@ -291,12 +291,19 @@ class AddTreeKernel:
             out[rows] += self.params[vid].output_scale
         return out
 
-    def component_cross(self, vertex_id: str, V: np.ndarray, A: np.ndarray) -> np.ndarray:
+    def component_cross(
+        self, vertex_id: str, V: np.ndarray, A: np.ndarray, with_grad: bool = False
+    ):
         """Cross-covariance of one vertex's component against stacked rows.
 
         ``V`` is (m, dim) query values for the vertex (m x 0 for dim-0).
         Entry (q, i) is the vertex's base kernel between V[q] and row i's
         restriction when the vertex is on row i's path, else 0.
+
+        With ``with_grad`` also returns the derivative with respect to the
+        query values, shape (dim, m, n): for every kind the radial
+        derivative d k / d V[q, d] = -s * w * (V[q, d] - x_d) / ls_d², with
+        w from :func:`_lengthscale_grad_weight`.
         """
         p = self.params[vertex_id]
         V = np.asarray(V, dtype=float)
@@ -307,11 +314,16 @@ class AddTreeKernel:
                 f"vertex {vertex_id!r} expects {p.dim}-dim values, got {V.shape[1]}"
             )
         out = np.zeros((V.shape[0], A.shape[0]))
-        if A.shape[0] == 0 or not self._contributes(vertex_id):
-            return out
-        rows, VA = self._block(vertex_id, A)
-        out[:, rows] = _term(p, _sq_diffs(V, VA))[0]
-        return out
+        grad = np.zeros((p.dim, *out.shape)) if with_grad else None
+        if A.shape[0] and self._contributes(vertex_id):
+            rows, VA = self._block(vertex_id, A)
+            D = V.T[:, :, None] - VA.T[:, None, :]
+            term, r2, corr = _term(p, D * D)
+            out[:, rows] = term
+            if with_grad:
+                w = p.output_scale * _lengthscale_grad_weight(p.kind, r2, corr)
+                grad[:, :, rows] = -w * D / np.square(p.lengthscales)[:, None, None]
+        return (out, grad) if with_grad else out
 
     def component_prior_variance(self, vertex_id: str) -> float:
         if not self._contributes(vertex_id):

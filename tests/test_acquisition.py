@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from conftest import random_gp_instance, random_kernel, random_points
 from treebo import acquisition as acq
@@ -174,10 +175,11 @@ def test_propose_untouched_branch_keeps_prior_components(jenatton):
         assert var == pytest.approx(kern.params[vid].output_scale, rel=1e-12)
 
 
-def test_propose_matches_grid_oracle(jenatton):
+@pytest.mark.parametrize("kind", ["se", "matern32", "matern52"])
+def test_propose_matches_grid_oracle(jenatton, kind):
     spec, index = jenatton.spec, jenatton.index
     rng = np.random.default_rng(17)
-    kern = AddTreeKernel.default(spec, index, lengthscale=0.7)
+    kern = AddTreeKernel.default(spec, index, kind=kind, lengthscale=0.7)
     pts = random_points(spec, index, rng, 12)
     y = np.array([
         jenatton(p.active_leaf, np.concatenate([
@@ -243,3 +245,13 @@ def test_propose_validates_budget(jenatton):
     sched = zero_rate_schedule(1)
     with pytest.raises(ValueError, match="budget"):
         acq.propose(model, sched, t=1, scan_budget=0)
+
+
+def test_unit_sobol_scan_is_built_once_and_read_only():
+    for dim, budget in [(1, 32), (2, 32), (3, 5), (2, 1)]:
+        pts = acq._unit_sobol(dim, budget)
+        m = max(1, math.ceil(math.log2(max(2, budget))))
+        fresh = qmc.Sobol(d=dim, scramble=False).random_base2(m)[:budget]
+        assert pts.tobytes() == fresh.tobytes()
+        assert acq._unit_sobol(dim, budget) is pts
+        assert not pts.flags.writeable

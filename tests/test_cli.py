@@ -67,8 +67,12 @@ def test_bad_flag_is_user_error(capsys):
         ("--delta", "1.5"),
         ("--theta0", "0"),
         ("--b0", "-1"),
+        ("--acq-starts", "0"),
+        ("--acq-scan", "0"),
+        ("--restarts", "0"),
+        ("--noise-variance", "-1"),
     ],
-    ids=["rate", "delta", "theta0", "b0"],
+    ids=["rate", "delta", "theta0", "b0", "acq-starts", "acq-scan", "restarts", "noise-variance"],
 )
 def test_bad_schedule_settings_are_user_errors(tmp_path, capsys, command, flags):
     out = tmp_path / "o"
