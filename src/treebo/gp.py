@@ -25,12 +25,13 @@ points.  Two structural shortcuts come from the tree:
 
 * **Evidence on vertex blocks.**  Hyperparameter fitting computes the
   kernel's :class:`~treebo.kernels.VertexBlocks` once per fit and reorders
-  targets and noise to match.  Each evaluation builds the Gram matrix and the
-  per-parameter derivative blocks from them, computes K_y^{-1} from the
-  Cholesky factor (LAPACK ``dpotri``), and contracts each block of
-  ``αα^T − K_y^{-1}`` with its derivative: ∂L/∂θ = ½ tr((αα^T − K_y^{-1})
-  ∂K/∂θ) (Rasmussen & Williams 2006, eq. 5.9).  Evidence and gradient do not
-  depend on the row order.
+  targets and noise to match.  Each evaluation goes from the optimizer's log
+  vector straight to the Gram matrix and the per-parameter derivative blocks
+  (no kernel object is built; the fitted kernel is made once, from the
+  winning vector), computes K_y^{-1} from the Cholesky factor (LAPACK
+  ``dpotri``), and contracts each block of ``αα^T − K_y^{-1}`` with its
+  derivative: ∂L/∂θ = ½ tr((αα^T − K_y^{-1}) ∂K/∂θ) (Rasmussen & Williams
+  2006, eq. 5.9).  Evidence and gradient do not depend on the row order.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack, solve_triangular
+from scipy.linalg import lapack, solve_triangular
 from scipy.optimize import minimize
 
 from .kernels import AddTreeKernel, BaseKernelParams, VertexBlocks, stack_points
@@ -140,6 +141,19 @@ def _inverse_lower(L: np.ndarray) -> np.ndarray:
     return K_inv
 
 
+def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L L^T x = b from a lower Cholesky factor (LAPACK ``dpotrs``, the
+    routine :func:`scipy.linalg.cho_solve` wraps, with its checks): raises
+    :class:`ValueError` when ``L`` or ``b`` is not finite or ``dpotrs``
+    reports failure."""
+    if not (np.isfinite(L).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = lapack.dpotrs(L, b, lower=1)
+    if info:
+        raise ValueError(f"dpotrs failed with info={info}")
+    return x
+
+
 @dataclass
 class GpModel:
     """A fitted GP: kernel, data, Gram matrix and its Cholesky factor.
@@ -189,7 +203,7 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
     K = kernel.gram_matrix(X) if len(data) else np.empty((0, 0))
     K_y = K + np.diag(data.noise) if len(data) else K
     L, jitter = _cholesky_with_jitter(K_y)
-    alpha = cho_solve((L, True), data.targets) if len(data) else np.empty(0)
+    alpha = _solve_lower(L, data.targets) if len(data) else np.empty(0)
     K_inv = _inverse_lower(L) if len(data) else np.empty((0, 0))
     K_inv += np.tril(K_inv, -1).T  # mirror the lower triangle
     model = GpModel(
@@ -280,20 +294,22 @@ def component_posterior(model: GpModel, vertex_id: str, values) -> tuple[float, 
 def _evidence_and_grad(
     kernel: AddTreeKernel,
     blocks: VertexBlocks,
+    log_params: np.ndarray,
     y: np.ndarray,
     noise: np.ndarray,
     noise_is_fitted: bool,
 ) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and gradient w.r.t. log kernel params (+ log noise).
 
-    ``y`` and ``noise`` are in ``blocks.order``.  Each derivative is a
-    diagonal block of dK, so its gradient entry
+    The kernel hyperparameters are exp(``log_params``); ``kernel`` supplies
+    only the structure.  ``y`` and ``noise`` are in ``blocks.order``.  Each
+    derivative is a diagonal block of dK, so its gradient entry
     ½ tr((αα^T − K^{-1}) ∂K/∂θ) is contracted on that block alone.
     """
     n = y.size
-    K, grads = kernel.gram_and_grads(blocks)
+    K, grads = kernel.gram_and_grads(blocks, log_params)
     L = np.linalg.cholesky(K + np.diag(noise))  # raises LinAlgError; caller decides policy
-    alpha = cho_solve((L, True), y)
+    alpha = _solve_lower(L, y)
     lml = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L)))) - 0.5 * n * LOG2PI
     K_inv = _inverse_lower(L)
     inner = np.outer(alpha, alpha) - K_inv - K_inv.T
@@ -313,18 +329,21 @@ def _negative_evidence(kernel: AddTreeKernel, data: Dataset, fit_noise: bool):
 
     Maps a vector to (-evidence, -gradient), or to ``(FAILED_EVIDENCE, 0)``
     where the Gram matrix cannot be factorized.  The vertex blocks and the
-    reordered targets are computed here, once, for every evaluation.
+    reordered targets are computed here, once, for every evaluation; an
+    evaluation reads the kernel part of the vector directly and builds no
+    kernel object.
     """
     blocks = kernel.vertex_blocks(stack_points(data.points))
     y = data.targets[blocks.order]
     noise = data.noise[blocks.order]
-    n_kernel = len(kernel.param_names())
+    n_kernel = len(blocks.param_slices)
 
     def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        kern = kernel.with_log_params(vec[:n_kernel])
         s2 = np.full(len(y), np.exp(vec[-1])) if fit_noise else noise
         try:
-            lml, grad = _evidence_and_grad(kern, blocks, y, s2, noise_is_fitted=fit_noise)
+            lml, grad = _evidence_and_grad(
+                kernel, blocks, vec[:n_kernel], y, s2, noise_is_fitted=fit_noise
+            )
         except np.linalg.LinAlgError:
             return FAILED_EVIDENCE, np.zeros_like(vec)
         if not np.isfinite(lml):
@@ -345,7 +364,7 @@ def log_marginal_likelihood(model: GpModel, with_grad: bool = False):
         return (0.0, np.zeros(len(model.kernel.param_names()) + 1)) if with_grad else 0.0
     blocks = model.kernel.vertex_blocks(model.X)
     lml, grad = _evidence_and_grad(
-        model.kernel, blocks, model.data.targets[blocks.order],
+        model.kernel, blocks, model.kernel.get_log_params(), model.data.targets[blocks.order],
         model.data.noise[blocks.order], noise_is_fitted=True,
     )
     if not np.isfinite(lml):

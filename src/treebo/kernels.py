@@ -22,11 +22,13 @@ contains the vertex (:meth:`AddTreeKernel._block`), through one helper,
 ``_term``, on the raw per-dimension squared differences.  For hyperparameter
 fitting, :meth:`AddTreeKernel.vertex_blocks` does the hyperparameter-free
 work once: it orders the rows by the depth-first rank of their leaf, so each
-vertex's rows R_v are one contiguous slice, and keeps the squared
-differences on each R_v x R_v block.  :meth:`AddTreeKernel.gram_and_grads`
-then scales those by 1/lengthscale², adds each term into its block of the
-Gram matrix, and returns every log-parameter derivative as the dense block
-it is non-zero on.
+vertex's rows R_v are one contiguous slice, and keeps per block the squared
+differences, the kind and where the block's lengthscales and scale sit in the
+flat log vector (laid out by :meth:`AddTreeKernel._layout` alone).
+:meth:`AddTreeKernel.gram_and_grads` reads exp(log vector) there, scales the
+squared differences by 1/lengthscale², adds each term into its block of the
+Gram matrix (a dim-0 block is its constant scale), and returns every
+log-parameter derivative as the dense block it is non-zero on.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def _lengthscale_grad_weight(kind: str, r2: np.ndarray, corr: np.ndarray) -> np.
     return (5.0 / 3.0) * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
 
 
-def _term(params: BaseKernelParams, sq: np.ndarray):
+def _term(kind: str, lengthscales, scale: float, sq: np.ndarray):
     """One vertex's base-kernel values from raw squared differences.
 
     ``sq`` is (d, m, n) as from :func:`_sq_diffs`.  Returns the (m, n) values
@@ -118,9 +120,9 @@ def _term(params: BaseKernelParams, sq: np.ndarray):
     correlation exactly 1, so its term is the constant output scale.
     """
     d, m, n = sq.shape
-    r2 = (1.0 / np.square(params.lengthscales) @ sq.reshape(d, m * n)).reshape(m, n)
-    corr = _corr_from_r2(params.kind, r2)
-    return params.output_scale * corr, r2, corr
+    r2 = (1.0 / np.square(lengthscales) @ sq.reshape(d, m * n)).reshape(m, n)
+    corr = _corr_from_r2(kind, r2)
+    return scale * corr, r2, corr
 
 
 def base_kernel_eval(params: BaseKernelParams, a, b) -> float:
@@ -135,7 +137,8 @@ def base_kernel_eval(params: BaseKernelParams, a, b) -> float:
         raise ValueError(
             f"expected vectors of length {params.dim}, got {a.size} and {b.size}"
         )
-    return float(_term(params, _sq_diffs(a[None, :], b[None, :]))[0][0, 0])
+    sq = _sq_diffs(a[None, :], b[None, :])
+    return float(_term(params.kind, params.lengthscales, params.output_scale, sq)[0][0, 0])
 
 
 def delta_eval(index: PathIndex, vertex_id: str, x: LinearizedPoint, y: LinearizedPoint) -> int:
@@ -165,22 +168,23 @@ class VertexBlocks:
     The rows are reordered (``order`` indexes the original rows) by the
     depth-first rank of their leaf, so each contributing vertex's rows -- the
     rows whose path contains it, i.e. the leaves of its subtree -- form one
-    contiguous slice.  ``vertices``, ``slices`` and ``sq`` list, per
-    contributing vertex in BFS order, its id, its slice and the raw squared
-    differences of its values on that slice, shape (d, |R_v|, |R_v|).
-    ``param_slices`` gives, per log-parameter in ``param_names()`` order, the
-    diagonal block of the Gram matrix its derivative lives on.
+    contiguous slice.  Per contributing vertex in BFS order, ``vertices``,
+    ``kinds``, ``slices`` and ``sq`` hold its id, kernel kind, slice and the
+    raw squared differences of its values on that slice, (d, |R_v|, |R_v|);
+    ``lengthscales`` and ``scales`` hold the index range of its lengthscales
+    and the index of its scale in the log vector (one index for tied
+    scales).  ``param_slices`` gives, per log-parameter, the diagonal block
+    of the Gram matrix its derivative lives on.
     """
 
     order: np.ndarray
     vertices: tuple[str, ...]
+    kinds: tuple[str, ...]
     slices: tuple[slice, ...]
     sq: tuple[np.ndarray, ...]
+    lengthscales: tuple[slice, ...]
+    scales: tuple[int, ...]
     param_slices: tuple[slice, ...]
-
-    @property
-    def n(self) -> int:
-        return self.order.size
 
 
 @dataclass(frozen=True)
@@ -275,7 +279,9 @@ class AddTreeKernel:
             rows_a, Va = self._block(vid, A)
             if rows_a.size:
                 rows_b, Vb = self._block(vid, B)
-                K[rows_a[:, None], rows_b] += _term(self.params[vid], _sq_diffs(Va, Vb))[0]
+                p = self.params[vid]
+                sq = _sq_diffs(Va, Vb)
+                K[rows_a[:, None], rows_b] += _term(p.kind, p.lengthscales, p.output_scale, sq)[0]
         return K
 
     def gram(self, points: list[LinearizedPoint]) -> np.ndarray:
@@ -318,7 +324,7 @@ class AddTreeKernel:
         if A.shape[0] and self._contributes(vertex_id):
             rows, VA = self._block(vertex_id, A)
             D = V.T[:, :, None] - VA.T[:, None, :]
-            term, r2, corr = _term(p, D * D)
+            term, r2, corr = _term(p.kind, p.lengthscales, p.output_scale, D * D)
             out[:, rows] = term
             if with_grad:
                 w = p.output_scale * _lengthscale_grad_weight(p.kind, r2, corr)
@@ -332,70 +338,56 @@ class AddTreeKernel:
 
     # -- hyperparameter plumbing ----------------------------------------------
 
-    def param_names(self) -> list[str]:
-        """Canonical order of free log-parameters for fitting.
+    def _layout(self) -> tuple[list[tuple[str, slice, int]], int]:
+        """The log vector's length and, per contributing BFS vertex, its id,
+        the index range of its ``dim`` lengthscales and the index of its
+        scale, which follows them unless scales are tied: tied scales share
+        one trailing entry.  Under the 'zero' policy dim-0 vertices have no
+        entries (the kernel never uses them, so they are unidentifiable)."""
+        entries, pos = [], 0
+        for vid in self._contributing():
+            entries.append((vid, slice(pos, pos + self.params[vid].dim)))
+            pos += self.params[vid].dim + (not self.tied_scales)
+        if not self.tied_scales:
+            return [(vid, ls, ls.stop) for vid, ls in entries], pos
+        return [(vid, ls, pos) for vid, ls in entries], pos + bool(entries)
 
-        Per BFS vertex: one lengthscale per dimension, then the output scale
-        (one trailing shared scale instead when scales are tied, present
-        only when some vertex contributes).  Dim-0 output scales are skipped
-        under the 'zero' policy (the kernel never uses them there, so they
-        are unidentifiable).
-        """
-        names: list[str] = []
-        contributing = self._contributing()
-        for vid in contributing:
-            names.extend(f"{vid}::ls{d}" for d in range(self.params[vid].dim))
-            if not self.tied_scales:
-                names.append(f"{vid}::scale")
-        if self.tied_scales and contributing:
-            names.append("shared::scale")
+    def param_names(self) -> list[str]:
+        """Canonical order of free log-parameters for fitting (see
+        :meth:`_layout`); a tied scale is named ``shared::scale``."""
+        layout, size = self._layout()
+        names = [""] * size
+        for vid, ls, scale in layout:
+            names[ls] = [f"{vid}::ls{d}" for d in range(ls.stop - ls.start)]
+            names[scale] = "shared::scale" if self.tied_scales else f"{vid}::scale"
         return names
 
     def get_log_params(self) -> np.ndarray:
-        """Current values in :meth:`param_names` order, as logarithms."""
-        vec: list[float] = []
-        contributing = self._contributing()
-        for vid in contributing:
-            p = self.params[vid]
-            vec.extend(p.lengthscales)
-            if not self.tied_scales:
-                vec.append(p.output_scale)
-        if self.tied_scales and contributing:
-            vec.append(self.params[contributing[0]].output_scale)
-        return np.log(np.array(vec, dtype=float))
+        """Current values in :meth:`param_names` order, as logarithms (a
+        tied scale is the first contributing vertex's)."""
+        layout, size = self._layout()
+        vec = np.empty(size)
+        for vid, ls, scale in reversed(layout):
+            vec[ls] = self.params[vid].lengthscales
+            vec[scale] = self.params[vid].output_scale
+        return np.log(vec)
 
     def with_log_params(self, vec: np.ndarray) -> "AddTreeKernel":
-        """The kernel with the :meth:`param_names` values exp(vec).
-
-        A tied shared scale becomes every vertex's output scale.
-        """
+        """The kernel with the :meth:`param_names` values exp(vec); a tied
+        scale becomes every contributing vertex's output scale."""
+        layout, size = self._layout()
         values = np.exp(np.asarray(vec, dtype=float)).tolist()
-        n_names = len(self.param_names())
-        if len(values) != n_names:
-            raise ValueError(f"expected {n_names} log-parameters, got {len(values)}")
-        shared = values[-1] if self.tied_scales and values else None
-        new_params = {}
-        pos = 0
-        for vid in self.index.bfs_order:
-            p = self.params[vid]
-            lengthscales, scale = p.lengthscales, p.output_scale
-            if self._contributes(vid):
-                lengthscales = tuple(values[pos:pos + p.dim])
-                pos += p.dim
-                if shared is None:
-                    scale = values[pos]
-                    pos += 1
-            if shared is not None:
-                scale = shared
-            new_params[vid] = BaseKernelParams(p.kind, lengthscales, scale)
-        return replace(self, params=new_params)
+        if len(values) != size:
+            raise ValueError(f"expected {size} log-parameters, got {len(values)}")
+        params = dict(self.params)
+        for vid, ls, scale in layout:
+            params[vid] = BaseKernelParams(params[vid].kind, tuple(values[ls]), values[scale])
+        return replace(self, params=params)
 
     def vertex_blocks(self, A: np.ndarray) -> VertexBlocks:
-        """The hyperparameter-free block data of stacked rows ``A``.
-
-        Depends on the kernel's structure only (contributing vertices, tied
-        scales), so it serves every :meth:`with_log_params` variant.
-        """
+        """The hyperparameter-free block data of stacked rows ``A``; it
+        depends on the kernel's structure only (contributing vertices, kinds,
+        tied scales), so it serves every log vector of the layout."""
         index = self.index
         # Leaves sorted by their paths' BFS positions come in depth-first
         # order, where the leaves of every subtree are adjacent.
@@ -410,38 +402,46 @@ class AddTreeKernel:
         order = np.argsort(dfs_rank[leaf], kind="stable")
         A = A[order]
 
-        vertices = tuple(self._contributing())
-        slices, sq, param_slices = [], [], []
-        for vid in vertices:
+        layout, size = self._layout()
+        param_slices = [slice(0, order.size)] * size  # a tied scale's block is all of K
+        slices, sq = [], []
+        for vid, ls, scale in layout:
             rows, V = self._block(vid, A)
             s = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
             slices.append(s)
             sq.append(_sq_diffs(V, V))
-            param_slices.extend([s] * (self.params[vid].dim + (not self.tied_scales)))
-        if self.tied_scales and vertices:
-            param_slices.append(slice(0, order.size))
-        return VertexBlocks(order, vertices, tuple(slices), tuple(sq), tuple(param_slices))
+            param_slices[ls] = [s] * (ls.stop - ls.start)
+            if not self.tied_scales:
+                param_slices[scale] = s
+        vertices, lengthscales, scales = zip(*layout) if layout else ((), (), ())
+        kinds = tuple(self.params[vid].kind for vid in vertices)
+        return VertexBlocks(order, vertices, kinds, tuple(slices), tuple(sq),
+                            lengthscales, scales, tuple(param_slices))
 
-    def gram_and_grads(self, blocks: VertexBlocks) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Gram matrix of the blocks' rows (in ``blocks.order``) plus
-        dK/d(log param) in param_names() order.
-
-        Derivative k is the dense diagonal block ``blocks.param_slices[k]``
-        of the full derivative, which is zero elsewhere.  With tied scales
-        every vertex term is proportional to the one shared scale, so that
-        parameter's derivative is the Gram matrix itself (the same array).
-        """
-        K = np.zeros((blocks.n, blocks.n))
+    def gram_and_grads(
+        self, blocks: VertexBlocks, log_params: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Gram matrix of the blocks' rows (in ``blocks.order``) and dK/d(log
+        param) in param_names() order at ``log_params`` (the kernel's own
+        values are not read).  Derivative k is the dense diagonal block
+        ``blocks.param_slices[k]`` of the full derivative, zero elsewhere.  A
+        dim-0 block is its constant scale, so also its scale derivative; a
+        tied scale's derivative is K itself (the same array)."""
+        values = np.exp(log_params)
+        K = np.zeros((blocks.order.size, blocks.order.size))
         grads: list[np.ndarray] = []
-        for vid, s, sq in zip(blocks.vertices, blocks.slices, blocks.sq):
-            p = self.params[vid]
-            term, r2, corr = _term(p, sq)
-            K[s, s] += term
-            if p.dim:
+        for kind, s, sq, ls, scale in zip(
+            blocks.kinds, blocks.slices, blocks.sq, blocks.lengthscales, blocks.scales
+        ):
+            if ls.stop == ls.start:  # r² = 0 and correlation exactly 1
+                term = np.full(sq.shape[1:], values[scale])
+            else:
                 # d term / d log ls_d = w * sq_d / ls_d^2
-                w = p.output_scale * _lengthscale_grad_weight(p.kind, r2, corr)
-                inv_ls2 = 1.0 / np.square(p.lengthscales)
+                term, r2, corr = _term(kind, values[ls], values[scale], sq)
+                w = values[scale] * _lengthscale_grad_weight(kind, r2, corr)
+                inv_ls2 = 1.0 / np.square(values[ls])
                 grads.extend(sq * inv_ls2[:, None, None] * w)
+            K[s, s] += term
             if not self.tied_scales:
                 grads.append(term)  # d/dlog scale
         if self.tied_scales and blocks.vertices:

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
-import numpy as np
-import pytest
+# Before numpy loads: the suite's matrices are small, and on a 2-vCPU machine
+# a second OpenBLAS thread made the n = 200 fits ten times slower.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from treebo import bench, gp
-from treebo.kernels import AddTreeKernel
-from treebo.tree_space import build_path_index, linearize, parse_tree_spec
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from treebo import bench, gp  # noqa: E402
+from treebo.kernels import AddTreeKernel  # noqa: E402
+from treebo.tree_space import build_path_index, linearize, parse_tree_spec  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from conftest import random_gp_instance, random_kernel, random_points
 from treebo import bench, gp
@@ -353,6 +354,43 @@ def test_fit_hyperparameters_raises_when_every_restart_fails(jenatton):
     kern = bench.BoConfig().kernel(jenatton.spec, jenatton.index)
     with pytest.raises(gp.FactorizationError, match="all 3 restarts"):
         gp.fit_hyperparameters(kern, data, restarts=3, rng=np.random.default_rng(0))
+
+
+def test_fit_hyperparameters_builds_one_kernel(jenatton, monkeypatch):
+    # evidence evaluations read the optimizer's log vector directly; only
+    # the winning vector becomes a kernel
+    calls = {"with_log_params": 0, "gram_and_grads": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(AddTreeKernel, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(AddTreeKernel, name, counted)
+    rng = np.random.default_rng(3)
+    pts = random_points(jenatton.spec, jenatton.index, rng, 12)
+    data = gp.Dataset.create(pts, rng.normal(size=12), noise=1e-2)
+    kern = bench.BoConfig().kernel(jenatton.spec, jenatton.index)
+    result = gp.fit_hyperparameters(kern, data, restarts=4, rng=rng)
+    assert len(result.restart_evidences) == 4
+    assert calls["gram_and_grads"] > 4
+    assert calls["with_log_params"] == 1
+
+
+def test_solve_lower_keeps_cho_solve_checks():
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(6, 6))
+    L = np.linalg.cholesky(A @ A.T + 6.0 * np.eye(6))
+    b = rng.normal(size=6)
+    np.testing.assert_array_equal(gp._solve_lower(L, b), cho_solve((L, True), b))
+    bad_L = L.copy()
+    bad_L[3, 1] = np.nan
+    bad_b = b.copy()
+    bad_b[2] = np.nan
+    for args in ((bad_L, b), (L, bad_b)):
+        with pytest.raises(ValueError):
+            gp._solve_lower(*args)
+        with pytest.raises(ValueError):
+            cho_solve((args[0], True), args[1])
 
 
 def test_fit_hyperparameters_recovers_lengthscale():

@@ -307,10 +307,12 @@ def test_config_round_trip(two_leaf, jenatton):
 
 
 def test_gram_grads_match_finite_differences():
-    # The block engine against a dense oracle: K against gram_matrix on the
-    # reordered rows, each derivative block scattered into an n x n matrix
+    # The block engine against a dense oracle: K bitwise against gram_matrix
+    # on the reordered rows of the kernel the same log vector builds (as a
+    # fit does), each derivative block scattered into an n x n matrix
     # against central differences of gram_matrix.  The depth-4 trees have
-    # leaves at three depths, and BFS leaf order splits one of their subtrees.
+    # leaves at three depths, and BFS leaf order splits one of their
+    # subtrees; trees 9, 11 and 32 have contributing dim-0 vertices.
     def bfs_splits_a_subtree(index):
         for vid in index.bfs_order:
             leaves = [i for i, path in enumerate(index.leaf_paths) if vid in path]
@@ -319,6 +321,7 @@ def test_gram_grads_match_finite_differences():
         return False
 
     rng = np.random.default_rng(13)
+    saw_dim0 = False
     for seed, depth in ((0, 3), (4, 3), (9, 3), (11, 4), (32, 4)):
         spec = bench.random_tree_spec(seed, max_depth=depth, max_dim=2)
         index = build_path_index(spec)
@@ -331,16 +334,17 @@ def test_gram_grads_match_finite_differences():
             else:
                 kern = AddTreeKernel.default(spec, index, kind=kind, zero_dim=zero_dim)
             kern = replace(kern, tied_scales=tied)
-            kern = kern.with_log_params(rng.uniform(-1.0, 1.0, len(kern.param_names())))
+            vec = rng.uniform(-1.0, 1.0, len(kern.param_names()))
+            kern = kern.with_log_params(vec)
             X = stack_points(random_points(spec, index, rng, 12))
             blocks = kern.vertex_blocks(X)
             X = X[blocks.order]
             for vid, s in zip(blocks.vertices, blocks.slices):  # R_v is the slice
                 on = X[:, index.offsets[vid][0]] >= 0
                 np.testing.assert_array_equal(np.flatnonzero(on), np.arange(X.shape[0])[s])
-            K, grads = kern.gram_and_grads(blocks)
-            np.testing.assert_allclose(K, kern.gram_matrix(X), rtol=1e-12)
-            vec = kern.get_log_params()
+            saw_dim0 |= any(spec.vertex(vid).dim == 0 for vid in blocks.vertices)
+            K, grads = kern.gram_and_grads(blocks, vec)
+            np.testing.assert_array_equal(K, kern.gram_matrix(X))
             assert len(grads) == len(blocks.param_slices) == len(vec)
             h = 1e-6
             for k, (s, G) in enumerate(zip(blocks.param_slices, grads)):
@@ -354,6 +358,7 @@ def test_gram_grads_match_finite_differences():
                     - kern.with_log_params(dn).gram_matrix(X)
                 ) / (2 * h)
                 np.testing.assert_allclose(full, fd, atol=1e-6)
+    assert saw_dim0
 
 
 @pytest.mark.parametrize("zero_dim", ["constant", "zero"])
