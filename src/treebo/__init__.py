@@ -13,7 +13,6 @@ from .acquisition import (
     beta,
     mutual_information,
     propose,
-    ucb,
 )
 from .bench import (
     BoConfig,
@@ -31,20 +30,11 @@ from .gp import (
     Dataset,
     FactorizationError,
     GpModel,
-    component_posterior,
     fit,
     fit_hyperparameters,
-    log_marginal_likelihood,
     posterior,
 )
-from .kernels import (
-    AddTreeKernel,
-    BaseKernelParams,
-    add_tree_eval,
-    base_kernel_eval,
-    delta_eval,
-    gram,
-)
+from .kernels import AddTreeKernel, BaseKernelParams
 from .tree_space import (
     LinearizedPoint,
     PathIndex,
@@ -52,11 +42,9 @@ from .tree_space import (
     TreeSpecError,
     VertexSpec,
     build_path_index,
-    lca_path,
     linearize,
     make_tree_spec,
     parse_tree_spec,
-    restrict,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import qmc
 
-from .gp import GpModel, component_posterior_batch, posterior
+from .gp import GpModel, component_posterior_batch
 from .tree_space import LinearizedPoint, linearize
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "norm_bound",
     "beta",
     "mutual_information",
-    "ucb",
     "propose",
 ]
 
@@ -124,14 +123,6 @@ def mutual_information(model: GpModel, noise_variance: float | None = None) -> f
     M = np.eye(model.n) + model.K / s2
     L = np.linalg.cholesky(M)
     return float(np.sum(np.log(np.diag(L))))
-
-
-def ucb(model: GpModel, point: LinearizedPoint, beta_value: float) -> float:
-    """mu + sqrt(beta) * sigma at a point."""
-    if beta_value < 0:
-        raise ValueError(f"beta must be >= 0, got {beta_value}")
-    mean, var = posterior(model, point)
-    return mean + math.sqrt(beta_value) * math.sqrt(var)
 
 
 @dataclass(frozen=True)

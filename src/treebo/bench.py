@@ -16,10 +16,10 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.stats import wilcoxon
 
 from . import gp
 from .acquisition import Proposal, UcbSchedule, propose
@@ -45,7 +45,6 @@ __all__ = [
     "jenatton_objective",
     "quadratic_objective",
     "random_tree_objective",
-    "random_tree_spec",
     "sample_uniform_point",
     "sample_branch_walk",
     "run_bo",
@@ -55,7 +54,6 @@ __all__ = [
     "build_comparison",
     "render_comparison",
     "config_digest",
-    "write_trace",
     "read_trace",
 ]
 
@@ -137,40 +135,6 @@ def jenatton_objective() -> Objective:
     return Objective(
         name="jenatton", spec=spec, index=index, fn=fn, known_optimum=0.1
     )
-
-
-def random_tree_spec(
-    seed: int,
-    max_depth: int = 3,
-    max_fanout: int = 3,
-    max_dim: int = 3,
-    p_zero_dim: float = 0.25,
-) -> TreeSpec:
-    """A random tree shape for property tests; dim-0 vertices included."""
-    rng = np.random.default_rng(seed)
-    vertices: list[VertexSpec] = []
-    edges: list[tuple[str, int, str]] = []
-    counter = [0]
-
-    def add_vertex(depth: int) -> str:
-        vid = f"v{counter[0]}"
-        counter[0] += 1
-        dim = 0 if rng.random() < p_zero_dim else int(rng.integers(1, max_dim + 1))
-        bounds = []
-        for _ in range(dim):
-            lo = -1.0 - rng.random()
-            hi = 1.0 + rng.random()
-            bounds.append((lo, hi))
-        vertices.append(VertexSpec(vid, dim, tuple(bounds)))
-        if depth < max_depth:
-            fanout = int(rng.integers(0, max_fanout + 1))
-            for lab in range(fanout):
-                child = add_vertex(depth + 1)
-                edges.append((vid, lab, child))
-        return vid
-
-    add_vertex(1)
-    return make_tree_spec(vertices, edges)
 
 
 def quadratic_objective(spec: TreeSpec, seed: int, name: str | None = None) -> Objective:
@@ -393,15 +357,6 @@ class TraceWriter:
         self._fh.close()
 
 
-def write_trace(path, trace: RunTrace) -> None:
-    writer = TraceWriter(path, trace.meta)
-    try:
-        for rec in trace.records:
-            writer.record(rec)
-    finally:
-        writer.close()
-
-
 def read_trace(path) -> RunTrace:
     with open(path) as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
@@ -416,16 +371,9 @@ def read_trace(path) -> RunTrace:
             f"(this reader handles version {TRACE_VERSION})"
         )
     meta = {k: v for k, v in header.items() if k not in ("format", "version", "kind")}
+    names = [f.name for f in fields(IterationRecord)]
     records = [
-        IterationRecord(
-            t=rec["t"],
-            leaf=rec["leaf"],
-            values=tuple(rec["values"]),
-            y=rec["y"],
-            best=rec["best"],
-            beta=rec["beta"],
-            wall_time=rec["wall_time"],
-        )
+        replace(IterationRecord(**{k: rec[k] for k in names}), values=tuple(rec["values"]))
         for rec in lines[1:]
         if rec.get("kind") == "iteration"
     ]
@@ -671,22 +619,13 @@ def aggregate_regression(records: list[RegressionRecord]) -> dict:
 # -- statistics --------------------------------------------------------------------
 
 
-def _signed_rank_counts(n: int) -> np.ndarray:
-    """counts[s] = number of subsets of {1..n} with rank sum s."""
-    max_sum = n * (n + 1) // 2
-    counts = np.zeros(max_sum + 1, dtype=np.float64)
-    counts[0] = 1.0
-    for k in range(1, n + 1):
-        counts[k:] += counts[:-k].copy()
-    return counts
-
-
 def wilcoxon_one_sided(a, b) -> float:
     """One-sided signed-rank p-value for the alternative "a exceeds b".
 
-    Zero differences are discarded.  The exact null distribution is used for
-    up to 25 untied pairs; beyond that (or with tied magnitudes) a normal
-    approximation with tie correction applies.
+    Zero differences are discarded.  The p-value is
+    :func:`scipy.stats.wilcoxon`'s, from the exact null distribution for up to
+    25 untied pairs; beyond that (or with tied magnitudes) from the normal
+    approximation with tie correction and no continuity correction.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -698,22 +637,9 @@ def wilcoxon_one_sided(a, b) -> float:
     diffs = diffs[diffs != 0.0]
     if diffs.size == 0:
         raise ValueError("all differences are zero; test undefined")
-    n = diffs.size
-    ranks = rankdata(np.abs(diffs))
-    w_plus = float(ranks[diffs > 0].sum())
-
-    has_ties = np.unique(np.abs(diffs)).size != n
-    if n <= 25 and not has_ties:
-        counts = _signed_rank_counts(n)
-        w = int(round(w_plus))
-        return float(counts[w:].sum() / 2.0**n)
-
-    mean = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(np.abs(diffs), return_counts=True)
-    tie_term = float(np.sum(tie_counts**3 - tie_counts)) / 48.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    z = (w_plus - mean) / np.sqrt(var)
-    return float(norm.sf(z))
+    untied = np.unique(np.abs(diffs)).size == diffs.size
+    method = "exact" if diffs.size <= 25 and untied else "asymptotic"
+    return float(wilcoxon(diffs, alternative="greater", method=method, correction=False).pvalue)
 
 
 # -- comparison reports --------------------------------------------------------------

@@ -71,6 +71,14 @@ def _parse_sizes(text: str) -> list[int]:
     return _parse_int_list(text, "--train-sizes")
 
 
+def _add_objective_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--objective", default="jenatton", help="builtin objective name")
+    p.add_argument("--tree-spec", default=None,
+                   help="tree-spec file; runs a seeded quadratic objective on it")
+    p.add_argument("--objective-seed", type=int, default=0,
+                   help="seed of the quadratic objective used with --tree-spec")
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """One flag per BoConfig field it sets; defaults come from ``BoConfig()``."""
     d = BoConfig()
@@ -248,15 +256,6 @@ def write_regression_records(path, records: list[RegressionRecord]) -> None:
             fh.write(json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n")
 
 
-def read_regression_records(path) -> list[RegressionRecord]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                out.append(RegressionRecord(**json.loads(line)))
-    return out
-
-
 def cmd_regression(args) -> int:
     seeds = _parse_int_list(args.seeds, "--seeds")
     if not seeds:
@@ -287,11 +286,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute optimization runs")
-    p_run.add_argument("--objective", default="jenatton", help="builtin objective name")
-    p_run.add_argument("--tree-spec", default=None,
-                       help="tree-spec file; runs a seeded quadratic objective on it")
-    p_run.add_argument("--objective-seed", type=int, default=0,
-                       help="seed of the quadratic objective used with --tree-spec")
+    _add_objective_flags(p_run)
     p_run.add_argument("--algorithms", default="addtree",
                        help="comma-separated subset of addtree,independent,random")
     p_run.add_argument("--iterations", type=int, default=80)
@@ -309,9 +304,7 @@ def _build_parser() -> _Parser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_reg = sub.add_parser("regression", help="data-efficiency study")
-    p_reg.add_argument("--objective", default="jenatton")
-    p_reg.add_argument("--tree-spec", default=None)
-    p_reg.add_argument("--objective-seed", type=int, default=0)
+    _add_objective_flags(p_reg)
     p_reg.add_argument("--train-sizes", default="4:48:4",
                        help="comma list or start:stop:step range")
     p_reg.add_argument("--test-size", type=int, default=50)

@@ -53,8 +53,6 @@ __all__ = [
     "FitResult",
     "fit",
     "posterior",
-    "component_posterior",
-    "log_marginal_likelihood",
     "fit_hyperparameters",
     "apply_lengthscale_cap",
 ]
@@ -66,6 +64,10 @@ JITTER_MAX = 1e-4
 LOG2PI = np.log(2.0 * np.pi)
 # What the fitting objective reports where the Gram cannot be factorized.
 FAILED_EVIDENCE = 1e25
+# fit_hyperparameters: a fitted noise variance's box and start, L-BFGS-B steps.
+NOISE_BOUNDS = (1e-8, 1e2)
+INITIAL_NOISE = 1e-2
+FIT_MAXITER = 200
 
 
 class FactorizationError(RuntimeError):
@@ -279,18 +281,6 @@ def component_posterior_batch(
     return means, variances, dmeans, dvariances
 
 
-def component_posterior(model: GpModel, vertex_id: str, values) -> tuple[float, float]:
-    """Mean and variance of one vertex's additive component at given values."""
-    p = model.kernel.params.get(vertex_id)
-    if p is None:
-        raise KeyError(f"unknown vertex id {vertex_id!r}")
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size != p.dim:
-        raise ValueError(f"vertex {vertex_id!r} expects {p.dim} values, got {values.size}")
-    means, variances = component_posterior_batch(model, vertex_id, values.reshape(1, -1))
-    return float(means[0]), float(variances[0])
-
-
 def _evidence_and_grad(
     kernel: AddTreeKernel,
     blocks: VertexBlocks,
@@ -353,25 +343,6 @@ def _negative_evidence(kernel: AddTreeKernel, data: Dataset, fit_noise: bool):
     return objective
 
 
-def log_marginal_likelihood(model: GpModel, with_grad: bool = False):
-    """GP evidence of the model's data under its kernel and noise.
-
-    With ``with_grad=True`` also returns the gradient w.r.t. all kernel
-    log-hyperparameters followed by the shared log noise variance (the noise
-    entry is only meaningful for homoscedastic data).
-    """
-    if model.n == 0:
-        return (0.0, np.zeros(len(model.kernel.param_names()) + 1)) if with_grad else 0.0
-    blocks = model.kernel.vertex_blocks(model.X)
-    lml, grad = _evidence_and_grad(
-        model.kernel, blocks, model.kernel.get_log_params(), model.data.targets[blocks.order],
-        model.data.noise[blocks.order], noise_is_fitted=True,
-    )
-    if not np.isfinite(lml):
-        raise FloatingPointError("non-finite evidence; degenerate hyperparameters")
-    return (lml, grad) if with_grad else lml
-
-
 @dataclass
 class FitResult:
     kernel: AddTreeKernel
@@ -400,10 +371,7 @@ def fit_hyperparameters(
     lengthscale_bounds: tuple[float, float] = (1e-3, 1e3),
     scale_bounds: tuple[float, float] = (1e-3, 1e3),
     fit_noise: bool = False,
-    noise_bounds: tuple[float, float] = (1e-8, 1e2),
-    initial_noise: float = 1e-2,
     lengthscale_cap: float | None = None,
-    maxiter: int = 200,
 ) -> FitResult:
     """Maximize the evidence over log-hyperparameters with multistarted L-BFGS-B.
 
@@ -427,14 +395,14 @@ def fit_hyperparameters(
     lo = np.where(is_scale, np.log(scale_bounds[0]), np.log(lengthscale_bounds[0]))
     hi = np.where(is_scale, np.log(scale_bounds[1]), np.log(lengthscale_bounds[1]))
     if fit_noise:
-        lo = np.append(lo, np.log(noise_bounds[0]))
-        hi = np.append(hi, np.log(noise_bounds[1]))
+        lo = np.append(lo, np.log(NOISE_BOUNDS[0]))
+        hi = np.append(hi, np.log(NOISE_BOUNDS[1]))
     bounds = list(zip(lo, hi))
     objective = _negative_evidence(kernel, data, fit_noise)
 
     start0 = np.clip(kernel.get_log_params(), lo[:n_kernel], hi[:n_kernel])
     if fit_noise:
-        start0 = np.append(start0, np.clip(np.log(initial_noise), lo[-1], hi[-1]))
+        start0 = np.append(start0, np.clip(np.log(INITIAL_NOISE), lo[-1], hi[-1]))
     starts = [start0]
     for _ in range(restarts - 1):
         starts.append(rng.uniform(lo, hi))
@@ -446,7 +414,7 @@ def fit_hyperparameters(
         try:
             res = minimize(
                 objective, s, jac=True, method="L-BFGS-B", bounds=bounds,
-                options={"maxiter": maxiter},
+                options={"maxiter": FIT_MAXITER},
             )
         except Exception as exc:  # optimizer-internal failure
             last_error = exc

@@ -44,10 +44,6 @@ __all__ = [
     "BaseKernelParams",
     "AddTreeKernel",
     "VertexBlocks",
-    "base_kernel_eval",
-    "delta_eval",
-    "add_tree_eval",
-    "gram",
 ]
 
 KERNEL_KINDS = ("se", "matern32", "matern52")
@@ -123,34 +119,6 @@ def _term(kind: str, lengthscales, scale: float, sq: np.ndarray):
     r2 = (1.0 / np.square(lengthscales) @ sq.reshape(d, m * n)).reshape(m, n)
     corr = _corr_from_r2(kind, r2)
     return scale * corr, r2, corr
-
-
-def base_kernel_eval(params: BaseKernelParams, a, b) -> float:
-    """Evaluate one vertex's base kernel between two value vectors.
-
-    Both vectors must match the vertex's dimension (both empty for a dim-0
-    vertex, in which case the result is the constant output scale).
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size != params.dim or b.size != params.dim:
-        raise ValueError(
-            f"expected vectors of length {params.dim}, got {a.size} and {b.size}"
-        )
-    sq = _sq_diffs(a[None, :], b[None, :])
-    return float(_term(params.kind, params.lengthscales, params.output_scale, sq)[0][0, 0])
-
-
-def delta_eval(index: PathIndex, vertex_id: str, x: LinearizedPoint, y: LinearizedPoint) -> int:
-    """1 iff the vertex lies on both points' active paths, else 0.
-
-    Decided by the tag slots alone: a vertex's tag is non-negative exactly
-    on the points whose active path contains it.
-    """
-    if vertex_id not in index.offsets:
-        raise KeyError(f"unknown vertex id {vertex_id!r}")
-    tag_pos = index.offsets[vertex_id][0]
-    return int(x.slots[tag_pos] >= 0 and y.slots[tag_pos] >= 0)
 
 
 def stack_points(points: list[LinearizedPoint]) -> np.ndarray:
@@ -263,11 +231,6 @@ class AddTreeKernel:
 
     # -- evaluation ----------------------------------------------------------
 
-    def __call__(self, x: LinearizedPoint, y: LinearizedPoint) -> float:
-        Xa = stack_points([x])
-        Xb = stack_points([y])
-        return float(self.gram_matrix(Xa, Xb)[0, 0])
-
     def gram_matrix(self, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
         """Kernel matrix between stacked slot arrays (B defaults to A)."""
         if B is None:
@@ -283,10 +246,6 @@ class AddTreeKernel:
                 sq = _sq_diffs(Va, Vb)
                 K[rows_a[:, None], rows_b] += _term(p.kind, p.lengthscales, p.output_scale, sq)[0]
         return K
-
-    def gram(self, points: list[LinearizedPoint]) -> np.ndarray:
-        X = stack_points(points)
-        return self.gram_matrix(X)
 
     def diag(self, A: np.ndarray) -> np.ndarray:
         """k(x, x) for each stacked row: summed contributing output scales
@@ -481,15 +440,3 @@ class AddTreeKernel:
             spec=spec, index=index, params=params,
             zero_dim=record["zero_dim"], tied_scales=record["tied_scales"],
         )
-
-
-def add_tree_eval(kernel: AddTreeKernel, x: LinearizedPoint, y: LinearizedPoint) -> float:
-    """Tree-kernel value between two linearized points."""
-    return kernel(x, y)
-
-
-def gram(kernel: AddTreeKernel, points: list[LinearizedPoint]) -> np.ndarray:
-    """Symmetric kernel matrix over a point list."""
-    if not points:
-        raise ValueError("gram() needs at least one point")
-    return kernel.gram(points)

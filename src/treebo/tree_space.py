@@ -35,8 +35,6 @@ __all__ = [
     "parse_tree_spec",
     "build_path_index",
     "linearize",
-    "restrict",
-    "lca_path",
     "OFF_PATH",
 ]
 
@@ -392,33 +390,3 @@ def linearize(
         slots[vs:ve] = chunk
         taken += v.dim
     return LinearizedPoint(slots=slots, active_leaf=leaf)
-
-
-def restrict(index: PathIndex, point: LinearizedPoint, vertex_id: str) -> np.ndarray:
-    """Continuous values of ``point`` at one vertex.
-
-    Returns the vertex's value slots when the vertex lies on the point's
-    active path (its tag slot is non-negative) and an empty vector otherwise.
-    A dim-0 vertex on the path also yields an empty vector.
-    """
-    try:
-        tag_pos, vs, ve = index.offsets[vertex_id]
-    except KeyError:
-        raise KeyError(f"unknown vertex id {vertex_id!r}") from None
-    if point.slots[tag_pos] < 0:
-        return np.empty(0)
-    return point.slots[vs:ve].copy()
-
-
-def lca_path(index: PathIndex, leaf_i: int, leaf_j: int) -> tuple[str, ...]:
-    """Vertex ids from the root down to the lowest common ancestor, inclusive:
-    the common prefix of the two leaf paths.
-
-    For ``leaf_i == leaf_j`` this is the full leaf path.
-    """
-    for leaf in (leaf_i, leaf_j):
-        if not 0 <= leaf < index.n_leaves:
-            raise ValueError(f"leaf index {leaf} out of range")
-    path_j = index.leaf_paths[leaf_j]
-    # root paths in a tree share a vertex iff they share all its ancestors
-    return tuple(vid for vid in index.leaf_paths[leaf_i] if vid in path_j)

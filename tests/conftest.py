@@ -10,6 +10,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from oracles import random_tree_spec  # noqa: E402
 from treebo import bench, gp  # noqa: E402
 from treebo.kernels import AddTreeKernel  # noqa: E402
 from treebo.tree_space import build_path_index, linearize, parse_tree_spec  # noqa: E402
@@ -36,14 +37,14 @@ def jenatton():
     return bench.jenatton_objective()
 
 
-def random_kernel(spec, index, rng, zero_dim="constant"):
-    """Random hyperparameters over random kernel families."""
+def random_kernel(spec, index, rng, zero_dim="constant", kind=None):
+    """Random hyperparameters over random kernel families, or all of ``kind``."""
     from treebo.kernels import BaseKernelParams
 
     params = {}
     for v in spec.vertices:
         params[v.id] = BaseKernelParams(
-            kind=rng.choice(["se", "matern32", "matern52"]),
+            kind=kind or rng.choice(["se", "matern32", "matern52"]),
             lengthscales=tuple(np.exp(rng.uniform(-1.0, 1.0, size=v.dim))),
             output_scale=float(np.exp(rng.uniform(-1.0, 1.0))),
         )
@@ -61,7 +62,7 @@ def random_points(spec, index, rng, n):
 def random_gp_instance(seed, n=12, noise=1e-4, zero_dim="constant", max_dim=2):
     """A random (tree, kernel, dataset) triple for inference tests."""
     rng = np.random.default_rng(seed)
-    spec = bench.random_tree_spec(seed, max_depth=3, max_fanout=2, max_dim=max_dim)
+    spec = random_tree_spec(seed, max_depth=3, max_fanout=2, max_dim=max_dim)
     index = build_path_index(spec)
     kernel = random_kernel(spec, index, rng, zero_dim=zero_dim)
     pts = random_points(spec, index, rng, n)

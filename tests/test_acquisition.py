@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from conftest import random_gp_instance, random_kernel, random_points
+from conftest import random_gp_instance, random_points
+from oracles import restrict
 from treebo import acquisition as acq
 from treebo import bench, gp
 from treebo.kernels import AddTreeKernel
-from treebo.tree_space import build_path_index, linearize, restrict
+from treebo.tree_space import build_path_index, linearize
 
 
 def zero_rate_schedule(d):
@@ -127,30 +128,6 @@ def test_mutual_information_rejects_zero_noise():
         acq.mutual_information(model, noise_variance=0.0)
 
 
-def test_ucb_zero_beta_is_posterior_mean(jenatton):
-    spec, index = jenatton.spec, jenatton.index
-    rng = np.random.default_rng(3)
-    kern = random_kernel(spec, index, rng)
-    pts = random_points(spec, index, rng, 8)
-    model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=8), noise=1e-4))
-    q = random_points(spec, index, rng, 1)[0]
-    mean, var = gp.posterior(model, q)
-    assert acq.ucb(model, q, 0.0) == pytest.approx(mean, rel=1e-12)
-    # recombination oracle
-    assert acq.ucb(model, q, 2.5) == pytest.approx(
-        mean + math.sqrt(2.5) * math.sqrt(var), rel=1e-12
-    )
-
-
-def test_ucb_prior_is_scaled_std(two_leaf):
-    spec, index = two_leaf
-    model = empty_model(spec, index)
-    q = linearize(spec, index, 0, [0, 0, 0, 0])
-    assert acq.ucb(model, q, 4.0) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
-    with pytest.raises(ValueError, match="beta"):
-        acq.ucb(model, q, -1.0)
-
-
 def test_propose_prior_symmetric_tie_breaks_to_first_path(jenatton):
     model = empty_model(jenatton.spec, jenatton.index)
     sched = zero_rate_schedule(jenatton.spec.total_dimension)
@@ -170,9 +147,9 @@ def test_propose_untouched_branch_keeps_prior_components(jenatton):
     p = linearize(spec, index, 0, [0.0, 0.0])  # observe only leaf00
     model = gp.fit(kern, gp.Dataset.create([p], [jenatton(0, [0, 0])], noise=1e-6))
     for vid in ("n1", "leaf10", "leaf11"):
-        mean, var = gp.component_posterior(model, vid, [0.5])
-        assert mean == 0.0
-        assert var == pytest.approx(kern.params[vid].output_scale, rel=1e-12)
+        mean, var = gp.component_posterior_batch(model, vid, np.array([[0.5]]))
+        assert mean[0] == 0.0
+        assert var[0] == pytest.approx(kern.params[vid].output_scale, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["se", "matern32", "matern52"])

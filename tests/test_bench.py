@@ -14,6 +14,7 @@ from treebo.bench import (
     BoConfig,
     IterationRecord,
     RunTrace,
+    TraceWriter,
     build_comparison,
     config_digest,
     read_trace,
@@ -21,7 +22,6 @@ from treebo.bench import (
     run_bo,
     run_regression_study,
     wilcoxon_one_sided,
-    write_trace,
 )
 
 
@@ -243,7 +243,10 @@ def test_every_bo_config_field_is_read():
 def test_trace_round_trip(tmp_path, jenatton):
     trace = run_bo(jenatton, "random", iterations=6, seed=2)
     path = tmp_path / "t.jsonl"
-    write_trace(path, trace)
+    writer = TraceWriter(path, trace.meta)
+    for rec in trace.records:
+        writer.record(rec)
+    writer.close()
     back = read_trace(path)
     assert back.meta == trace.meta
     assert back.records == trace.records

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from treebo import cli
-from treebo.bench import BoConfig, read_trace
+from treebo.bench import BoConfig, RegressionRecord, read_trace
 
 DATA = Path(__file__).parent / "data"
 
@@ -193,7 +193,8 @@ def test_regression_command_round_trips(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "addtree" in text and "independent" in text
-    records = cli.read_regression_records(out / "regression.jsonl")
+    lines = (out / "regression.jsonl").read_text().splitlines()
+    records = [RegressionRecord(**json.loads(line)) for line in lines]
     assert {r.method for r in records} == {"addtree", "independent"}
     assert {r.n_train for r in records} == {0, 6}
     # lossless round trip

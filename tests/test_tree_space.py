@@ -1,20 +1,17 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import random_tree_spec, restrict
 from treebo import bench
 from treebo.tree_space import (
     TreeSpecError,
     VertexSpec,
     build_path_index,
-    lca_path,
     linearize,
     make_tree_spec,
     parse_tree_spec,
-    restrict,
 )
 
 
@@ -194,50 +191,11 @@ def test_dim0_vertex_empty_restriction_but_matching_tag():
     assert pa.slots[apos] == 0.0 and pb.slots[apos] < 0  # off-path: negative tag
 
 
-def test_lca_path_two_leaf(two_leaf):
-    _, index = two_leaf
-    assert lca_path(index, 0, 1) == ("root",)
-    assert lca_path(index, 0, 0) == ("root", "left")
-
-
-def test_lca_path_depth3(binary_depth3):
-    _, index = binary_depth3
-    assert lca_path(index, 0, 1) == ("root", "n0")
-    assert lca_path(index, 2, 3) == ("root", "n1")
-    assert lca_path(index, 0, 3) == ("root",)
-    assert lca_path(index, 2, 2) == ("root", "n1", "leaf10")
-
-
-@given(st.integers(0, 200))
-@settings(max_examples=30, deadline=None)
-def test_lca_symmetry_and_prefix_property(seed):
-    spec = bench.random_tree_spec(seed)
-    index = build_path_index(spec)
-    for i in range(index.n_leaves):
-        for j in range(index.n_leaves):
-            pij = lca_path(index, i, j)
-            pji = lca_path(index, j, i)
-            assert pij == pji
-            assert index.leaf_paths[i][: len(pij)] == pij
-            assert index.leaf_paths[j][: len(pij)] == pij
-
-
-@given(st.integers(0, 200))
-@settings(max_examples=30, deadline=None)
-def test_lca_path_is_longest_common_prefix(seed):
-    spec = bench.random_tree_spec(seed)
-    index = build_path_index(spec)
-    for i, path_i in enumerate(index.leaf_paths):
-        for j, path_j in enumerate(index.leaf_paths):
-            expected = tuple(os.path.commonprefix([list(path_i), list(path_j)]))
-            assert lca_path(index, i, j) == expected
-
-
 @given(st.integers(0, 200))
 @settings(max_examples=30, deadline=None)
 def test_restrict_on_random_trees(seed):
     # empty exactly off the active leaf's path, the value slots on it
-    spec = bench.random_tree_spec(seed)
+    spec = random_tree_spec(seed)
     index = build_path_index(spec)
     rng = np.random.default_rng(seed)
     for _ in range(4):
@@ -255,7 +213,7 @@ def test_restrict_on_random_trees(seed):
 
 def test_effective_dim_bounded_by_total_dimension():
     for seed in range(40):
-        spec = bench.random_tree_spec(seed)
+        spec = random_tree_spec(seed)
         index = build_path_index(spec)
         single_path = all(len(spec.children(v.id)) <= 1 for v in spec.vertices)
         for d in index.effective_dims:
