@@ -106,21 +106,17 @@ def beta(schedule: UcbSchedule, t: float, info_gain: float, noise_std: float) ->
     return root * root
 
 
-def mutual_information(model: GpModel, noise_variance: float | None = None) -> float:
+def mutual_information(model: GpModel, noise_variance: float) -> float:
     """Information between the observations and the prior: half the
-    log-determinant of I + K / sigma^2 over the current data.
-
-    Requires homoscedastic positive noise; pass ``noise_variance`` to
-    override the model's own (e.g. to floor a noiseless dataset).
+    log-determinant of I + K / sigma^2 over the current data, with sigma^2
+    the positive ``noise_variance`` (:func:`propose` passes the model's
+    noise floored at its ``noise_floor``).
     """
     if model.n == 0:
         return 0.0
-    s2 = noise_variance if noise_variance is not None else model.homoscedastic_noise
-    if s2 is None:
-        raise ValueError("mutual information needs homoscedastic noise")
-    if s2 <= 0:
+    if noise_variance <= 0:
         raise ValueError("mutual information undefined for zero noise; floor sigma^2")
-    M = np.eye(model.n) + model.K / s2
+    M = np.eye(model.n) + model.K / noise_variance
     L = np.linalg.cholesky(M)
     return float(np.sum(np.log(np.diag(L))))
 
@@ -225,9 +221,8 @@ def propose(
         raise ValueError("optimizer budget must allow at least one evaluation")
     index = model.kernel.index
 
-    s2 = model.homoscedastic_noise
-    s2 = noise_floor if s2 is None or s2 < noise_floor else s2
-    info = mutual_information(model, noise_variance=s2)
+    s2 = max(model.data.noise, noise_floor)
+    info = mutual_information(model, s2)
     beta_value = beta(schedule, t, info, math.sqrt(s2))
     sqrt_beta = math.sqrt(beta_value)
 

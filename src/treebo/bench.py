@@ -243,10 +243,9 @@ class BoConfig:
     ``gamma_g``/``gamma_b`` of zero mean no schedule adaptation (constant
     norm bound); fitted lengthscales are always capped by the min rule at
     ``theta0 / g(t)``, which stops evidence maximization from flattening a
-    barely-observed region into false certainty.  The fitting bounds here
-    are deliberately tighter than the library defaults: scales bounded away
-    from zero keep an exploration bonus alive on unvisited branches.  A
-    config whose schedule, acquisition or fit settings are invalid raises
+    barely-observed region into false certainty.  The fit's bounds are
+    :data:`gp.LENGTHSCALE_BOUNDS` and :data:`gp.SCALE_BOUNDS`.  A config
+    whose schedule, acquisition, noise or fit settings are invalid raises
     ``ValueError`` when it is built.
     """
 
@@ -263,19 +262,20 @@ class BoConfig:
     acq_scan: int = 32
     kernel_kind: str = "se"
     zero_dim: str = "constant"
-    fit_noise: bool = False
     tie_scales: bool = True
-    lengthscale_bounds: tuple = (0.05, 20.0)
-    scale_bounds: tuple = (0.05, 50.0)
 
     def __post_init__(self) -> None:
         for name in ("restarts", "acq_starts", "acq_scan"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_init is not None and not self.n_init >= 0:
+            raise ValueError(f"n_init must be >= 0, got {self.n_init}")
         if not (self.noise_variance >= 0 and math.isfinite(self.noise_variance)):
             raise ValueError(
                 f"noise_variance must be non-negative and finite, got {self.noise_variance}"
             )
+        if not (self.noise_floor > 0 and math.isfinite(self.noise_floor)):
+            raise ValueError(f"noise_floor must be positive and finite, got {self.noise_floor}")
         self.schedule(1)  # raises on a bad theta0, B0, delta or rate
 
     def resolve_n_init(self, spec: TreeSpec) -> int:
@@ -303,9 +303,6 @@ class BoConfig:
             data,
             restarts=self.restarts,
             rng=rng,
-            lengthscale_bounds=self.lengthscale_bounds,
-            scale_bounds=self.scale_bounds,
-            fit_noise=self.fit_noise,
             lengthscale_cap=None if schedule is None else schedule.lengthscale_cap(t),
         )
 
@@ -451,7 +448,7 @@ class _GpLoop:
         """Record an evaluation if it lies in this loop's space."""
         if leaf in self.space.leaves:
             point = self.space.point(leaf, values)
-            self.data = self.data.extended(point, y, self.config.noise_variance)
+            self.data = self.data.extended(point, y)
 
 
 def run_bo(

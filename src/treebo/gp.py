@@ -25,13 +25,17 @@ points.  Two structural shortcuts come from the tree:
 
 * **Evidence on vertex blocks.**  Hyperparameter fitting computes the
   kernel's :class:`~treebo.kernels.VertexBlocks` once per fit and reorders
-  targets and noise to match.  Each evaluation goes from the optimizer's log
+  the targets to match.  Each evaluation goes from the optimizer's log
   vector straight to the Gram matrix and the per-parameter derivative blocks
   (no kernel object is built; the fitted kernel is made once, from the
   winning vector), computes K_y^{-1} from the Cholesky factor (LAPACK
   ``dpotri``), and contracts each block of ``αα^T − K_y^{-1}`` with its
   derivative: ∂L/∂θ = ½ tr((αα^T − K_y^{-1}) ∂K/∂θ) (Rasmussen & Williams
   2006, eq. 5.9).  Evidence and gradient do not depend on the row order.
+
+The observation noise is one known variance shared by every observation
+(:attr:`Dataset.noise`); the evidence is maximized over the kernel
+hyperparameters only, conditioned on it.
 """
 
 from __future__ import annotations
@@ -64,9 +68,11 @@ JITTER_MAX = 1e-4
 LOG2PI = np.log(2.0 * np.pi)
 # What the fitting objective reports where the Gram cannot be factorized.
 FAILED_EVIDENCE = 1e25
-# fit_hyperparameters: a fitted noise variance's box and start, L-BFGS-B steps.
-NOISE_BOUNDS = (1e-8, 1e2)
-INITIAL_NOISE = 1e-2
+# fit_hyperparameters: the box of every lengthscale and output scale, and the
+# L-BFGS-B steps.  The box is tight on purpose: scales bounded away from zero
+# keep an exploration bonus alive on unvisited branches.
+LENGTHSCALE_BOUNDS = (0.05, 20.0)
+SCALE_BOUNDS = (0.05, 50.0)
 FIT_MAXITER = 200
 
 
@@ -76,31 +82,30 @@ class FactorizationError(RuntimeError):
 
 @dataclass
 class Dataset:
-    """Observations: linearized points, targets, per-observation noise variance."""
+    """Observations: linearized points, their targets, and the one noise
+    variance of every observation.  :meth:`create` validates."""
 
     points: list[LinearizedPoint]
     targets: np.ndarray
-    noise: np.ndarray
+    noise: float
 
     @classmethod
-    def create(cls, points, targets, noise=0.0) -> "Dataset":
+    def create(cls, points, targets, noise: float = 0.0) -> "Dataset":
         targets = np.asarray(targets, dtype=float).ravel()
         n = len(points)
-        noise_vec = np.broadcast_to(np.asarray(noise, dtype=float), (n,)).copy()
         if targets.size != n:
             raise ValueError(f"{n} points but {targets.size} targets")
-        if np.any(noise_vec < 0):
-            raise ValueError("noise variances must be >= 0")
-        return cls(points=list(points), targets=targets, noise=noise_vec)
+        noise = float(noise)
+        if not (noise >= 0 and np.isfinite(noise)):
+            raise ValueError(f"noise variance must be non-negative and finite, got {noise}")
+        return cls(points=list(points), targets=targets, noise=noise)
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def extended(self, point: LinearizedPoint, target: float, noise: float) -> "Dataset":
-        return Dataset(
-            points=self.points + [point],
-            targets=np.append(self.targets, target),
-            noise=np.append(self.noise, noise),
+    def extended(self, point: LinearizedPoint, target: float) -> "Dataset":
+        return replace(
+            self, points=self.points + [point], targets=np.append(self.targets, target)
         )
 
 
@@ -181,16 +186,6 @@ class GpModel:
     def n(self) -> int:
         return len(self.data)
 
-    @property
-    def homoscedastic_noise(self) -> float | None:
-        """Shared noise variance, or None if per-observation noise differs."""
-        if self.n == 0:
-            return 0.0
-        first = float(self.data.noise[0])
-        if np.all(self.data.noise == first):
-            return first
-        return None
-
 
 def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
     """Factor the noisy Gram matrix and cache the dual weights.
@@ -203,7 +198,7 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
     if len(data) == 0:
         X = np.empty((0, kernel.index.width))
     K = kernel.gram_matrix(X) if len(data) else np.empty((0, 0))
-    K_y = K + np.diag(data.noise) if len(data) else K
+    K_y = K + data.noise * np.eye(len(data))
     L, jitter = _cholesky_with_jitter(K_y)
     alpha = _solve_lower(L, data.targets) if len(data) else np.empty(0)
     K_inv = _inverse_lower(L) if len(data) else np.empty((0, 0))
@@ -258,10 +253,6 @@ def component_posterior_batch(
     V = np.asarray(V, dtype=float)
     if V.ndim == 1:
         V = V.reshape(1, -1)
-    m = V.shape[0]
-    if model.n == 0:
-        out = np.zeros(m), np.full(m, prior)
-        return (*out, np.zeros(V.shape), np.zeros(V.shape)) if with_grad else out
     if with_grad:
         C, J = model.kernel.component_cross(vertex_id, V, model.X, with_grad=True)
     else:
@@ -286,19 +277,18 @@ def _evidence_and_grad(
     blocks: VertexBlocks,
     log_params: np.ndarray,
     y: np.ndarray,
-    noise: np.ndarray,
-    noise_is_fitted: bool,
+    noise: float,
 ) -> tuple[float, np.ndarray]:
-    """Log marginal likelihood and gradient w.r.t. log kernel params (+ log noise).
+    """Log marginal likelihood and gradient w.r.t. log kernel params.
 
     The kernel hyperparameters are exp(``log_params``); ``kernel`` supplies
-    only the structure.  ``y`` and ``noise`` are in ``blocks.order``.  Each
+    only the structure.  ``y`` is in ``blocks.order``.  Each
     derivative is a diagonal block of dK, so its gradient entry
     ½ tr((αα^T − K^{-1}) ∂K/∂θ) is contracted on that block alone.
     """
     n = y.size
     K, grads = kernel.gram_and_grads(blocks, log_params)
-    L = np.linalg.cholesky(K + np.diag(noise))  # raises LinAlgError; caller decides policy
+    L = np.linalg.cholesky(K + noise * np.eye(n))  # raises LinAlgError; caller decides policy
     alpha = _solve_lower(L, y)
     lml = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L)))) - 0.5 * n * LOG2PI
     K_inv = _inverse_lower(L)
@@ -308,14 +298,11 @@ def _evidence_and_grad(
         0.5 * np.einsum("ij,ij->", inner[s, s], G)
         for s, G in zip(blocks.param_slices, grads)
     ])
-    if noise_is_fitted:
-        # shared log-variance parameter: dK_y/dlog s2 = s2 * I
-        grad = np.append(grad, 0.5 * float(noise[0]) * float(np.trace(inner)))
     return lml, grad
 
 
-def _negative_evidence(kernel: AddTreeKernel, data: Dataset, fit_noise: bool):
-    """The minimization objective over log kernel params (+ log noise).
+def _negative_evidence(kernel: AddTreeKernel, data: Dataset):
+    """The minimization objective over log kernel params.
 
     Maps a vector to (-evidence, -gradient), or to ``(FAILED_EVIDENCE, 0)``
     where the Gram matrix cannot be factorized.  The vertex blocks and the
@@ -325,15 +312,10 @@ def _negative_evidence(kernel: AddTreeKernel, data: Dataset, fit_noise: bool):
     """
     blocks = kernel.vertex_blocks(stack_points(data.points))
     y = data.targets[blocks.order]
-    noise = data.noise[blocks.order]
-    n_kernel = len(blocks.param_slices)
 
     def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        s2 = np.full(len(y), np.exp(vec[-1])) if fit_noise else noise
         try:
-            lml, grad = _evidence_and_grad(
-                kernel, blocks, vec[:n_kernel], y, s2, noise_is_fitted=fit_noise
-            )
+            lml, grad = _evidence_and_grad(kernel, blocks, vec, y, data.noise)
         except np.linalg.LinAlgError:
             return FAILED_EVIDENCE, np.zeros_like(vec)
         if not np.isfinite(lml):
@@ -346,7 +328,6 @@ def _negative_evidence(kernel: AddTreeKernel, data: Dataset, fit_noise: bool):
 @dataclass
 class FitResult:
     kernel: AddTreeKernel
-    noise_variance: float | None
     log_evidence: float
     restart_evidences: list[float]
 
@@ -368,17 +349,14 @@ def fit_hyperparameters(
     data: Dataset,
     restarts: int = 10,
     rng: np.random.Generator | None = None,
-    lengthscale_bounds: tuple[float, float] = (1e-3, 1e3),
-    scale_bounds: tuple[float, float] = (1e-3, 1e3),
-    fit_noise: bool = False,
     lengthscale_cap: float | None = None,
 ) -> FitResult:
     """Maximize the evidence over log-hyperparameters with multistarted L-BFGS-B.
 
-    The first start is the passed kernel (clipped into bounds); the remaining
-    ``restarts - 1`` starts are log-uniform draws.  When ``fit_noise`` is set
-    a shared noise variance is optimized alongside and replaces the dataset's
-    noise vector in the result; otherwise the dataset noise is taken as given.
+    Every lengthscale lies in :data:`LENGTHSCALE_BOUNDS` and every output
+    scale in :data:`SCALE_BOUNDS`; the dataset's noise variance is taken as
+    given.  The first start is the passed kernel (clipped into the bounds);
+    the remaining ``restarts - 1`` starts are log-uniform draws.
     ``lengthscale_cap`` applies the min rule afterwards: fitted lengthscales
     are capped at the given value.  Raises :class:`FactorizationError` when
     every restart ends where the Gram matrix cannot be factorized.
@@ -389,21 +367,13 @@ def fit_hyperparameters(
         raise ValueError("hyperparameter fitting needs at least one observation")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    names = kernel.param_names()
-    n_kernel = len(names)
-    is_scale = np.array([nm.endswith("::scale") for nm in names])
-    lo = np.where(is_scale, np.log(scale_bounds[0]), np.log(lengthscale_bounds[0]))
-    hi = np.where(is_scale, np.log(scale_bounds[1]), np.log(lengthscale_bounds[1]))
-    if fit_noise:
-        lo = np.append(lo, np.log(NOISE_BOUNDS[0]))
-        hi = np.append(hi, np.log(NOISE_BOUNDS[1]))
+    is_scale = np.array([nm.endswith("::scale") for nm in kernel.param_names()])
+    lo = np.where(is_scale, np.log(SCALE_BOUNDS[0]), np.log(LENGTHSCALE_BOUNDS[0]))
+    hi = np.where(is_scale, np.log(SCALE_BOUNDS[1]), np.log(LENGTHSCALE_BOUNDS[1]))
     bounds = list(zip(lo, hi))
-    objective = _negative_evidence(kernel, data, fit_noise)
+    objective = _negative_evidence(kernel, data)
 
-    start0 = np.clip(kernel.get_log_params(), lo[:n_kernel], hi[:n_kernel])
-    if fit_noise:
-        start0 = np.append(start0, np.clip(np.log(INITIAL_NOISE), lo[-1], hi[-1]))
-    starts = [start0]
+    starts = [np.clip(kernel.get_log_params(), lo, hi)]
     for _ in range(restarts - 1):
         starts.append(rng.uniform(lo, hi))
 
@@ -430,17 +400,15 @@ def fit_hyperparameters(
             "positive definite; duplicate points with zero noise?"
         )
 
-    fitted = kernel.with_log_params(best_vec[:n_kernel])
+    fitted = kernel.with_log_params(best_vec)
     if lengthscale_cap is not None:
         fitted = apply_lengthscale_cap(fitted, lengthscale_cap)
-    noise_var = float(np.exp(best_vec[-1])) if fit_noise else None
     logger.debug(
         "fit_hyperparameters: n=%d best evidence %.4f over %d restarts",
         len(data), -best_val, len(evidences),
     )
     return FitResult(
         kernel=fitted,
-        noise_variance=noise_var,
         log_evidence=-best_val,
         restart_evidences=evidences,
     )

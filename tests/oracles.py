@@ -87,8 +87,8 @@ def add_tree(kernel, x, y) -> float:
 
 def log_evidence(model) -> float:
     """Log marginal likelihood of a fitted model's data from dense algebra on
-    ``K + diag(noise)`` (without any jitter the fit added)."""
-    K_y = model.K + np.diag(model.data.noise)
+    ``K + noise * I`` (without any jitter the fit added)."""
+    K_y = model.K + model.data.noise * np.eye(model.n)
     y = model.data.targets
     return float(
         -0.5 * y @ np.linalg.solve(K_y, y)

@@ -115,7 +115,7 @@ def make_single_vertex_model():
 def test_mutual_information_matches_eigen_oracle():
     spec, index, kern, data = random_gp_instance(6, n=10, noise=0.3)
     model = gp.fit(kern, data)
-    mi = acq.mutual_information(model)
+    mi = acq.mutual_information(model, 0.3)
     eigs = np.linalg.eigvalsh(model.K)
     expected = 0.5 * float(np.sum(np.log1p(np.maximum(eigs, 0.0) / 0.3)))
     assert mi == pytest.approx(expected, abs=1e-8)
@@ -126,6 +126,26 @@ def test_mutual_information_rejects_zero_noise():
     model = make_single_vertex_model()
     with pytest.raises(ValueError, match="floor"):
         acq.mutual_information(model, noise_variance=0.0)
+
+
+@pytest.mark.parametrize(
+    "n, noise, floor",
+    [(6, 1e-8, 1e-6), (6, 0.3, 1e-6), (0, 0.3, 1e-6), (0, 1e-8, 1e-6)],
+    ids=["below-floor", "above-floor", "empty-above-floor", "empty-below-floor"],
+)
+def test_propose_beta_floors_the_noise_variance(jenatton, n, noise, floor):
+    # beta's information gain and noise term both use max(noise, floor), on
+    # an empty model too (its information gain is 0)
+    spec, index = jenatton.spec, jenatton.index
+    rng = np.random.default_rng(31)
+    pts = random_points(spec, index, rng, n)
+    kern = AddTreeKernel.default(spec, index)
+    model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=n), noise=noise))
+    sched = acq.UcbSchedule(theta0=1.0, B0=1.0, delta=0.1, gamma_g=0.02, gamma_b=0.3, d=3)
+    prop = acq.propose(model, sched, t=n + 1, n_starts=1, scan_budget=4, noise_floor=floor)
+    s2 = max(noise, floor)
+    expected = acq.beta(sched, n + 1, acq.mutual_information(model, s2), math.sqrt(s2))
+    assert prop.beta == expected
 
 
 def test_propose_prior_symmetric_tie_breaks_to_first_path(jenatton):

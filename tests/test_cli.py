@@ -71,8 +71,13 @@ def test_bad_flag_is_user_error(capsys):
         ("--acq-scan", "0"),
         ("--restarts", "0"),
         ("--noise-variance", "-1"),
+        ("--noise-variance", "0", "--noise-floor", "0"),
+        ("--n-init", "-3"),
     ],
-    ids=["rate", "delta", "theta0", "b0", "acq-starts", "acq-scan", "restarts", "noise-variance"],
+    ids=[
+        "rate", "delta", "theta0", "b0", "acq-starts", "acq-scan", "restarts", "noise-variance",
+        "noise-floor", "n-init",
+    ],
 )
 def test_bad_schedule_settings_are_user_errors(tmp_path, capsys, command, flags):
     out = tmp_path / "o"
