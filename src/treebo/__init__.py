@@ -34,7 +34,7 @@ from .gp import (
     fit_hyperparameters,
     posterior,
 )
-from .kernels import AddTreeKernel, BaseKernelParams
+from .kernels import AddTreeKernel
 from .tree_space import (
     LinearizedPoint,
     PathIndex,

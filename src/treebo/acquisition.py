@@ -30,7 +30,6 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from .gp import GpModel, component_posterior_batch
-from .tree_space import LinearizedPoint, linearize
 
 __all__ = [
     "UcbSchedule",
@@ -127,8 +126,7 @@ class Proposal:
 
     ``vertex_points``/``vertex_ucb`` hold every vertex's argmax and score;
     ``path_ucb[i]`` sums the scores along leaf i's path; ``values`` is the
-    path-ordered continuous vector of the winning leaf and ``point`` its
-    linearization.
+    path-ordered continuous vector of the winning leaf.
     """
 
     vertex_points: dict
@@ -136,7 +134,6 @@ class Proposal:
     path_ucb: np.ndarray
     chosen_leaf: int
     values: np.ndarray
-    point: LinearizedPoint
     beta: float
 
 
@@ -242,13 +239,11 @@ def propose(
         [vertex_points[vid] for vid in index.leaf_paths[chosen]]
         or [np.empty(0)]
     )
-    point = linearize(model.kernel.spec, index, chosen, values)
     return Proposal(
         vertex_points=vertex_points,
         vertex_ucb=vertex_ucb,
         path_ucb=path_ucb,
         chosen_leaf=chosen,
         values=values,
-        point=point,
         beta=beta_value,
     )

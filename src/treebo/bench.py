@@ -23,7 +23,7 @@ from scipy.stats import wilcoxon
 
 from . import gp
 from .acquisition import Proposal, UcbSchedule, propose
-from .kernels import AddTreeKernel
+from .kernels import KERNEL_KINDS, ZERO_DIM_POLICIES, AddTreeKernel
 from .tree_space import (
     LinearizedPoint,
     PathIndex,
@@ -245,8 +245,8 @@ class BoConfig:
     ``theta0 / g(t)``, which stops evidence maximization from flattening a
     barely-observed region into false certainty.  The fit's bounds are
     :data:`gp.LENGTHSCALE_BOUNDS` and :data:`gp.SCALE_BOUNDS`.  A config
-    whose schedule, acquisition, noise or fit settings are invalid raises
-    ``ValueError`` when it is built.
+    whose schedule, acquisition, noise, fit or kernel settings are invalid
+    raises ``ValueError`` when it is built.
     """
 
     n_init: int | None = None
@@ -276,6 +276,10 @@ class BoConfig:
             )
         if not (self.noise_floor > 0 and math.isfinite(self.noise_floor)):
             raise ValueError(f"noise_floor must be positive and finite, got {self.noise_floor}")
+        if self.kernel_kind not in KERNEL_KINDS:
+            raise ValueError(f"kernel_kind must be one of {KERNEL_KINDS}, got {self.kernel_kind!r}")
+        if self.zero_dim not in ZERO_DIM_POLICIES:
+            raise ValueError(f"zero_dim must be one of {ZERO_DIM_POLICIES}, got {self.zero_dim!r}")
         self.schedule(1)  # raises on a bad theta0, B0, delta or rate
 
     def resolve_n_init(self, spec: TreeSpec) -> int:
@@ -644,7 +648,7 @@ def wilcoxon_one_sided(a, b) -> float:
 
 @dataclass
 class ComparisonReport:
-    """Incumbent statistics and paired tests at iterations of interest.
+    """Median incumbents and paired tests at iterations of interest.
 
     ``p_values[(a, b)][t]`` is the one-sided p for "a is better (lower) than
     b at iteration t" over seed-paired incumbents, or None when the test is
@@ -655,7 +659,6 @@ class ComparisonReport:
     seeds: list
     iterations: list
     median_incumbent: dict
-    mean_incumbent: dict
     p_values: dict
 
 
@@ -681,14 +684,11 @@ def build_comparison(traces: list[RunTrace], iterations) -> ComparisonReport:
         return tr.records[t - 1].best
 
     median_incumbent: dict = {}
-    mean_incumbent: dict = {}
     for algo in algorithms:
         median_incumbent[algo] = {}
-        mean_incumbent[algo] = {}
         for t in iterations:
             vals = np.array([incumbent_at(by_algo[algo][s], t) for s in seeds])
             median_incumbent[algo][t] = float(np.median(vals))
-            mean_incumbent[algo][t] = float(np.mean(vals))
 
     p_values: dict = {}
     for a in algorithms:
@@ -710,7 +710,6 @@ def build_comparison(traces: list[RunTrace], iterations) -> ComparisonReport:
         seeds=seeds,
         iterations=iterations,
         median_incumbent=median_incumbent,
-        mean_incumbent=mean_incumbent,
         p_values=p_values,
     )
 

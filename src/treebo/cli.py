@@ -31,6 +31,7 @@ from .bench import (
     run_bo,
     run_regression_study,
 )
+from .kernels import KERNEL_KINDS, ZERO_DIM_POLICIES
 from .tree_space import TreeSpecError, parse_tree_spec
 
 __all__ = ["main", "cmd_run", "cmd_compare", "cmd_regression"]
@@ -100,9 +101,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     flag("--acq-starts", "acq_starts", "local-search starts per vertex acquisition", type=int)
     flag("--acq-scan", "acq_scan", "low-discrepancy scan budget per vertex acquisition",
          type=int)
-    flag("--kernel", "kernel_kind", choices=("se", "matern32", "matern52"))
+    flag("--kernel", "kernel_kind", choices=KERNEL_KINDS)
     flag("--zero-dim", "zero_dim", "kernel contribution of vertices without variables",
-         choices=("constant", "zero"))
+         choices=ZERO_DIM_POLICIES)
     flag("--tie-scales", "tie_scales", "share one fitted output scale across all vertices",
          action=argparse.BooleanOptionalAction)
 

@@ -47,7 +47,7 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 from scipy.optimize import minimize
 
-from .kernels import AddTreeKernel, BaseKernelParams, VertexBlocks, stack_points
+from .kernels import AddTreeKernel, VertexBlocks, stack_points
 from .tree_space import LinearizedPoint
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "fit",
     "posterior",
     "fit_hyperparameters",
-    "apply_lengthscale_cap",
 ]
 
 logger = logging.getLogger(__name__)
@@ -95,6 +94,9 @@ class Dataset:
         n = len(points)
         if targets.size != n:
             raise ValueError(f"{n} points but {targets.size} targets")
+        bad = np.flatnonzero(~np.isfinite(targets))
+        if bad.size:
+            raise ValueError(f"target {bad[0]} is not finite: {targets[bad[0]]}")
         noise = float(noise)
         if not (noise >= 0 and np.isfinite(noise)):
             raise ValueError(f"noise variance must be non-negative and finite, got {noise}")
@@ -332,18 +334,6 @@ class FitResult:
     restart_evidences: list[float]
 
 
-def apply_lengthscale_cap(kernel: AddTreeKernel, cap: float) -> AddTreeKernel:
-    """Cap every lengthscale at ``cap`` (the min rule of adaptive schedules)."""
-    new_params = {}
-    for vid, p in kernel.params.items():
-        new_params[vid] = BaseKernelParams(
-            kind=p.kind,
-            lengthscales=tuple(min(ls, cap) for ls in p.lengthscales),
-            output_scale=p.output_scale,
-        )
-    return replace(kernel, params=new_params)
-
-
 def fit_hyperparameters(
     kernel: AddTreeKernel,
     data: Dataset,
@@ -357,8 +347,9 @@ def fit_hyperparameters(
     scale in :data:`SCALE_BOUNDS`; the dataset's noise variance is taken as
     given.  The first start is the passed kernel (clipped into the bounds);
     the remaining ``restarts - 1`` starts are log-uniform draws.
-    ``lengthscale_cap`` applies the min rule afterwards: fitted lengthscales
-    are capped at the given value.  Raises :class:`FactorizationError` when
+    ``lengthscale_cap`` applies the min rule afterwards: every fitted
+    lengthscale becomes min(lengthscale, cap), so a capped one is exactly
+    the cap.  Raises :class:`FactorizationError` when
     every restart ends where the Gram matrix cannot be factorized.
     """
     if restarts < 1:
@@ -400,15 +391,15 @@ def fit_hyperparameters(
             "positive definite; duplicate points with zero noise?"
         )
 
-    fitted = kernel.with_log_params(best_vec)
+    theta = np.exp(best_vec)
     if lengthscale_cap is not None:
-        fitted = apply_lengthscale_cap(fitted, lengthscale_cap)
+        theta = np.where(is_scale, theta, np.minimum(theta, lengthscale_cap))
     logger.debug(
         "fit_hyperparameters: n=%d best evidence %.4f over %d restarts",
         len(data), -best_val, len(evidences),
     )
     return FitResult(
-        kernel=fitted,
+        kernel=replace(kernel, theta=theta),
         log_evidence=-best_val,
         restart_evidences=evidences,
     )

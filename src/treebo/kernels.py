@@ -1,14 +1,15 @@
 """Covariance functions over tree-structured spaces.
 
-Each vertex carries a stationary base kernel on its continuous variables
-(squared exponential or Matern with nu in {3/2, 5/2}, ARD lengthscales,
-per-vertex output scale).  The tree kernel between two configurations is the
-sum of the base kernels over the vertices shared by both active paths, i.e.
-over the path from the root to the leaves' lowest common ancestor; each term
-is evaluated on the two points' restrictions to that vertex.  Vertex
-membership is decided by the sign of the vertex's tag slot in the linear
-layout (non-negative on the active path), so the whole kernel evaluates on
-fixed-width vectors without consulting the tree.
+Each vertex carries a stationary base kernel on its continuous variables,
+of the one kind the kernel has (squared exponential or Matern with nu in
+{3/2, 5/2}), with ARD lengthscales and an output scale.  The tree kernel
+between two configurations is the sum of the base kernels over the vertices
+shared by both active paths, i.e. over the path from the root to the
+leaves' lowest common ancestor; each term is evaluated on the two points'
+restrictions to that vertex.  Vertex membership is decided by the sign of
+the vertex's tag slot in the linear layout (non-negative on the active
+path), so the whole kernel evaluates on fixed-width vectors without
+consulting the tree.
 
 A vertex with no continuous variables contributes its output scale as a
 constant whenever it is shared (``zero_dim="constant"``, the default), which
@@ -17,14 +18,17 @@ alternative ``zero_dim="zero"`` drops such vertices from the sum entirely;
 under that policy points whose paths only share dim-0 vertices have exactly
 zero covariance.
 
-Every method evaluates a vertex's term only on its block: the rows whose path
-contains the vertex (:meth:`AddTreeKernel._block`), through one helper,
-``_term``, on the raw per-dimension squared differences.  For hyperparameter
-fitting, :meth:`AddTreeKernel.vertex_blocks` does the hyperparameter-free
-work once: it orders the rows by the depth-first rank of their leaf, so each
-vertex's rows R_v are one contiguous slice, and keeps per block the squared
-differences, the kind and where the block's lengthscales and scale sit in the
-flat log vector (laid out by :meth:`AddTreeKernel._layout` alone).
+The positive hyperparameters are stored once, as the flat vector
+``AddTreeKernel.theta``; the kernel's layout (built once per kernel) maps each
+contributing vertex to the index range of its lengthscales and the index of
+its scale there, and every method reads them through it.  Every method
+evaluates a vertex's term only on its block: the rows whose path contains
+the vertex (:meth:`AddTreeKernel._block`), through one helper, ``_term``, on
+the raw per-dimension squared differences.  For hyperparameter fitting,
+:meth:`AddTreeKernel.vertex_blocks` does the hyperparameter-free work once:
+it orders the rows by the depth-first rank of their leaf, so each vertex's
+rows R_v are one contiguous slice, and keeps per block the squared
+differences and where the block's lengthscales and scale sit in the vector.
 :meth:`AddTreeKernel.gram_and_grads` reads exp(log vector) there, scales the
 squared differences by 1/lengthscale², adds each term into its block of the
 Gram matrix (a dim-0 block is its constant scale), and returns every
@@ -41,41 +45,15 @@ import numpy as np
 from .tree_space import LinearizedPoint, PathIndex, TreeSpec
 
 __all__ = [
-    "BaseKernelParams",
     "AddTreeKernel",
     "VertexBlocks",
 ]
 
 KERNEL_KINDS = ("se", "matern32", "matern52")
+ZERO_DIM_POLICIES = ("constant", "zero")
 
 _SQRT3 = np.sqrt(3.0)
 _SQRT5 = np.sqrt(5.0)
-
-
-@dataclass(frozen=True)
-class BaseKernelParams:
-    """Stationary kernel parameters for one vertex.
-
-    ``lengthscales`` has one positive entry per continuous dimension of the
-    vertex (empty for dim-0 vertices, where the kernel degenerates to the
-    constant ``output_scale``).
-    """
-
-    kind: str
-    lengthscales: tuple[float, ...]
-    output_scale: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}; choose from {KERNEL_KINDS}")
-        if any(not (ls > 0 and math.isfinite(ls)) for ls in self.lengthscales):
-            raise ValueError(f"lengthscales must be positive and finite, got {self.lengthscales}")
-        if not (self.output_scale > 0 and math.isfinite(self.output_scale)):
-            raise ValueError(f"output_scale must be positive and finite, got {self.output_scale}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.lengthscales)
 
 
 def _sq_diffs(Va: np.ndarray, Vb: np.ndarray) -> np.ndarray:
@@ -137,17 +115,16 @@ class VertexBlocks:
     depth-first rank of their leaf, so each contributing vertex's rows -- the
     rows whose path contains it, i.e. the leaves of its subtree -- form one
     contiguous slice.  Per contributing vertex in BFS order, ``vertices``,
-    ``kinds``, ``slices`` and ``sq`` hold its id, kernel kind, slice and the
-    raw squared differences of its values on that slice, (d, |R_v|, |R_v|);
-    ``lengthscales`` and ``scales`` hold the index range of its lengthscales
-    and the index of its scale in the log vector (one index for tied
-    scales).  ``param_slices`` gives, per log-parameter, the diagonal block
-    of the Gram matrix its derivative lives on.
+    ``slices`` and ``sq`` hold its id, slice and the raw squared differences
+    of its values on that slice, (d, |R_v|, |R_v|); ``lengthscales`` and
+    ``scales`` hold the index range of its lengthscales and the index of its
+    scale in the log vector (one index for tied scales).  ``param_slices``
+    gives, per log-parameter, the diagonal block of the Gram matrix its
+    derivative lives on.
     """
 
     order: np.ndarray
     vertices: tuple[str, ...]
-    kinds: tuple[str, ...]
     slices: tuple[slice, ...]
     sq: tuple[np.ndarray, ...]
     lengthscales: tuple[slice, ...]
@@ -155,36 +132,59 @@ class VertexBlocks:
     param_slices: tuple[slice, ...]
 
 
+def _param_layout(
+    spec: TreeSpec, index: PathIndex, zero_dim: str, tied_scales: bool
+) -> tuple[dict[str, tuple[slice, int]], int]:
+    """The hyperparameter vector's length and, per contributing BFS vertex,
+    the index range of its ``dim`` lengthscales and the index of its scale,
+    which follows them unless scales are tied: tied scales share one trailing
+    entry.  Under the 'zero' policy dim-0 vertices have no entries (the
+    kernel never uses them, so they are unidentifiable)."""
+    layout, pos = {}, 0
+    for vid in index.bfs_order:
+        dim = spec.vertex(vid).dim
+        if dim or zero_dim == "constant":
+            layout[vid] = (slice(pos, pos + dim), pos + dim)
+            pos += dim + (not tied_scales)
+    if not tied_scales:
+        return layout, pos
+    return {vid: (ls, pos) for vid, (ls, _) in layout.items()}, pos + bool(layout)
+
+
 @dataclass(frozen=True)
 class AddTreeKernel:
     """Additive path kernel: per-vertex base kernels summed over shared paths.
 
-    ``params`` maps every vertex id to its BaseKernelParams.  With
-    ``tied_scales`` the output scales form a single shared hyperparameter
-    during fitting instead of one per vertex; evidence maximization then
-    cannot silence a rarely-visited branch by collapsing its amplitude.
-    Instances are immutable value objects and evaluation is pure.
+    ``theta`` holds the positive hyperparameters, one flat vector in
+    :meth:`param_names` order (any sequence, stored as a tuple of floats):
+    per contributing vertex its lengthscales and output scale.  Every vertex's base kernel is of the one ``kind``.  With
+    ``tied_scales`` all vertices share a single output scale (the vector's
+    last entry); evidence maximization then cannot silence a rarely-visited
+    branch by collapsing its amplitude.  Instances are immutable value
+    objects and evaluation is pure.
     """
 
     spec: TreeSpec
     index: PathIndex
-    params: dict = field(default_factory=dict)
+    theta: tuple[float, ...]
+    kind: str = "se"
     zero_dim: str = "constant"
     tied_scales: bool = False
+    _layout: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.zero_dim not in ("constant", "zero"):
+        if self.kind not in KERNEL_KINDS:
+            raise ValueError(f"unknown kernel kind {self.kind!r}; choose from {KERNEL_KINDS}")
+        if self.zero_dim not in ZERO_DIM_POLICIES:
             raise ValueError(f"zero_dim must be 'constant' or 'zero', got {self.zero_dim!r}")
-        missing = [vid for vid in self.index.bfs_order if vid not in self.params]
-        if missing:
-            raise ValueError(f"missing kernel parameters for vertices {missing}")
-        for vid in self.index.bfs_order:
-            want = self.spec.vertex(vid).dim
-            got = self.params[vid].dim
-            if want != got:
-                raise ValueError(
-                    f"vertex {vid!r}: kernel has {got} lengthscales for dim {want}"
-                )
+        layout, size = _param_layout(self.spec, self.index, self.zero_dim, self.tied_scales)
+        theta = tuple(map(float, self.theta))
+        if len(theta) != size:
+            raise ValueError(f"expected {size} hyperparameters, got {len(theta)}")
+        if not all(x > 0 and math.isfinite(x) for x in theta):
+            raise ValueError(f"hyperparameters must be positive and finite, got {theta}")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "_layout", layout)
 
     # -- construction helpers ------------------------------------------------
 
@@ -200,24 +200,11 @@ class AddTreeKernel:
         tied_scales: bool = False,
     ) -> "AddTreeKernel":
         """Uniform parameters across vertices; the usual fitting start."""
-        params = {
-            v.id: BaseKernelParams(
-                kind=kind,
-                lengthscales=tuple([lengthscale] * v.dim),
-                output_scale=output_scale,
-            )
-            for v in spec.vertices
-        }
-        return cls(
-            spec=spec, index=index, params=params,
-            zero_dim=zero_dim, tied_scales=tied_scales,
-        )
-
-    def _contributes(self, vid: str) -> bool:
-        return self.spec.vertex(vid).dim > 0 or self.zero_dim == "constant"
-
-    def _contributing(self) -> list[str]:
-        return [vid for vid in self.index.bfs_order if self._contributes(vid)]
+        layout, size = _param_layout(spec, index, zero_dim, tied_scales)
+        theta = [lengthscale] * size
+        for _, scale in layout.values():
+            theta[scale] = output_scale
+        return cls(spec, index, tuple(theta), kind, zero_dim, tied_scales)
 
     def _block(self, vid: str, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One vertex's rows in stacked slots and their value columns.
@@ -238,22 +225,23 @@ class AddTreeKernel:
         K = np.zeros((A.shape[0], B.shape[0]))
         if K.size == 0:
             return K
-        for vid in self._contributing():
+        for vid, (ls, scale) in self._layout.items():
             rows_a, Va = self._block(vid, A)
             if rows_a.size:
                 rows_b, Vb = self._block(vid, B)
-                p = self.params[vid]
                 sq = _sq_diffs(Va, Vb)
-                K[rows_a[:, None], rows_b] += _term(p.kind, p.lengthscales, p.output_scale, sq)[0]
+                K[rows_a[:, None], rows_b] += _term(
+                    self.kind, self.theta[ls], self.theta[scale], sq
+                )[0]
         return K
 
     def diag(self, A: np.ndarray) -> np.ndarray:
         """k(x, x) for each stacked row: summed contributing output scales
         on its path (each vertex term at zero distance)."""
         out = np.zeros(A.shape[0])
-        for vid in self._contributing():
+        for vid, (_, scale) in self._layout.items():
             rows, _ = self._block(vid, A)
-            out[rows] += self.params[vid].output_scale
+            out[rows] += self.theta[scale]
         return out
 
     def component_cross(
@@ -270,82 +258,55 @@ class AddTreeKernel:
         derivative d k / d V[q, d] = -s * w * (V[q, d] - x_d) / ls_d², with
         w from :func:`_lengthscale_grad_weight`.
         """
-        p = self.params[vertex_id]
+        dim = self.spec.vertex(vertex_id).dim
         V = np.asarray(V, dtype=float)
         if V.ndim == 1:
-            V = V.reshape(1, -1) if p.dim else V.reshape(1, 0)
-        if V.shape[1] != p.dim:
+            V = V.reshape(1, -1) if dim else V.reshape(1, 0)
+        if V.shape[1] != dim:
             raise ValueError(
-                f"vertex {vertex_id!r} expects {p.dim}-dim values, got {V.shape[1]}"
+                f"vertex {vertex_id!r} expects {dim}-dim values, got {V.shape[1]}"
             )
         out = np.zeros((V.shape[0], A.shape[0]))
-        grad = np.zeros((p.dim, *out.shape)) if with_grad else None
-        if A.shape[0] and self._contributes(vertex_id):
+        grad = np.zeros((dim, *out.shape)) if with_grad else None
+        if A.shape[0] and vertex_id in self._layout:
+            ls, scale = self._layout[vertex_id]
+            lengthscales, s = self.theta[ls], self.theta[scale]
             rows, VA = self._block(vertex_id, A)
             D = V.T[:, :, None] - VA.T[:, None, :]
-            term, r2, corr = _term(p.kind, p.lengthscales, p.output_scale, D * D)
+            term, r2, corr = _term(self.kind, lengthscales, s, D * D)
             out[:, rows] = term
             if with_grad:
-                w = p.output_scale * _lengthscale_grad_weight(p.kind, r2, corr)
-                grad[:, :, rows] = -w * D / np.square(p.lengthscales)[:, None, None]
+                w = s * _lengthscale_grad_weight(self.kind, r2, corr)
+                grad[:, :, rows] = -w * D / np.square(lengthscales)[:, None, None]
         return (out, grad) if with_grad else out
 
     def component_prior_variance(self, vertex_id: str) -> float:
-        if not self._contributes(vertex_id):
+        if vertex_id not in self._layout:
             return 0.0
-        return self.params[vertex_id].output_scale
+        return self.theta[self._layout[vertex_id][1]]
 
     # -- hyperparameter plumbing ----------------------------------------------
 
-    def _layout(self) -> tuple[list[tuple[str, slice, int]], int]:
-        """The log vector's length and, per contributing BFS vertex, its id,
-        the index range of its ``dim`` lengthscales and the index of its
-        scale, which follows them unless scales are tied: tied scales share
-        one trailing entry.  Under the 'zero' policy dim-0 vertices have no
-        entries (the kernel never uses them, so they are unidentifiable)."""
-        entries, pos = [], 0
-        for vid in self._contributing():
-            entries.append((vid, slice(pos, pos + self.params[vid].dim)))
-            pos += self.params[vid].dim + (not self.tied_scales)
-        if not self.tied_scales:
-            return [(vid, ls, ls.stop) for vid, ls in entries], pos
-        return [(vid, ls, pos) for vid, ls in entries], pos + bool(entries)
-
     def param_names(self) -> list[str]:
-        """Canonical order of free log-parameters for fitting (see
-        :meth:`_layout`); a tied scale is named ``shared::scale``."""
-        layout, size = self._layout()
-        names = [""] * size
-        for vid, ls, scale in layout:
+        """Names of the ``theta`` entries (see :func:`_param_layout`); a tied
+        scale is named ``shared::scale``."""
+        names = [""] * len(self.theta)
+        for vid, (ls, scale) in self._layout.items():
             names[ls] = [f"{vid}::ls{d}" for d in range(ls.stop - ls.start)]
             names[scale] = "shared::scale" if self.tied_scales else f"{vid}::scale"
         return names
 
     def get_log_params(self) -> np.ndarray:
-        """Current values in :meth:`param_names` order, as logarithms (a
-        tied scale is the first contributing vertex's)."""
-        layout, size = self._layout()
-        vec = np.empty(size)
-        for vid, ls, scale in reversed(layout):
-            vec[ls] = self.params[vid].lengthscales
-            vec[scale] = self.params[vid].output_scale
-        return np.log(vec)
+        """log(theta), the vector hyperparameter fitting works on."""
+        return np.log(self.theta)
 
     def with_log_params(self, vec: np.ndarray) -> "AddTreeKernel":
-        """The kernel with the :meth:`param_names` values exp(vec); a tied
-        scale becomes every contributing vertex's output scale."""
-        layout, size = self._layout()
-        values = np.exp(np.asarray(vec, dtype=float)).tolist()
-        if len(values) != size:
-            raise ValueError(f"expected {size} log-parameters, got {len(values)}")
-        params = dict(self.params)
-        for vid, ls, scale in layout:
-            params[vid] = BaseKernelParams(params[vid].kind, tuple(values[ls]), values[scale])
-        return replace(self, params=params)
+        """The kernel with theta = exp(vec)."""
+        return replace(self, theta=np.exp(vec))
 
     def vertex_blocks(self, A: np.ndarray) -> VertexBlocks:
         """The hyperparameter-free block data of stacked rows ``A``; it
-        depends on the kernel's structure only (contributing vertices, kinds,
+        depends on the kernel's structure only (contributing vertices and
         tied scales), so it serves every log vector of the layout."""
         index = self.index
         # Leaves sorted by their paths' BFS positions come in depth-first
@@ -361,10 +322,9 @@ class AddTreeKernel:
         order = np.argsort(dfs_rank[leaf], kind="stable")
         A = A[order]
 
-        layout, size = self._layout()
-        param_slices = [slice(0, order.size)] * size  # a tied scale's block is all of K
+        param_slices = [slice(0, order.size)] * len(self.theta)  # a tied scale's block is all of K
         slices, sq = [], []
-        for vid, ls, scale in layout:
+        for vid, (ls, scale) in self._layout.items():
             rows, V = self._block(vid, A)
             s = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
             slices.append(s)
@@ -372,9 +332,8 @@ class AddTreeKernel:
             param_slices[ls] = [s] * (ls.stop - ls.start)
             if not self.tied_scales:
                 param_slices[scale] = s
-        vertices, lengthscales, scales = zip(*layout) if layout else ((), (), ())
-        kinds = tuple(self.params[vid].kind for vid in vertices)
-        return VertexBlocks(order, vertices, kinds, tuple(slices), tuple(sq),
+        lengthscales, scales = zip(*self._layout.values()) if self._layout else ((), ())
+        return VertexBlocks(order, tuple(self._layout), tuple(slices), tuple(sq),
                             lengthscales, scales, tuple(param_slices))
 
     def gram_and_grads(
@@ -382,22 +341,20 @@ class AddTreeKernel:
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Gram matrix of the blocks' rows (in ``blocks.order``) and dK/d(log
         param) in param_names() order at ``log_params`` (the kernel's own
-        values are not read).  Derivative k is the dense diagonal block
+        theta is not read).  Derivative k is the dense diagonal block
         ``blocks.param_slices[k]`` of the full derivative, zero elsewhere.  A
         dim-0 block is its constant scale, so also its scale derivative; a
         tied scale's derivative is K itself (the same array)."""
         values = np.exp(log_params)
         K = np.zeros((blocks.order.size, blocks.order.size))
         grads: list[np.ndarray] = []
-        for kind, s, sq, ls, scale in zip(
-            blocks.kinds, blocks.slices, blocks.sq, blocks.lengthscales, blocks.scales
-        ):
+        for s, sq, ls, scale in zip(blocks.slices, blocks.sq, blocks.lengthscales, blocks.scales):
             if ls.stop == ls.start:  # r² = 0 and correlation exactly 1
                 term = np.full(sq.shape[1:], values[scale])
             else:
                 # d term / d log ls_d = w * sq_d / ls_d^2
-                term, r2, corr = _term(kind, values[ls], values[scale], sq)
-                w = values[scale] * _lengthscale_grad_weight(kind, r2, corr)
+                term, r2, corr = _term(self.kind, values[ls], values[scale], sq)
+                w = values[scale] * _lengthscale_grad_weight(self.kind, r2, corr)
                 inv_ls2 = 1.0 / np.square(values[ls])
                 grads.extend(sq * inv_ls2[:, None, None] * w)
             K[s, s] += term
@@ -410,33 +367,43 @@ class AddTreeKernel:
     # -- serialization ---------------------------------------------------------
 
     def to_config(self) -> dict:
-        """Named-parameter record: the zero-dim policy, whether scales are
-        tied, and per vertex id its kind/lengthscales/scale."""
+        """Named-parameter record: the kind, the zero-dim policy, whether
+        scales are tied, and per contributing vertex id its lengthscales and
+        output scale."""
         return {
+            "kind": self.kind,
             "zero_dim": self.zero_dim,
             "tied_scales": self.tied_scales,
             "params": {
-                vid: {
-                    "kind": p.kind,
-                    "lengthscales": list(p.lengthscales),
-                    "output_scale": p.output_scale,
-                }
-                for vid, p in ((v, self.params[v]) for v in self.index.bfs_order)
+                vid: {"lengthscales": list(self.theta[ls]), "output_scale": self.theta[scale]}
+                for vid, (ls, scale) in self._layout.items()
             },
         }
 
     @classmethod
     def from_config(cls, spec: TreeSpec, index: PathIndex, record: dict) -> "AddTreeKernel":
-        """The kernel a :meth:`to_config` record describes."""
-        params = {
-            vid: BaseKernelParams(
-                kind=entry["kind"],
-                lengthscales=tuple(float(x) for x in entry["lengthscales"]),
-                output_scale=float(entry["output_scale"]),
+        """The kernel a :meth:`to_config` record describes.  Raises
+        :class:`ValueError` when the record's vertex ids are not the
+        kernel's contributing vertices, a lengthscale count is not the
+        vertex's dim, or tied scales differ."""
+        zero_dim, tied = record["zero_dim"], record["tied_scales"]
+        layout, size = _param_layout(spec, index, zero_dim, tied)
+        params = record["params"]
+        if set(params) != set(layout):
+            raise ValueError(
+                f"record has parameters for vertices {sorted(params)}, "
+                f"the kernel's contributing vertices are {sorted(layout)}"
             )
-            for vid, entry in record["params"].items()
-        }
-        return cls(
-            spec=spec, index=index, params=params,
-            zero_dim=record["zero_dim"], tied_scales=record["tied_scales"],
-        )
+        theta = [0.0] * size
+        for vid, (ls, scale) in layout.items():
+            lengthscales = [float(x) for x in params[vid]["lengthscales"]]
+            if len(lengthscales) != ls.stop - ls.start:
+                raise ValueError(
+                    f"vertex {vid!r}: {len(lengthscales)} lengthscales for dim "
+                    f"{ls.stop - ls.start}"
+                )
+            theta[ls] = lengthscales
+            theta[scale] = float(params[vid]["output_scale"])
+        if tied and len({float(params[vid]["output_scale"]) for vid in layout}) > 1:
+            raise ValueError("tied output scales differ between vertices")
+        return cls(spec, index, tuple(theta), record["kind"], zero_dim, tied)

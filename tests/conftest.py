@@ -37,18 +37,12 @@ def jenatton():
     return bench.jenatton_objective()
 
 
-def random_kernel(spec, index, rng, zero_dim="constant", kind=None):
-    """Random hyperparameters over random kernel families, or all of ``kind``."""
-    from treebo.kernels import BaseKernelParams
-
-    params = {}
-    for v in spec.vertices:
-        params[v.id] = BaseKernelParams(
-            kind=kind or rng.choice(["se", "matern32", "matern52"]),
-            lengthscales=tuple(np.exp(rng.uniform(-1.0, 1.0, size=v.dim))),
-            output_scale=float(np.exp(rng.uniform(-1.0, 1.0))),
-        )
-    return AddTreeKernel(spec=spec, index=index, params=params, zero_dim=zero_dim)
+def random_kernel(spec, index, rng, kind=None, zero_dim="constant", tied_scales=False):
+    """A kernel of ``kind`` (one drawn at random by default) with log
+    hyperparameters drawn uniformly from [-1, 1]."""
+    kind = kind or str(rng.choice(["se", "matern32", "matern52"]))
+    kern = AddTreeKernel.default(spec, index, kind, zero_dim=zero_dim, tied_scales=tied_scales)
+    return kern.with_log_params(rng.uniform(-1.0, 1.0, size=len(kern.theta)))
 
 
 def random_points(spec, index, rng, n):
@@ -59,12 +53,13 @@ def random_points(spec, index, rng, n):
     return pts
 
 
-def random_gp_instance(seed, n=12, noise=1e-4, zero_dim="constant", max_dim=2):
-    """A random (tree, kernel, dataset) triple for inference tests."""
+def random_gp_instance(seed, n=12, noise=1e-4, max_dim=2, **kernel_args):
+    """A random (tree, kernel, dataset) triple for inference tests;
+    ``kernel_args`` go to :func:`random_kernel`."""
     rng = np.random.default_rng(seed)
     spec = random_tree_spec(seed, max_depth=3, max_fanout=2, max_dim=max_dim)
     index = build_path_index(spec)
-    kernel = random_kernel(spec, index, rng, zero_dim=zero_dim)
+    kernel = random_kernel(spec, index, rng, **kernel_args)
     pts = random_points(spec, index, rng, n)
     y = rng.normal(size=n)
     data = gp.Dataset.create(pts, y, noise=noise)

@@ -43,17 +43,26 @@ def random_tree_spec(seed, max_depth=3, max_fanout=3, max_dim=3, p_zero_dim=0.25
     return make_tree_spec(vertices, edges)
 
 
-def base_kernel(params, a, b) -> float:
+def base_kernel(kind, lengthscales, scale, a, b) -> float:
     """One vertex's base kernel between two value vectors (both empty for a
     dim-0 vertex, where it is the output scale)."""
-    r = math.sqrt(sum(((x - y) / ls) ** 2 for x, y, ls in zip(a, b, params.lengthscales)))
-    if params.kind == "se":
+    r = math.sqrt(sum(((x - y) / ls) ** 2 for x, y, ls in zip(a, b, lengthscales)))
+    if kind == "se":
         corr = math.exp(-0.5 * r * r)
-    elif params.kind == "matern32":
+    elif kind == "matern32":
         corr = (1 + math.sqrt(3) * r) * math.exp(-math.sqrt(3) * r)
     else:
         corr = (1 + math.sqrt(5) * r + 5 * r * r / 3) * math.exp(-math.sqrt(5) * r)
-    return params.output_scale * corr
+    return scale * corr
+
+
+def vertex_params(kernel, vertex_id):
+    """(kind, lengthscales, scale) of one contributing vertex, read from the
+    kernel's named-parameter record: the arguments :func:`base_kernel` takes
+    before the two value vectors."""
+    config = kernel.to_config()
+    p = config["params"][vertex_id]
+    return config["kind"], p["lengthscales"], p["output_scale"]
 
 
 def on_path(index, vertex_id, point) -> bool:
@@ -78,7 +87,7 @@ def add_tree(kernel, x, y) -> float:
             continue
         if on_path(kernel.index, v.id, x) and on_path(kernel.index, v.id, y):
             total += base_kernel(
-                kernel.params[v.id],
+                *vertex_params(kernel, v.id),
                 restrict(kernel.index, x, v.id),
                 restrict(kernel.index, y, v.id),
             )

@@ -216,6 +216,7 @@ def test_bo_config_rejects_bad_schedule_settings():
         ("noise_variance", -1.0), ("noise_variance", math.inf), ("noise_variance", math.nan),
         ("noise_floor", 0.0), ("noise_floor", -1.0), ("noise_floor", math.inf),
         ("noise_floor", math.nan), ("n_init", -3), ("n_init", -1),
+        ("kernel_kind", "cubic"), ("zero_dim", "bogus"),
     ]:
         with pytest.raises(ValueError, match=field):
             BoConfig(**{field: value})

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -62,6 +61,9 @@ def test_dataset_validation():
     p = linearize(spec, index, 0, [0.0])
     with pytest.raises(ValueError, match="targets"):
         gp.Dataset.create([p], [1.0, 2.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="target 1 is not finite"):
+            gp.Dataset.create([p, p, p], [0.0, bad, bad])
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="noise"):
             gp.Dataset.create([p], [1.0], noise=bad)
@@ -204,15 +206,9 @@ def test_component_posterior_gradients_match_finite_differences(kind):
         for zero_dim in ("constant", "zero"):
             for tied in (False, True):
                 spec, index, kern, data = random_gp_instance(
-                    seed, n=10, noise=1e-2, zero_dim=zero_dim, max_dim=3
+                    seed, n=10, noise=1e-2, max_dim=3,
+                    kind=kind, zero_dim=zero_dim, tied_scales=tied,
                 )
-                scale = kern.params[index.bfs_order[0]].output_scale
-                kern = dataclasses.replace(kern, tied_scales=tied, params={
-                    vid: dataclasses.replace(
-                        p, kind=kind, output_scale=scale if tied else p.output_scale
-                    )
-                    for vid, p in kern.params.items()
-                })
                 model = gp.fit(kern, data)
                 rng = np.random.default_rng(100 + seed)
                 for v in spec.vertices:
@@ -324,9 +320,9 @@ def test_fitting_objective_gradient_matches_finite_differences():
     # output scales; a tree whose layout is empty checks the value alone
     for seed in range(8):
         _, _, kern, data = random_gp_instance(
-            seed, n=10, noise=1e-2, zero_dim=("constant", "zero")[seed % 2]
+            seed, n=10, noise=1e-2,
+            zero_dim=("constant", "zero")[seed % 2], tied_scales=seed % 4 >= 2,
         )
-        kern = dataclasses.replace(kern, tied_scales=seed % 4 >= 2)
         objective = gp._negative_evidence(kern, data)
         vec = kern.get_log_params()
         value, grad = objective(vec)
@@ -354,8 +350,8 @@ def test_fit_hyperparameters_raises_when_every_restart_fails(jenatton):
 
 def test_fit_hyperparameters_builds_one_kernel(jenatton, monkeypatch):
     # evidence evaluations read the optimizer's log vector directly; only
-    # the winning vector becomes a kernel
-    calls = {"with_log_params": 0, "gram_and_grads": 0}
+    # the winning vector becomes a kernel (every kernel runs __post_init__)
+    calls = {"__post_init__": 0, "gram_and_grads": 0}
     for name in calls:
         def counted(self, *args, _name=name, _method=getattr(AddTreeKernel, name)):
             calls[_name] += 1
@@ -366,10 +362,11 @@ def test_fit_hyperparameters_builds_one_kernel(jenatton, monkeypatch):
     pts = random_points(jenatton.spec, jenatton.index, rng, 12)
     data = gp.Dataset.create(pts, rng.normal(size=12), noise=1e-2)
     kern = bench.BoConfig().kernel(jenatton.spec, jenatton.index)
+    calls["__post_init__"] = 0
     result = gp.fit_hyperparameters(kern, data, restarts=4, rng=rng)
     assert len(result.restart_evidences) == 4
     assert calls["gram_and_grads"] > 4
-    assert calls["with_log_params"] == 1
+    assert calls["__post_init__"] == 1
 
 
 def test_solve_lower_keeps_cho_solve_checks():
@@ -404,7 +401,7 @@ def test_fit_hyperparameters_recovers_lengthscale():
         data = gp.Dataset.create(pts, y, noise=1e-6)
         start = AddTreeKernel.default(spec, index, lengthscale=1.0)
         result = gp.fit_hyperparameters(start, data, restarts=2, rng=rng)
-        errors.append(result.kernel.params["c0"].lengthscales[0] / true_ls)
+        errors.append(result.kernel.to_config()["params"]["c0"]["lengthscales"][0] / true_ls)
     median_ratio = float(np.median(errors))
     assert 0.7 <= median_ratio <= 1.3
 
@@ -426,12 +423,21 @@ def test_fit_hyperparameters_requires_data(two_leaf):
 
 
 def test_lengthscale_cap_min_rule():
-    spec, index = chain_space((1,))
-    kern = AddTreeKernel.default(spec, index, lengthscale=0.8)
-    # schedule: g(t) = 2, theta0 = 1 -> cap 0.5; min(0.8, 0.5) = 0.5
-    capped = gp.apply_lengthscale_cap(kern, 0.5)
-    assert capped.params["c0"].lengthscales == (0.5,)
-    # a MAP value below the cap is untouched
-    small = AddTreeKernel.default(spec, index, lengthscale=0.3)
-    assert gp.apply_lengthscale_cap(small, 0.5).params["c0"].lengthscales == (0.3,)
-
+    # schedule: g(t) = 2, theta0 = 1 -> cap 0.5.  c0 follows sin(8 x) and
+    # fits below the cap; c1 is nearly linear and fits above it.  The capped
+    # fit is the uncapped one with min(ls, 0.5) per lengthscale, bitwise.
+    spec, index = chain_space((1, 1))
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-2, 2, size=(30, 2))
+    pts = [linearize(spec, index, 0, x) for x in X]
+    data = gp.Dataset.create(pts, np.sin(8 * X[:, 0]) + 0.2 * X[:, 1], noise=1e-4)
+    kern = AddTreeKernel.default(spec, index)
+    free, capped = (
+        gp.fit_hyperparameters(
+            kern, data, restarts=2, rng=np.random.default_rng(1), lengthscale_cap=cap
+        ).kernel.theta
+        for cap in (None, 0.5)
+    )
+    assert kern.param_names() == ["c0::ls0", "c0::scale", "c1::ls0", "c1::scale"]
+    assert free[0] < 0.5 < free[2]
+    assert capped == (free[0], free[1], 0.5, free[3])

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +11,8 @@ import oracles
 from conftest import random_kernel, random_points
 from oracles import random_tree_spec
 from treebo import bench
-from treebo.kernels import AddTreeKernel, BaseKernelParams, stack_points
+from treebo.kernels import AddTreeKernel, stack_points
 from treebo.tree_space import VertexSpec, build_path_index, linearize, make_tree_spec
-
-
-def se(ls=1.0, scale=1.0, dim=1):
-    return BaseKernelParams("se", tuple([ls] * dim), scale)
 
 
 def k(kern, x, y):
@@ -25,31 +20,34 @@ def k(kern, x, y):
     return float(kern.gram_matrix(stack_points([x]), stack_points([y]))[0, 0])
 
 
-def vertex_kernel(params, a, b):
+def one_vertex(dim):
+    spec = make_tree_spec([VertexSpec("v", dim, ((-100.0, 100.0),) * dim)], [])
+    return spec, build_path_index(spec)
+
+
+def vertex_kernel(kind, lengthscales, scale, a, b):
     """One vertex's base kernel between two value vectors: the add-tree
     kernel of a one-vertex tree."""
-    spec = make_tree_spec([VertexSpec("v", params.dim, ((-100.0, 100.0),) * params.dim)], [])
-    index = build_path_index(spec)
-    kern = AddTreeKernel(spec=spec, index=index, params={"v": params})
+    spec, index = one_vertex(len(lengthscales))
+    kern = AddTreeKernel(spec, index, (*lengthscales, scale), kind)
     return k(kern, linearize(spec, index, 0, a), linearize(spec, index, 0, b))
 
 
 def test_base_kernel_identical_inputs_return_scale():
-    assert vertex_kernel(se(), [0.3], [0.3]) == 1.0
-    assert vertex_kernel(se(scale=2.5), [0.3], [0.3]) == 2.5
+    assert vertex_kernel("se", (1.0,), 1.0, [0.3], [0.3]) == 1.0
+    assert vertex_kernel("se", (1.0,), 2.5, [0.3], [0.3]) == 2.5
 
 
 def test_base_kernel_se_closed_form():
     # independent scalar evaluation: exp(-0.5 * (2/1)^2) = exp(-2)
     expected = math.exp(-0.5 * ((0.0 - 2.0) / 1.0) ** 2)
-    assert vertex_kernel(se(), [0.0], [2.0]) == pytest.approx(expected, rel=1e-12)
+    assert vertex_kernel("se", (1.0,), 1.0, [0.0], [2.0]) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.1353352832366127, rel=1e-12)
 
 
 def test_base_kernel_matern_at_zero_distance():
     for kind in ("matern32", "matern52"):
-        p = BaseKernelParams(kind, (1.0,), 1.0)
-        assert vertex_kernel(p, [0.0], [0.0]) == 1.0
+        assert vertex_kernel(kind, (1.0,), 1.0, [0.0], [0.0]) == 1.0
 
 
 def test_base_kernel_matern_closed_forms():
@@ -57,10 +55,8 @@ def test_base_kernel_matern_closed_forms():
     r = abs(0.7 - 0.1) / 0.5
     m32 = (1 + math.sqrt(3) * r) * math.exp(-math.sqrt(3) * r)
     m52 = (1 + math.sqrt(5) * r + 5 * r * r / 3) * math.exp(-math.sqrt(5) * r)
-    p32 = BaseKernelParams("matern32", (0.5,), 2.0)
-    p52 = BaseKernelParams("matern52", (0.5,), 2.0)
-    assert vertex_kernel(p32, [0.7], [0.1]) == pytest.approx(2 * m32, rel=1e-12)
-    assert vertex_kernel(p52, [0.7], [0.1]) == pytest.approx(2 * m52, rel=1e-12)
+    assert vertex_kernel("matern32", (0.5,), 2.0, [0.7], [0.1]) == pytest.approx(2 * m32, rel=1e-12)
+    assert vertex_kernel("matern52", (0.5,), 2.0, [0.7], [0.1]) == pytest.approx(2 * m52, rel=1e-12)
 
 
 def test_base_kernel_dimension_mismatch(two_leaf):
@@ -74,21 +70,27 @@ def test_base_kernel_dimension_mismatch(two_leaf):
 def test_base_kernel_correlation_in_unit_interval():
     rng = np.random.default_rng(0)
     for kind in ("se", "matern32", "matern52"):
-        p = BaseKernelParams(kind, (0.7, 1.3), 1.0)
         for _ in range(100):
             a, b = rng.normal(size=2, scale=3), rng.normal(size=2, scale=3)
-            v = vertex_kernel(p, a, b)
+            v = vertex_kernel(kind, (0.7, 1.3), 1.0, a, b)
             assert 0.0 < v <= 1.0
-            assert v == pytest.approx(oracles.base_kernel(p, a, b), rel=1e-12)
+            assert v == pytest.approx(
+                oracles.base_kernel(kind, (0.7, 1.3), 1.0, a, b), rel=1e-12
+            )
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="positive"):
-        BaseKernelParams("se", (0.0,), 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        BaseKernelParams("se", (1.0,), -1.0)
+    spec, index = one_vertex(1)
+    for theta in ((0.0, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="positive"):
+            AddTreeKernel(spec, index, theta)
     with pytest.raises(ValueError, match="unknown kernel kind"):
-        BaseKernelParams("cubic", (1.0,), 1.0)
+        AddTreeKernel(spec, index, (1.0, 1.0), "cubic")
+    with pytest.raises(ValueError, match="zero_dim"):
+        AddTreeKernel(spec, index, (1.0, 1.0), zero_dim="bogus")
+    for theta in ((1.0,), (1.0, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="expected 2 hyperparameters"):
+            AddTreeKernel(spec, index, theta)
 
 
 @given(
@@ -97,10 +99,11 @@ def test_params_validation():
 )
 @settings(max_examples=80, deadline=None)
 def test_base_kernel_stationary_and_symmetric(a, b, shift, kind):
-    p = BaseKernelParams(kind, (0.8,), 1.4)
-    k0 = vertex_kernel(p, [a], [b])
-    assert vertex_kernel(p, [b], [a]) == k0
-    assert vertex_kernel(p, [a + shift], [b + shift]) == pytest.approx(k0, rel=1e-9)
+    k0 = vertex_kernel(kind, (0.8,), 1.4, [a], [b])
+    assert vertex_kernel(kind, (0.8,), 1.4, [b], [a]) == k0
+    assert vertex_kernel(kind, (0.8,), 1.4, [a + shift], [b + shift]) == pytest.approx(
+        k0, rel=1e-9
+    )
 
 
 # -- delta kernel ------------------------------------------------------------
@@ -134,7 +137,9 @@ def test_add_tree_same_leaf_sums_root_and_leaf(two_leaf):
     y = linearize(spec, index, 0, [-0.3, 0.0, 0.8, -0.2])
     expected = sum(
         oracles.base_kernel(
-            kern.params[vid], oracles.restrict(index, x, vid), oracles.restrict(index, y, vid)
+            *oracles.vertex_params(kern, vid),
+            oracles.restrict(index, x, vid),
+            oracles.restrict(index, y, vid),
         )
         for vid in ("root", "left")
     )
@@ -147,7 +152,9 @@ def test_add_tree_cross_leaf_root_only(two_leaf):
     x = linearize(spec, index, 0, [0.1, 0.2, 0.3, 0.4])
     y = linearize(spec, index, 1, [0.5, 0.6, 0.7, 0.8, 0.9])
     expected = oracles.base_kernel(
-        kern.params["root"], oracles.restrict(index, x, "root"), oracles.restrict(index, y, "root")
+        *oracles.vertex_params(kern, "root"),
+        oracles.restrict(index, x, "root"),
+        oracles.restrict(index, y, "root"),
     )
     assert k(kern, x, y) == pytest.approx(expected, rel=1e-12)
 
@@ -203,7 +210,7 @@ def test_gram_block_structure(two_leaf):
 
     def term(vid, i, j):
         return oracles.base_kernel(
-            kern.params[vid],
+            *oracles.vertex_params(kern, vid),
             oracles.restrict(index, pts[i], vid),
             oracles.restrict(index, pts[j], vid),
         )
@@ -275,11 +282,8 @@ def test_log_param_round_trip(two_leaf):
     vec = kern.get_log_params()
     back = kern.with_log_params(vec)
     np.testing.assert_allclose(back.get_log_params(), vec, rtol=1e-12)
-    for vid in index.bfs_order:
-        assert back.params[vid].kind == kern.params[vid].kind
-        np.testing.assert_allclose(
-            back.params[vid].lengthscales, kern.params[vid].lengthscales, rtol=1e-12
-        )
+    assert back.kind == kern.kind
+    np.testing.assert_allclose(back.theta, kern.theta, rtol=1e-12)
 
 
 def test_config_round_trip(two_leaf, jenatton):
@@ -291,21 +295,43 @@ def test_config_round_trip(two_leaf, jenatton):
     for spec, index in (two_leaf, (jenatton.spec, jenatton.index), (lone, build_path_index(lone))):
         for zero_dim in ("constant", "zero"):
             for tied in (False, True):
-                kern = random_kernel(spec, index, rng, zero_dim=zero_dim)
-                kern = replace(kern, tied_scales=tied)
+                kern = random_kernel(spec, index, rng, zero_dim=zero_dim, tied_scales=tied)
                 record = json.loads(json.dumps(kern.to_config()))
                 back = AddTreeKernel.from_config(spec, index, record)
+                assert back == kern
                 assert back.param_names() == kern.param_names()
                 np.testing.assert_array_equal(back.get_log_params(), kern.get_log_params())
                 X = stack_points(random_points(spec, index, rng, 4))
                 np.testing.assert_array_equal(back.gram_matrix(X), kern.gram_matrix(X))
 
+    # records that do not fit the kernel: Jenatton has 7 vertices, all of
+    # them contributing under "constant"
+    spec, index = jenatton.spec, jenatton.index
+    record = AddTreeKernel.default(spec, index, tied_scales=True).to_config()
+    ghost = json.loads(json.dumps(record))
+    ghost["params"]["ghost"] = {"lengthscales": [], "output_scale": 1.0}
+    missing = json.loads(json.dumps(record))
+    del missing["params"]["leaf00"]
+    for bad in (ghost, missing, dict(record, zero_dim="zero")):
+        with pytest.raises(ValueError, match="contributing vertices"):
+            AddTreeKernel.from_config(spec, index, bad)
+    count = json.loads(json.dumps(record))
+    count["params"]["leaf00"]["lengthscales"] = [1.0, 1.0]
+    with pytest.raises(ValueError, match="'leaf00': 2 lengthscales for dim 1"):
+        AddTreeKernel.from_config(spec, index, count)
+    unequal = json.loads(json.dumps(record))
+    unequal["params"]["leaf00"]["output_scale"] = 2.0
+    with pytest.raises(ValueError, match="tied output scales differ"):
+        AddTreeKernel.from_config(spec, index, unequal)
+    AddTreeKernel.from_config(spec, index, dict(unequal, tied_scales=False))
+
 
 def test_gram_grads_match_finite_differences():
-    # The block engine against a dense oracle: K bitwise against gram_matrix
-    # on the reordered rows of the kernel the same log vector builds (as a
-    # fit does), each derivative block scattered into an n x n matrix
-    # against central differences of gram_matrix.  The depth-4 trees have
+    # The block engine against a dense oracle, for every kind x zero_dim x
+    # tied: K bitwise against gram_matrix on the reordered rows of the
+    # kernel the same log vector builds (as a fit does), each derivative
+    # block scattered into an n x n matrix against central differences of
+    # gram_matrix.  The depth-4 trees have
     # leaves at three depths, and BFS leaf order splits one of their
     # subtrees; trees 9, 11 and 32 have contributing dim-0 vertices.
     def bfs_splits_a_subtree(index):
@@ -322,15 +348,13 @@ def test_gram_grads_match_finite_differences():
         index = build_path_index(spec)
         assert bfs_splits_a_subtree(index) == (depth == 4)
         for kind, zero_dim, tied in itertools.product(
-            ("se", "matern32", "matern52", "mixed"), ("constant", "zero"), (False, True)
+            ("se", "matern32", "matern52"), ("constant", "zero"), (False, True)
         ):
-            if kind == "mixed":
-                kern = random_kernel(spec, index, rng, zero_dim=zero_dim)
-            else:
-                kern = AddTreeKernel.default(spec, index, kind=kind, zero_dim=zero_dim)
-            kern = replace(kern, tied_scales=tied)
-            vec = rng.uniform(-1.0, 1.0, len(kern.param_names()))
-            kern = kern.with_log_params(vec)
+            start = AddTreeKernel.default(
+                spec, index, kind=kind, zero_dim=zero_dim, tied_scales=tied
+            )
+            vec = rng.uniform(-1.0, 1.0, len(start.param_names()))
+            kern = start.with_log_params(vec)
             X = stack_points(random_points(spec, index, rng, 12))
             blocks = kern.vertex_blocks(X)
             X = X[blocks.order]
@@ -340,6 +364,14 @@ def test_gram_grads_match_finite_differences():
             saw_dim0 |= any(spec.vertex(vid).dim == 0 for vid in blocks.vertices)
             K, grads = kern.gram_and_grads(blocks, vec)
             np.testing.assert_array_equal(K, kern.gram_matrix(X))
+            # a kernel at its own log vector: bitwise where exp(log(x)) is x,
+            # as for the start's ones, else to that round trip's round-off
+            np.testing.assert_array_equal(
+                start.gram_and_grads(blocks, start.get_log_params())[0], start.gram_matrix(X)
+            )
+            np.testing.assert_allclose(
+                kern.gram_and_grads(blocks, kern.get_log_params())[0], K, rtol=1e-12, atol=0
+            )
             assert len(grads) == len(blocks.param_slices) == len(vec)
             h = 1e-6
             for k, (s, G) in enumerate(zip(blocks.param_slices, grads)):
