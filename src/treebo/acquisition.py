@@ -2,14 +2,21 @@
 
 The upper confidence bound ``mu + sqrt(beta) * sigma`` is maximized one
 vertex at a time: every vertex's component posterior yields a low-dimensional
-UCB surface over that vertex's own box, each is maximized independently (a
-fixed Sobol scan, then L-BFGS-B from the best scan points with the
-closed-form gradient of the component UCB), per-path scores are the sums of
-the per-vertex maxima along the path, and the best path's argmaxes are
-concatenated into the next evaluation point.
+UCB surface over that vertex's own box, each is maximized independently, per-path
+scores are the sums of the per-vertex maxima along the path, and the best
+path's argmaxes are concatenated into the next evaluation point.
 Component means add exactly along a path, so the mean part of the path score
 is exact; the summed component deviations are a surrogate for the full
 posterior deviation.
+
+The vertices are maximized together, one batch per dimension: a fixed Sobol
+scan of every vertex's box picks its best starts, and one projected gradient
+ascent (:func:`_ascend`) climbs from all starts of all the batch's vertices
+at once, on :func:`~treebo.gp.stacked_component_posterior` with the
+closed-form gradient of the component UCB.  Each argmax is then scored once
+more by :func:`~treebo.gp.component_posterior_batch`, so every reported
+score comes from the reference posterior.  A dim-0 vertex has nothing to
+maximize; its score is that same closed form.
 
 ``beta`` follows the adaptive confidence schedule (Berkenkamp et al., JMLR
 2019): ``sqrt(beta_t)`` is the inflated norm bound ``b(t) * g(t)^d * B0``
@@ -26,10 +33,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.stats import qmc
 
-from .gp import GpModel, component_posterior_batch
+from .gp import (
+    ComponentStack,
+    GpModel,
+    component_posterior_batch,
+    component_stack,
+    stacked_component_posterior,
+)
 
 __all__ = [
     "UcbSchedule",
@@ -41,6 +53,15 @@ __all__ = [
 ]
 
 DEFAULT_NOISE_FLOOR = 1e-6
+# The per-vertex ascent (:func:`_ascend`): the projected-gradient and
+# predicted-gain tolerances relative to max(1, |score|), the Armijo constant,
+# how many recent scores the non-monotone line search keeps, and the bounds
+# of the Barzilai-Borwein multiple.
+PG_TOL = 1e-6
+GAIN_TOL = 1e-12
+ARMIJO = 1e-4
+MEMORY = 10
+STEP_MIN, STEP_MAX = 1e-10, 1e10
 
 
 @dataclass(frozen=True)
@@ -146,56 +167,120 @@ def _unit_sobol(dim: int, budget: int) -> np.ndarray:
     return pts
 
 
-def _maximize_vertex_ucb(
+def _ucb_and_grad(
+    stack: ComponentStack, lo: np.ndarray, Z: np.ndarray, sqrt_beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Component UCB of the stacked vertices at points ``Z`` (k, q, dim) in
+    lengthscale units from the box corner ``lo`` (x = lo + Z * lengthscales)
+    and its gradient in those units, taking the sigma part of the gradient
+    as 0 where sigma is 0."""
+    ls = stack.lengthscales[:, None, :]
+    means, variances, dmeans, dvariances = stacked_component_posterior(
+        stack, lo[:, None, :] + Z * ls
+    )
+    sigma = np.sqrt(variances)
+    # d sigma = d sigma^2 / (2 sigma)
+    half_inv = np.divide(0.5, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+    grad = (dmeans + sqrt_beta * half_inv[..., None] * dvariances) * ls
+    return means + sqrt_beta * sigma, grad
+
+
+def _ascend(
+    stack: ComponentStack, lo: np.ndarray, upper: np.ndarray, Z: np.ndarray, sqrt_beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize the UCB from every start row of ``Z`` (k, q, dim) at once by
+    projected gradient ascent on the boxes [0, ``upper``] (k, dim) of
+    :func:`_ucb_and_grad`'s coordinates; returns each row's best point and
+    score.
+
+    This is the spectral projected gradient method (Birgin, Martinez and
+    Raydan 2000): each step goes from z towards the projection of z plus a
+    Barzilai-Borwein multiple of the gradient, and shrinks until the
+    non-monotone Armijo condition holds against the lowest of the row's
+    last ``MEMORY`` scores.  Measuring in lengthscales makes every vertex's
+    kernel isotropic, so a short lengthscale does not make a narrow ridge.
+    A row stops once its projected gradient ``clip(z + g) - z`` is below
+    ``PG_TOL * max(1, |score|)`` in every coordinate, or once a shrunk step
+    no longer promises a gain above round-off of the score.  Every row is
+    evaluated on every pass and the finished ones are left where they are.
+    """
+    f, g = _ucb_and_grad(stack, lo, Z, sqrt_beta)
+
+    def projected(Z, g, step):
+        return np.clip(Z + step[..., None] * g, 0.0, upper[:, None, :]) - Z
+
+    def pg_norm(Z, g):
+        return np.abs(projected(Z, g, np.ones(Z.shape[:-1]))).max(axis=-1, initial=0.0)
+
+    def converged(Z, f, g):
+        return pg_norm(Z, g) <= PG_TOL * np.maximum(1.0, np.abs(f))
+
+    active = ~converged(Z, f, g)
+    # first step: the projected gradient scaled to unit length in max-norm
+    pg = pg_norm(Z, g)
+    direction = projected(Z, g, np.divide(1.0, pg, out=np.ones_like(pg), where=pg > 0))
+    t = np.ones_like(f)
+    recent = np.repeat(f[None], MEMORY, axis=0)
+    best_Z, best_f = Z, f
+    while True:
+        trial = Z + t[..., None] * direction
+        active &= np.any(trial != Z, axis=-1)
+        if not active.any():
+            return best_Z, best_f
+        f_trial, g_trial = _ucb_and_grad(stack, lo, trial, sqrt_beta)
+        slope = np.einsum("kqd,kqd->kq", g, direction)
+        floor = recent.min(axis=0)
+        # strictly above the floor, so the floor rises within MEMORY accepted steps
+        accept = active & (f_trial > floor) & (f_trial >= floor + ARMIJO * t * slope)
+        s, y = trial - Z, g_trial - g
+        curvature = -np.einsum("kqd,kqd->kq", s, y)  # > 0 where the UCB is concave along s
+        bb = np.divide(
+            np.einsum("kqd,kqd->kq", s, s), curvature,
+            out=np.full_like(f, STEP_MAX), where=curvature > 0,
+        )
+        # a rejected step shrinks to the maximum of the quadratic through
+        # the floor, the slope and f_trial, kept within [0.1 t, 0.5 t]
+        shortfall = floor + slope * t - f_trial
+        shrunk = np.divide(slope * t * t, 2.0 * shortfall, out=0.5 * t, where=shortfall > 0)
+        Z = np.where(accept[..., None], trial, Z)
+        f = np.where(accept, f_trial, f)
+        g = np.where(accept[..., None], g_trial, g)
+        recent = np.where(accept, np.concatenate([f[None], recent[:-1]]), recent)
+        better = f > best_f
+        best_Z = np.where(better[..., None], Z, best_Z)
+        best_f = np.where(better, f, best_f)
+        step = np.clip(bb, STEP_MIN, STEP_MAX)
+        direction = np.where(accept[..., None], projected(Z, g, step), direction)
+        t = np.where(accept, 1.0, np.clip(shrunk, 0.1 * t, 0.5 * t))
+        active &= ~(accept & converged(Z, f, g))
+        active &= accept | (slope * t > GAIN_TOL * np.maximum(1.0, np.abs(f)))
+
+
+def _maximize_vertices(
     model: GpModel,
-    vertex_id: str,
+    vertex_ids: list[str],
     sqrt_beta: float,
     n_starts: int,
     scan_budget: int,
-) -> tuple[np.ndarray, float]:
-    """Maximize the component UCB over one vertex's box.
+) -> np.ndarray:
+    """Argmaxes of the component UCB of equal-dimension vertices, (k, dim).
 
-    Deterministic: a fixed low-discrepancy scan picks the best ``n_starts``
-    seeds for bounded L-BFGS-B polishing.  The polish uses the closed-form
-    gradient d UCB = d mu + sqrt(beta) * d sigma^2 / (2 sigma), taking the
-    sigma part as 0 where sigma is 0.
+    Deterministic: a fixed low-discrepancy scan of each vertex's box picks its
+    best ``n_starts`` points, and one projected gradient ascent
+    (:func:`_ascend`) runs from all of them; each vertex keeps its best
+    result (the first on ties).
     """
-    vertex = model.kernel.spec.vertex(vertex_id)
-    if vertex.dim == 0:
-        means, variances = component_posterior_batch(model, vertex_id, np.zeros((1, 0)))
-        return np.empty(0), float(means[0] + sqrt_beta * math.sqrt(variances[0]))
+    stack = component_stack(model, vertex_ids)
+    bounds = np.array([model.kernel.spec.vertex(vid).bounds for vid in vertex_ids])
+    lo, hi = bounds[..., 0], bounds[..., 1]
+    upper = (hi - lo) / stack.lengthscales
 
-    lo = np.array([b[0] for b in vertex.bounds])
-    hi = np.array([b[1] for b in vertex.bounds])
-
-    scan = lo + _unit_sobol(vertex.dim, scan_budget) * (hi - lo)
-    means, variances = component_posterior_batch(model, vertex_id, scan)
-    scores = means + sqrt_beta * np.sqrt(variances)
-    order = np.argsort(-scores)[:n_starts]
-
-    def neg_score_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        mean, var, dmean, dvar = component_posterior_batch(
-            model, vertex_id, x[None, :], with_grad=True
-        )
-        sigma = math.sqrt(var[0])
-        grad = dmean[0] + (sqrt_beta / (2.0 * sigma)) * dvar[0] if sigma > 0 else dmean[0]
-        return -float(mean[0] + sqrt_beta * sigma), -grad
-
-    best_x = scan[order[0]]
-    best = float(scores[order[0]])
-    for idx in order:
-        res = minimize(
-            neg_score_and_grad,
-            scan[idx],
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(lo, hi)),
-            options={"maxiter": 60},
-        )
-        if -res.fun > best:
-            best = -float(res.fun)
-            best_x = np.clip(res.x, lo, hi)
-    return best_x, best
+    scan = _unit_sobol(lo.shape[1], scan_budget)[None] * upper[:, None, :]
+    scores, _ = _ucb_and_grad(stack, lo, scan, sqrt_beta)
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :n_starts]
+    Z, f = _ascend(stack, lo, upper, np.take_along_axis(scan, top[..., None], axis=1), sqrt_beta)
+    z = Z[np.arange(len(vertex_ids)), np.argmax(f, axis=1)]
+    return np.clip(lo + z * stack.lengthscales, lo, hi)
 
 
 def propose(
@@ -208,9 +293,10 @@ def propose(
 ) -> Proposal:
     """Run one round of per-vertex UCB maximization and pick the best path.
 
-    Vertices are maximized independently, one after another in BFS order;
-    the result is deterministic.  Ties between equal path scores resolve to
-    the lowest path index.
+    Vertices are maximized independently, all vertices of one dimension in
+    one batched ascent (see the module docstring); the result is
+    deterministic.  Ties between equal path scores resolve to the lowest
+    path index.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -223,13 +309,20 @@ def propose(
     beta_value = beta(schedule, t, info, math.sqrt(s2))
     sqrt_beta = math.sqrt(beta_value)
 
-    order = list(index.bfs_order)
-    results = [
-        _maximize_vertex_ucb(model, vid, sqrt_beta, n_starts, scan_budget)
-        for vid in order
-    ]
-    vertex_points = {vid: res[0] for vid, res in zip(order, results)}
-    vertex_ucb = {vid: res[1] for vid, res in zip(order, results)}
+    spec = model.kernel.spec
+    by_dim: dict[int, list[str]] = {}
+    for vid in index.bfs_order:
+        by_dim.setdefault(spec.vertex(vid).dim, []).append(vid)
+    points = {vid: np.empty(0) for vid in by_dim.pop(0, [])}
+    for vids in by_dim.values():
+        points.update(zip(vids, _maximize_vertices(model, vids, sqrt_beta, n_starts, scan_budget)))
+    # every score comes from the reference posterior: the closed form of a
+    # dim-0 vertex, a single-row re-score of the argmax of any other
+    vertex_points = {vid: points[vid] for vid in index.bfs_order}
+    vertex_ucb = {}
+    for vid, x in vertex_points.items():
+        means, variances = component_posterior_batch(model, vid, x[None, :])
+        vertex_ucb[vid] = float(means[0] + sqrt_beta * math.sqrt(variances[0]))
 
     path_ucb = np.array(
         [sum(vertex_ucb[vid] for vid in path) for path in index.leaf_paths]

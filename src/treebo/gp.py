@@ -23,6 +23,15 @@ points.  Two structural shortcuts come from the tree:
   along a query's path sum exactly to the full posterior mean; variances do
   not add (components are correlated under the posterior).
 
+* **Component posteriors on R_v.**  A vertex's cross-covariance is zero off
+  R_v, the rows whose path contains the vertex, so its component posterior
+  needs only α_{R_v} and (K_y^{-1})_{R_v R_v}.  :func:`component_stack`
+  gathers them once per fitted model for several vertices of one dimension,
+  padded to the longest R_v, and :func:`stacked_component_posterior`
+  evaluates means, variances and query gradients for all of them and many
+  query rows each in one batch.  It counts no clamps, so it leaves the model
+  untouched.
+
 * **Evidence on vertex blocks.**  Hyperparameter fitting computes the
   kernel's :class:`~treebo.kernels.VertexBlocks` once per fit and reorders
   the targets to match.  Each evaluation goes from the optimizer's log
@@ -47,7 +56,13 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 from scipy.optimize import minimize
 
-from .kernels import AddTreeKernel, VertexBlocks, stack_points
+from .kernels import (
+    AddTreeKernel,
+    VertexBlocks,
+    _corr_from_r2,
+    _lengthscale_grad_weight,
+    stack_points,
+)
 from .tree_space import LinearizedPoint
 
 __all__ = [
@@ -274,6 +289,92 @@ def component_posterior_batch(
     return means, variances, dmeans, dvariances
 
 
+@dataclass(frozen=True)
+class ComponentStack:
+    """What the component posteriors of equal-dimension vertices read, padded
+    to one shape.
+
+    Built by :func:`component_stack`.  For the k-th vertex stacked:
+    ``values[:, k]`` holds the vertex's values on R_v, the training rows whose
+    path contains it, one row per dimension; ``alpha[k]`` is α restricted to
+    R_v and ``K_inv[k]`` is K_y^{-1} restricted to R_v × R_v;
+    ``lengthscales[k]`` and ``scales[k]`` are the vertex's hyperparameters.
+    Shorter row sets are padded to the longest with zero values, weights and
+    inverse entries, so a padded row adds nothing to any sum.
+    """
+
+    kind: str
+    values: np.ndarray  # (dim, k, m)
+    alpha: np.ndarray  # (k, m)
+    K_inv: np.ndarray  # (k, m, m)
+    lengthscales: np.ndarray  # (k, dim)
+    scales: np.ndarray  # (k,)
+
+
+def component_stack(model: GpModel, vertex_ids) -> ComponentStack:
+    """The :class:`ComponentStack` of a fitted model's vertices, in the
+    given order; they must all have the same dimension, at least 1."""
+    kernel = model.kernel
+    dims = {kernel.spec.vertex(vid).dim for vid in vertex_ids}
+    if len(dims) != 1 or 0 in dims:
+        raise ValueError(f"stacked vertices need one dimension >= 1, got {sorted(dims)}")
+    (dim,) = dims
+    blocks = [kernel._block(vid, model.X) for vid in vertex_ids]
+    k, m = len(vertex_ids), max(rows.size for rows, _ in blocks)
+    values, alpha, K_inv = np.zeros((dim, k, m)), np.zeros((k, m)), np.zeros((k, m, m))
+    for i, (rows, V) in enumerate(blocks):
+        r = rows.size
+        values[:, i, :r] = V.T
+        alpha[i, :r] = model.alpha[rows]
+        K_inv[i, :r, :r] = model.K_inv[np.ix_(rows, rows)]
+    theta = np.asarray(kernel.theta)
+    layout = [kernel._layout[vid] for vid in vertex_ids]
+    return ComponentStack(
+        kind=kernel.kind,
+        values=values,
+        alpha=alpha,
+        K_inv=K_inv,
+        lengthscales=np.array([theta[ls] for ls, _ in layout]),
+        scales=theta[[scale for _, scale in layout]],
+    )
+
+
+def stacked_component_posterior(
+    stack: ComponentStack, V: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Component posteriors of every stacked vertex at its own query rows.
+
+    ``V`` is (k, q, dim): q query rows for each of the stack's k vertices.
+    Returns the (k, q) means and clamped variances and their (k, q, dim)
+    derivatives with respect to the query values, which equal
+    :func:`component_posterior_batch` with ``with_grad`` vertex by vertex up
+    to round-off.  A query is compared with R_v alone, so a vertex costs
+    |R_v| and not n.  Pure: unlike :func:`component_posterior_batch` it
+    counts no clamps on the model.
+    """
+    ls = stack.lengthscales[:, None, :]
+    # (dim, k, q, m) scaled differences: the dimension axis first keeps the
+    # long row axis contiguous
+    Z = (np.moveaxis(V, -1, 0)[..., None] - stack.values[:, :, None, :]) / (
+        stack.lengthscales.T[:, :, None, None]
+    )
+    r2 = np.einsum("dkqi,dkqi->kqi", Z, Z)
+    corr = _corr_from_r2(stack.kind, r2)
+    scales = stack.scales[:, None, None]
+    C = scales * corr  # (k, q, m)
+    means = np.einsum("kqi,ki->kq", C, stack.alpha)
+    KC = C @ stack.K_inv  # row (k, q) is K_y^{-1} c restricted to R_v
+    variances = stack.scales[:, None] - np.einsum("kqi,kqi->kq", KC, C)
+    neg = variances < 0
+    variances = np.where(neg, 0.0, variances)
+    # dc/dV_d = -w * (V_d - x_d) / ls_d^2 = -w * Z_d / ls_d
+    w = scales * _lengthscale_grad_weight(stack.kind, r2, corr)
+    dmeans = -np.einsum("kqi,dkqi->kqd", w * stack.alpha[:, None, :], Z) / ls
+    dvariances = 2.0 * np.einsum("kqi,dkqi->kqd", w * KC, Z) / ls
+    dvariances[neg] = 0.0
+    return means, variances, dmeans, dvariances
+
+
 def _evidence_and_grad(
     kernel: AddTreeKernel,
     blocks: VertexBlocks,
@@ -349,7 +450,9 @@ def fit_hyperparameters(
     the remaining ``restarts - 1`` starts are log-uniform draws.
     ``lengthscale_cap`` applies the min rule afterwards: every fitted
     lengthscale becomes min(lengthscale, cap), so a capped one is exactly
-    the cap.  Raises :class:`FactorizationError` when
+    the cap.  A kernel with no free hyperparameters (every vertex dim-0
+    under ``zero_dim="zero"``) is returned as it is, with its evidence as
+    the one restart evidence.  Raises :class:`FactorizationError` when
     every restart ends where the Gram matrix cannot be factorized.
     """
     if restarts < 1:
@@ -357,12 +460,20 @@ def fit_hyperparameters(
     if len(data) == 0:
         raise ValueError("hyperparameter fitting needs at least one observation")
     rng = rng if rng is not None else np.random.default_rng(0)
+    objective = _negative_evidence(kernel, data)
+    if not kernel.theta:  # nothing to fit: minimize cannot take an empty vector
+        value, _ = objective(np.empty(0))
+        if value >= FAILED_EVIDENCE:
+            raise FactorizationError(
+                "the Gram matrix is not positive definite and the kernel has no "
+                "hyperparameters to change; duplicate points with zero noise?"
+            )
+        return FitResult(kernel=kernel, log_evidence=-value, restart_evidences=[-value])
 
     is_scale = np.array([nm.endswith("::scale") for nm in kernel.param_names()])
     lo = np.where(is_scale, np.log(SCALE_BOUNDS[0]), np.log(LENGTHSCALE_BOUNDS[0]))
     hi = np.where(is_scale, np.log(SCALE_BOUNDS[1]), np.log(LENGTHSCALE_BOUNDS[1]))
     bounds = list(zip(lo, hi))
-    objective = _negative_evidence(kernel, data)
 
     starts = [np.clip(kernel.get_log_params(), lo, hi)]
     for _ in range(restarts - 1):

@@ -23,6 +23,7 @@ from treebo.bench import (
     run_regression_study,
     wilcoxon_one_sided,
 )
+from treebo.tree_space import VertexSpec, make_tree_spec
 
 
 # -- objectives ---------------------------------------------------------------
@@ -153,6 +154,19 @@ def test_independent_equals_addtree_on_single_path_space():
         assert ra.values == rb.values
         assert ra.y == rb.y
         assert ra.beta == rb.beta
+
+
+def test_independent_runs_a_chain_with_nothing_to_fit():
+    # under zero_dim="zero" leaf b's chain (root, b) has no hyperparameters;
+    # its fit once b has two points used to fail inside scipy's minimize
+    spec = make_tree_spec(
+        [VertexSpec("root", 0, ()), VertexSpec("a", 1, ((-1.0, 1.0),)), VertexSpec("b", 0, ())],
+        [("root", 0, "a"), ("root", 1, "b")],
+    )
+    obj = bench.quadratic_objective(spec, 0)
+    trace = run_bo(obj, "independent", iterations=12, seed=0, config=BoConfig(zero_dim="zero"))
+    _assert_trace_valid(trace, obj)
+    assert sum(rec.leaf == 1 for rec in trace.records) >= 2
 
 
 def test_addtree_makes_progress_on_jenatton(jenatton):

@@ -256,6 +256,96 @@ def test_component_posterior_gradient_is_zero_where_variance_is_clamped():
     assert clamped > 0
 
 
+def _stack_matches_reference(model, vertex_ids, V):
+    """Compare the stacked evaluator on ``V`` (k, q, dim) with
+    component_posterior_batch vertex by vertex; the stacked call must leave
+    the clamp count alone."""
+    stack = gp.component_stack(model, vertex_ids)
+    clamps = model.clamp_count
+    stacked = gp.stacked_component_posterior(stack, V)
+    assert model.clamp_count == clamps
+    for k, vid in enumerate(vertex_ids):
+        reference = gp.component_posterior_batch(model, vid, V[k], with_grad=True)
+        for got, want in zip(stacked, reference):
+            np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-12)
+
+
+def test_stacked_component_posterior_matches_reference():
+    # random trees with up to 3-dim vertices, every kind, both zero-dim
+    # policies, per-vertex and tied scales; every dimension's vertices are
+    # stacked together, with queries drawn in their boxes plus one
+    # training row's values (r = 0 against that row)
+    empty_rows = 0
+    for seed in range(6):
+        for kind in ("se", "matern32", "matern52"):
+            for zero_dim in ("constant", "zero"):
+                for tied in (False, True):
+                    spec, index, kern, data = random_gp_instance(
+                        seed, n=10, noise=1e-2, max_dim=3,
+                        kind=kind, zero_dim=zero_dim, tied_scales=tied,
+                    )
+                    # all the data, and only the first point's leaf's (which
+                    # leaves R_v empty for every vertex off that leaf's path)
+                    leaf = data.points[0].active_leaf
+                    one_leaf = [i for i, p in enumerate(data.points) if p.active_leaf == leaf]
+                    for points, targets in [
+                        (data.points, data.targets),
+                        ([data.points[i] for i in one_leaf], data.targets[one_leaf]),
+                    ]:
+                        model = gp.fit(kern, gp.Dataset.create(points, targets, noise=1e-2))
+                        rng = np.random.default_rng(300 + seed)
+                        by_dim = {}
+                        for v in spec.vertices:
+                            if v.dim:
+                                by_dim.setdefault(v.dim, []).append(v)
+                        for dim, vertices in by_dim.items():
+                            V = []
+                            for v in vertices:
+                                lo, hi = np.array(v.bounds).T
+                                rows = rng.uniform(lo, hi, size=(4, dim))
+                                on_path = [p for p in points if oracles.on_path(index, v.id, p)]
+                                if on_path:
+                                    rows[0] = restrict(index, on_path[0], v.id)
+                                else:
+                                    empty_rows += 1
+                                V.append(rows)
+                            _stack_matches_reference(model, [v.id for v in vertices], np.array(V))
+    assert empty_rows > 0
+
+    # the empty model: every vertex at its prior
+    spec, index, kern, _ = random_gp_instance(0, max_dim=2)
+    empty = gp.fit(kern, gp.Dataset.create([], []))
+    vertices = [v for v in spec.vertices if v.dim == 2]
+    V = np.random.default_rng(1).uniform(-1, 1, size=(len(vertices), 3, 2))
+    _stack_matches_reference(empty, [v.id for v in vertices], V)
+
+
+def test_stacked_component_posterior_clamps_without_counting():
+    # the set-up of the clamped-gradient test above: an observed value of a
+    # noiseless model, where the reference clamps a negative variance
+    spec, index = chain_space((1,))
+    pts = [linearize(spec, index, 0, [x]) for x in (0.3, 1.0)]
+    V = np.array([[[0.3], [1.5]]])
+    clamped = 0
+    for s in np.linspace(0.5, 3.0, 41):
+        kern = AddTreeKernel.default(spec, index, output_scale=float(s))
+        model = gp.fit(kern, gp.Dataset.create(pts, [1.0, -0.5], noise=0.0))
+        _stack_matches_reference(model, ["c0"], V)
+        clamped += model.clamp_count > 0
+    assert clamped > 0
+
+
+def test_component_stack_needs_one_positive_dimension(two_leaf, jenatton):
+    for (spec, index), vertex_ids in [
+        (two_leaf, ["root", "right"]),  # dims 2 and 3
+        ((jenatton.spec, jenatton.index), ["root"]),  # dim 0
+        ((jenatton.spec, jenatton.index), ["root", "n0"]),
+    ]:
+        model = gp.fit(AddTreeKernel.default(spec, index), gp.Dataset.create([], []))
+        with pytest.raises(ValueError, match="one dimension >= 1"):
+            gp.component_stack(model, vertex_ids)
+
+
 def test_posterior_variance_shrinks_with_data(jenatton):
     spec, index = jenatton.spec, jenatton.index
     kern = AddTreeKernel.default(spec, index)
@@ -420,6 +510,26 @@ def test_fit_hyperparameters_requires_data(two_leaf):
         gp.fit_hyperparameters(kern, gp.Dataset.create([], []))
     with pytest.raises(ValueError, match="restarts"):
         gp.fit_hyperparameters(kern, gp.Dataset.create([], []), restarts=0)
+
+
+def test_fit_hyperparameters_with_nothing_to_fit(monkeypatch):
+    # zero_dim="zero" on a chain of dim-0 vertices leaves no hyperparameter:
+    # the kernel comes back as it is, with its evidence, and no optimizer runs
+    spec, index = chain_space((0, 0))
+    kern = AddTreeKernel.default(spec, index, zero_dim="zero")
+    assert kern.theta == ()
+    data = gp.Dataset.create([linearize(spec, index, 0, [])] * 2, [0.4, -0.2], noise=0.1)
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("minimize ran")
+
+    monkeypatch.setattr(gp, "minimize", no_minimize)
+    result = gp.fit_hyperparameters(kern, data, restarts=3, lengthscale_cap=0.5)
+    assert result.kernel == kern
+    expected = oracles.log_evidence(gp.fit(kern, data))
+    assert result.log_evidence == pytest.approx(expected, rel=1e-12)
+    assert result.restart_evidences == [result.log_evidence]
+    with pytest.raises(gp.FactorizationError, match="no hyperparameters"):
+        gp.fit_hyperparameters(kern, gp.Dataset.create(data.points, data.targets, noise=0.0))
 
 
 def test_lengthscale_cap_min_rule():
