@@ -23,7 +23,7 @@ from scipy.stats import wilcoxon
 
 from . import gp
 from .acquisition import Proposal, UcbSchedule, propose
-from .kernels import KERNEL_KINDS, ZERO_DIM_POLICIES, AddTreeKernel
+from .kernels import KERNEL_KINDS, ZERO_DIM_POLICIES, AddTreeKernel, stack_points
 from .tree_space import (
     LinearizedPoint,
     PathIndex,
@@ -551,6 +551,17 @@ class RegressionRecord:
     mse: float
 
 
+def _test_queries(spaces: list[_Space], test) -> list[tuple[_Space, list[int], np.ndarray]]:
+    """For each space that covers a test point: the space, the indices of
+    the test points it covers, and their stacked linearizations."""
+    out = []
+    for space in spaces:
+        rows = [k for k, (leaf, _) in enumerate(test) if leaf in space.leaves]
+        if rows:
+            out.append((space, rows, stack_points([space.point(*test[k]) for k in rows])))
+    return out
+
+
 def run_regression_study(
     objective: Objective,
     train_sizes,
@@ -564,7 +575,10 @@ def run_regression_study(
     prefixes; a held-out set of ``test_size`` points scores mean squared
     error of the posterior-mean predictions.  ``addtree`` fits one GP on the
     whole tree; ``independent`` fits one GP per leaf on that leaf's chain.
-    A space without training points predicts the prior mean 0.
+    A space without training points predicts the prior mean 0.  Each space's
+    test points are linearized and stacked once per seed, and each fitted
+    model predicts all of its space's test points in one
+    :func:`~treebo.gp.posterior` call.
     """
     if test_size < 1:
         raise ValueError(f"test_size must be >= 1, got {test_size}")
@@ -583,16 +597,14 @@ def run_regression_study(
         train = [sample_branch_walk(index, rng) for _ in range(n_max)]
         y_test = np.array([_evaluate(objective, lf, vals) for lf, vals in test])
         y_train = np.array([_evaluate(objective, lf, vals) for lf, vals in train])
-        # the shared model's test set is linearized once per seed
-        whole_test = [linearize(spec, index, lf, vals) for lf, vals in test]
+        queries = [(method, _test_queries(spaces, test)) for method, spaces in methods]
 
         for n in sizes:
-            for method, spaces in methods:
+            for method, spaces in queries:
                 preds = np.zeros(test_size)
-                for space in spaces:
+                for space, test_rows, Q in spaces:
                     rows = [k for k in range(n) if train[k][0] in space.leaves]
-                    test_rows = [k for k in range(test_size) if test[k][0] in space.leaves]
-                    if not rows or not test_rows:
+                    if not rows:
                         continue
                     dset = gp.Dataset.create(
                         [space.point(*train[k]) for k in rows],
@@ -600,10 +612,7 @@ def run_regression_study(
                         noise=config.noise_variance,
                     )
                     result = config.fit(config.kernel(space.spec, space.index), dset, rng_fit)
-                    model = gp.fit(result.kernel, dset)
-                    for k in test_rows:
-                        q = whole_test[k] if method == "addtree" else space.point(*test[k])
-                        preds[k] = gp.posterior(model, q)[0]
+                    preds[test_rows] = gp.posterior(gp.fit(result.kernel, dset), Q)[0]
                 mse = float(np.mean((preds - y_test) ** 2))
                 records.append(RegressionRecord(method, n, seed, mse))
     return records

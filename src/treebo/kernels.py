@@ -379,31 +379,3 @@ class AddTreeKernel:
                 for vid, (ls, scale) in self._layout.items()
             },
         }
-
-    @classmethod
-    def from_config(cls, spec: TreeSpec, index: PathIndex, record: dict) -> "AddTreeKernel":
-        """The kernel a :meth:`to_config` record describes.  Raises
-        :class:`ValueError` when the record's vertex ids are not the
-        kernel's contributing vertices, a lengthscale count is not the
-        vertex's dim, or tied scales differ."""
-        zero_dim, tied = record["zero_dim"], record["tied_scales"]
-        layout, size = _param_layout(spec, index, zero_dim, tied)
-        params = record["params"]
-        if set(params) != set(layout):
-            raise ValueError(
-                f"record has parameters for vertices {sorted(params)}, "
-                f"the kernel's contributing vertices are {sorted(layout)}"
-            )
-        theta = [0.0] * size
-        for vid, (ls, scale) in layout.items():
-            lengthscales = [float(x) for x in params[vid]["lengthscales"]]
-            if len(lengthscales) != ls.stop - ls.start:
-                raise ValueError(
-                    f"vertex {vid!r}: {len(lengthscales)} lengthscales for dim "
-                    f"{ls.stop - ls.start}"
-                )
-            theta[ls] = lengthscales
-            theta[scale] = float(params[vid]["output_scale"])
-        if tied and len({float(params[vid]["output_scale"]) for vid in layout}) > 1:
-            raise ValueError("tied output scales differ between vertices")
-        return cls(spec, index, tuple(theta), record["kind"], zero_dim, tied)
