@@ -136,7 +136,8 @@ def mutual_information(model: GpModel, noise_variance: float) -> float:
         return 0.0
     if noise_variance <= 0:
         raise ValueError("mutual information undefined for zero noise; floor sigma^2")
-    M = np.eye(model.n) + model.K / noise_variance
+    M = model.K / noise_variance
+    M.flat[:: model.n + 1] += 1.0
     L = np.linalg.cholesky(M)
     return float(np.sum(np.log(np.diag(L))))
 

@@ -36,15 +36,21 @@ points:
   query rows each in one batch.  It counts no clamps, so it leaves the model
   untouched.
 
-* **Evidence on vertex blocks.**  Hyperparameter fitting computes the
-  kernel's :class:`~treebo.kernels.VertexBlocks` once per fit and reorders
-  the targets to match.  Each evaluation goes from the optimizer's log
-  vector straight to the Gram matrix and the per-parameter derivative blocks
-  (no kernel object is built; the fitted kernel is made once, from the
-  winning vector), computes K_y^{-1} from the Cholesky factor (LAPACK
-  ``dpotri``), and contracts each block of ``αα^T − K_y^{-1}`` with its
-  derivative: ∂L/∂θ = ½ tr((αα^T − K_y^{-1}) ∂K/∂θ) (Rasmussen & Williams
-  2006, eq. 5.9).  Evidence and gradient do not depend on the row order.
+* **Evidence on packed vertex blocks.**  Hyperparameter fitting computes the
+  kernel's :class:`~treebo.kernels.VertexBlocks` once per fit: the
+  lower-triangle entries of every contributing vertex's block, packed into
+  flat arrays.  Each evaluation goes from the optimizer's log vector straight
+  to the Gram matrix and the per-entry derivatives (no kernel object is
+  built; the fitted kernel is made once, from the winning vector), and
+  gathers ``αα^T − K_y^{-1}`` at the packed entries once, K_y^{-1} from the
+  Cholesky factor (LAPACK ``dpotri``).  Its products with the derivatives
+  are summed per block (``np.add.reduceat``) and the block sums onto the
+  parameters they belong to (one ``bincount``): ∂L/∂θ =
+  ½ tr((αα^T − K_y^{-1}) ∂K/∂θ) (Rasmussen & Williams 2006, eq. 5.9), where
+  an entry below the diagonal stands for its mirror image too.  A tied scale
+  is one index shared by every block.  Summing per block first keeps the
+  scatter short: a ``bincount`` over every entry adds into one parameter
+  many times in a row and is several times slower.
 
 The observation noise is one known variance shared by every observation
 (:attr:`Dataset.noise`); the evidence is maximized over the kernel
@@ -219,7 +225,9 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
         return GpModel(kernel, data, X, K=empty, alpha=np.empty(0), K_inv=empty, jitter=0.0)
     X = stack_points(data.points)
     K = kernel.gram_matrix(X)
-    L, jitter = _cholesky_with_jitter(K + data.noise * np.eye(len(data)))
+    K_y = K.copy()
+    K_y.flat[:: len(data) + 1] += data.noise
+    L, jitter = _cholesky_with_jitter(K_y)
     K_inv = _inverse_lower(L)
     K_inv += np.tril(K_inv, -1).T  # mirror the lower triangle
     if jitter:
@@ -383,40 +391,41 @@ def _evidence_and_grad(
     """Log marginal likelihood and gradient w.r.t. log kernel params.
 
     The kernel hyperparameters are exp(``log_params``); ``kernel`` supplies
-    only the structure.  ``y`` is in ``blocks.order``.  Each
-    derivative is a diagonal block of dK, so its gradient entry
-    ½ tr((αα^T − K^{-1}) ∂K/∂θ) is contracted on that block alone.
+    only the structure.  Every derivative is non-zero only on packed block
+    entries and their mirror images, so ½ tr((αα^T − K^{-1}) ∂K/∂θ) is a sum
+    over the packed entries.
     """
     n = y.size
-    K, grads = kernel.gram_and_grads(blocks, log_params)
-    L = np.linalg.cholesky(K + noise * np.eye(n))  # raises LinAlgError; caller decides policy
+    K, dK = kernel.gram_and_grads(blocks, log_params)
+    K.flat[:: n + 1] += noise
+    L = np.linalg.cholesky(K)  # raises LinAlgError; caller decides policy
     alpha = _solve_lower(L, y)
     lml = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L)))) - 0.5 * n * LOG2PI
-    K_inv = _inverse_lower(L)
-    inner = np.outer(alpha, alpha) - K_inv - K_inv.T
-    inner[np.diag_indices(n)] += np.diag(K_inv)
-    grad = np.array([
-        0.5 * np.einsum("ij,ij->", inner[s, s], G)
-        for s, G in zip(blocks.param_slices, grads)
-    ])
-    return lml, grad
+    # ½ (αα^T − K_y^{-1}) on the packed entries, all at i >= j: the lower
+    # triangle counts for both halves of the symmetric sum, the diagonal once
+    half_inner = np.outer(alpha, alpha) - _inverse_lower(L)
+    half_inner.flat[:: n + 1] *= 0.5
+    # each block's sums of its products with dK, then onto the parameters
+    sums = np.add.reduceat(dK * half_inner.ravel()[blocks.flat], blocks.starts, axis=1)
+    grad = np.bincount(
+        blocks.param_index.ravel(), sums.ravel(), minlength=log_params.size + 1
+    )
+    return lml, grad[:-1]  # the last entry collects the padding
 
 
 def _negative_evidence(kernel: AddTreeKernel, data: Dataset):
     """The minimization objective over log kernel params.
 
     Maps a vector to (-evidence, -gradient), or to ``(FAILED_EVIDENCE, 0)``
-    where the Gram matrix cannot be factorized.  The vertex blocks and the
-    reordered targets are computed here, once, for every evaluation; an
-    evaluation reads the kernel part of the vector directly and builds no
-    kernel object.
+    where the Gram matrix cannot be factorized.  The packed vertex blocks
+    are computed here, once, for every evaluation; an evaluation reads the
+    kernel part of the vector directly and builds no kernel object.
     """
     blocks = kernel.vertex_blocks(stack_points(data.points))
-    y = data.targets[blocks.order]
 
     def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
         try:
-            lml, grad = _evidence_and_grad(kernel, blocks, vec, y, data.noise)
+            lml, grad = _evidence_and_grad(kernel, blocks, vec, data.targets, data.noise)
         except np.linalg.LinAlgError:
             return FAILED_EVIDENCE, np.zeros_like(vec)
         if not np.isfinite(lml):

@@ -23,16 +23,18 @@ The positive hyperparameters are stored once, as the flat vector
 contributing vertex to the index range of its lengthscales and the index of
 its scale there, and every method reads them through it.  Every method
 evaluates a vertex's term only on its block: the rows whose path contains
-the vertex (:meth:`AddTreeKernel._block`), through one helper, ``_term``, on
-the raw per-dimension squared differences.  For hyperparameter fitting,
-:meth:`AddTreeKernel.vertex_blocks` does the hyperparameter-free work once:
-it orders the rows by the depth-first rank of their leaf, so each vertex's
-rows R_v are one contiguous slice, and keeps per block the squared
-differences and where the block's lengthscales and scale sit in the vector.
-:meth:`AddTreeKernel.gram_and_grads` reads exp(log vector) there, scales the
-squared differences by 1/lengthscale², adds each term into its block of the
-Gram matrix (a dim-0 block is its constant scale), and returns every
-log-parameter derivative as the dense block it is non-zero on.
+the vertex (:meth:`AddTreeKernel._block`), from the raw per-dimension squared
+differences and one helper for the scaled squared distance,
+``_scaled_sq_dist``.  For hyperparameter fitting,
+:meth:`AddTreeKernel.vertex_blocks` does the hyperparameter-free work once: it
+packs the lower-triangle entries of every contributing vertex's block
+R_v × R_v into flat arrays (vertex after vertex in BFS order), with each
+entry's index in the Gram matrix, its squared differences zero-padded to the
+largest vertex dimension, and the vector indices of its vertex's lengthscales
+and scale.  :meth:`AddTreeKernel.gram_and_grads` evaluates every entry at once
+from exp(log vector), sums the terms into the Gram matrix with one
+``bincount``, mirrors it, and returns every entry's log-parameter
+derivatives, so its numpy work does not grow with the number of vertices.
 """
 
 from __future__ import annotations
@@ -85,6 +87,19 @@ def _lengthscale_grad_weight(kind: str, r2: np.ndarray, corr: np.ndarray) -> np.
     return (5.0 / 3.0) * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
 
 
+def _scaled_sq_dist(inv_ls2, sq: np.ndarray) -> np.ndarray:
+    """r² = Σ_d inv_ls2[d] · sq[d], added up in dimension order from 0.
+
+    Every Gram entry goes through here, so the packed fitting layout and the
+    per-vertex blocks give the same bits; a matrix product may fuse the
+    multiply-adds and would not.  Zero-padded dimensions add exactly 0.
+    """
+    r2 = np.zeros(sq.shape[1:])
+    for d in range(sq.shape[0]):
+        r2 += inv_ls2[d] * sq[d]
+    return r2
+
+
 def _term(kind: str, lengthscales, scale: float, sq: np.ndarray):
     """One vertex's base-kernel values from raw squared differences.
 
@@ -93,8 +108,7 @@ def _term(kind: str, lengthscales, scale: float, sq: np.ndarray):
     the lengthscale derivatives reuse.  A dim-0 vertex has r² = 0 and
     correlation exactly 1, so its term is the constant output scale.
     """
-    d, m, n = sq.shape
-    r2 = (1.0 / np.square(lengthscales) @ sq.reshape(d, m * n)).reshape(m, n)
+    r2 = _scaled_sq_dist(1.0 / np.square(lengthscales), sq)
     corr = _corr_from_r2(kind, r2)
     return scale * corr, r2, corr
 
@@ -108,28 +122,31 @@ def stack_points(points: list[LinearizedPoint]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VertexBlocks:
-    """The hyperparameter-free part of a kernel's Gram matrix over fixed rows.
+    """The hyperparameter-free part of a kernel's Gram matrix over fixed rows,
+    packed entry by entry.
 
     Built by :meth:`AddTreeKernel.vertex_blocks` once per hyperparameter fit.
-    The rows are reordered (``order`` indexes the original rows) by the
-    depth-first rank of their leaf, so each contributing vertex's rows -- the
-    rows whose path contains it, i.e. the leaves of its subtree -- form one
-    contiguous slice.  Per contributing vertex in BFS order, ``vertices``,
-    ``slices`` and ``sq`` hold its id, slice and the raw squared differences
-    of its values on that slice, (d, |R_v|, |R_v|); ``lengthscales`` and
-    ``scales`` hold the index range of its lengthscales and the index of its
-    scale in the log vector (one index for tied scales).  ``param_slices``
-    gives, per log-parameter, the diagonal block of the Gram matrix its
-    derivative lives on.
+    A block is the lower triangle, diagonal included, of a contributing
+    vertex's R_v × R_v, R_v being the rows whose path contains the vertex
+    (the upper triangle is its mirror image).  The blocks come in BFS order,
+    empty ones left out, and their entries one after another, E =
+    Σ_v |R_v|(|R_v| + 1)/2 of them.  Per entry (i, j), i >= j, ``flat`` (E,)
+    holds i·n + j, its index into the flattened n × n Gram matrix, and
+    ``sq`` (dmax, E) its raw squared differences, dmax being the largest
+    vertex dimension, zero past its vertex's dimension.  Per block,
+    ``starts`` and ``sizes`` hold the position of its first entry and its
+    number of entries, and ``param_index``
+    (dmax + 1, blocks) the log-vector indices of its lengthscales in rows
+    0..dmax-1 (slots past the vertex's dimension hold the padding index, the
+    vector's length) and of its scale in the last row.
     """
 
-    order: np.ndarray
-    vertices: tuple[str, ...]
-    slices: tuple[slice, ...]
-    sq: tuple[np.ndarray, ...]
-    lengthscales: tuple[slice, ...]
-    scales: tuple[int, ...]
-    param_slices: tuple[slice, ...]
+    n: int
+    flat: np.ndarray
+    sq: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    param_index: np.ndarray
 
 
 def _param_layout(
@@ -305,64 +322,68 @@ class AddTreeKernel:
         return replace(self, theta=np.exp(vec))
 
     def vertex_blocks(self, A: np.ndarray) -> VertexBlocks:
-        """The hyperparameter-free block data of stacked rows ``A``; it
-        depends on the kernel's structure only (contributing vertices and
-        tied scales), so it serves every log vector of the layout."""
-        index = self.index
-        # Leaves sorted by their paths' BFS positions come in depth-first
-        # order, where the leaves of every subtree are adjacent.
-        bfs_pos = {vid: i for i, vid in enumerate(index.bfs_order)}
-        dfs = sorted(
-            range(index.n_leaves), key=lambda i: [bfs_pos[v] for v in index.leaf_paths[i]]
-        )
-        dfs_rank = np.empty(index.n_leaves, dtype=int)
-        dfs_rank[dfs] = np.arange(index.n_leaves)
-        leaf_tags = [index.offsets[leaf][0] for leaf in index.leaf_ids]
-        leaf = np.argmax(A[:, leaf_tags] >= 0, axis=1)
-        order = np.argsort(dfs_rank[leaf], kind="stable")
-        A = A[order]
-
-        param_slices = [slice(0, order.size)] * len(self.theta)  # a tied scale's block is all of K
-        slices, sq = [], []
+        """The packed block entries of stacked rows ``A``; they depend on the
+        kernel's structure only (contributing vertices and tied scales), so
+        they serve every log vector of the layout."""
+        n = A.shape[0]
+        dmax = max((ls.stop - ls.start for ls, _ in self._layout.values()), default=0)
+        flat, sq = [np.empty(0, dtype=np.intp)], [np.empty((dmax, 0))]
+        sizes, index = [], []
         for vid, (ls, scale) in self._layout.items():
             rows, V = self._block(vid, A)
-            s = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
-            slices.append(s)
-            sq.append(_sq_diffs(V, V))
-            param_slices[ls] = [s] * (ls.stop - ls.start)
-            if not self.tied_scales:
-                param_slices[scale] = s
-        lengthscales, scales = zip(*self._layout.values()) if self._layout else ((), ())
-        return VertexBlocks(order, tuple(self._layout), tuple(slices), tuple(sq),
-                            lengthscales, scales, tuple(param_slices))
+            if not rows.size:
+                continue
+            a, b = np.tril_indices(rows.size)  # K is symmetric: entries i >= j
+            dim, size = V.shape[1], a.size
+            flat.append(rows[a] * n + rows[b])
+            block_sq = np.zeros((dmax, size))
+            block_sq[:dim] = _sq_diffs(V, V)[:, a, b]
+            sq.append(block_sq)
+            sizes.append(size)
+            index.append([*range(ls.start, ls.stop), *[len(self.theta)] * (dmax - dim), scale])
+        sizes = np.array(sizes, dtype=np.intp)
+        return VertexBlocks(
+            n,
+            np.concatenate(flat),
+            np.concatenate(sq, axis=1),
+            np.cumsum(sizes) - sizes,
+            sizes,
+            np.array(index, dtype=np.intp).reshape(-1, dmax + 1).T.copy(),
+        )
 
     def gram_and_grads(
         self, blocks: VertexBlocks, log_params: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Gram matrix of the blocks' rows (in ``blocks.order``) and dK/d(log
-        param) in param_names() order at ``log_params`` (the kernel's own
-        theta is not read).  Derivative k is the dense diagonal block
-        ``blocks.param_slices[k]`` of the full derivative, zero elsewhere.  A
-        dim-0 block is its constant scale, so also its scale derivative; a
-        tied scale's derivative is K itself (the same array)."""
-        values = np.exp(log_params)
-        K = np.zeros((blocks.order.size, blocks.order.size))
-        grads: list[np.ndarray] = []
-        for s, sq, ls, scale in zip(blocks.slices, blocks.sq, blocks.lengthscales, blocks.scales):
-            if ls.stop == ls.start:  # r² = 0 and correlation exactly 1
-                term = np.full(sq.shape[1:], values[scale])
-            else:
-                # d term / d log ls_d = w * sq_d / ls_d^2
-                term, r2, corr = _term(self.kind, values[ls], values[scale], sq)
-                w = values[scale] * _lengthscale_grad_weight(self.kind, r2, corr)
-                inv_ls2 = 1.0 / np.square(values[ls])
-                grads.extend(sq * inv_ls2[:, None, None] * w)
-            K[s, s] += term
-            if not self.tied_scales:
-                grads.append(term)  # d/dlog scale
-        if self.tied_scales and blocks.vertices:
-            grads.append(K)
-        return K, grads
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gram matrix of the blocks' rows and every entry's dK/d(log param)
+        at ``log_params`` (the kernel's own theta is not read).
+
+        The derivatives come as one (dmax + 1, E) array, row d < dmax holding
+        each entry's derivative in its vertex's d-th log lengthscale (0 in
+        padded slots) and the last row the entry's term, its derivative in
+        its vertex's log scale; ``blocks.param_index`` says which parameter
+        each row of each block belongs to.  K adds the terms entry by entry in
+        the packed order, which is the order and the arithmetic of
+        :meth:`gram_matrix`, into its lower triangle and copies that to the
+        upper one, so the two agree bitwise.
+        """
+        theta = np.exp(np.append(log_params, 0.0))  # the padding index reads 1
+        per_block = theta[blocks.param_index]
+        per_block[:-1] = 1.0 / np.square(per_block[:-1])
+        per_entry = np.repeat(per_block, blocks.sizes, axis=1)
+        inv_ls2, scale = per_entry[:-1], per_entry[-1]
+        r2 = _scaled_sq_dist(inv_ls2, blocks.sq)
+        corr = _corr_from_r2(self.kind, r2)
+        dK = np.empty(per_entry.shape)
+        term = np.multiply(scale, corr, out=dK[-1])
+        # d term / d log ls_d = s * w * sq_d / ls_d^2
+        np.multiply(blocks.sq, inv_ls2, out=dK[:-1])
+        dK[:-1] *= scale * _lengthscale_grad_weight(self.kind, r2, corr)
+        K = np.bincount(blocks.flat, term, minlength=blocks.n * blocks.n)
+        # bincount gives integer zeros when there are no entries
+        K = K.astype(float, copy=False).reshape(blocks.n, blocks.n)
+        K = K + K.T  # mirror the lower triangle, doubling the diagonal exactly
+        K.flat[:: blocks.n + 1] *= 0.5
+        return K, dK
 
     # -- serialization ---------------------------------------------------------
 

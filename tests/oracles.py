@@ -4,6 +4,8 @@ Each one is written from the definitions, not through the code under test:
 the base kernels from their closed forms with ``math``, vertex membership from
 ``index.leaf_paths`` rather than from tag slots, restrictions from
 ``index.offsets``, and the evidence with dense ``slogdet`` and ``solve``.
+The block evidence engine is the per-vertex assembly that the packed fitting
+layout replaced, kept as the reference for its evidence and gradient.
 The reference UCB maximizer polishes every start on its own with scipy's
 L-BFGS-B on the reference component posterior.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 from scipy.stats import qmc
 
@@ -109,6 +112,76 @@ def log_evidence(model) -> float:
         - 0.5 * np.linalg.slogdet(K_y)[1]
         - 0.5 * y.size * math.log(2 * math.pi)
     )
+
+
+def _correlation_and_weight(kind, r2):
+    """Base-kernel correlation at scaled squared distance ``r2`` and the
+    weight w with d corr / d log ls_d = w * (scaled squared difference in d)."""
+    r = np.sqrt(r2)
+    if kind == "se":
+        corr = np.exp(-0.5 * r2)
+        return corr, corr
+    if kind == "matern32":
+        e = np.exp(-math.sqrt(3) * r)
+        return (1 + math.sqrt(3) * r) * e, 3.0 * e
+    e = np.exp(-math.sqrt(5) * r)
+    return (1 + math.sqrt(5) * r + 5 * r2 / 3) * e, 5 / 3 * (1 + math.sqrt(5) * r) * e
+
+
+def block_evidence_and_grad(kernel, points, y, noise, log_params):
+    """Log evidence of ``points`` and ``y`` under the kernel with
+    hyperparameters exp(``log_params``), and its gradient in them, from dense
+    per-vertex blocks.
+
+    The rows are ordered by the depth-first rank of their leaf, so each
+    contributing vertex's rows R_v are one contiguous slice s.  Its term is
+    added into K[s, s]; each log-parameter derivative is the dense block it
+    is non-zero on (a tied scale's is all of K), and contributes
+    ½ Σ (αα^T − K_y^{-1})[s, s] ∘ ∂K/∂θ to the gradient.
+    """
+    index = kernel.index
+    # Leaves sorted by their paths' BFS positions come in depth-first order,
+    # where the leaves of every subtree are adjacent.
+    bfs_pos = {vid: i for i, vid in enumerate(index.bfs_order)}
+    dfs = sorted(range(index.n_leaves), key=lambda i: [bfs_pos[v] for v in index.leaf_paths[i]])
+    order = sorted(range(len(points)), key=lambda i: dfs.index(points[i].active_leaf))
+    points = [points[i] for i in order]
+    y = np.asarray(y, dtype=float)[order]
+    n = len(points)
+    theta = np.exp(log_params)
+    where = {name: k for k, name in enumerate(kernel.param_names())}
+    K = np.zeros((n, n))
+    derivs = []  # (parameter index, block slice, dense derivative block)
+    for vid in index.bfs_order:
+        dim = kernel.spec.vertex(vid).dim
+        if dim == 0 and kernel.zero_dim == "zero":
+            continue
+        rows = [i for i, p in enumerate(points) if on_path(index, vid, p)]
+        s = slice(rows[0], rows[-1] + 1) if rows else slice(0, 0)
+        assert s.stop - s.start == len(rows), "rows of a vertex are not contiguous"
+        V = np.array([restrict(index, points[i], vid) for i in rows]).reshape(len(rows), dim)
+        D = V.T[:, :, None] - V.T[:, None, :]
+        sq = D * D
+        ls = [where[f"{vid}::ls{d}"] for d in range(dim)]
+        scale = where["shared::scale" if kernel.tied_scales else f"{vid}::scale"]
+        m = len(rows)
+        r2 = (1.0 / np.square(theta[ls]) @ sq.reshape(dim, m * m)).reshape(m, m)
+        corr, w = _correlation_and_weight(kernel.kind, r2)
+        term = theta[scale] * corr
+        K[s, s] += term
+        derivs += [(k, s, theta[scale] * w * sq[d] / theta[k] ** 2) for d, k in enumerate(ls)]
+        if not kernel.tied_scales:
+            derivs.append((scale, s, term))
+    if kernel.tied_scales and "shared::scale" in where:
+        derivs.append((where["shared::scale"], slice(0, n), K))
+    factor = (np.linalg.cholesky(K + noise * np.eye(n)), True)
+    alpha = cho_solve(factor, y)
+    lml = -0.5 * y @ alpha - np.sum(np.log(np.diag(factor[0]))) - 0.5 * n * math.log(2 * math.pi)
+    inner = np.outer(alpha, alpha) - cho_solve(factor, np.eye(n))
+    grad = np.zeros(len(log_params))
+    for k, s, G in derivs:
+        grad[k] += 0.5 * np.sum(inner[s, s] * G)
+    return float(lml), grad
 
 
 def ucb_and_grad(model, vertex_id, sqrt_beta, x) -> tuple[float, np.ndarray]:

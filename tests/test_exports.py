@@ -5,10 +5,13 @@ import pkgutil
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import treebo
-from treebo.kernels import AddTreeKernel
+from conftest import random_points
+from treebo import bench
+from treebo.kernels import AddTreeKernel, stack_points
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -44,7 +47,7 @@ def test_only_gp_imports_scipy_optimize():
     assert importers == ["treebo.gp"]
 
 
-def test_benchmark_tracer_names_exist():
+def test_benchmark_tracer_names_exist(jenatton):
     # perfbench's tracer wraps these functions and kernel methods by name;
     # a missing one fails every traced benchmark run.  The file is read and
     # executed in memory, so nothing is written next to it.
@@ -57,3 +60,17 @@ def test_benchmark_tracer_names_exist():
     missing += [name for name, attr in tracing.METHODS.items() if not hasattr(AddTreeKernel, attr)]
     assert tracing.FUNCTIONS and tracing.METHODS
     assert missing == []
+    # its gram_and_grads observer unpacks (K, derivatives) and adds up the
+    # bytes of K and of every derivative array: a real call through the
+    # installed tracer must be counted
+    kern = bench.BoConfig().kernel(jenatton.spec, jenatton.index)
+    X = stack_points(random_points(jenatton.spec, jenatton.index, np.random.default_rng(2), 9))
+    blocks = kern.vertex_blocks(X)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        K, grads = kern.gram_and_grads(blocks, kern.get_log_params())
+    metrics = tracer.layer_metrics()
+    assert metrics["kernels.gram_and_grads.calls"] == 1
+    out_bytes = K.nbytes + sum(G.nbytes for G in grads)
+    assert out_bytes > K.nbytes
+    assert metrics["kernels.gram_and_grads.out_mb"] * 2**20 == out_bytes

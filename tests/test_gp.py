@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ from scipy.linalg import cho_solve
 
 import oracles
 from conftest import random_gp_instance, random_kernel, random_points
-from oracles import restrict
-from treebo import bench, gp
+from oracles import random_tree_spec, restrict
+from treebo import acquisition, bench, gp
 from treebo.kernels import AddTreeKernel, stack_points
 from treebo.tree_space import VertexSpec, build_path_index, linearize, make_tree_spec
 
@@ -474,6 +475,74 @@ def test_fitting_objective_gradient_matches_finite_differences():
             fd[k] = (objective(up)[0] - objective(dn)[0]) / (2 * h)
         scale = np.maximum(np.abs(fd), 1.0)
         assert np.all(np.abs(grad - fd) / scale < 1e-5)
+
+
+def assert_evidence_matches_block_engine(kern, data):
+    lml, grad = evidence(kern, data)
+    ref_lml, ref_grad = oracles.block_evidence_and_grad(
+        kern, data.points, data.targets, data.noise, kern.get_log_params()
+    )
+    assert lml == pytest.approx(ref_lml, rel=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["se", "matern32", "matern52"])
+def test_packed_evidence_matches_block_engine(kind):
+    # the packed evidence and gradient against the per-vertex block engine
+    # at noise 1e-2, for both zero_dim policies and tied and untied scales.
+    # In the depth-4 trees the BFS leaf order splits a subtree, so the
+    # engine has to reorder rows to make every R_v contiguous; trees 9, 11
+    # and 32 have dim-0 vertices.
+    rng = np.random.default_rng(29)
+    for seed, depth in ((0, 3), (4, 3), (9, 3), (11, 4), (32, 4)):
+        spec = random_tree_spec(seed, max_depth=depth, max_dim=2)
+        index = build_path_index(spec)
+        for zero_dim, tied in itertools.product(("constant", "zero"), (False, True)):
+            kern = random_kernel(spec, index, rng, kind, zero_dim=zero_dim, tied_scales=tied)
+            pts = random_points(spec, index, rng, 12)
+            data = gp.Dataset.create(pts, rng.normal(size=12), noise=1e-2)
+            assert_evidence_matches_block_engine(kern, data)
+
+
+def test_packed_evidence_edge_cases():
+    # an empty layout: every vertex is dim-0 under zero_dim="zero", so K = 0
+    spec, index = chain_space((0, 0))
+    kern = AddTreeKernel.default(spec, index, zero_dim="zero")
+    assert kern.vertex_blocks(np.zeros((3, index.width))).flat.size == 0
+    p = linearize(spec, index, 0, [])
+    assert_evidence_matches_block_engine(
+        kern, gp.Dataset.create([p] * 3, [0.4, -0.2, 0.1], noise=1e-2)
+    )
+    # one observation, on every kind with per-vertex and tied scales
+    spec, index = chain_space((0, 1, 2))
+    p = linearize(spec, index, 0, [0.3, -0.5, 1.1])
+    rng = np.random.default_rng(5)
+    for kind, tied in itertools.product(("se", "matern32", "matern52"), (False, True)):
+        kern = random_kernel(spec, index, rng, kind, tied_scales=tied)
+        assert_evidence_matches_block_engine(kern, gp.Dataset.create([p], [0.7], noise=1e-2))
+
+
+def test_noise_is_added_on_the_diagonal_bitwise(monkeypatch):
+    # gp.fit, the fitting objective and mutual_information add the noise to
+    # the diagonal in place; each factors bitwise K + noise * I
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def recording(M):
+        factored.append(M.copy())
+        return cholesky(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    for seed in range(4):
+        _, _, kern, data = random_gp_instance(seed, n=10, noise=1e-2)
+        model = gp.fit(kern, data)
+        evidence(kern, data)
+        acquisition.mutual_information(model, 0.3)
+        K_y = model.K + data.noise * np.eye(10)
+        assert len(factored) == 3
+        for M, expected in zip(factored, (K_y, K_y, np.eye(10) + model.K / 0.3)):
+            np.testing.assert_array_equal(M, expected)
+        factored.clear()
 
 
 def test_fit_hyperparameters_raises_when_every_restart_fails(jenatton):

@@ -318,26 +318,18 @@ def test_config_round_trip(two_leaf, jenatton):
 
 
 def test_gram_grads_match_finite_differences():
-    # The block engine against a dense oracle, for every kind x zero_dim x
-    # tied: K bitwise against gram_matrix on the reordered rows of the
-    # kernel the same log vector builds (as a fit does), each derivative
-    # block scattered into an n x n matrix against central differences of
-    # gram_matrix.  The depth-4 trees have
-    # leaves at three depths, and BFS leaf order splits one of their
-    # subtrees; trees 9, 11 and 32 have contributing dim-0 vertices.
-    def bfs_splits_a_subtree(index):
-        for vid in index.bfs_order:
-            leaves = [i for i, path in enumerate(index.leaf_paths) if vid in path]
-            if leaves[-1] - leaves[0] + 1 != len(leaves):
-                return True
-        return False
-
+    # The packed engine against a dense oracle, for every kind x zero_dim x
+    # tied: each contributing vertex's entries are exactly the lower triangle
+    # (i >= j) of R_v x R_v, K is bitwise gram_matrix of the kernel the same
+    # log vector builds (as a fit does), and each parameter's per-entry
+    # derivatives, scattered into an n x n matrix and mirrored, match central
+    # differences of gram_matrix.  Trees 9, 11 and 32 have contributing dim-0
+    # vertices; every tree has 2-dim vertices.
     rng = np.random.default_rng(13)
     saw_dim0 = False
     for seed, depth in ((0, 3), (4, 3), (9, 3), (11, 4), (32, 4)):
         spec = random_tree_spec(seed, max_depth=depth, max_dim=2)
         index = build_path_index(spec)
-        assert bfs_splits_a_subtree(index) == (depth == 4)
         for kind, zero_dim, tied in itertools.product(
             ("se", "matern32", "matern52"), ("constant", "zero"), (False, True)
         ):
@@ -346,14 +338,25 @@ def test_gram_grads_match_finite_differences():
             )
             vec = rng.uniform(-1.0, 1.0, len(start.param_names()))
             kern = start.with_log_params(vec)
-            X = stack_points(random_points(spec, index, rng, 12))
+            points = random_points(spec, index, rng, 12)
+            X = stack_points(points)
+            n = X.shape[0]
             blocks = kern.vertex_blocks(X)
-            X = X[blocks.order]
-            for vid, s in zip(blocks.vertices, blocks.slices):  # R_v is the slice
-                on = X[:, index.offsets[vid][0]] >= 0
-                np.testing.assert_array_equal(np.flatnonzero(on), np.arange(X.shape[0])[s])
-            saw_dim0 |= any(spec.vertex(vid).dim == 0 for vid in blocks.vertices)
-            K, grads = kern.gram_and_grads(blocks, vec)
+            pos, starts = 0, []  # entries vertex after vertex
+            for vid in index.bfs_order:
+                if spec.vertex(vid).dim == 0 and zero_dim == "zero":
+                    continue
+                saw_dim0 |= spec.vertex(vid).dim == 0
+                R = np.array([i for i, p in enumerate(points) if oracles.on_path(index, vid, p)])
+                if R.size:  # a vertex on no row's path has no block
+                    starts.append(pos)
+                    lower = [i * n + j for i in R for j in R if i >= j]
+                    np.testing.assert_array_equal(blocks.flat[pos : pos + len(lower)], lower)
+                    pos += len(lower)
+            np.testing.assert_array_equal(blocks.starts, starts)
+            np.testing.assert_array_equal(blocks.sizes, np.diff(starts, append=pos))
+            assert blocks.flat.size == pos
+            K, dK = kern.gram_and_grads(blocks, vec)
             np.testing.assert_array_equal(K, kern.gram_matrix(X))
             # a kernel at its own log vector: bitwise where exp(log(x)) is x,
             # as for the start's ones, else to that round trip's round-off
@@ -363,11 +366,15 @@ def test_gram_grads_match_finite_differences():
             np.testing.assert_allclose(
                 kern.gram_and_grads(blocks, kern.get_log_params())[0], K, rtol=1e-12, atol=0
             )
-            assert len(grads) == len(blocks.param_slices) == len(vec)
+            param_index = np.repeat(blocks.param_index, blocks.sizes, axis=1)
+            assert dK.shape == param_index.shape
+            assert not dK[param_index == len(vec)].any()  # padding slots
+            flat = np.broadcast_to(blocks.flat, dK.shape)
             h = 1e-6
-            for k, (s, G) in enumerate(zip(blocks.param_slices, grads)):
-                full = np.zeros_like(K)
-                full[s, s] = G
+            for k in range(len(vec)):
+                mine = param_index == k
+                full = np.bincount(flat[mine], dK[mine], minlength=n * n).reshape(n, n)
+                full += np.tril(full, -1).T
                 up, dn = vec.copy(), vec.copy()
                 up[k] += h
                 dn[k] -= h
