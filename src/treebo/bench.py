@@ -240,6 +240,11 @@ class BoConfig:
     """Knobs shared by every optimizer run.
 
     ``n_init=None`` resolves to 4 plus the space's continuous dimension.
+    ``restarts`` is the number of L-BFGS-B starts of a full hyperparameter
+    fit: the previous kernel plus ``restarts - 1`` log-uniform draws.  Every
+    regression fit is a full fit; an optimization loop runs one on its first
+    refit and whenever its data has at least doubled since its last full
+    fit, and otherwise one warm-started run from the previous fit.
     ``gamma_g``/``gamma_b`` of zero mean no schedule adaptation (constant
     norm bound); fitted lengthscales are always capped by the min rule at
     ``theta0 / g(t)``, which stops evidence maximization from flattening a
@@ -296,16 +301,21 @@ class BoConfig:
             tied_scales=self.tie_scales,
         )
 
-    def fit(self, kernel, data, rng, t: float = 0.0, schedule=None) -> "gp.FitResult":
+    def fit(
+        self, kernel, data, rng, t: float = 0.0, schedule=None, warm: bool = False
+    ) -> "gp.FitResult":
         """One hyperparameter refit under this config's policy.
 
-        The min-rule lengthscale cap applies only inside the optimization
-        loop (when a schedule is passed); plain regression fits are uncapped.
+        A full fit starts from ``kernel`` and ``restarts - 1`` draws from
+        ``rng``; a ``warm`` fit is one L-BFGS-B run from ``kernel`` and draws
+        nothing.  The min-rule lengthscale cap applies only inside the
+        optimization loop (when a schedule is passed); plain regression fits
+        are uncapped.
         """
         return gp.fit_hyperparameters(
             kernel,
             data,
-            restarts=self.restarts,
+            restarts=1 if warm else self.restarts,
             rng=rng,
             lengthscale_cap=None if schedule is None else schedule.lengthscale_cap(t),
         )
@@ -426,7 +436,14 @@ def _model_spaces(algorithm: str, spec: TreeSpec, index: PathIndex) -> list[_Spa
 
 
 class _GpLoop:
-    """One GP-UCB loop on one space: its kernel, observations and schedule."""
+    """One GP-UCB loop on one space: its kernel, observations and schedule.
+
+    A refit is a full multi-start (``config.restarts`` starts, drawing from
+    ``rng_fit``) on the first refit and whenever the data has at least
+    doubled since the last full one (``full_fit_size``); every other refit
+    is one L-BFGS-B run from the previous fit, and falls back to a full one
+    in the same step if that run fails.
+    """
 
     def __init__(self, space: _Space, config: BoConfig):
         self.space = space
@@ -434,12 +451,29 @@ class _GpLoop:
         self.kernel = config.kernel(space.spec, space.index)
         self.data = gp.Dataset.create([], [], noise=config.noise_variance)
         self.schedule = config.schedule(space.spec.total_dimension)
+        self.full_fit_size = 0
+
+    def refit(self, t: int, rng_fit: np.random.Generator) -> None:
+        """Refit the kernel to the data under the doubling rule."""
+        n = len(self.data)
+        args = (self.kernel, self.data, rng_fit, t, self.schedule)
+        if n < 2 * self.full_fit_size:
+            # a failed warm start is a FactorizationError or whatever the
+            # optimizer raised (fit_hyperparameters counts any exception as a
+            # failed start); a full fit follows at once
+            try:
+                self.kernel = self.config.fit(*args, warm=True).kernel
+                return
+            except Exception as exc:
+                logger.warning("t=%d: warm refit failed (%r); running a full refit", t, exc)
+        self.kernel = self.config.fit(*args).kernel
+        self.full_fit_size = n
 
     def suggest(self, t: int, rng_fit: np.random.Generator) -> Proposal:
         """Refit (from two points on), condition on -y and maximize the UCB."""
         config = self.config
         if len(self.data) >= 2:
-            self.kernel = config.fit(self.kernel, self.data, rng_fit, t, self.schedule).kernel
+            self.refit(t, rng_fit)
         # minimization runs the UCB machinery on -f
         model = gp.fit(self.kernel, replace(self.data, targets=-self.data.targets))
         return propose(
@@ -468,8 +502,12 @@ def run_bo(
     All algorithms draw their initialization phase from the same seed stream,
     so traces with equal seeds are paired across algorithms.  ``addtree`` is
     one GP loop on the whole tree; ``independent`` is one loop per leaf on
-    that leaf's chain; ``random`` has no loop.  A model-based step asks every
-    loop for its path scores and takes the best leaf (the lowest on ties).
+    that leaf's chain; ``random`` has no loop.  A loop refits its
+    hyperparameters with ``config.restarts`` starts on its first refit and
+    whenever its data has at least doubled since its last such fit, and with
+    one warm start from the previous fit in between.  A model-based step
+    asks every loop for its path scores and takes the best leaf (the lowest
+    on ties).
     The loops maximize the confidence bound of the negated objective
     (minimization).
     """

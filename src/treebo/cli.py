@@ -89,7 +89,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
     flag("--n-init", "n_init", "random iterations before model-based proposals "
          "(default: 4 + continuous dimension)", type=int)
-    flag("--restarts", "restarts", "hyperparameter optimizer restarts per refit", type=int)
+    flag("--restarts", "restarts", "hyperparameter optimizer starts of a full refit; a BO "
+         "loop runs one on its first refit and when its data has doubled since the last, "
+         "and one warm start from the previous fit otherwise", type=int)
     flag("--theta0", "theta0", "initial lengthscale guess", type=float)
     flag("--b0", "B0", "initial norm-bound guess", type=float)
     flag("--delta", "delta", "confidence level in (0,1)", type=float)

@@ -3,24 +3,25 @@
 Inference follows the standard zero-mean GP equations on the linearized
 points:
 
-* **One batched prediction on K_y^{-1}.**  :func:`fit` keeps α = K_y^{-1} y
-  and K_y^{-1} itself (LAPACK ``dpotri`` on the Cholesky factor).  For a
-  query with cross-covariance c, μ = c^T α and σ² = k(x, x) − c^T K_y^{-1} c;
+* **One batched prediction on the Cholesky factor.**  :func:`fit` keeps the
+  lower Cholesky factor L of K_y, α = K_y^{-1} y and K_y^{-1} itself (LAPACK
+  ``dpotri`` on L).  For a query with cross-covariance c, μ = c^T α and
+  σ² = k(x, x) − ‖L^{-1} c‖², one triangular solve (LAPACK ``dtrtrs``);
   :func:`posterior` evaluates them for many stacked query rows at once.  No
   row selection is needed: rows that share no kernel-contributing vertex
   with the query path are uncorrelated with it and with every row that does
   (shared vertices form a root prefix, and of three leaves' lowest common
-  ancestors the two shallowest coincide), so K_y^{-1} is block-diagonal up
-  to a row permutation and the full-data formula equals the one on the
-  relevant rows alone.  Near repeated observations at small noise, entries
-  of K_y^{-1} grow like 1/noise and c^T K_y^{-1} c cancels against k(x, x),
-  so the variance carries round-off that grows as the noise shrinks (about
-  1e-6 of a Jenatton UCB score at noise 1e-8).
+  ancestors the two shallowest coincide), so K_y is block-diagonal up to a
+  row permutation and the full-data formula equals the one on the relevant
+  rows alone.  The squared norm cannot go negative, so a variance keeps its
+  accuracy where K_y is nearly singular; the equal c^T K_y^{-1} c can come
+  out wrong by the whole prior there, because entries of K_y^{-1} grow like
+  1/noise near repeated observations.
 
 * **Component posteriors.**  The kernel is a sum of per-vertex terms, so each
   vertex has its own latent component.  Its conditional mean/variance given
   all observations uses the same formula with c restricted to that vertex's
-  term, masked by path membership: μ = c^T α and σ² = s_v − c^T K_y^{-1} c.
+  term, masked by path membership: μ = c^T α and σ² = s_v − ‖L^{-1} c‖².
   With J = ∂c/∂v from
   :meth:`~treebo.kernels.AddTreeKernel.component_cross`, the gradients in the
   query values are ∂μ = J^T α and ∂σ² = −2 J^T K_y^{-1} c.  Component means
@@ -33,8 +34,8 @@ points:
   gathers them once per fitted model for several vertices of one dimension,
   padded to the longest R_v, and :func:`stacked_component_posterior`
   evaluates means, variances and query gradients for all of them and many
-  query rows each in one batch.  It counts no clamps, so it leaves the model
-  untouched.
+  query rows each in one batch, with σ² = s_v − c^T K_y^{-1} c on the
+  gathered blocks.  It counts no clamps, so it leaves the model untouched.
 
 * **Evidence on packed vertex blocks.**  Hyperparameter fitting computes the
   kernel's :class:`~treebo.kernels.VertexBlocks` once per fit: the
@@ -173,6 +174,15 @@ def _inverse_lower(L: np.ndarray) -> np.ndarray:
     return K_inv
 
 
+def _forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^{-1} B for a lower triangular ``L`` (LAPACK ``dtrtrs``).  Raises
+    :class:`numpy.linalg.LinAlgError` when ``dtrtrs`` reports failure."""
+    x, info = lapack.dtrtrs(L, B, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+    return x
+
+
 def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with L L^T x = b from a lower Cholesky factor (LAPACK ``dpotrs``, the
     routine :func:`scipy.linalg.cho_solve` wraps, with its checks): raises
@@ -190,9 +200,10 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 class GpModel:
     """A fitted GP: kernel, data, stacked slots ``X`` and Gram matrix ``K``.
 
-    ``alpha`` is K_y^{-1} y and ``K_inv`` the full symmetric K_y^{-1}, both
-    from the (possibly jittered) Cholesky factor of K_y = K + noise·I; every
-    posterior query reads them.  ``jitter`` is the
+    ``L`` is the lower (possibly jittered) Cholesky factor of
+    K_y = K + noise·I, ``alpha`` is K_y^{-1} y and ``K_inv`` the full
+    symmetric K_y^{-1}, both from ``L``.  Posterior means read ``alpha``,
+    variances ``L`` and variance gradients ``K_inv``.  ``jitter`` is the
     diagonal jitter the factorization needed (0 when none).  Treat instances
     as immutable after :func:`fit`, apart from ``clamp_count``: posterior
     queries add the number of numerically negative predictive variances they
@@ -203,6 +214,7 @@ class GpModel:
     data: Dataset
     X: np.ndarray
     K: np.ndarray
+    L: np.ndarray
     alpha: np.ndarray
     K_inv: np.ndarray
     jitter: float
@@ -222,7 +234,7 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
     """
     if len(data) == 0:  # LAPACK's dpotrs and dpotri reject 0 x 0 inputs
         empty, X = np.empty((0, 0)), np.empty((0, kernel.index.width))
-        return GpModel(kernel, data, X, K=empty, alpha=np.empty(0), K_inv=empty, jitter=0.0)
+        return GpModel(kernel, data, X, empty, empty, np.empty(0), empty, jitter=0.0)
     X = stack_points(data.points)
     K = kernel.gram_matrix(X)
     K_y = K.copy()
@@ -232,25 +244,26 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
     K_inv += np.tril(K_inv, -1).T  # mirror the lower triangle
     if jitter:
         logger.debug("fit: n=%d jitter=%.3e", len(data), jitter)
-    return GpModel(kernel, data, X, K, _solve_lower(L, data.targets), K_inv, jitter)
+    return GpModel(kernel, data, X, K, L, _solve_lower(L, data.targets), K_inv, jitter)
 
 
 def _predict(model: GpModel, C: np.ndarray, prior: float | np.ndarray) -> tuple[np.ndarray, ...]:
-    """Means C α and variances prior − diag(C K_y^{-1} C^T) of the queries
-    whose cross-covariances with the training rows are the rows of ``C``.
+    """Means C α and variances prior − ‖L^{-1} c‖² of the queries whose
+    cross-covariances c with the training rows are the rows of ``C``.
 
-    Negative variances are clamped to 0 and counted on the model.  Also
-    returns C K_y^{-1} and the mask of clamped rows, which the gradients
-    read.
+    Negative variances (round-off where the variance is about 0) are
+    clamped to 0 and counted on the model.  Also returns the mask of clamped
+    rows, which the gradients read.
     """
     means = C @ model.alpha
-    KC = C @ model.K_inv  # row q is K_y^{-1} c_q
-    variances = prior - np.einsum("ij,ij->i", KC, C)
+    # a model with no data has no factor to solve with (dtrtrs rejects 0 x 0)
+    W = _forward_solve(model.L, C.T) if model.n else C.T  # column q is L^{-1} c_q
+    variances = prior - np.einsum("iq,iq->q", W, W)
     neg = variances < 0
     if np.any(neg):
         model.clamp_count += int(neg.sum())
         variances = np.where(neg, 0.0, variances)
-    return means, variances, KC, neg
+    return means, variances, neg
 
 
 def posterior(model: GpModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,12 +272,13 @@ def posterior(model: GpModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``Q`` is (m, width), e.g. :func:`~treebo.kernels.stack_points` of
     linearized points.  Returns two length-m arrays, from one cross-covariance
     matrix against all training rows (exact, see the module docstring); each
-    variance is clamped to ``[0, k(x, x)]``.  An empty model returns means 0
-    and variances k(x, x).
+    variance lies in ``[0, k(x, x)]``.  An empty model returns means 0 and
+    variances k(x, x).
     """
-    k_diag = model.kernel.diag(Q)
-    means, variances, _, _ = _predict(model, model.kernel.gram_matrix(Q, model.X), k_diag)
-    return means, np.minimum(variances, k_diag)
+    means, variances, _ = _predict(
+        model, model.kernel.gram_matrix(Q, model.X), model.kernel.diag(Q)
+    )
+    return means, variances
 
 
 def component_posterior_batch(
@@ -286,11 +300,11 @@ def component_posterior_batch(
         C, J = model.kernel.component_cross(vertex_id, V, model.X, with_grad=True)
     else:
         C = model.kernel.component_cross(vertex_id, V, model.X)  # (m, n)
-    means, variances, KC, neg = _predict(model, C, prior)
+    means, variances, neg = _predict(model, C, prior)
     if not with_grad:
         return means, variances
     dmeans = (J @ model.alpha).T
-    dvariances = -2.0 * np.einsum("dqi,qi->qd", J, KC)
+    dvariances = -2.0 * np.einsum("dqi,qi->qd", J, C @ model.K_inv)
     dvariances[neg] = 0.0
     return means, variances, dmeans, dvariances
 
@@ -437,9 +451,14 @@ def _negative_evidence(kernel: AddTreeKernel, data: Dataset):
 
 @dataclass
 class FitResult:
+    """The fitted kernel, its log evidence, the best evidence each restart
+    reached, and ``evaluations``: the objective evaluations summed over the
+    restarts (1 when there was nothing to fit)."""
+
     kernel: AddTreeKernel
     log_evidence: float
     restart_evidences: list[float]
+    evaluations: int
 
 
 def fit_hyperparameters(
@@ -475,7 +494,9 @@ def fit_hyperparameters(
                 "the Gram matrix is not positive definite and the kernel has no "
                 "hyperparameters to change; duplicate points with zero noise?"
             )
-        return FitResult(kernel=kernel, log_evidence=-value, restart_evidences=[-value])
+        return FitResult(
+            kernel=kernel, log_evidence=-value, restart_evidences=[-value], evaluations=1
+        )
 
     is_scale = np.array([nm.endswith("::scale") for nm in kernel.param_names()])
     lo = np.where(is_scale, np.log(SCALE_BOUNDS[0]), np.log(LENGTHSCALE_BOUNDS[0]))
@@ -488,6 +509,7 @@ def fit_hyperparameters(
 
     best_vec, best_val = None, np.inf
     evidences: list[float] = []
+    evaluations = 0
     last_error: Exception | None = None
     for s in starts:
         try:
@@ -499,6 +521,7 @@ def fit_hyperparameters(
             last_error = exc
             continue
         evidences.append(-float(res.fun))
+        evaluations += res.nfev
         if res.fun < best_val:
             best_val, best_vec = float(res.fun), res.x
     if best_vec is None:
@@ -520,4 +543,5 @@ def fit_hyperparameters(
         kernel=replace(kernel, theta=theta),
         log_evidence=-best_val,
         restart_evidences=evidences,
+        evaluations=evaluations,
     )

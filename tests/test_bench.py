@@ -9,7 +9,7 @@ import pytest
 import scipy.stats
 from scipy.optimize import minimize
 
-from treebo import bench
+from treebo import bench, gp
 from treebo.bench import (
     BoConfig,
     IterationRecord,
@@ -175,6 +175,65 @@ def test_addtree_makes_progress_on_jenatton(jenatton):
     _assert_trace_valid(trace, jenatton)
     assert any(rec.beta is not None for rec in trace.records[4:])
     assert trace.records[-1].best - 0.1 < 0.05
+
+
+def _spy_fits(monkeypatch, fail_warm_at=()):
+    """Record every hyperparameter fit as (loop, n, restarts, drew from rng);
+    a one-start fit on a data size in ``fail_warm_at`` raises instead."""
+    calls = []
+    inner = gp.fit_hyperparameters
+
+    def spy(kernel, data, **kwargs):
+        state = kwargs["rng"].bit_generator.state
+        calls.append([id(kernel.spec), len(data), kwargs["restarts"], None])
+        if kwargs["restarts"] == 1 and len(data) in fail_warm_at:
+            raise gp.FactorizationError("forced")
+        try:
+            return inner(kernel, data, **kwargs)
+        finally:
+            calls[-1][3] = kwargs["rng"].bit_generator.state != state
+
+    monkeypatch.setattr(gp, "fit_hyperparameters", spy)
+    return calls
+
+
+@pytest.mark.parametrize("algorithm", ["addtree", "independent"])
+def test_loop_refits_fully_at_first_and_when_data_doubles(jenatton, monkeypatch, algorithm):
+    cfg = BoConfig(restarts=3)
+    calls = _spy_fits(monkeypatch)
+    trace = run_bo(jenatton, algorithm, iterations=30, seed=2, config=cfg)
+    _assert_trace_valid(trace, jenatton)
+    full_size = {}  # per loop: the data size at its last full fit
+    for loop, n, restarts, drew in calls:
+        full = n >= 2 * full_size.get(loop, 0)
+        assert restarts == (cfg.restarts if full else 1)
+        assert drew == full  # rng_fit is drawn only by full fits
+        if full:
+            full_size[loop] = n
+    kinds = [restarts for _, _, restarts, _ in calls]
+    assert kinds.count(1) > kinds.count(cfg.restarts) >= len(full_size)
+
+
+def test_failed_warm_refit_falls_back_to_a_full_one(jenatton, monkeypatch):
+    cfg = BoConfig(restarts=3)
+    calls = _spy_fits(monkeypatch, fail_warm_at=(13,))
+    trace = run_bo(jenatton, "addtree", iterations=30, seed=2, config=cfg)
+    _assert_trace_valid(trace, jenatton)
+    assert len(trace.records) == 30
+    # the first fit is full at n_init = 10 points; the warm fit that fails
+    # at n = 13 is followed by a full one in the same step, which moves the
+    # next full fit from n = 20 to n = 26
+    sizes = [(n, restarts) for _, n, restarts, _ in calls]
+    assert sizes[:5] == [(10, 3), (11, 1), (12, 1), (13, 1), (13, 3)]
+    assert [n for n, restarts in sizes if restarts == 3] == [10, 13, 26]
+
+
+def test_regression_study_fits_with_every_restart(jenatton, monkeypatch):
+    calls = _spy_fits(monkeypatch)
+    run_regression_study(
+        jenatton, train_sizes=[4, 8, 12], test_size=5, seeds=[0], config=BoConfig(restarts=2)
+    )
+    assert calls and all(restarts == 2 and drew for _, _, restarts, drew in calls)
 
 
 def test_objective_failure_flushes_partial_trace(tmp_path, jenatton):

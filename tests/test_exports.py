@@ -47,7 +47,7 @@ def test_only_gp_imports_scipy_optimize():
     assert importers == ["treebo.gp"]
 
 
-def test_benchmark_tracer_names_exist(jenatton):
+def test_benchmark_tracer_names_exist(jenatton, monkeypatch):
     # perfbench's tracer wraps these functions and kernel methods by name;
     # a missing one fails every traced benchmark run.  The file is read and
     # executed in memory, so nothing is written next to it.
@@ -74,3 +74,26 @@ def test_benchmark_tracer_names_exist(jenatton):
     out_bytes = K.nbytes + sum(G.nbytes for G in grads)
     assert out_bytes > K.nbytes
     assert metrics["kernels.gram_and_grads.out_mb"] * 2**20 == out_bytes
+    # its fit_hyperparameters observer reads the requested restarts from the
+    # keyword (10 when absent, the default) and counts the restarts that
+    # succeeded: over a run with full and one-start refits, what it counts
+    # as requested must be what the fits returned
+    results = []
+    inner = bench.gp.fit_hyperparameters
+
+    def recorded(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bench.gp, "fit_hyperparameters", recorded)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        bench.run_bo(jenatton, "addtree", 14, seed=0, config=bench.BoConfig(n_init=4))
+    metrics = tracer.layer_metrics()
+    assert {len(r.restart_evidences) for r in results} == {1, 3}
+    assert metrics["gp.fit_hyperparameters.calls"] == len(results)
+    assert tracer.counts["gp.fit_hyperparameters.restarts"] == sum(
+        len(r.restart_evidences) for r in results
+    )
+    assert metrics["gp.fit_hyperparameters.restarts_ok_frac"] == 1.0
+    assert metrics["kernels.gram_and_grads.calls"] == sum(r.evaluations for r in results)

@@ -116,6 +116,26 @@ def test_posterior_matches_dense_solve(zero_dim):
         np.testing.assert_allclose(variances, np.maximum(var_o, 0.0), rtol=0, atol=1e-10)
 
 
+def test_posterior_variance_from_cholesky_factor():
+    # A noiseless Gram with cond 6e16 that factors without jitter.  On it
+    # k(x, x) - c^T K_y^{-1} c is wrong by up to the whole prior; the
+    # Cholesky form k(x, x) - ||L^{-1} c||^2 is 0 at the training points,
+    # as a noiseless posterior must be, and matches the textbook form on
+    # an independently computed factor elsewhere.
+    spec, index, kern, data = random_gp_instance(117, n=20, noise=0.0)
+    model = gp.fit(kern, data)
+    assert model.jitter == 0.0
+    rng = np.random.default_rng(5)
+    Q = stack_points(data.points + random_points(spec, index, rng, 50))
+    k_diag = kern.diag(Q)
+    _, variances = gp.posterior(model, Q)
+    assert np.all(variances[:20] <= 1e-12 * k_diag[:20])
+    C = kern.gram_matrix(Q, model.X)
+    W = np.linalg.solve(np.linalg.cholesky(model.K), C.T)
+    expected = np.maximum(k_diag - np.sum(W * W, axis=0), 0.0)
+    np.testing.assert_allclose(variances, expected, rtol=0, atol=1e-9 * k_diag.max())
+
+
 def test_posterior_batch_rows_match_single_row_calls():
     # one batched call against one call per row, on random trees of every
     # kind with training rows among the queries.  Noise 1e-2, as in the
@@ -147,7 +167,8 @@ def test_posterior_clamps_and_counts_negative_variances():
         model = gp.fit(kern, gp.Dataset.create(pts, [1.0, -0.5, 0.2], noise=0.0))
         # the unclamped variances, in the posterior's own operation order
         C, k_diag = kern.gram_matrix(Q, model.X), kern.diag(Q)
-        raw = k_diag - np.einsum("ij,ij->i", C @ model.K_inv, C)
+        W = gp._forward_solve(model.L, C.T)
+        raw = k_diag - np.einsum("iq,iq->q", W, W)
         neg = raw < 0
         _, variances = gp.posterior(model, Q)
         assert model.clamp_count == neg.sum()
@@ -573,6 +594,21 @@ def test_fit_hyperparameters_builds_one_kernel(jenatton, monkeypatch):
     assert len(result.restart_evidences) == 4
     assert calls["gram_and_grads"] > 4
     assert calls["__post_init__"] == 1
+    # every evidence evaluation is counted, over all four restarts
+    assert result.evaluations == calls["gram_and_grads"]
+
+
+def test_one_start_refit_of_a_fitted_kernel_is_cheaper(jenatton):
+    # what a BO loop's warm refit does: one run from the last fit
+    rng = np.random.default_rng(8)
+    pts = random_points(jenatton.spec, jenatton.index, rng, 15)
+    data = gp.Dataset.create(pts, rng.normal(size=15), noise=1e-2)
+    kern = bench.BoConfig().kernel(jenatton.spec, jenatton.index)
+    full = gp.fit_hyperparameters(kern, data, restarts=3, rng=rng)
+    warm = gp.fit_hyperparameters(full.kernel, data, restarts=1, rng=rng)
+    assert len(warm.restart_evidences) == 1
+    assert 1 <= warm.evaluations < full.evaluations
+    assert warm.log_evidence >= full.log_evidence - 1e-9
 
 
 def test_solve_lower_keeps_cho_solve_checks():
@@ -644,6 +680,7 @@ def test_fit_hyperparameters_with_nothing_to_fit(monkeypatch):
     expected = oracles.log_evidence(gp.fit(kern, data))
     assert result.log_evidence == pytest.approx(expected, rel=1e-12)
     assert result.restart_evidences == [result.log_evidence]
+    assert result.evaluations == 1
     with pytest.raises(gp.FactorizationError, match="no hyperparameters"):
         gp.fit_hyperparameters(kern, gp.Dataset.create(data.points, data.targets, noise=0.0))
 
