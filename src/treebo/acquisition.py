@@ -72,6 +72,8 @@ class UcbSchedule:
     inflation functions ``g`` and ``b`` (both equal 1 at t = 0 and are
     exactly 1 for a zero rate); ``d`` is the total dimension of the space
     (continuous plus categorical), the exponent on ``g(t)`` in the norm bound.
+    ``theta0`` only sets the cap theta0 / g(t) on fitted lengthscales; a fit
+    starts from lengthscale 1 (``BoConfig.kernel``) or from the last fit.
     """
 
     theta0: float

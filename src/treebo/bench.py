@@ -623,7 +623,9 @@ def run_regression_study(
     config = config or BoConfig()
     spec, index = objective.spec, objective.index
     sizes = sorted(set(int(n) for n in train_sizes))
-    n_max = max(sizes)
+    if not sizes or sizes[0] < 0:
+        raise ValueError(f"train_sizes needs one or more sizes >= 0, got {sizes}")
+    n_max = sizes[-1]
     records: list[RegressionRecord] = []
 
     methods = [(m, _model_spaces(m, spec, index)) for m in ("addtree", "independent")]

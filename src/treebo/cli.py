@@ -92,7 +92,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     flag("--restarts", "restarts", "hyperparameter optimizer starts of a full refit; a BO "
          "loop runs one on its first refit and when its data has doubled since the last, "
          "and one warm start from the previous fit otherwise", type=int)
-    flag("--theta0", "theta0", "initial lengthscale guess", type=float)
+    flag("--theta0", "theta0", "lengthscale cap at t = 0: fitted lengthscales are capped at "
+         "theta0 / g(t) (fits start from lengthscale 1 or the last fit)", type=float)
     flag("--b0", "B0", "initial norm-bound guess", type=float)
     flag("--delta", "delta", "confidence level in (0,1)", type=float)
     flag("--gamma-g", "gamma_g", "lengthscale-deflation rate; 0 disables adaptation", type=float)
@@ -166,6 +167,8 @@ def cmd_run(args) -> int:
     seeds = _parse_int_list(args.seeds, "--seeds")
     if not seeds:
         raise UserError("--seeds is empty")
+    if len(set(algorithms)) < len(algorithms) or len(set(seeds)) < len(seeds):
+        raise UserError("--algorithms or --seeds repeats a value; each run writes one trace")
     if args.iterations < 1:
         raise UserError("--iterations must be >= 1")
     config = _config_from_args(args)
@@ -264,8 +267,8 @@ def cmd_regression(args) -> int:
     if not seeds:
         raise UserError("--seeds is empty")
     sizes = _parse_sizes(args.train_sizes)
-    if not sizes:
-        raise UserError("--train-sizes is empty")
+    if not sizes or min(sizes) < 0:
+        raise UserError(f"--train-sizes needs one or more sizes >= 0, got {args.train_sizes!r}")
     if args.test_size < 1:
         raise UserError("--test-size must be >= 1")
     objective = _build_objective(vars(args))

@@ -22,20 +22,18 @@ points:
   vertex has its own latent component.  Its conditional mean/variance given
   all observations uses the same formula with c restricted to that vertex's
   term, masked by path membership: μ = c^T α and σ² = s_v − ‖L^{-1} c‖².
-  With J = ∂c/∂v from
-  :meth:`~treebo.kernels.AddTreeKernel.component_cross`, the gradients in the
-  query values are ∂μ = J^T α and ∂σ² = −2 J^T K_y^{-1} c.  Component means
-  along a query's path sum exactly to the full posterior mean; variances do
-  not add (components are correlated under the posterior).
+  Component means along a query's path sum exactly to the full posterior
+  mean; variances do not add (the components are correlated a posteriori).
 
 * **Component posteriors on R_v.**  A vertex's cross-covariance is zero off
   R_v, the rows whose path contains the vertex, so its component posterior
   needs only α_{R_v} and (K_y^{-1})_{R_v R_v}.  :func:`component_stack`
   gathers them once per fitted model for several vertices of one dimension,
   padded to the longest R_v, and :func:`stacked_component_posterior`
-  evaluates means, variances and query gradients for all of them and many
-  query rows each in one batch, with σ² = s_v − c^T K_y^{-1} c on the
-  gathered blocks.  It counts no clamps, so it leaves the model untouched.
+  evaluates means and variances for all of them and many query rows each
+  in one batch, σ² = s_v − c^T K_y^{-1} c on the gathered blocks, with the
+  library's only query gradients: ∂μ = J^T α and ∂σ² = −2 J^T K_y^{-1} c,
+  J = ∂c/∂v.  It counts no clamps, so it leaves the model untouched.
 
 * **Evidence on packed vertex blocks.**  Hyperparameter fitting computes the
   kernel's :class:`~treebo.kernels.VertexBlocks` once per fit: the
@@ -202,12 +200,12 @@ class GpModel:
 
     ``L`` is the lower (possibly jittered) Cholesky factor of
     K_y = K + noise·I, ``alpha`` is K_y^{-1} y and ``K_inv`` the full
-    symmetric K_y^{-1}, both from ``L``.  Posterior means read ``alpha``,
-    variances ``L`` and variance gradients ``K_inv``.  ``jitter`` is the
-    diagonal jitter the factorization needed (0 when none).  Treat instances
-    as immutable after :func:`fit`, apart from ``clamp_count``: posterior
-    queries add the number of numerically negative predictive variances they
-    clamp to zero.
+    symmetric K_y^{-1}, both from ``L``.  Posterior means read ``alpha`` and
+    variances ``L``; only :func:`component_stack` reads ``K_inv``.
+    ``jitter`` is the diagonal jitter the factorization needed (0 when
+    none).  Treat instances as immutable after :func:`fit`, apart from
+    ``clamp_count``: posterior queries add the number of numerically
+    negative predictive variances they clamp to zero.
     """
 
     kernel: AddTreeKernel
@@ -252,8 +250,7 @@ def _predict(model: GpModel, C: np.ndarray, prior: float | np.ndarray) -> tuple[
     cross-covariances c with the training rows are the rows of ``C``.
 
     Negative variances (round-off where the variance is about 0) are
-    clamped to 0 and counted on the model.  Also returns the mask of clamped
-    rows, which the gradients read.
+    clamped to 0 and counted on the model.
     """
     means = C @ model.alpha
     # a model with no data has no factor to solve with (dtrtrs rejects 0 x 0)
@@ -263,7 +260,7 @@ def _predict(model: GpModel, C: np.ndarray, prior: float | np.ndarray) -> tuple[
     if np.any(neg):
         model.clamp_count += int(neg.sum())
         variances = np.where(neg, 0.0, variances)
-    return means, variances, neg
+    return means, variances
 
 
 def posterior(model: GpModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,38 +272,20 @@ def posterior(model: GpModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     variance lies in ``[0, k(x, x)]``.  An empty model returns means 0 and
     variances k(x, x).
     """
-    means, variances, _ = _predict(
-        model, model.kernel.gram_matrix(Q, model.X), model.kernel.diag(Q)
-    )
-    return means, variances
+    return _predict(model, model.kernel.gram_matrix(Q, model.X), model.kernel.diag(Q))
 
 
 def component_posterior_batch(
-    model: GpModel, vertex_id: str, V: np.ndarray, with_grad: bool = False
-) -> tuple[np.ndarray, ...]:
+    model: GpModel, vertex_id: str, V: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized per-vertex component posterior over query value rows.
 
-    ``V`` is (m, dim) for the vertex (use shape (m, 0) when dim is 0).
-    Returns per-row means and clamped variances of the vertex's additive
-    latent component given all observations.  With ``with_grad`` also
-    returns their (m, dim) derivatives with respect to the query values;
-    the variance derivative is 0 where the variance was clamped.
+    ``V`` is (m, dim) for the vertex (use shape (m, 0) when dim is 0), or one
+    row as a 1-D array.  Returns per-row means and clamped variances of the
+    vertex's additive latent component given all observations.
     """
-    prior = model.kernel.component_prior_variance(vertex_id)
-    V = np.asarray(V, dtype=float)
-    if V.ndim == 1:
-        V = V.reshape(1, -1)
-    if with_grad:
-        C, J = model.kernel.component_cross(vertex_id, V, model.X, with_grad=True)
-    else:
-        C = model.kernel.component_cross(vertex_id, V, model.X)  # (m, n)
-    means, variances, neg = _predict(model, C, prior)
-    if not with_grad:
-        return means, variances
-    dmeans = (J @ model.alpha).T
-    dvariances = -2.0 * np.einsum("dqi,qi->qd", J, C @ model.K_inv)
-    dvariances[neg] = 0.0
-    return means, variances, dmeans, dvariances
+    C = model.kernel.component_cross(vertex_id, V, model.X)  # (m, n)
+    return _predict(model, C, model.kernel.component_prior_variance(vertex_id))
 
 
 @dataclass(frozen=True)
@@ -365,12 +344,12 @@ def stacked_component_posterior(
     """Component posteriors of every stacked vertex at its own query rows.
 
     ``V`` is (k, q, dim): q query rows for each of the stack's k vertices.
-    Returns the (k, q) means and clamped variances and their (k, q, dim)
-    derivatives with respect to the query values, which equal
-    :func:`component_posterior_batch` with ``with_grad`` vertex by vertex up
-    to round-off.  A query is compared with R_v alone, so a vertex costs
-    |R_v| and not n.  Pure: unlike :func:`component_posterior_batch` it
-    counts no clamps on the model.
+    Returns the (k, q) means and clamped variances, which equal
+    :func:`component_posterior_batch` vertex by vertex up to round-off, and
+    their (k, q, dim) derivatives with respect to the query values (0 where
+    the variance was clamped).  A query is compared with R_v alone, so a
+    vertex costs |R_v| and not n.  Pure: unlike
+    :func:`component_posterior_batch` it counts no clamps on the model.
     """
     ls = stack.lengthscales[:, None, :]
     # (dim, k, q, m) scaled differences: the dimension axis first keeps the

@@ -40,7 +40,7 @@ derivatives, so its numpy work does not grow with the number of vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,23 +100,19 @@ def _scaled_sq_dist(inv_ls2, sq: np.ndarray) -> np.ndarray:
     return r2
 
 
-def _term(kind: str, lengthscales, scale: float, sq: np.ndarray):
+def _term(kind: str, lengthscales, scale: float, sq: np.ndarray) -> np.ndarray:
     """One vertex's base-kernel values from raw squared differences.
 
-    ``sq`` is (d, m, n) as from :func:`_sq_diffs`.  Returns the (m, n) values
-    together with the scaled squared distance r² and the correlation, which
-    the lengthscale derivatives reuse.  A dim-0 vertex has r² = 0 and
-    correlation exactly 1, so its term is the constant output scale.
+    ``sq`` is (d, m, n) as from :func:`_sq_diffs`; returns the (m, n) values.
+    A dim-0 vertex has r² = 0 and correlation exactly 1, so its term is the
+    constant output scale.
     """
     r2 = _scaled_sq_dist(1.0 / np.square(lengthscales), sq)
-    corr = _corr_from_r2(kind, r2)
-    return scale * corr, r2, corr
+    return scale * _corr_from_r2(kind, r2)
 
 
 def stack_points(points: list[LinearizedPoint]) -> np.ndarray:
-    """Stack linearized points into a slots matrix, one row per point."""
-    if not points:
-        return np.empty((0, 0))
+    """Stack linearized points (at least one) into a slots matrix, row by row."""
     return np.stack([p.slots for p in points])
 
 
@@ -246,10 +242,9 @@ class AddTreeKernel:
             rows_a, Va = self._block(vid, A)
             if rows_a.size:
                 rows_b, Vb = self._block(vid, B)
-                sq = _sq_diffs(Va, Vb)
                 K[rows_a[:, None], rows_b] += _term(
-                    self.kind, self.theta[ls], self.theta[scale], sq
-                )[0]
+                    self.kind, self.theta[ls], self.theta[scale], _sq_diffs(Va, Vb)
+                )
         return K
 
     def diag(self, A: np.ndarray) -> np.ndarray:
@@ -261,41 +256,27 @@ class AddTreeKernel:
             out[rows] += self.theta[scale]
         return out
 
-    def component_cross(
-        self, vertex_id: str, V: np.ndarray, A: np.ndarray, with_grad: bool = False
-    ):
+    def component_cross(self, vertex_id: str, V: np.ndarray, A: np.ndarray) -> np.ndarray:
         """Cross-covariance of one vertex's component against stacked rows.
 
         ``V`` is (m, dim) query values for the vertex (m x 0 for dim-0).
         Entry (q, i) is the vertex's base kernel between V[q] and row i's
         restriction when the vertex is on row i's path, else 0.
-
-        With ``with_grad`` also returns the derivative with respect to the
-        query values, shape (dim, m, n): for every kind the radial
-        derivative d k / d V[q, d] = -s * w * (V[q, d] - x_d) / ls_d², with
-        w from :func:`_lengthscale_grad_weight`.
         """
         dim = self.spec.vertex(vertex_id).dim
         V = np.asarray(V, dtype=float)
         if V.ndim == 1:
-            V = V.reshape(1, -1) if dim else V.reshape(1, 0)
+            V = V.reshape(1, -1)
         if V.shape[1] != dim:
             raise ValueError(
                 f"vertex {vertex_id!r} expects {dim}-dim values, got {V.shape[1]}"
             )
         out = np.zeros((V.shape[0], A.shape[0]))
-        grad = np.zeros((dim, *out.shape)) if with_grad else None
         if A.shape[0] and vertex_id in self._layout:
             ls, scale = self._layout[vertex_id]
-            lengthscales, s = self.theta[ls], self.theta[scale]
             rows, VA = self._block(vertex_id, A)
-            D = V.T[:, :, None] - VA.T[:, None, :]
-            term, r2, corr = _term(self.kind, lengthscales, s, D * D)
-            out[:, rows] = term
-            if with_grad:
-                w = s * _lengthscale_grad_weight(self.kind, r2, corr)
-                grad[:, :, rows] = -w * D / np.square(lengthscales)[:, None, None]
-        return (out, grad) if with_grad else out
+            out[:, rows] = _term(self.kind, self.theta[ls], self.theta[scale], _sq_diffs(V, VA))
+        return out
 
     def component_prior_variance(self, vertex_id: str) -> float:
         if vertex_id not in self._layout:
@@ -316,10 +297,6 @@ class AddTreeKernel:
     def get_log_params(self) -> np.ndarray:
         """log(theta), the vector hyperparameter fitting works on."""
         return np.log(self.theta)
-
-    def with_log_params(self, vec: np.ndarray) -> "AddTreeKernel":
-        """The kernel with theta = exp(vec)."""
-        return replace(self, theta=np.exp(vec))
 
     def vertex_blocks(self, A: np.ndarray) -> VertexBlocks:
         """The packed block entries of stacked rows ``A``; they depend on the

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 # Before numpy loads: the suite's matrices are small, and on a 2-vCPU machine
@@ -42,7 +43,7 @@ def random_kernel(spec, index, rng, kind=None, zero_dim="constant", tied_scales=
     hyperparameters drawn uniformly from [-1, 1]."""
     kind = kind or str(rng.choice(["se", "matern32", "matern52"]))
     kern = AddTreeKernel.default(spec, index, kind, zero_dim=zero_dim, tied_scales=tied_scales)
-    return kern.with_log_params(rng.uniform(-1.0, 1.0, size=len(kern.theta)))
+    return replace(kern, theta=np.exp(rng.uniform(-1.0, 1.0, size=len(kern.theta))))
 
 
 def random_points(spec, index, rng, n):

@@ -7,7 +7,8 @@ the base kernels from their closed forms with ``math``, vertex membership from
 The block evidence engine is the per-vertex assembly that the packed fitting
 layout replaced, kept as the reference for its evidence and gradient.
 The reference UCB maximizer polishes every start on its own with scipy's
-L-BFGS-B on the reference component posterior.
+L-BFGS-B and its finite-difference gradients on the values of
+``component_posterior_batch``, so it uses none of the library's gradient code.
 """
 
 from __future__ import annotations
@@ -184,29 +185,18 @@ def block_evidence_and_grad(kernel, points, y, noise, log_params):
     return float(lml), grad
 
 
-def ucb_and_grad(model, vertex_id, sqrt_beta, x) -> tuple[float, np.ndarray]:
-    """One vertex's component UCB mu + sqrt(beta) * sigma at one point and
-    its gradient d mu + sqrt(beta) * d sigma^2 / (2 sigma), taking the sigma
-    part as 0 where sigma is 0."""
-    mean, var, dmean, dvar = component_posterior_batch(
-        model, vertex_id, x[None, :], with_grad=True
-    )
-    sigma = math.sqrt(var[0])
-    grad = dmean[0] + (sqrt_beta / (2.0 * sigma)) * dvar[0] if sigma > 0 else dmean[0]
-    return float(mean[0] + sqrt_beta * sigma), grad
-
-
 def polish(model, vertex_id, sqrt_beta, x0):
-    """Bounded L-BFGS-B on one vertex's component UCB from ``x0`` (at most
-    60 iterations); returns the final point and score."""
+    """Bounded L-BFGS-B on one vertex's component UCB mu + sqrt(beta) * sigma
+    from ``x0`` (at most 60 iterations), with scipy's finite-difference
+    gradients; returns the final point and score."""
     lo, hi = np.array(model.kernel.spec.vertex(vertex_id).bounds).T
+
+    def negative_ucb(x):
+        mean, var = component_posterior_batch(model, vertex_id, x)
+        return -float(mean[0] + sqrt_beta * math.sqrt(var[0]))
+
     res = minimize(
-        lambda x: tuple(-part for part in ucb_and_grad(model, vertex_id, sqrt_beta, x)),
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=list(zip(lo, hi)),
-        options={"maxiter": 60},
+        negative_ucb, x0, method="L-BFGS-B", bounds=list(zip(lo, hi)), options={"maxiter": 60}
     )
     return np.clip(res.x, lo, hi), -float(res.fun)
 

@@ -376,6 +376,12 @@ def test_regression_validates_test_size(jenatton):
         run_regression_study(jenatton, [4], test_size=0, seeds=[0])
 
 
+@pytest.mark.parametrize("sizes", [[], [-5], [4, -1]])
+def test_regression_validates_train_sizes(jenatton, sizes):
+    with pytest.raises(ValueError, match="train_sizes"):
+        run_regression_study(jenatton, sizes, test_size=3, seeds=[0])
+
+
 # -- signed-rank test ---------------------------------------------------------------
 
 

@@ -55,6 +55,23 @@ def test_run_rejects_unknown_algorithm(tmp_path, capsys):
     assert "annealing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--algorithms", "random,random"),
+        ("--seeds", "0,0"),
+        ("--algorithms", "random,random", "--seeds", "0,0"),
+    ],
+    ids=["algorithms", "seeds", "both"],
+)
+def test_run_rejects_repeated_algorithms_or_seeds(tmp_path, capsys, flags):
+    # a repeat would run one (algorithm, seed) several times into one file
+    out = tmp_path / "o"
+    assert run_cli("run", "--out", str(out), *flags, *FAST) == 1
+    assert "repeats a value" in capsys.readouterr().err
+    assert not out.exists()  # no trace written
+
+
 def test_bad_flag_is_user_error(capsys):
     assert run_cli("run", "--no-such-flag") == 1
 
@@ -214,6 +231,15 @@ def test_regression_single_test_point(tmp_path):
         "--seeds", "0", "--restarts", "1",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("sizes", ["-4,8", "-8:8:4", ","])
+def test_regression_rejects_bad_train_sizes(tmp_path, capsys, sizes):
+    out = tmp_path / "study"
+    assert run_cli("regression", f"--train-sizes={sizes}", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--train-sizes" in err
+    assert not out.exists()
 
 
 def test_train_sizes_range_syntax():

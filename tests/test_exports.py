@@ -13,7 +13,8 @@ from conftest import random_points
 from treebo import bench
 from treebo.kernels import AddTreeKernel, stack_points
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 # the package's own names are imported by name in its __init__, so a stale
 # one fails at import; the modules list theirs in __all__
@@ -24,6 +25,30 @@ MODULES = [f"treebo.{m.name}" for m in pkgutil.iter_modules(treebo.__path__)]
 def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def test_every_public_name_is_read_by_the_program():
+    # what only tests call is not part of the program: every exported name
+    # and every public AddTreeKernel method must be read, as a loaded name or
+    # an attribute (a definition or an import is not a read), in src/treebo
+    # or perfbench, its test aside.  to_config waits for the traces that will
+    # record fitted kernels.
+    read = set()
+    for path in [*(ROOT / "src" / "treebo").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    methods = [
+        name for name, member in vars(AddTreeKernel).items()
+        if not name.startswith("_") and isinstance(member, (types.FunctionType, classmethod))
+    ]
+    exported = [name for m in MODULES for name in importlib.import_module(m).__all__]
+    assert "component_cross" in methods and "propose" in exported
+    assert [name for name in exported + methods if name not in read] == ["to_config"]
 
 
 def _imports_scipy_optimize(module) -> bool:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,9 +231,8 @@ def test_component_posterior_errors(two_leaf):
         gp.component_posterior_batch(model, "ghost", np.zeros((1, 1)))
     empty = gp.fit(kern, gp.Dataset.create([], []))
     for m in (model, empty):
-        for with_grad in (False, True):
-            with pytest.raises(ValueError, match="expects 2-dim values, got 1"):
-                gp.component_posterior_batch(m, "root", np.zeros((1, 1)), with_grad=with_grad)
+        with pytest.raises(ValueError, match="expects 2-dim values, got 1"):
+            gp.component_posterior_batch(m, "root", np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("zero_dim", ["constant", "zero"])
@@ -265,12 +265,33 @@ def _central_differences(model, vid, V, h=1e-5):
     return d_mean, d_var
 
 
+def _stack_matches_reference(model, vertex_ids, V):
+    """Compare the stacked evaluator on ``V`` (k, q, dim) with
+    component_posterior_batch vertex by vertex, and its query gradients with
+    central differences of that reference; the stacked call must leave the
+    clamp count alone.  Returns the stacked means, variances and gradients."""
+    stack = gp.component_stack(model, vertex_ids)
+    clamps = model.clamp_count
+    stacked = gp.stacked_component_posterior(stack, V)
+    assert model.clamp_count == clamps
+    means, variances, d_means, d_vars = stacked
+    for k, vid in enumerate(vertex_ids):
+        ref_mean, ref_var = gp.component_posterior_batch(model, vid, V[k])
+        np.testing.assert_allclose(means[k], ref_mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(variances[k], ref_var, rtol=1e-12, atol=1e-12)
+        fd_mean, fd_var = _central_differences(model, vid, V[k])
+        np.testing.assert_allclose(d_means[k], fd_mean, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(d_vars[k], fd_var, rtol=1e-6, atol=1e-7)
+    return stacked
+
+
 @pytest.mark.parametrize("kind", ["se", "matern32", "matern52"])
 def test_component_posterior_gradients_match_finite_differences(kind):
-    # random trees with up to 3-dim vertices, both zero-dim policies, per-vertex
-    # and tied output scales; the queries include one training row's values
-    # (r = 0 against that row)
-    checked = 0
+    # random trees with up to 3-dim vertices, both zero-dim policies,
+    # per-vertex and tied scales; every dimension's vertices are stacked
+    # together, with queries drawn in their boxes plus one training row's
+    # values (r = 0 against that row)
+    checked, empty_rows = 0, 0
     for seed in range(6):
         for zero_dim in ("constant", "zero"):
             for tied in (False, True):
@@ -278,129 +299,104 @@ def test_component_posterior_gradients_match_finite_differences(kind):
                     seed, n=10, noise=1e-2, max_dim=3,
                     kind=kind, zero_dim=zero_dim, tied_scales=tied,
                 )
-                model = gp.fit(kern, data)
-                rng = np.random.default_rng(100 + seed)
-                for v in spec.vertices:
-                    if v.dim == 0:
-                        continue
-                    lo, hi = np.array(v.bounds).T
-                    V = rng.uniform(lo, hi, size=(3, v.dim))
-                    on_path = [p for p in data.points if p.slots[index.offsets[v.id][0]] >= 0]
-                    if on_path:
-                        V = np.vstack([V, restrict(index, on_path[0], v.id)])
-                    mean, var, d_mean, d_var = gp.component_posterior_batch(
-                        model, v.id, V, with_grad=True
-                    )
-                    plain_mean, plain_var = gp.component_posterior_batch(model, v.id, V)
-                    np.testing.assert_array_equal(mean, plain_mean)
-                    np.testing.assert_array_equal(var, plain_var)
-                    assert np.all(var > 0)
-                    fd_mean, fd_var = _central_differences(model, v.id, V)
-                    np.testing.assert_allclose(d_mean, fd_mean, rtol=1e-6, atol=1e-7)
-                    np.testing.assert_allclose(d_var, fd_var, rtol=1e-6, atol=1e-7)
-                    checked += 1
-    assert checked > 50
+                # all the data, and only the first point's leaf's (which
+                # leaves R_v empty for every vertex off that leaf's path)
+                leaf = data.points[0].active_leaf
+                one_leaf = [i for i, p in enumerate(data.points) if p.active_leaf == leaf]
+                for points, targets in [
+                    (data.points, data.targets),
+                    ([data.points[i] for i in one_leaf], data.targets[one_leaf]),
+                ]:
+                    model = gp.fit(kern, gp.Dataset.create(points, targets, noise=1e-2))
+                    rng = np.random.default_rng(300 + seed)
+                    by_dim = {}
+                    for v in spec.vertices:
+                        if v.dim:
+                            by_dim.setdefault(v.dim, []).append(v)
+                    for dim, vertices in by_dim.items():
+                        V = []
+                        for v in vertices:
+                            lo, hi = np.array(v.bounds).T
+                            rows = rng.uniform(lo, hi, size=(4, dim))
+                            on_path = [p for p in points if oracles.on_path(index, v.id, p)]
+                            if on_path:
+                                rows[0] = restrict(index, on_path[0], v.id)
+                            else:
+                                empty_rows += 1
+                            V.append(rows)
+                        ids = [v.id for v in vertices]
+                        _, variances, _, _ = _stack_matches_reference(model, ids, np.array(V))
+                        assert np.all(variances > 0)  # no clamp: the differences are smooth
+                        checked += len(vertices)
+    assert checked > 50 and empty_rows > 0
 
 
-def test_component_posterior_gradient_is_zero_where_variance_is_clamped():
-    # Noiseless observations queried at one of their values: the variance is
-    # 0 up to round-off, which makes it negative for some output scales.
-    # There the unmasked variance derivative is round-off too, not 0.
-    spec, index = chain_space((1,))
-    pts = [linearize(spec, index, 0, [x]) for x in (0.3, 1.0)]
-    V = np.array([[0.3], [1.5]])  # an observed value, and a far query
-    clamped = 0
-    for s in np.linspace(0.5, 3.0, 41):
-        kern = AddTreeKernel.default(spec, index, output_scale=float(s))
-        model = gp.fit(kern, gp.Dataset.create(pts, [1.0, -0.5], noise=0.0))
-        mean, var, d_mean, d_var = gp.component_posterior_batch(model, "c0", V, with_grad=True)
-        if model.clamp_count == 0:
-            continue
-        clamped += 1
-        assert model.clamp_count == 1 and var[0] == 0.0 and d_var[0, 0] == 0.0
-        fd_mean, fd_var = _central_differences(model, "c0", V)
-        np.testing.assert_allclose(d_mean, fd_mean, rtol=1e-6, atol=1e-7)
-        np.testing.assert_allclose(d_var, fd_var, rtol=1e-6, atol=1e-7)
-        assert d_var[1, 0] != 0.0
-    assert clamped > 0
-
-
-def _stack_matches_reference(model, vertex_ids, V):
-    """Compare the stacked evaluator on ``V`` (k, q, dim) with
-    component_posterior_batch vertex by vertex; the stacked call must leave
-    the clamp count alone."""
-    stack = gp.component_stack(model, vertex_ids)
-    clamps = model.clamp_count
-    stacked = gp.stacked_component_posterior(stack, V)
-    assert model.clamp_count == clamps
-    for k, vid in enumerate(vertex_ids):
-        reference = gp.component_posterior_batch(model, vid, V[k], with_grad=True)
-        for got, want in zip(stacked, reference):
-            np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-12)
-
-
-def test_stacked_component_posterior_matches_reference():
-    # random trees with up to 3-dim vertices, every kind, both zero-dim
-    # policies, per-vertex and tied scales; every dimension's vertices are
-    # stacked together, with queries drawn in their boxes plus one
-    # training row's values (r = 0 against that row)
-    empty_rows = 0
-    for seed in range(6):
-        for kind in ("se", "matern32", "matern52"):
-            for zero_dim in ("constant", "zero"):
-                for tied in (False, True):
-                    spec, index, kern, data = random_gp_instance(
-                        seed, n=10, noise=1e-2, max_dim=3,
-                        kind=kind, zero_dim=zero_dim, tied_scales=tied,
-                    )
-                    # all the data, and only the first point's leaf's (which
-                    # leaves R_v empty for every vertex off that leaf's path)
-                    leaf = data.points[0].active_leaf
-                    one_leaf = [i for i, p in enumerate(data.points) if p.active_leaf == leaf]
-                    for points, targets in [
-                        (data.points, data.targets),
-                        ([data.points[i] for i in one_leaf], data.targets[one_leaf]),
-                    ]:
-                        model = gp.fit(kern, gp.Dataset.create(points, targets, noise=1e-2))
-                        rng = np.random.default_rng(300 + seed)
-                        by_dim = {}
-                        for v in spec.vertices:
-                            if v.dim:
-                                by_dim.setdefault(v.dim, []).append(v)
-                        for dim, vertices in by_dim.items():
-                            V = []
-                            for v in vertices:
-                                lo, hi = np.array(v.bounds).T
-                                rows = rng.uniform(lo, hi, size=(4, dim))
-                                on_path = [p for p in points if oracles.on_path(index, v.id, p)]
-                                if on_path:
-                                    rows[0] = restrict(index, on_path[0], v.id)
-                                else:
-                                    empty_rows += 1
-                                V.append(rows)
-                            _stack_matches_reference(model, [v.id for v in vertices], np.array(V))
-    assert empty_rows > 0
-
+def test_stacked_component_posterior_matches_reference(two_leaf):
     # the empty model: every vertex at its prior
     spec, index, kern, _ = random_gp_instance(0, max_dim=2)
     empty = gp.fit(kern, gp.Dataset.create([], []))
     vertices = [v for v in spec.vertices if v.dim == 2]
     V = np.random.default_rng(1).uniform(-1, 1, size=(len(vertices), 3, 2))
-    _stack_matches_reference(empty, [v.id for v in vertices], V)
+    means, variances, _, _ = _stack_matches_reference(empty, [v.id for v in vertices], V)
+    np.testing.assert_array_equal(means, 0.0)
+    assert np.all(variances > 0)
+
+    # vertices of different dimensions stack separately; one query row per
+    # vertex gives the same values as a vertex of its own
+    spec, index = two_leaf
+    rng = np.random.default_rng(4)
+    kern = AddTreeKernel.default(spec, index)
+    pts = random_points(spec, index, rng, 8)
+    model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=8), noise=1e-3))
+    for v in spec.vertices:
+        if v.dim:
+            lo, hi = np.array(v.bounds).T
+            _stack_matches_reference(model, [v.id], rng.uniform(lo, hi, size=(1, 1, v.dim)))
 
 
-def test_stacked_component_posterior_clamps_without_counting():
-    # the set-up of the clamped-gradient test above: an observed value of a
-    # noiseless model, where the reference clamps a negative variance
+def _clamp_sweep():
+    """Noiseless observations queried at one of their values, over 41 output
+    scales: the variance there is 0 up to round-off, which makes it negative
+    for some scales.  Yields each scale's stacked results (checked against
+    the reference), the variances before the clamp, in the stacked
+    evaluator's own operation order, and their negative mask."""
     spec, index = chain_space((1,))
     pts = [linearize(spec, index, 0, [x]) for x in (0.3, 1.0)]
-    V = np.array([[[0.3], [1.5]]])
-    clamped = 0
+    V = np.array([[[0.3], [1.5]]])  # an observed value, and a far query
     for s in np.linspace(0.5, 3.0, 41):
         kern = AddTreeKernel.default(spec, index, output_scale=float(s))
         model = gp.fit(kern, gp.Dataset.create(pts, [1.0, -0.5], noise=0.0))
-        _stack_matches_reference(model, ["c0"], V)
-        clamped += model.clamp_count > 0
+        stacked = _stack_matches_reference(model, ["c0"], V)
+        stack = gp.component_stack(model, ["c0"])
+        Z = (np.moveaxis(V, -1, 0)[..., None] - stack.values[:, :, None, :]) / (
+            stack.lengthscales.T[:, :, None, None]
+        )
+        C = stack.scales[:, None, None] * np.exp(-0.5 * np.einsum("dkqi,dkqi->kqi", Z, Z))
+        raw = stack.scales[:, None] - np.einsum("kqi,kqi->kq", C @ stack.K_inv, C)
+        yield stacked, raw, raw < 0
+
+
+def test_component_posterior_gradient_is_zero_where_variance_is_clamped():
+    # Where the variance is clamped to 0 its derivative is 0 too (unmasked,
+    # it is round-off, not 0); the far query's derivative is not.  The
+    # sweep also checks both against central differences.
+    clamped = 0
+    for (_, _, _, d_vars), _, neg in _clamp_sweep():
+        assert not neg[0, 1] and d_vars[0, 1, 0] != 0.0
+        assert np.all(d_vars[neg] == 0.0)
+        clamped += neg.any()
+    assert clamped > 0
+
+
+def test_stacked_component_posterior_clamps_without_counting():
+    # The stacked variance is clamped to 0 where it is negative and left
+    # bitwise alone elsewhere; the model counts no clamp (the sweep asserts
+    # its clamp count is unchanged).
+    clamped = 0
+    for (_, variances, _, _), raw, neg in _clamp_sweep():
+        assert np.all(variances[neg] == 0.0)
+        np.testing.assert_array_equal(variances[~neg], raw[~neg])
+        clamped += neg.any()
     assert clamped > 0
 
 
@@ -467,8 +463,8 @@ def test_lml_gradient_matches_finite_differences():
             up, dn = vec.copy(), vec.copy()
             up[k] += h
             dn[k] -= h
-            lml_up = oracles.log_evidence(gp.fit(kern.with_log_params(up), data))
-            lml_dn = oracles.log_evidence(gp.fit(kern.with_log_params(dn), data))
+            lml_up = oracles.log_evidence(gp.fit(replace(kern, theta=np.exp(up)), data))
+            lml_dn = oracles.log_evidence(gp.fit(replace(kern, theta=np.exp(dn)), data))
             fd[k] = (lml_up - lml_dn) / (2 * h)
         scale = np.maximum(np.abs(fd), 1.0)
         assert np.all(np.abs(grad - fd) / scale < 1e-5)
@@ -485,7 +481,7 @@ def test_fitting_objective_gradient_matches_finite_differences():
         objective = gp._negative_evidence(kern, data)
         vec = kern.get_log_params()
         value, grad = objective(vec)
-        model = gp.fit(kern.with_log_params(vec), data)
+        model = gp.fit(replace(kern, theta=np.exp(vec)), data)
         assert value == pytest.approx(-oracles.log_evidence(model), rel=1e-10)
         h = 1e-5
         fd = np.zeros_like(vec)
