@@ -369,9 +369,14 @@ class TraceWriter:
 
 
 def read_trace(path) -> RunTrace:
-    with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("kind") != "header":
+    """The trace in the file at ``path``; raises :class:`ValueError` naming
+    the file when it is not a trace this reader handles."""
+    try:
+        with open(path) as fh:
+            lines = [json.loads(line) for line in fh if line.strip()]
+    except ValueError as exc:  # not text, or a line that is not JSON
+        raise ValueError(f"{path}: not a trace file ({exc})") from None
+    if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "header":
         raise ValueError(f"{path}: not a trace file (missing header)")
     header = lines[0]
     if header.get("format") != TRACE_FORMAT:
@@ -383,11 +388,14 @@ def read_trace(path) -> RunTrace:
         )
     meta = {k: v for k, v in header.items() if k not in ("format", "version", "kind")}
     names = [f.name for f in fields(IterationRecord)]
-    records = [
-        replace(IterationRecord(**{k: rec[k] for k in names}), values=tuple(rec["values"]))
-        for rec in lines[1:]
-        if rec.get("kind") == "iteration"
-    ]
+    try:
+        records = [
+            replace(IterationRecord(**{k: rec[k] for k in names}), values=tuple(rec["values"]))
+            for rec in lines[1:]
+            if isinstance(rec, dict) and rec.get("kind") == "iteration"
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed iteration record ({exc!r})") from None
     return RunTrace(meta=meta, records=records)
 
 

@@ -171,6 +171,8 @@ def cmd_run(args) -> int:
         raise UserError("--algorithms or --seeds repeats a value; each run writes one trace")
     if args.iterations < 1:
         raise UserError("--iterations must be >= 1")
+    if args.workers < 1:
+        raise UserError("--workers must be >= 1")
     config = _config_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -218,7 +220,10 @@ def cmd_compare(args) -> int:
         files = sorted(path.glob("*.jsonl"))
         if not files:
             raise UserError(f"no trace files in {path}")
-        groups.append((k, [read_trace(f) for f in files]))
+        try:
+            groups.append((k, [read_trace(f) for f in files]))
+        except ValueError as exc:  # each message names its file
+            raise UserError(str(exc)) from None
 
     # If the same (algorithm, seed) shows up in several argument positions,
     # disambiguate by position so self-comparisons still produce a report.

@@ -51,6 +51,14 @@ points:
   scatter short: a ``bincount`` over every entry adds into one parameter
   many times in a row and is several times slower.
 
+* **L-BFGS-B driven directly.**  Fitting calls L-BFGS-B's routine,
+  ``scipy.optimize._lbfgsb.setulb``, in :func:`_lbfgsb`: the loop of
+  ``scipy.optimize.minimize(method="L-BFGS-B")`` with its settings and
+  stopping rules, so every iterate is bitwise the same, but the routine's
+  requests for f and g go straight to the evidence objective.  scipy's
+  ``ScalarFunction`` and ``MemoizeJac`` layers cost about as much as the
+  evidence itself at Jenatton sizes.
+
 The observation noise is one known variance shared by every observation
 (:attr:`Dataset.noise`); the evidence is maximized over the kernel
 hyperparameters only, conditioned on it.
@@ -63,7 +71,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from .kernels import (
     AddTreeKernel,
@@ -97,6 +105,14 @@ FAILED_EVIDENCE = 1e25
 LENGTHSCALE_BOUNDS = (0.05, 20.0)
 SCALE_BOUNDS = (0.05, 50.0)
 FIT_MAXITER = 200
+# The rest of scipy.optimize.minimize's L-BFGS-B defaults: stored corrections,
+# ftol / machine epsilon, projected-gradient tolerance, line-search steps and
+# the evaluation limit.
+LBFGSB_CORRECTIONS = 10
+LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+LBFGSB_PGTOL = 1e-5
+LBFGSB_MAXLS = 20
+LBFGSB_MAXFUN = 15000
 
 
 class FactorizationError(RuntimeError):
@@ -393,10 +409,11 @@ def _evidence_and_grad(
     K.flat[:: n + 1] += noise
     L = np.linalg.cholesky(K)  # raises LinAlgError; caller decides policy
     alpha = _solve_lower(L, y)
-    lml = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L)))) - 0.5 * n * LOG2PI
+    lml = -0.5 * float(y @ alpha) - float(np.log(L.diagonal()).sum()) - 0.5 * n * LOG2PI
     # ½ (αα^T − K_y^{-1}) on the packed entries, all at i >= j: the lower
     # triangle counts for both halves of the symmetric sum, the diagonal once
-    half_inner = np.outer(alpha, alpha) - _inverse_lower(L)
+    half_inner = alpha[:, None] * alpha
+    half_inner -= _inverse_lower(L)
     half_inner.flat[:: n + 1] *= 0.5
     # each block's sums of its products with dK, then onto the parameters
     sums = np.add.reduceat(dK * half_inner.ravel()[blocks.flat], blocks.starts, axis=1)
@@ -426,6 +443,56 @@ def _negative_evidence(kernel: AddTreeKernel, data: Dataset):
         return -lml, -grad
 
     return objective
+
+
+def _lbfgsb(objective, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Minimize ``objective`` over the box [lo, hi] from ``x0`` with L-BFGS-B.
+
+    ``objective`` maps a vector to (value, gradient).  This is the loop of
+    ``scipy.optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
+    bounds=..., options={"maxiter": FIT_MAXITER})`` around the same routine,
+    ``setulb``, with the same settings and the same stopping rules, so it
+    visits the same points and returns the same bits, without scipy's
+    per-evaluation wrappers.  Like scipy, it hands back the last values
+    without evaluating again when the routine asks for the point it was just
+    given.  Returns the final point, the objective's last value (scipy's
+    ``fun``) and the number of evaluations (scipy's ``nfev``).
+    """
+    m = LBFGSB_CORRECTIONS
+    x = np.clip(np.asarray(x0, dtype=np.float64), lo, hi)
+    n = x.size
+    nbd = np.full(n, 2, dtype=np.int32)  # every variable has both bounds
+    f, g = 0.0, np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    last_x = last_f = last_g = None
+    evaluations = iterations = 0
+    while True:
+        # a float64 copy, as scipy passes it: never the objective's own array
+        g = g.astype(np.float64)
+        setulb(
+            m, x, lo, hi, nbd, f, g, LBFGSB_FACTR, LBFGSB_PGTOL, wa, iwa, task,
+            lsave, isave, dsave, LBFGSB_MAXLS, ln_task,
+        )
+        if task[0] == 3:  # FG: f and g at x
+            if last_x is None or (x != last_x).any():
+                last_x = x.copy()
+                last_f, last_g = objective(last_x)
+                evaluations += 1
+            f, g = last_f, last_g
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            iterations += 1
+            if iterations >= FIT_MAXITER:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif evaluations > LBFGSB_MAXFUN:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:
+            return x, f, evaluations
 
 
 @dataclass
@@ -466,7 +533,7 @@ def fit_hyperparameters(
         raise ValueError("hyperparameter fitting needs at least one observation")
     rng = rng if rng is not None else np.random.default_rng(0)
     objective = _negative_evidence(kernel, data)
-    if not kernel.theta:  # nothing to fit: minimize cannot take an empty vector
+    if not kernel.theta:  # nothing to fit: L-BFGS-B cannot take an empty vector
         value, _ = objective(np.empty(0))
         if value >= FAILED_EVIDENCE:
             raise FactorizationError(
@@ -480,7 +547,6 @@ def fit_hyperparameters(
     is_scale = np.array([nm.endswith("::scale") for nm in kernel.param_names()])
     lo = np.where(is_scale, np.log(SCALE_BOUNDS[0]), np.log(LENGTHSCALE_BOUNDS[0]))
     hi = np.where(is_scale, np.log(SCALE_BOUNDS[1]), np.log(LENGTHSCALE_BOUNDS[1]))
-    bounds = list(zip(lo, hi))
 
     starts = [np.clip(kernel.get_log_params(), lo, hi)]
     for _ in range(restarts - 1):
@@ -492,17 +558,14 @@ def fit_hyperparameters(
     last_error: Exception | None = None
     for s in starts:
         try:
-            res = minimize(
-                objective, s, jac=True, method="L-BFGS-B", bounds=bounds,
-                options={"maxiter": FIT_MAXITER},
-            )
+            x, value, nfev = _lbfgsb(objective, s, lo, hi)
         except Exception as exc:  # optimizer-internal failure
             last_error = exc
             continue
-        evidences.append(-float(res.fun))
-        evaluations += res.nfev
-        if res.fun < best_val:
-            best_val, best_vec = float(res.fun), res.x
+        evidences.append(-float(value))
+        evaluations += nfev
+        if value < best_val:
+            best_val, best_vec = float(value), x
     if best_vec is None:
         raise last_error if last_error else RuntimeError("all restarts failed")
     if best_val >= FAILED_EVIDENCE:

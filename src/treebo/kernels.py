@@ -94,8 +94,10 @@ def _scaled_sq_dist(inv_ls2, sq: np.ndarray) -> np.ndarray:
     per-vertex blocks give the same bits; a matrix product may fuse the
     multiply-adds and would not.  Zero-padded dimensions add exactly 0.
     """
-    r2 = np.zeros(sq.shape[1:])
-    for d in range(sq.shape[0]):
+    if sq.shape[0] == 0:
+        return np.zeros(sq.shape[1:])
+    r2 = inv_ls2[0] * sq[0]  # equals 0 + this product: it is never -0
+    for d in range(1, sq.shape[0]):
         r2 += inv_ls2[d] * sq[d]
     return r2
 
@@ -343,7 +345,7 @@ class AddTreeKernel:
         :meth:`gram_matrix`, into its lower triangle and copies that to the
         upper one, so the two agree bitwise.
         """
-        theta = np.exp(np.append(log_params, 0.0))  # the padding index reads 1
+        theta = np.exp(np.concatenate((log_params, [0.0])))  # the padding index reads 1
         per_block = theta[blocks.param_index]
         per_block[:-1] = 1.0 / np.square(per_block[:-1])
         per_entry = np.repeat(per_block, blocks.sizes, axis=1)

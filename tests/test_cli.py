@@ -72,6 +72,14 @@ def test_run_rejects_repeated_algorithms_or_seeds(tmp_path, capsys, flags):
     assert not out.exists()  # no trace written
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_run_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    out = tmp_path / "o"
+    assert run_cli("run", "--out", str(out), "--workers", workers, *FAST) == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()  # no trace written
+
+
 def test_bad_flag_is_user_error(capsys):
     assert run_cli("run", "--no-such-flag") == 1
 
@@ -203,6 +211,19 @@ def test_compare_mismatched_seeds_is_user_error(tmp_path, capsys):
 
 def test_compare_missing_directory_is_user_error(tmp_path, capsys):
     assert run_cli("compare", str(tmp_path / "none"), "--iterations", "1") == 1
+
+
+@pytest.mark.parametrize(
+    "text", ['{"kind": "iteration"}\n', "not json\n"], ids=["no-header", "not-json"]
+)
+def test_compare_bad_trace_file_is_user_error(tmp_path, capsys, text):
+    out = tmp_path / "traces"
+    out.mkdir()
+    bad = out / "bad.jsonl"
+    bad.write_text(text)
+    assert run_cli("compare", str(out), "--iterations", "1") == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
 
 
 def test_regression_command_round_trips(tmp_path, capsys):

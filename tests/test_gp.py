@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
+from scipy.optimize import minimize
 
 import oracles
 from conftest import random_gp_instance, random_kernel, random_points
@@ -624,6 +625,86 @@ def test_solve_lower_keeps_cho_solve_checks():
             cho_solve((args[0], True), args[1])
 
 
+def _log_box(kernel):
+    is_scale = np.array([nm.endswith("::scale") for nm in kernel.param_names()])
+    lo = np.where(is_scale, np.log(gp.SCALE_BOUNDS[0]), np.log(gp.LENGTHSCALE_BOUNDS[0]))
+    hi = np.where(is_scale, np.log(gp.SCALE_BOUNDS[1]), np.log(gp.LENGTHSCALE_BOUNDS[1]))
+    return lo, hi
+
+
+def _lbfgsb_matches_scipy(kernel, data, x0):
+    """Run the fit's L-BFGS-B driver and scipy's ``minimize`` (the oracle)
+    from ``x0`` on the evidence objective; assert that x, the value and the
+    evaluation count agree bitwise.  Returns the driver's evaluated values
+    and scipy's result."""
+    lo, hi = _log_box(kernel)
+    objective = gp._negative_evidence(kernel, data)
+    values = []
+
+    def recorded(vec):
+        value, grad = objective(vec)
+        values.append(value)
+        return value, grad
+
+    x, value, evaluations = gp._lbfgsb(recorded, x0, lo, hi)
+    res = minimize(
+        objective, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+        options={"maxiter": gp.FIT_MAXITER},
+    )
+    assert x.tobytes() == res.x.tobytes()
+    assert np.float64(value).tobytes() == np.float64(res.fun).tobytes()
+    assert evaluations == res.nfev == len(values)
+    return values, res
+
+
+@pytest.mark.parametrize("tied_scales", [False, True], ids=["untied", "tied"])
+@pytest.mark.parametrize("kind", ["se", "matern32", "matern52"])
+def test_lbfgsb_driver_matches_scipy_minimize(kind, tied_scales):
+    # from the kernel's own start, a random draw, a corner of the box and a
+    # start outside it (both clip it), on random trees
+    for seed in range(4):
+        spec, index, kern, data = random_gp_instance(
+            seed, n=10, noise=1e-3, kind=kind, tied_scales=tied_scales
+        )
+        lo, hi = _log_box(kern)
+        rng = np.random.default_rng(seed)
+        starts = [
+            np.clip(kern.get_log_params(), lo, hi),
+            rng.uniform(lo, hi),
+            np.where(rng.random(lo.size) < 0.5, lo, hi),
+            hi + 1.0,
+        ]
+        for x0 in starts:
+            _lbfgsb_matches_scipy(kern, data, x0)
+
+
+def test_lbfgsb_driver_matches_scipy_minimize_where_the_gram_fails():
+    # one point twice at zero noise: some steps land where the Gram does not
+    # factorize and the objective reports FAILED_EVIDENCE with a zero gradient
+    mixed = 0
+    for seed in (1, 4, 17):
+        spec, index, kern, data = random_gp_instance(seed, n=8, noise=0.0)
+        data = gp.Dataset.create(
+            data.points + data.points[:1], np.append(data.targets, data.targets[0])
+        )
+        lo, hi = _log_box(kern)
+        rng = np.random.default_rng(seed)
+        for x0 in [np.clip(kern.get_log_params(), lo, hi), *rng.uniform(lo, hi, (4, lo.size))]:
+            values, _ = _lbfgsb_matches_scipy(kern, data, x0)
+            failed = sum(v >= gp.FAILED_EVIDENCE for v in values)
+            mixed += 0 < failed < len(values)
+    assert mixed >= 3
+
+
+def test_lbfgsb_driver_stops_at_the_iteration_limit(monkeypatch):
+    monkeypatch.setattr(gp, "FIT_MAXITER", 2)
+    for seed in range(3):
+        spec, index, kern, data = random_gp_instance(seed, n=12, noise=1e-3)
+        lo, hi = _log_box(kern)
+        _, res = _lbfgsb_matches_scipy(kern, data, np.random.default_rng(seed).uniform(lo, hi))
+        assert res.nit == 2 and "ITERATIONS REACHED LIMIT" in res.message
+
+
 def test_fit_hyperparameters_recovers_lengthscale():
     # data drawn from a known single-vertex SE kernel; median recovery +-30%
     spec, index = chain_space((1,))
@@ -667,10 +748,10 @@ def test_fit_hyperparameters_with_nothing_to_fit(monkeypatch):
     kern = AddTreeKernel.default(spec, index, zero_dim="zero")
     assert kern.theta == ()
     data = gp.Dataset.create([linearize(spec, index, 0, [])] * 2, [0.4, -0.2], noise=0.1)
-    def no_minimize(*args, **kwargs):
-        raise AssertionError("minimize ran")
+    def no_lbfgsb(*args, **kwargs):
+        raise AssertionError("L-BFGS-B ran")
 
-    monkeypatch.setattr(gp, "minimize", no_minimize)
+    monkeypatch.setattr(gp, "_lbfgsb", no_lbfgsb)
     result = gp.fit_hyperparameters(kern, data, restarts=3, lengthscale_cap=0.5)
     assert result.kernel == kern
     expected = oracles.log_evidence(gp.fit(kern, data))
