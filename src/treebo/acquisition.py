@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .gp import (
     ComponentStack,
@@ -163,7 +162,12 @@ class Proposal:
 
 @functools.lru_cache(maxsize=64)
 def _unit_sobol(dim: int, budget: int) -> np.ndarray:
-    """The first ``budget`` unscrambled Sobol points in [0, 1)^dim, read-only."""
+    """The first ``budget`` unscrambled Sobol points in [0, 1)^dim, read-only.
+
+    Imports ``scipy.stats`` here: a slow import that only ``propose`` needs.
+    """
+    from scipy.stats import qmc
+
     m = max(1, math.ceil(math.log2(max(2, budget))))
     pts = qmc.Sobol(d=dim, scramble=False).random_base2(m)[:budget]
     pts.flags.writeable = False

@@ -19,7 +19,6 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-from scipy.stats import wilcoxon
 
 from . import gp
 from .acquisition import Proposal, UcbSchedule, propose
@@ -684,7 +683,11 @@ def wilcoxon_one_sided(a, b) -> float:
     :func:`scipy.stats.wilcoxon`'s, from the exact null distribution for up to
     25 untied pairs; beyond that (or with tied magnitudes) from the normal
     approximation with tie correction and no continuity correction.
+
+    Imports ``scipy.stats`` here: a slow import that only comparisons need.
     """
+    from scipy.stats import wilcoxon
+
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.size != b.size:

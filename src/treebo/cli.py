@@ -6,6 +6,9 @@ curves with pairwise one-sided signed-rank tests; ``regression`` runs the
 data-efficiency study.  Exit codes: 0 success, 1 user error, 2 internal
 error.  All randomness comes from explicit seeds in the config; repeated runs
 produce identical traces up to wall-time fields.
+
+Installed, the front end is the ``treebo`` command; from a checkout, run
+``PYTHONPATH=src python -m treebo``.
 """
 
 from __future__ import annotations
@@ -121,13 +124,24 @@ def _config_from_args(args) -> BoConfig:
         raise UserError(str(exc)) from None
 
 
+def _make_out_dir(text: str) -> Path:
+    """Create the output directory ``--out``; a path that cannot be one (an
+    existing file, say) is a user error."""
+    out = Path(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UserError(f"--out {out}: cannot create directory ({exc.strerror})") from None
+    return out
+
+
 def _build_objective(payload: dict):
     if payload.get("tree_spec"):
         path = Path(payload["tree_spec"])
-        if not path.exists():
-            raise UserError(f"tree-spec file not found: {path}")
         try:
             spec = parse_tree_spec(path.read_text())
+        except OSError as exc:  # missing, a directory, unreadable
+            raise UserError(f"cannot read tree-spec file {path}: {exc.strerror}") from None
         except TreeSpecError as exc:
             raise UserError(f"{path}: {exc}") from None
         return quadratic_objective(
@@ -174,9 +188,6 @@ def cmd_run(args) -> int:
     if args.workers < 1:
         raise UserError("--workers must be >= 1")
     config = _config_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     base = {
         "objective": args.objective,
         "tree_spec": args.tree_spec,
@@ -185,6 +196,7 @@ def cmd_run(args) -> int:
         "config": dataclasses.asdict(config),
     }
     _build_objective(base)  # fail fast on a bad objective/tree-spec
+    out = _make_out_dir(args.out)
 
     payloads = []
     for algo in algorithms:
@@ -212,6 +224,9 @@ def cmd_compare(args) -> int:
     iterations = _parse_int_list(args.iterations, "--iterations")
     if not iterations:
         raise UserError("--iterations is empty")
+    out = Path(args.out) if args.out else None
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):
+        raise UserError(f"--out {out}: not a file in an existing directory")
     groups = []
     for k, d in enumerate(args.dirs):
         path = Path(d)
@@ -247,7 +262,7 @@ def cmd_compare(args) -> int:
     except ValueError as exc:
         raise UserError(str(exc)) from None
     print(render_comparison(report))
-    if args.out:
+    if out is not None:
         records = []
         for (a, b), by_t in report.p_values.items():
             for t, p in by_t.items():
@@ -255,7 +270,7 @@ def cmd_compare(args) -> int:
         for algo, by_t in report.median_incumbent.items():
             for t, v in by_t.items():
                 records.append({"algorithm": algo, "iteration": t, "median_incumbent": v})
-        Path(args.out).write_text(
+        out.write_text(
             "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
         )
     return EXIT_OK
@@ -278,6 +293,7 @@ def cmd_regression(args) -> int:
         raise UserError("--test-size must be >= 1")
     objective = _build_objective(vars(args))
     config = _config_from_args(args)
+    out = _make_out_dir(args.out) if args.out else None
     records = run_regression_study(
         objective, sizes, test_size=args.test_size, seeds=seeds, config=config
     )
@@ -285,9 +301,7 @@ def cmd_regression(args) -> int:
     print("method".ljust(14) + "n_train".rjust(8) + "median MSE".rjust(14))
     for (method, n), mse in table.items():
         print(method.ljust(14) + f"{n:8d}" + f"{mse:14.6g}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         write_regression_records(out / "regression.jsonl", records)
     return EXIT_OK
 

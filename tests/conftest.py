@@ -17,6 +17,14 @@ from treebo.kernels import AddTreeKernel  # noqa: E402
 from treebo.tree_space import build_path_index, linearize, parse_tree_spec  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH, for
+    tests that start a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture(scope="session")

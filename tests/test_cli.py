@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import src_env
 from treebo import cli
 from treebo.bench import BoConfig, RegressionRecord, read_trace
 
@@ -45,6 +48,37 @@ def test_run_missing_tree_spec_is_user_error(tmp_path, capsys):
     )
     assert code == 1
     assert "/nonexistent/space.tree" in capsys.readouterr().err
+
+
+def _one_line_error(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_run_tree_spec_directory_is_user_error_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = run_cli("run", "--tree-spec", str(tmp_path), "--out", str(out), *FAST)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and str(tmp_path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", *FAST],
+        ["regression", "--train-sizes", "4", "--test-size", "1", "--seeds", "0",
+         "--restarts", "1"],
+    ],
+    ids=["run", "regression"],
+)
+def test_out_naming_a_file_is_user_error_before_any_work(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli(*argv, "--out", str(taken)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no run and no study before the error
+    assert _one_line_error(captured.err) and str(taken) in captured.err
 
 
 def test_run_rejects_unknown_algorithm(tmp_path, capsys):
@@ -213,6 +247,18 @@ def test_compare_missing_directory_is_user_error(tmp_path, capsys):
     assert run_cli("compare", str(tmp_path / "none"), "--iterations", "1") == 1
 
 
+def test_compare_out_in_missing_directory_is_user_error(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    assert run_cli("run", "--algorithms", "addtree,random", "--seeds", "0,1,2,3,4",
+                   "--out", str(traces), *FAST) == 0
+    capsys.readouterr()
+    report = tmp_path / "nodir" / "report.jsonl"
+    assert run_cli("compare", str(traces), "--iterations", "3", "--out", str(report)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no report before the error
+    assert _one_line_error(captured.err) and str(report) in captured.err
+
+
 @pytest.mark.parametrize(
     "text", ['{"kind": "iteration"}\n', "not json\n"], ids=["no-header", "not-json"]
 )
@@ -275,3 +321,11 @@ def test_train_sizes_range_syntax():
 def test_help_exits_zero(capsys):
     assert run_cli("--help") == 0
     assert "run" in capsys.readouterr().out
+
+
+def test_python_dash_m_treebo_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "treebo", "--help"], capture_output=True, text=True, env=src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: treebo")

@@ -2,6 +2,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import treebo
-from conftest import random_points
+from conftest import random_points, src_env
 from treebo import bench
 from treebo.kernels import AddTreeKernel, stack_points
 
@@ -70,6 +72,41 @@ def test_only_gp_imports_scipy_optimize():
     # acquisition ascent is the package's own
     importers = [n for n in MODULES if _imports_scipy_optimize(importlib.import_module(n))]
     assert importers == ["treebo.gp"]
+
+
+# scipy.stats is the package's slowest import, and only the acquisition's
+# Sobol scan and the signed-rank test use it: a regression study, a random
+# run and the CLI's help must never load it
+LAZY_STATS = """
+import sys
+
+from treebo import bench, cli
+
+
+def check(loaded, after):
+    assert ("scipy.stats" in sys.modules) == loaded, after
+
+
+check(False, "importing treebo")
+assert cli.main(["--help"]) == 0
+check(False, "treebo --help")
+objective = bench.random_tree_objective(2, 2, 1, 0)
+config = bench.BoConfig(n_init=2, restarts=1, acq_starts=2, acq_scan=8)
+bench.run_regression_study(objective, [4], test_size=2, seeds=[0], config=config)
+check(False, "run_regression_study")
+bench.run_bo(objective, "random", 4, 0, config)
+check(False, "a random run")
+bench.run_bo(objective, "addtree", 4, 0, config)
+check(True, "an addtree run")
+"""
+
+
+def test_scipy_stats_is_imported_only_where_used():
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", LAZY_STATS], capture_output=True, text=True,
+        env=src_env(),
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 def test_benchmark_tracer_names_exist(jenatton, monkeypatch):
