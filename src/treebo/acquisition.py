@@ -16,7 +16,10 @@ at once, on :func:`~treebo.gp.stacked_component_posterior` with the
 closed-form gradient of the component UCB.  Each argmax is then scored once
 more by :func:`~treebo.gp.component_posterior_batch`, so every reported
 score comes from the reference posterior.  A dim-0 vertex has nothing to
-maximize; its score is that same closed form.
+maximize; its score is that same closed form.  The scan is the unscrambled
+Sobol sequence, generated here (:func:`_unit_sobol`) from scipy's Joe-Kuo
+direction-number file rather than by ``scipy.stats.qmc``: importing
+``scipy.stats`` would cost a BO process about half a second and 20 MB.
 
 ``beta`` follows the adaptive confidence schedule (Berkenkamp et al., JMLR
 2019): ``sqrt(beta_t)`` is the inflated norm bound ``b(t) * g(t)^d * B0``
@@ -31,8 +34,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .gp import (
     ComponentStack,
@@ -61,6 +66,10 @@ GAIN_TOL = 1e-12
 ARMIJO = 1e-4
 MEMORY = 10
 STEP_MIN, STEP_MAX = 1e-10, 1e10
+# The Sobol scan's direction numbers: scipy's copy of the Joe-Kuo table, read
+# by path so that ``scipy.stats`` is never imported, and its row count.
+SOBOL_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+SOBOL_MAX_DIM = 21201
 
 
 @dataclass(frozen=True)
@@ -164,12 +173,39 @@ class Proposal:
 def _unit_sobol(dim: int, budget: int) -> np.ndarray:
     """The first ``budget`` unscrambled Sobol points in [0, 1)^dim, read-only.
 
-    Imports ``scipy.stats`` here: a slow import that only ``propose`` needs.
+    Bitwise equal to ``scipy.stats.qmc.Sobol(d=dim, scramble=False)
+    .random_base2(m)[:budget]``, built from the Joe-Kuo (2008) direction
+    numbers that ``qmc.Sobol`` reads itself (:data:`SOBOL_TABLE`, loaded on
+    each cache miss and closed at once), so ``propose`` never pays for
+    importing ``scipy.stats``.
+    Row 0 is all ones; row d >= 1 with primitive polynomial p of degree s
+    starts from its s initial numbers and continues by the Bratley-Fox
+    recurrence.  Point i is the XOR of the direction numbers at the set bits
+    of gray(i) = i ^ (i >> 1), scipy's Antonov-Saleev order, over 2^m.
     """
-    from scipy.stats import qmc
-
+    if dim > SOBOL_MAX_DIM:
+        raise ValueError(f"Maximum supported dimensionality is {SOBOL_MAX_DIM}.")
     m = max(1, math.ceil(math.log2(max(2, budget))))
-    pts = qmc.Sobol(d=dim, scramble=False).random_base2(m)[:budget]
+    with np.load(SOBOL_TABLE) as table:
+        poly, vinit = table["poly"][:dim], table["vinit"][:dim]
+    M = np.ones((dim, m), dtype=np.int64)  # row 0 stays all ones
+    for d in range(1, dim):
+        p = int(poly[d])
+        s = p.bit_length() - 1
+        md = [int(x) for x in vinit[d, :s]]
+        for k in range(s, m):
+            x = md[k - s] ^ (md[k - s] << s)
+            for j in range(1, s):
+                if p >> (s - j) & 1:
+                    x ^= md[k - j] << j
+            md.append(x)
+        M[d] = md[:m]
+    v = M << (m - 1 - np.arange(m))
+    gray = np.arange(budget) ^ (np.arange(budget) >> 1)
+    pts = np.zeros((budget, dim), dtype=np.int64)
+    for bit in range(m):
+        pts[(gray >> bit) & 1 == 1] ^= v[:, bit]
+    pts = pts / 2.0**m
     pts.flags.writeable = False
     return pts
 

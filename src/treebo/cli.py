@@ -142,6 +142,8 @@ def _build_objective(payload: dict):
             spec = parse_tree_spec(path.read_text())
         except OSError as exc:  # missing, a directory, unreadable
             raise UserError(f"cannot read tree-spec file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:  # a binary file
+            raise UserError(f"tree-spec file {path} is not UTF-8 text") from None
         except TreeSpecError as exc:
             raise UserError(f"{path}: {exc}") from None
         return quadratic_objective(

@@ -287,11 +287,23 @@ def test_propose_validates_budget(jenatton):
         acq.propose(model, sched, t=1, scan_budget=0)
 
 
+SOBOL_BUDGETS = [1, 2, 3, 5, 8, 31, 32, 33, 100, 1024, 4096]
+# large dimensions only with small budgets, to keep the scans small
+SOBOL_CASES = (
+    [(dim, budget) for dim in range(1, 41) for budget in SOBOL_BUDGETS]
+    + [(1000, budget) for budget in SOBOL_BUDGETS if budget <= 32]
+    + [(acq.SOBOL_MAX_DIM, 2)]
+)
+
+
 def test_unit_sobol_scan_is_built_once_and_read_only():
-    for dim, budget in [(1, 32), (2, 32), (3, 5), (2, 1)]:
+    # scipy's qmc.Sobol is the oracle: the scan must equal it bit for bit
+    for dim, budget in SOBOL_CASES:
         pts = acq._unit_sobol(dim, budget)
         m = max(1, math.ceil(math.log2(max(2, budget))))
         fresh = qmc.Sobol(d=dim, scramble=False).random_base2(m)[:budget]
-        assert pts.tobytes() == fresh.tobytes()
+        assert pts.shape == fresh.shape and pts.tobytes() == fresh.tobytes(), (dim, budget)
         assert acq._unit_sobol(dim, budget) is pts
         assert not pts.flags.writeable
+    with pytest.raises(ValueError, match="dimensionality"):
+        acq._unit_sobol(acq.SOBOL_MAX_DIM + 1, 2)

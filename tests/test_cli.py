@@ -63,6 +63,17 @@ def test_run_tree_spec_directory_is_user_error_and_writes_nothing(tmp_path, caps
     assert not out.exists()
 
 
+def test_run_binary_tree_spec_is_user_error_and_writes_nothing(tmp_path, capsys):
+    binary = tmp_path / "space.tree"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe")
+    out = tmp_path / "o"
+    code = run_cli("run", "--tree-spec", str(binary), "--out", str(out), *FAST)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and str(binary) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -74,9 +74,9 @@ def test_only_gp_imports_scipy_optimize():
     assert importers == ["treebo.gp"]
 
 
-# scipy.stats is the package's slowest import, and only the acquisition's
-# Sobol scan and the signed-rank test use it: a regression study, a random
-# run and the CLI's help must never load it
+# scipy.stats is the package's slowest import, and only the signed-rank
+# test of `treebo compare` uses it: the CLI's help, a regression study and
+# every kind of BO run must never load it
 LAZY_STATS = """
 import sys
 
@@ -97,7 +97,9 @@ check(False, "run_regression_study")
 bench.run_bo(objective, "random", 4, 0, config)
 check(False, "a random run")
 bench.run_bo(objective, "addtree", 4, 0, config)
-check(True, "an addtree run")
+check(False, "an addtree run")
+bench.run_bo(objective, "independent", 4, 0, config)
+check(False, "an independent run")
 """
 
 
