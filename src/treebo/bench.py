@@ -401,6 +401,12 @@ def read_trace(path) -> RunTrace:
 # -- the optimization loops ----------------------------------------------------
 
 
+def _check_seed(seed: int) -> None:
+    """Seeds feed numpy's ``SeedSequence``, which takes no negative integer."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _init_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11,)))
 
@@ -522,6 +528,7 @@ def run_bo(
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
+    _check_seed(seed)
     config = config or BoConfig()
 
     meta_config = dict(asdict(config))
@@ -539,7 +546,6 @@ def run_bo(
         "config_digest": config_digest(meta_config),
     }
     trace = RunTrace(meta=meta)
-    writer = TraceWriter(trace_path, meta) if trace_path else None
 
     spec, index = objective.spec, objective.index
     n_init = config.resolve_n_init(spec)
@@ -548,7 +554,9 @@ def run_bo(
     loops = [_GpLoop(space, config) for space in _model_spaces(algorithm, spec, index)]
 
     best = np.inf
+    writer = None
     try:
+        writer = TraceWriter(trace_path, meta) if trace_path else None
         for t in range(1, iterations + 1):
             t_start = time.perf_counter()
             beta_value = None
@@ -627,6 +635,9 @@ def run_regression_study(
     """
     if test_size < 1:
         raise ValueError(f"test_size must be >= 1, got {test_size}")
+    seeds = list(seeds)
+    for seed in seeds:
+        _check_seed(seed)
     config = config or BoConfig()
     spec, index = objective.spec, objective.index
     sizes = sorted(set(int(n) for n in train_sizes))

@@ -18,7 +18,6 @@ import dataclasses
 import json
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .bench import (
@@ -58,6 +57,17 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise UserError(f"{what}: expected comma-separated integers, got {text!r}") from None
+
+
+def _parse_seeds(text: str) -> list[int]:
+    """The ``--seeds`` list: one or more integers, none negative (numpy's
+    seed sequences take no negative seed)."""
+    seeds = _parse_int_list(text, "--seeds")
+    if not seeds:
+        raise UserError("--seeds is empty")
+    if min(seeds) < 0:
+        raise UserError(f"--seeds must be >= 0, got {min(seeds)}")
+    return seeds
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -146,9 +156,10 @@ def _build_objective(payload: dict):
             raise UserError(f"tree-spec file {path} is not UTF-8 text") from None
         except TreeSpecError as exc:
             raise UserError(f"{path}: {exc}") from None
-        return quadratic_objective(
-            spec, payload.get("objective_seed", 0), name=f"tree:{path.name}"
-        )
+        seed = payload.get("objective_seed", 0)
+        if seed < 0:
+            raise UserError(f"--objective-seed must be >= 0, got {seed}")
+        return quadratic_objective(spec, seed, name=f"tree:{path.name}")
     name = payload.get("objective", "jenatton")
     if name == "jenatton":
         return jenatton_objective()
@@ -180,9 +191,7 @@ def cmd_run(args) -> int:
     for a in algorithms:
         if a not in ALGORITHMS:
             raise UserError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
-    seeds = _parse_int_list(args.seeds, "--seeds")
-    if not seeds:
-        raise UserError("--seeds is empty")
+    seeds = _parse_seeds(args.seeds)
     if len(set(algorithms)) < len(algorithms) or len(set(seeds)) < len(seeds):
         raise UserError("--algorithms or --seeds repeats a value; each run writes one trace")
     if args.iterations < 1:
@@ -212,6 +221,9 @@ def cmd_run(args) -> int:
             payloads.append(payload)
 
     if args.workers > 1:
+        # imported here: it costs every other command about 20 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             summaries = list(pool.map(_execute_run, payloads))
     else:
@@ -285,9 +297,7 @@ def write_regression_records(path, records: list[RegressionRecord]) -> None:
 
 
 def cmd_regression(args) -> int:
-    seeds = _parse_int_list(args.seeds, "--seeds")
-    if not seeds:
-        raise UserError("--seeds is empty")
+    seeds = _parse_seeds(args.seeds)
     sizes = _parse_sizes(args.train_sizes)
     if not sizes or min(sizes) < 0:
         raise UserError(f"--train-sizes needs one or more sizes >= 0, got {args.train_sizes!r}")

@@ -57,7 +57,13 @@ points:
   stopping rules, so every iterate is bitwise the same, but the routine's
   requests for f and g go straight to the evidence objective.  scipy's
   ``ScalarFunction`` and ``MemoizeJac`` layers cost about as much as the
-  evidence itself at Jenatton sizes.
+  evidence itself at Jenatton sizes.  ``setulb`` and the LAPACK routines
+  (``lapack``, scipy's ``_flapack``) are the same C functions scipy
+  exposes, but :func:`_scipy_extension` loads their two compiled modules
+  from their files in scipy's install directory: importing
+  ``scipy.optimize`` and ``scipy.linalg`` would run their packages'
+  ``__init__``, which pull in linprog, ``scipy.sparse``, ``scipy.special``
+  and more, about 0.3-0.5 s and 38 MB in every process that fits a GP.
 
 The observation noise is one known variance shared by every observation
 (:attr:`Dataset.noise`); the evidence is maximized over the kernel
@@ -67,11 +73,14 @@ hyperparameters only, conditioned on it.
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.optimize._lbfgsb import setulb
+import scipy
 
 from .kernels import (
     AddTreeKernel,
@@ -93,6 +102,32 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+
+def _scipy_extension(package: str, name: str):
+    """scipy's compiled module ``scipy.<package>.<name>``, loaded from its file
+    in scipy's install directory without running the package's
+    ``__init__``, and registered under its own name so that a later import
+    of the package reuses it.  Raises :class:`ImportError` naming the module
+    and the directory when the file is not there."""
+    fullname = f"scipy.{package}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    directory = Path(scipy.__file__).parent / package
+    finder = FileFinder(str(directory), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(fullname)
+    if spec is None or spec.loader is None:  # no file; or a bare directory
+        raise ImportError(f"no extension module {fullname} in {directory}", name=fullname)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[fullname] = module
+    return module
+
+
+# The four compiled routines a fit calls: LAPACK's dpotri, dpotrs and dtrtrs,
+# and L-BFGS-B's setulb (see the module docstring).
+lapack = _scipy_extension("linalg", "_flapack")
+setulb = _scipy_extension("optimize", "_lbfgsb").setulb
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
@@ -416,7 +451,8 @@ def _evidence_and_grad(
     half_inner -= _inverse_lower(L)
     half_inner.flat[:: n + 1] *= 0.5
     # each block's sums of its products with dK, then onto the parameters
-    sums = np.add.reduceat(dK * half_inner.ravel()[blocks.flat], blocks.starts, axis=1)
+    dK *= half_inner.ravel()[blocks.flat]  # in place: dK is this call's own
+    sums = np.add.reduceat(dK, blocks.starts, axis=1)
     grad = np.bincount(
         blocks.param_index.ravel(), sums.ravel(), minlength=log_params.size + 1
     )

@@ -120,6 +120,17 @@ def test_run_bo_unknown_algorithm(jenatton):
         run_bo(jenatton, "gradient", iterations=1, seed=0)
 
 
+
+def test_negative_seed_is_value_error_before_a_trace_is_written(jenatton, tmp_path):
+    # numpy's seed sequences take no negative seed; the run used to open its
+    # trace first and leave it behind, open, with a header only
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        run_bo(jenatton, "addtree", iterations=2, seed=-1, trace_path=path)
+    assert not path.exists()
+    with pytest.raises(ValueError, match="seed must be >= 0, got -2"):
+        run_regression_study(jenatton, [4], test_size=2, seeds=[0, -2])
+
 def test_addtree_replay_is_deterministic(jenatton):
     cfg = BoConfig(n_init=4, restarts=2)
     a = run_bo(jenatton, "addtree", iterations=10, seed=7, config=cfg)

@@ -74,6 +74,24 @@ def test_run_binary_tree_spec_is_user_error_and_writes_nothing(tmp_path, capsys)
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--seeds", "0,-1", *FAST],
+        ["run", "--tree-spec", str(DATA / "two_leaf.tree"), "--objective-seed=-1", *FAST],
+        ["regression", "--train-sizes", "4", "--test-size", "1", "--seeds=-1",
+         "--restarts", "1"],
+    ],
+    ids=["run", "objective-seed", "regression"],
+)
+def test_negative_seed_is_user_error_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and "seed" in err and "must be >= 0, got -1" in err
+    assert not out.exists()
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -53,7 +53,9 @@ def test_every_public_name_is_read_by_the_program():
     assert [name for name in exported + methods if name not in read] == ["to_config"]
 
 
-def _imports_scipy_optimize(module) -> bool:
+def _reaches_scipy_optimize(module) -> bool:
+    """Whether the module imports from ``scipy.optimize`` or loads one of its
+    compiled modules by file (``gp._scipy_extension("optimize", ...)``)."""
     tree = ast.parse(inspect.getsource(module))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -64,42 +66,60 @@ def _imports_scipy_optimize(module) -> bool:
                 return True
             if node.module == "scipy" and any(a.name == "optimize" for a in node.names):
                 return True
+        elif isinstance(node, ast.Call):
+            if any(isinstance(a, ast.Constant) and a.value == "optimize" for a in node.args):
+                return True
     return False
 
 
-def test_only_gp_imports_scipy_optimize():
-    # hyperparameter fitting is the one optimizer that is scipy's; the
+def test_only_gp_reaches_scipy_optimize():
+    # hyperparameter fitting is the one optimizer that is scipy's, and gp
+    # reaches it through its file loader, not a scipy.optimize import; the
     # acquisition ascent is the package's own
-    importers = [n for n in MODULES if _imports_scipy_optimize(importlib.import_module(n))]
+    importers = [n for n in MODULES if _reaches_scipy_optimize(importlib.import_module(n))]
     assert importers == ["treebo.gp"]
+    from treebo import gp
+
+    assert gp.setulb is importlib.import_module("scipy.optimize._lbfgsb").setulb
 
 
-# scipy.stats is the package's slowest import, and only the signed-rank
-# test of `treebo compare` uses it: the CLI's help, a regression study and
-# every kind of BO run must never load it
+# scipy.stats, scipy.optimize and scipy.linalg are the package's slowest
+# imports: only the signed-rank test of `treebo compare` uses scipy.stats,
+# and gp loads the two compiled modules it needs from scipy.linalg and
+# scipy.optimize by file.  The CLI's help, a regression study and every kind
+# of BO run must load none of the three packages; importing them afterwards
+# must reuse gp's modules.
 LAZY_STATS = """
+import importlib
 import sys
 
-from treebo import bench, cli
+from treebo import bench, cli, gp
+
+SLOW = ("scipy.stats", "scipy.linalg", "scipy.optimize")
 
 
-def check(loaded, after):
-    assert ("scipy.stats" in sys.modules) == loaded, after
+def check(after):
+    assert [m for m in SLOW if m in sys.modules] == [], after
 
 
-check(False, "importing treebo")
+check("importing treebo")
 assert cli.main(["--help"]) == 0
-check(False, "treebo --help")
+check("treebo --help")
 objective = bench.random_tree_objective(2, 2, 1, 0)
 config = bench.BoConfig(n_init=2, restarts=1, acq_starts=2, acq_scan=8)
 bench.run_regression_study(objective, [4], test_size=2, seeds=[0], config=config)
-check(False, "run_regression_study")
+check("run_regression_study")
 bench.run_bo(objective, "random", 4, 0, config)
-check(False, "a random run")
+check("a random run")
 bench.run_bo(objective, "addtree", 4, 0, config)
-check(False, "an addtree run")
+check("an addtree run")
 bench.run_bo(objective, "independent", 4, 0, config)
-check(False, "an independent run")
+check("an independent run")
+lapack = importlib.import_module("scipy.linalg.lapack")
+lbfgsb = importlib.import_module("scipy.optimize._lbfgsb")
+assert gp.lapack is lapack._flapack and gp.setulb is lbfgsb.setulb
+routines = ("dpotri", "dpotrs", "dtrtrs")
+assert all(getattr(gp.lapack, f) is getattr(lapack, f) for f in routines)
 """
 
 

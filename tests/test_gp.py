@@ -1,10 +1,12 @@
 import itertools
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, lapack
 from scipy.optimize import minimize
 
 import oracles
@@ -623,6 +625,36 @@ def test_solve_lower_keeps_cho_solve_checks():
             gp._solve_lower(*args)
         with pytest.raises(ValueError):
             cho_solve((args[0], True), args[1])
+
+
+def test_lapack_helpers_match_scipy_lapack_bitwise():
+    # gp loads scipy's compiled LAPACK module by file: its routines must be
+    # the ones scipy.linalg.lapack exposes, with the same bits
+    routines = ("dpotri", "dpotrs", "dtrtrs")
+    assert all(getattr(gp.lapack, f) is getattr(lapack, f) for f in routines)
+    rng = np.random.default_rng(6)
+    for n in range(1, 101):
+        A = rng.normal(size=(n, n))
+        L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
+        B = rng.normal(size=(n, 3))
+        np.testing.assert_array_equal(gp._inverse_lower(L), lapack.dpotri(L, lower=1)[0])
+        np.testing.assert_array_equal(gp._forward_solve(L, B), lapack.dtrtrs(L, B, lower=1)[0])
+        b = B[:, 0]
+        np.testing.assert_array_equal(gp._solve_lower(L, b), lapack.dpotrs(L, b, lower=1)[0])
+
+
+def test_scipy_extension_loader_names_what_is_missing(tmp_path, monkeypatch):
+    directory = str(Path(gp.scipy.__file__).parent / "linalg")
+    with pytest.raises(ImportError, match="scipy.linalg._no_such_module") as info:
+        gp._scipy_extension("linalg", "_no_such_module")
+    assert directory in str(info.value)
+    assert "scipy.linalg._no_such_module" not in sys.modules
+    # a directory of that name is no extension module either
+    monkeypatch.setattr(gp.scipy, "__file__", str(tmp_path / "__init__.py"))
+    (tmp_path / "optimize" / "_lbfgsb_dir").mkdir(parents=True)
+    with pytest.raises(ImportError, match="scipy.optimize._lbfgsb_dir") as info:
+        gp._scipy_extension("optimize", "_lbfgsb_dir")
+    assert str(tmp_path / "optimize") in str(info.value)
 
 
 def _log_box(kernel):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -386,6 +387,34 @@ def test_gram_grads_match_finite_differences():
                 np.testing.assert_allclose(full, fd, atol=1e-6)
     assert saw_dim0
 
+
+
+def test_gram_and_grads_temporaries_stay_near_its_output():
+    # glibc gives the free top of its heap back to the system, and faults it
+    # in again on the next call, once it passes a trim threshold of about
+    # 0.5 MB in a process that has freed no larger block.  An evidence
+    # evaluation on the 26-d tree at n = 100 stays below it only while
+    # gram_and_grads builds its derivatives in place and frees its per-entry
+    # temporaries before the Gram (its peak was 2.7x its output)
+    objective = bench.random_tree_objective(3, 3, 2, 0)
+    rng = np.random.default_rng(1)
+    points = [
+        linearize(objective.spec, objective.index, *bench.sample_branch_walk(objective.index, rng))
+        for _ in range(100)
+    ]
+    kern = AddTreeKernel.default(objective.spec, objective.index, "se")
+    blocks = kern.vertex_blocks(stack_points(points))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        K, dK = kern.gram_and_grads(blocks, kern.get_log_params())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 2.0 * (K.nbytes + dK.nbytes)
 
 @pytest.mark.parametrize("zero_dim", ["constant", "zero"])
 def test_diag_and_component_cross_agree_with_gram(zero_dim):
