@@ -14,12 +14,13 @@ scan of every vertex's box picks its best starts, and one projected gradient
 ascent (:func:`_ascend`) climbs from all starts of all the batch's vertices
 at once, on :func:`~treebo.gp.stacked_component_posterior` with the
 closed-form gradient of the component UCB.  Each argmax is then scored once
-more by :func:`~treebo.gp.component_posterior_batch`, so every reported
-score comes from the reference posterior.  A dim-0 vertex has nothing to
-maximize; its score is that same closed form.  The scan is the unscrambled
-Sobol sequence, generated here (:func:`_unit_sobol`) from scipy's Joe-Kuo
-direction-number file rather than by ``scipy.stats.qmc``: importing
-``scipy.stats`` would cost a BO process about half a second and 20 MB.
+more by :func:`~treebo.gp.component_posterior_batch`, a solve with the
+Cholesky factor itself, so every reported score comes from the reference
+posterior.  A dim-0 vertex has nothing to maximize; its score is that same
+closed form.  The scan is the unscrambled Sobol sequence, generated here
+(:func:`_unit_sobol`) from scipy's Joe-Kuo direction-number file rather than
+by ``scipy.stats.qmc``: importing ``scipy.stats`` would cost a BO process
+about half a second and 20 MB.
 
 ``beta`` follows the adaptive confidence schedule (Berkenkamp et al., JMLR
 2019): ``sqrt(beta_t)`` is the inflated norm bound ``b(t) * g(t)^d * B0``

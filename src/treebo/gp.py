@@ -4,19 +4,18 @@ Inference follows the standard zero-mean GP equations on the linearized
 points:
 
 * **One batched prediction on the Cholesky factor.**  :func:`fit` keeps the
-  lower Cholesky factor L of K_y, α = K_y^{-1} y and K_y^{-1} itself (LAPACK
-  ``dpotri`` on L).  For a query with cross-covariance c, μ = c^T α and
-  σ² = k(x, x) − ‖L^{-1} c‖², one triangular solve (LAPACK ``dtrtrs``);
-  :func:`posterior` evaluates them for many stacked query rows at once.  No
-  row selection is needed: rows that share no kernel-contributing vertex
-  with the query path are uncorrelated with it and with every row that does
-  (shared vertices form a root prefix, and of three leaves' lowest common
-  ancestors the two shallowest coincide), so K_y is block-diagonal up to a
-  row permutation and the full-data formula equals the one on the relevant
-  rows alone.  The squared norm cannot go negative, so a variance keeps its
-  accuracy where K_y is nearly singular; the equal c^T K_y^{-1} c can come
-  out wrong by the whole prior there, because entries of K_y^{-1} grow like
-  1/noise near repeated observations.
+  lower Cholesky factor L of K_y and α = K_y^{-1} y.  For a query with
+  cross-covariance c, μ = c^T α and σ² = k(x, x) − ‖L^{-1} c‖², one
+  triangular solve (LAPACK ``dtrtrs``); :func:`posterior` evaluates them for
+  many stacked query rows at once.  No row selection is needed: rows that
+  share no kernel-contributing vertex with the query path are uncorrelated
+  with it and with every row that does (shared vertices form a root prefix,
+  and of three leaves' lowest common ancestors the two shallowest coincide),
+  so K_y is block-diagonal up to a row permutation and the full-data formula
+  equals the one on the relevant rows alone.  The squared norm keeps its
+  accuracy where K_y is nearly singular; the equal c^T K_y^{-1} c can be
+  wrong by the whole prior there, as entries of K_y^{-1} grow like 1/noise
+  near repeated observations.
 
 * **Component posteriors.**  The kernel is a sum of per-vertex terms, so each
   vertex has its own latent component.  Its conditional mean/variance given
@@ -25,15 +24,15 @@ points:
   Component means along a query's path sum exactly to the full posterior
   mean; variances do not add (the components are correlated a posteriori).
 
-* **Component posteriors on R_v.**  A vertex's cross-covariance is zero off
-  R_v, the rows whose path contains the vertex, so its component posterior
-  needs only α_{R_v} and (K_y^{-1})_{R_v R_v}.  :func:`component_stack`
-  gathers them once per fitted model for several vertices of one dimension,
-  padded to the longest R_v, and :func:`stacked_component_posterior`
-  evaluates means and variances for all of them and many query rows each
-  in one batch, σ² = s_v − c^T K_y^{-1} c on the gathered blocks, with the
-  library's only query gradients: ∂μ = J^T α and ∂σ² = −2 J^T K_y^{-1} c,
-  J = ∂c/∂v.  It counts no clamps, so it leaves the model untouched.
+* **Component posteriors on R_v.**  A vertex's cross-covariance c is zero
+  off R_v, the rows whose path contains the vertex, so ‖L^{-1} c‖² = ‖R c‖²
+  for R the triangular factor of a QR decomposition of L^{-1}[:, R_v], with
+  R^T R = (K_y^{-1})_{R_v R_v}.  :func:`component_stack` builds α_{R_v} and
+  R once per fitted model for several vertices of one dimension, padded to
+  the longest R_v, and :func:`stacked_component_posterior` evaluates means
+  and variances for all of them and many query rows each in one batch,
+  σ² = s_v − ‖R c‖², with the library's only query gradients: ∂μ = J^T α
+  and ∂σ² = −2 J^T R^T R c, J = ∂c/∂v.
 
 * **Evidence on packed vertex blocks.**  Hyperparameter fitting computes the
   kernel's :class:`~treebo.kernels.VertexBlocks` once per fit: the
@@ -124,8 +123,8 @@ def _scipy_extension(package: str, name: str):
     return module
 
 
-# The four compiled routines a fit calls: LAPACK's dpotri, dpotrs and dtrtrs,
-# and L-BFGS-B's setulb (see the module docstring).
+# The compiled routines: LAPACK's dpotri (for the evidence gradient), dpotrs
+# and dtrtrs, and L-BFGS-B's setulb (see the module docstring).
 lapack = _scipy_extension("linalg", "_flapack")
 setulb = _scipy_extension("optimize", "_lbfgsb").setulb
 
@@ -203,7 +202,7 @@ def _cholesky_with_jitter(K_y: np.ndarray) -> tuple[np.ndarray, float]:
     while jitter <= JITTER_MAX * base:
         try:
             L = np.linalg.cholesky(K_y + jitter * np.eye(n))
-            logger.debug("cholesky needed jitter %.3e", jitter)
+            logger.debug("cholesky: n=%d jitter=%.3e", n, jitter)
             return L, jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
@@ -215,12 +214,13 @@ def _cholesky_with_jitter(K_y: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _inverse_lower(L: np.ndarray) -> np.ndarray:
     """Lower triangle of (L L^T)^{-1} from a lower Cholesky factor (LAPACK
-    ``dpotri``); the strict upper triangle is L's, i.e. zero.  Raises
-    :class:`numpy.linalg.LinAlgError` when ``dpotri`` reports failure."""
-    K_inv, info = lapack.dpotri(L, lower=1)
+    ``dpotri``); the strict upper triangle is L's, i.e. zero.  Only the
+    evidence gradient reads it.  Raises :class:`numpy.linalg.LinAlgError`
+    when ``dpotri`` reports failure."""
+    inverse, info = lapack.dpotri(L, lower=1)
     if info:
         raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
-    return K_inv
+    return inverse
 
 
 def _forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -249,14 +249,12 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 class GpModel:
     """A fitted GP: kernel, data, stacked slots ``X`` and Gram matrix ``K``.
 
-    ``L`` is the lower (possibly jittered) Cholesky factor of
-    K_y = K + noise·I, ``alpha`` is K_y^{-1} y and ``K_inv`` the full
-    symmetric K_y^{-1}, both from ``L``.  Posterior means read ``alpha`` and
-    variances ``L``; only :func:`component_stack` reads ``K_inv``.
-    ``jitter`` is the diagonal jitter the factorization needed (0 when
-    none).  Treat instances as immutable after :func:`fit`, apart from
-    ``clamp_count``: posterior queries add the number of numerically
-    negative predictive variances they clamp to zero.
+    ``L`` is the lower (possibly jittered) Cholesky factor of K_y = K +
+    noise·I and ``alpha`` is K_y^{-1} y.  Posterior means read ``alpha`` and
+    every variance comes from ``L``.  ``jitter`` is the diagonal jitter the
+    factorization needed (0 when none).  Treat instances as immutable after
+    :func:`fit`, apart from ``clamp_count``: posterior queries add the
+    number of numerically negative predictive variances they clamp to zero.
     """
 
     kernel: AddTreeKernel
@@ -265,7 +263,6 @@ class GpModel:
     K: np.ndarray
     L: np.ndarray
     alpha: np.ndarray
-    K_inv: np.ndarray
     jitter: float
     clamp_count: int = 0
 
@@ -281,19 +278,15 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
     :class:`FactorizationError` when the matrix stays indefinite through the
     jitter schedule.
     """
-    if len(data) == 0:  # LAPACK's dpotrs and dpotri reject 0 x 0 inputs
+    if len(data) == 0:  # LAPACK's dpotrs rejects 0 x 0 inputs
         empty, X = np.empty((0, 0)), np.empty((0, kernel.index.width))
-        return GpModel(kernel, data, X, empty, empty, np.empty(0), empty, jitter=0.0)
+        return GpModel(kernel, data, X, empty, empty, np.empty(0), jitter=0.0)
     X = stack_points(data.points)
     K = kernel.gram_matrix(X)
     K_y = K.copy()
     K_y.flat[:: len(data) + 1] += data.noise
     L, jitter = _cholesky_with_jitter(K_y)
-    K_inv = _inverse_lower(L)
-    K_inv += np.tril(K_inv, -1).T  # mirror the lower triangle
-    if jitter:
-        logger.debug("fit: n=%d jitter=%.3e", len(data), jitter)
-    return GpModel(kernel, data, X, K, L, _solve_lower(L, data.targets), K_inv, jitter)
+    return GpModel(kernel, data, X, K, L, _solve_lower(L, data.targets), jitter)
 
 
 def _predict(model: GpModel, C: np.ndarray, prior: float | np.ndarray) -> tuple[np.ndarray, ...]:
@@ -346,17 +339,17 @@ class ComponentStack:
 
     Built by :func:`component_stack`.  For the k-th vertex stacked:
     ``values[:, k]`` holds the vertex's values on R_v, the training rows whose
-    path contains it, one row per dimension; ``alpha[k]`` is α restricted to
-    R_v and ``K_inv[k]`` is K_y^{-1} restricted to R_v × R_v;
-    ``lengthscales[k]`` and ``scales[k]`` are the vertex's hyperparameters.
-    Shorter row sets are padded to the longest with zero values, weights and
-    inverse entries, so a padded row adds nothing to any sum.
+    path contains it, one row per dimension; ``alpha[k]`` is α on R_v and
+    ``R[k]`` the upper triangular factor with R^T R = K_y^{-1} on R_v × R_v;
+    ``lengthscales[k]`` and ``scales[k]`` are its hyperparameters.  Shorter
+    row sets are padded to the longest with zero values, weights and factor
+    columns, so a padded row adds nothing to any sum.
     """
 
     kind: str
     values: np.ndarray  # (dim, k, m)
     alpha: np.ndarray  # (k, m)
-    K_inv: np.ndarray  # (k, m, m)
+    R: np.ndarray  # (k, m, m)
     lengthscales: np.ndarray  # (k, dim)
     scales: np.ndarray  # (k,)
 
@@ -370,20 +363,23 @@ def component_stack(model: GpModel, vertex_ids) -> ComponentStack:
         raise ValueError(f"stacked vertices need one dimension >= 1, got {sorted(dims)}")
     (dim,) = dims
     blocks = [kernel._block(vid, model.X) for vid in vertex_ids]
-    k, m = len(vertex_ids), max(rows.size for rows, _ in blocks)
-    values, alpha, K_inv = np.zeros((dim, k, m)), np.zeros((k, m)), np.zeros((k, m, m))
+    n, k, m = model.n, len(vertex_ids), max(rows.size for rows, _ in blocks)
+    L_inv = _forward_solve(model.L, np.eye(n)) if n else model.L  # dtrtrs rejects 0 x 0
+    values, alpha, W = np.zeros((dim, k, m)), np.zeros((k, m)), np.zeros((k, n, m))
     for i, (rows, V) in enumerate(blocks):
         r = rows.size
         values[:, i, :r] = V.T
         alpha[i, :r] = model.alpha[rows]
-        K_inv[i, :r, :r] = model.K_inv[np.ix_(rows, rows)]
+        W[i, :, :r] = L_inv[:, rows]
+    # (k, m, m) as m <= n; Householder QR keeps W's zero padding zero in R
+    R = np.linalg.qr(W, mode="r")
     theta = np.asarray(kernel.theta)
     layout = [kernel._layout[vid] for vid in vertex_ids]
     return ComponentStack(
         kind=kernel.kind,
         values=values,
         alpha=alpha,
-        K_inv=K_inv,
+        R=R,
         lengthscales=np.array([theta[ls] for ls, _ in layout]),
         scales=theta[[scale for _, scale in layout]],
     )
@@ -413,13 +409,14 @@ def stacked_component_posterior(
     scales = stack.scales[:, None, None]
     C = scales * corr  # (k, q, m)
     means = np.einsum("kqi,ki->kq", C, stack.alpha)
-    KC = C @ stack.K_inv  # row (k, q) is K_y^{-1} c restricted to R_v
-    variances = stack.scales[:, None] - np.einsum("kqi,kqi->kq", KC, C)
+    RC = C @ np.swapaxes(stack.R, 1, 2)  # row (k, q) is R c
+    variances = stack.scales[:, None] - np.einsum("kqi,kqi->kq", RC, RC)
     neg = variances < 0
     variances = np.where(neg, 0.0, variances)
     # dc/dV_d = -w * (V_d - x_d) / ls_d^2 = -w * Z_d / ls_d
     w = scales * _lengthscale_grad_weight(stack.kind, r2, corr)
     dmeans = -np.einsum("kqi,dkqi->kqd", w * stack.alpha[:, None, :], Z) / ls
+    KC = RC @ stack.R  # row (k, q) is K_y^{-1} c restricted to R_v
     dvariances = 2.0 * np.einsum("kqi,dkqi->kqd", w * KC, Z) / ls
     dvariances[neg] = 0.0
     return means, variances, dmeans, dvariances

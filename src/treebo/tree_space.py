@@ -225,6 +225,8 @@ def parse_tree_spec(text: str) -> TreeSpec:
                 dim = int(toks[2])
             except ValueError:
                 raise TreeSpecError(f"line {lineno}: vertex {vid!r} has non-integer dim") from None
+            if dim < 0:
+                raise TreeSpecError(f"line {lineno}: vertex {vid!r} has negative dim {dim}")
             nums = toks[3:]
             if len(nums) != 2 * dim:
                 raise TreeSpecError(

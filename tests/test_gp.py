@@ -55,8 +55,9 @@ def test_fit_factorization_reconstructs(jenatton):
     data = gp.Dataset.create(pts, rng.normal(size=20), noise=1e-6)
     model = gp.fit(kern, data)
     K_y = model.K + (data.noise + model.jitter) * np.eye(20)
-    np.testing.assert_array_equal(model.K_inv, model.K_inv.T)
-    np.testing.assert_allclose(model.K_inv @ K_y, np.eye(20), atol=1e-8)
+    np.testing.assert_array_equal(model.L, np.tril(model.L))
+    np.testing.assert_allclose(model.L @ model.L.T, K_y, rtol=0, atol=1e-12 * K_y.max())
+    np.testing.assert_allclose(K_y @ model.alpha, data.targets, rtol=0, atol=1e-8)
 
 
 def test_dataset_validation():
@@ -375,7 +376,8 @@ def _clamp_sweep():
             stack.lengthscales.T[:, :, None, None]
         )
         C = stack.scales[:, None, None] * np.exp(-0.5 * np.einsum("dkqi,dkqi->kqi", Z, Z))
-        raw = stack.scales[:, None] - np.einsum("kqi,kqi->kq", C @ stack.K_inv, C)
+        RC = C @ np.swapaxes(stack.R, 1, 2)
+        raw = stack.scales[:, None] - np.einsum("kqi,kqi->kq", RC, RC)
         yield stacked, raw, raw < 0
 
 
@@ -401,6 +403,74 @@ def test_stacked_component_posterior_clamps_without_counting():
         np.testing.assert_array_equal(variances[~neg], raw[~neg])
         clamped += neg.any()
     assert clamped > 0
+
+
+def test_component_stack_factor_is_the_inverse_block():
+    # R^T R is K_y^{-1} on R_v x R_v, R is upper triangular, and its padding
+    # past |R_v| is exactly zero; well-conditioned (noise 1e-2) random trees,
+    # every dimension's vertices stacked together
+    checked, padded = 0, 0
+    for seed in range(10):
+        spec, index, kern, data = random_gp_instance(seed, n=14, noise=1e-2, max_dim=3)
+        model = gp.fit(kern, data)
+        K_y_inv = np.linalg.inv(model.K + (data.noise + model.jitter) * np.eye(model.n))
+        by_dim = {}
+        for v in spec.vertices:
+            if v.dim:
+                by_dim.setdefault(v.dim, []).append(v.id)
+        for ids in by_dim.values():
+            stack = gp.component_stack(model, ids)
+            for R, vid in zip(stack.R, ids):
+                rows = [i for i, p in enumerate(data.points) if oracles.on_path(index, vid, p)]
+                r = len(rows)
+                np.testing.assert_array_equal(R, np.triu(R))
+                np.testing.assert_array_equal(R[r:], 0.0)
+                np.testing.assert_array_equal(R[:, r:], 0.0)
+                np.testing.assert_allclose(
+                    R[:r, :r].T @ R[:r, :r], K_y_inv[np.ix_(rows, rows)], rtol=1e-10, atol=1e-10
+                )
+                checked += 1
+                padded += r < len(R)
+    assert checked > 15 and padded > 3
+
+
+def test_stacked_vertex_without_rows_gets_exactly_the_prior(jenatton):
+    # only leaf 0 is observed, so n0 and leaf00 have rows and n1 and leaf10
+    # have none; stacked next to observed vertices, an unobserved one is at
+    # its prior bitwise: mean 0, variance s_v, and both gradients 0
+    spec, index = jenatton.spec, jenatton.index
+    rng = np.random.default_rng(8)
+    kern = random_kernel(spec, index, rng, kind="se")
+    pts = [linearize(spec, index, 0, rng.uniform([0, -1], [1, 1])) for _ in range(6)]
+    model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=6), noise=1e-4))
+    ids = ["n0", "n1", "leaf00", "leaf10"]
+    V = rng.uniform(0, 1, size=(4, 5, 1))
+    means, variances, d_means, d_vars = _stack_matches_reference(model, ids, V)
+    for k in (1, 3):
+        np.testing.assert_array_equal(means[k], 0.0)
+        np.testing.assert_array_equal(variances[k], kern.component_prior_variance(ids[k]))
+        np.testing.assert_array_equal(d_means[k], 0.0)
+        np.testing.assert_array_equal(d_vars[k], 0.0)
+    assert np.all(variances[[0, 2]] < variances[[1, 3]])
+
+
+def test_stacked_variances_stay_accurate_near_repeated_observations(jenatton):
+    # A BO run piles its evaluations up at the optimum: here the point
+    # (r, x) = (0, 0) on leaf 0 is observed 30 times, at noise 1e-8, so n0 is
+    # observed 30 times at one value.  Entries of K_y^{-1} reach about 1e8,
+    # and a variance formed from its gathered blocks, s_v - c^T K_y^{-1} c,
+    # was off from the reference by 1e-5; the triangular factor keeps the
+    # two within 1e-9 on a grid over n0's box.
+    spec, index = jenatton.spec, jenatton.index
+    rng = np.random.default_rng(0)
+    pts = [linearize(spec, index, 0, [0.0, 0.0])] * 30 + random_points(spec, index, rng, 8)
+    kern = AddTreeKernel.default(spec, index, output_scale=5.0)
+    model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=38), noise=1e-8))
+    assert model.jitter == 0.0
+    V = np.linspace(0.0, 1.0, 2001)[:, None]
+    _, variances, _, _ = gp.stacked_component_posterior(gp.component_stack(model, ["n0"]), V[None])
+    _, reference = gp.component_posterior_batch(model, "n0", V)
+    np.testing.assert_allclose(variances[0], reference, rtol=0, atol=1e-9)
 
 
 def test_component_stack_needs_one_positive_dimension(two_leaf, jenatton):

@@ -85,6 +85,19 @@ def test_parse_errors_carry_line_numbers():
         parse_tree_spec("vertex a one 0 1\n")
 
 
+def test_parse_rejects_negative_dim_before_counting_bounds():
+    # not "needs -2 bound values, got 0"
+    for text, message in [
+        ("vertex a -1\n", "line 1: vertex 'a' has negative dim -1$"),
+        (
+            "vertex r 0\nvertex a -2 0 1 0 1\nedge r 0 a\n",
+            "line 2: vertex 'a' has negative dim -2$",
+        ),
+    ]:
+        with pytest.raises(TreeSpecError, match=message):
+            parse_tree_spec(text)
+
+
 def test_vertex_rejects_negative_dim():
     with pytest.raises(TreeSpecError, match="dim must be >= 0"):
         VertexSpec("v", -1, ())
