@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +44,7 @@ import scipy
 from .gp import (
     ComponentStack,
     GpModel,
+    _cholesky,
     component_posterior_batch,
     component_stack,
     stacked_component_posterior,
@@ -103,6 +105,8 @@ class UcbSchedule:
             raise ValueError(
                 f"gamma_g and gamma_b must be >= 0, got {self.gamma_g} and {self.gamma_b}"
             )
+        if not self.d >= 0:
+            raise ValueError(f"d must be >= 0, got {self.d}")
 
     def g(self, t: float) -> float:
         """Lengthscale deflation 1 + gamma_g * log(1 + t)."""
@@ -149,7 +153,9 @@ def mutual_information(model: GpModel, noise_variance: float) -> float:
         raise ValueError("mutual information undefined for zero noise; floor sigma^2")
     M = model.K / noise_variance
     M.flat[:: model.n + 1] += 1.0
-    L = np.linalg.cholesky(M)
+    L, info = _cholesky(M)
+    if info:
+        raise np.linalg.LinAlgError("I + K / sigma^2 is not positive definite")
     return float(np.sum(np.log(np.diag(L))))
 
 
@@ -170,15 +176,45 @@ class Proposal:
     beta: float
 
 
+def _npy_prefix(table: zipfile.ZipFile, name: str, rows: int, cols: int = 0) -> np.ndarray:
+    """``a[:rows]`` of the 1-D array, or ``a[:rows, :cols]`` of the 2-D one,
+    stored as the ``.npy`` member ``name`` of a zip archive.
+
+    Reads the member as a stream and decompresses only up to the last entry
+    wanted: a 2-D array stored column by column (Fortran order) is read one
+    column prefix at a time, skipping the rest of each column.
+    """
+    with table.open(name) as f:
+        version = np.lib.format.read_magic(f)
+        read_header = (
+            np.lib.format.read_array_header_1_0
+            if version == (1, 0)
+            else np.lib.format.read_array_header_2_0
+        )
+        shape, fortran_order, dtype = read_header(f)
+        start, size = f.tell(), dtype.itemsize
+        if len(shape) == 1:
+            return np.frombuffer(f.read(rows * size), dtype)
+        if not fortran_order:  # row by row: the first rows are one prefix
+            return np.frombuffer(f.read(rows * shape[1] * size), dtype).reshape(rows, -1)[:, :cols]
+        block = np.empty((rows, cols), dtype)
+        for c in range(cols):
+            f.seek(start + c * shape[0] * size)
+            block[:, c] = np.frombuffer(f.read(rows * size), dtype)
+        return block
+
+
 @functools.lru_cache(maxsize=64)
 def _unit_sobol(dim: int, budget: int) -> np.ndarray:
     """The first ``budget`` unscrambled Sobol points in [0, 1)^dim, read-only.
 
     Bitwise equal to ``scipy.stats.qmc.Sobol(d=dim, scramble=False)
     .random_base2(m)[:budget]``, built from the Joe-Kuo (2008) direction
-    numbers that ``qmc.Sobol`` reads itself (:data:`SOBOL_TABLE`, loaded on
-    each cache miss and closed at once), so ``propose`` never pays for
-    importing ``scipy.stats``.
+    numbers that ``qmc.Sobol`` reads itself (:data:`SOBOL_TABLE`), so
+    ``propose`` never pays for importing ``scipy.stats``.  Each cache miss
+    reads only the first ``dim`` polynomials and their initial numbers from
+    the table's compressed members (:func:`_npy_prefix`): decompressing the
+    whole table would take 10-14 ms.
     Row 0 is all ones; row d >= 1 with primitive polynomial p of degree s
     starts from its s initial numbers and continues by the Bratley-Fox
     recurrence.  Point i is the XOR of the direction numbers at the set bits
@@ -187,11 +223,13 @@ def _unit_sobol(dim: int, budget: int) -> np.ndarray:
     if dim > SOBOL_MAX_DIM:
         raise ValueError(f"Maximum supported dimensionality is {SOBOL_MAX_DIM}.")
     m = max(1, math.ceil(math.log2(max(2, budget))))
-    with np.load(SOBOL_TABLE) as table:
-        poly, vinit = table["poly"][:dim], table["vinit"][:dim]
+    with zipfile.ZipFile(SOBOL_TABLE) as table:
+        poly = [int(p) for p in _npy_prefix(table, "poly.npy", dim)]
+        degree = max((p.bit_length() - 1 for p in poly[1:]), default=0)
+        vinit = _npy_prefix(table, "vinit.npy", dim, degree)
     M = np.ones((dim, m), dtype=np.int64)  # row 0 stays all ones
     for d in range(1, dim):
-        p = int(poly[d])
+        p = poly[d]
         s = p.bit_length() - 1
         md = [int(x) for x in vinit[d, :s]]
         for k in range(s, m):

@@ -11,6 +11,7 @@ digest.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import logging
@@ -181,10 +182,13 @@ def random_tree_objective(depth: int, fanout: int, dims: int, seed: int) -> Obje
     """A seeded quadratic-bowl objective on a random perfect tree.
 
     ``depth`` counts levels (depth 1 is a single vertex, an ordinary
-    box-constrained quadratic); every vertex carries ``dims`` variables.
+    box-constrained quadratic); every vertex above the last level has
+    ``fanout`` children, and every vertex carries ``dims`` variables.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    if depth > 1 and fanout < 1:
+        raise ValueError(f"fanout must be >= 1 for a tree of depth {depth}, got {fanout}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(31,)))
     vertices: list[VertexSpec] = []
     edges: list[tuple[str, int, str]] = []
@@ -629,8 +633,8 @@ def run_regression_study(
     error of the posterior-mean predictions.  ``addtree`` fits one GP on the
     whole tree; ``independent`` fits one GP per leaf on that leaf's chain.
     A space without training points predicts the prior mean 0.  Each space's
-    test points are linearized and stacked once per seed, and each fitted
-    model predicts all of its space's test points in one
+    test and training points are linearized once per seed, and each fitted
+    model predicts all of its space's test points, stacked once, in one
     :func:`~treebo.gp.posterior` call.
     """
     if test_size < 1:
@@ -655,19 +659,26 @@ def run_regression_study(
         train = [sample_branch_walk(index, rng) for _ in range(n_max)]
         y_test = np.array([_evaluate(objective, lf, vals) for lf, vals in test])
         y_train = np.array([_evaluate(objective, lf, vals) for lf, vals in train])
-        queries = [(method, _test_queries(spaces, test)) for method, spaces in methods]
+        # per method, each space that covers a test point with its training
+        # rows in stream order, linearized once for every size
+        queries = []
+        for method, spaces in methods:
+            covered = []
+            for space, test_rows, Q in _test_queries(spaces, test):
+                rows = [k for k, (leaf, _) in enumerate(train) if leaf in space.leaves]
+                points = [space.point(*train[k]) for k in rows]
+                covered.append((space, test_rows, Q, rows, points))
+            queries.append((method, covered))
 
         for n in sizes:
-            for method, spaces in queries:
+            for method, covered in queries:
                 preds = np.zeros(test_size)
-                for space, test_rows, Q in spaces:
-                    rows = [k for k in range(n) if train[k][0] in space.leaves]
-                    if not rows:
+                for space, test_rows, Q, rows, points in covered:
+                    m = bisect.bisect_left(rows, n)  # the rows of the first n samples
+                    if not m:
                         continue
                     dset = gp.Dataset.create(
-                        [space.point(*train[k]) for k in rows],
-                        y_train[rows],
-                        noise=config.noise_variance,
+                        points[:m], y_train[rows[:m]], noise=config.noise_variance
                     )
                     result = config.fit(config.kernel(space.spec, space.index), dset, rng_fit)
                     preds[test_rows] = gp.posterior(gp.fit(result.kernel, dset), Q)[0]

@@ -34,35 +34,44 @@ points:
   σ² = s_v − ‖R c‖², with the library's only query gradients: ∂μ = J^T α
   and ∂σ² = −2 J^T R^T R c, J = ∂c/∂v.
 
-* **Evidence on packed vertex blocks.**  Hyperparameter fitting computes the
+* **Evidence on packed vertex blocks.**  Hyperparameter fitting builds the
   kernel's :class:`~treebo.kernels.VertexBlocks` once per fit: the
   lower-triangle entries of every contributing vertex's block, packed into
-  flat arrays.  Each evaluation goes from the optimizer's log vector straight
-  to the Gram matrix and the per-entry derivatives (no kernel object is
-  built; the fitted kernel is made once, from the winning vector), and
-  gathers ``αα^T − K_y^{-1}`` at the packed entries once, K_y^{-1} from the
-  Cholesky factor (LAPACK ``dpotri``).  Its products with the derivatives
-  are summed per block (``np.add.reduceat``) and the block sums onto the
-  parameters they belong to (one ``bincount``): ∂L/∂θ =
-  ½ tr((αα^T − K_y^{-1}) ∂K/∂θ) (Rasmussen & Williams 2006, eq. 5.9), where
-  an entry below the diagonal stands for its mirror image too.  A tied scale
-  is one index shared by every block.  Summing per block first keeps the
-  scatter short: a ``bincount`` over every entry adds into one parameter
-  many times in a row and is several times slower.
+  flat arrays, and the buffers every evaluation writes.  Each evaluation
+  goes from the optimizer's log vector straight to the Gram matrix's lower
+  triangle and the per-entry derivatives (no kernel object is built; the
+  fitted kernel is made once, from the winning vector).  It factors K_y in
+  place with LAPACK ``dpotrf`` (:func:`_cholesky`, the library's one
+  Cholesky), solves with ``dpotrs`` and overwrites the factor with K_y^{-1}
+  (``dpotri``), all on the Fortran-ordered buffer itself, so no routine
+  copies its input, and gathers ``αα^T − K_y^{-1}`` at the packed entries
+  once.  Its products with the derivatives are summed per block
+  (``np.add.reduceat``) and the block sums onto the parameters they belong
+  to (one ``bincount``): ∂L/∂θ = ½ tr((αα^T − K_y^{-1}) ∂K/∂θ) (Rasmussen &
+  Williams 2006, eq. 5.9), where an entry below the diagonal stands for its
+  mirror image too.  A tied scale is one index shared by every block.
+  Summing per block first keeps the scatter short: a ``bincount`` over
+  every entry adds into one parameter many times in a row and is several
+  times slower.  The buffers exist for the page faults: an evaluation
+  that allocated its Gram, inverse and derivative arrays freed more than
+  glibc's heap-trim threshold on every call once n passed about 100, and
+  faulted the memory in again on the next (154 minor faults a call on the
+  26-d tree at n = 150); with them it allocates nothing of size n² or E.
 
 * **L-BFGS-B driven directly.**  Fitting calls L-BFGS-B's routine,
   ``scipy.optimize._lbfgsb.setulb``, in :func:`_lbfgsb`: the loop of
   ``scipy.optimize.minimize(method="L-BFGS-B")`` with its settings and
   stopping rules, so every iterate is bitwise the same, but the routine's
-  requests for f and g go straight to the evidence objective.  scipy's
-  ``ScalarFunction`` and ``MemoizeJac`` layers cost about as much as the
-  evidence itself at Jenatton sizes.  ``setulb`` and the LAPACK routines
-  (``lapack``, scipy's ``_flapack``) are the same C functions scipy
-  exposes, but :func:`_scipy_extension` loads their two compiled modules
-  from their files in scipy's install directory: importing
-  ``scipy.optimize`` and ``scipy.linalg`` would run their packages'
-  ``__init__``, which pull in linprog, ``scipy.sparse``, ``scipy.special``
-  and more, about 0.3-0.5 s and 38 MB in every process that fits a GP.
+  requests for f and g go straight to the evidence objective, with no copy
+  of x or g in between.  scipy's ``ScalarFunction`` and ``MemoizeJac``
+  layers cost about as much as the evidence itself at Jenatton sizes.
+  ``setulb`` and the LAPACK routines (``lapack``, scipy's ``_flapack``)
+  are the same C functions scipy exposes, but :func:`_scipy_extension`
+  loads their two compiled modules from their files in scipy's install
+  directory: importing ``scipy.optimize`` and ``scipy.linalg`` would run
+  their packages' ``__init__``, which pull in linprog, ``scipy.sparse``,
+  ``scipy.special`` and more, about 0.3-0.5 s and 38 MB in every process
+  that fits a GP.
 
 The observation noise is one known variance shared by every observation
 (:attr:`Dataset.noise`); the evidence is maximized over the kernel
@@ -72,6 +81,7 @@ hyperparameters only, conditioned on it.
 from __future__ import annotations
 
 import logging
+import math
 import sys
 from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -81,13 +91,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .kernels import (
-    AddTreeKernel,
-    VertexBlocks,
-    _corr_from_r2,
-    _lengthscale_grad_weight,
-    stack_points,
-)
+from .kernels import AddTreeKernel, VertexBlocks, _corr_and_weight, stack_points
 from .tree_space import LinearizedPoint
 
 __all__ = [
@@ -123,8 +127,8 @@ def _scipy_extension(package: str, name: str):
     return module
 
 
-# The compiled routines: LAPACK's dpotri (for the evidence gradient), dpotrs
-# and dtrtrs, and L-BFGS-B's setulb (see the module docstring).
+# The compiled routines: LAPACK's dpotrf, dpotri (for the evidence gradient),
+# dpotrs and dtrtrs, and L-BFGS-B's setulb (see the module docstring).
 lapack = _scipy_extension("linalg", "_flapack")
 setulb = _scipy_extension("optimize", "_lbfgsb").setulb
 
@@ -185,6 +189,19 @@ class Dataset:
         )
 
 
+def _cholesky(A: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, int]:
+    """The library's one Cholesky factorization (LAPACK ``dpotrf``).
+
+    Returns L, the lower factor of the symmetric ``A`` read from its lower
+    triangle, Fortran-ordered with zeros above the diagonal, and LAPACK's
+    ``info``, positive when ``A`` is not positive definite (L is then no
+    factor).  With ``overwrite`` a Fortran-ordered ``A`` becomes L in
+    place; otherwise, or for a C-ordered ``A``, L is a new array and ``A``
+    is left as it was.
+    """
+    return lapack.dpotrf(A, lower=1, overwrite_a=overwrite)
+
+
 def _cholesky_with_jitter(K_y: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor with escalating diagonal jitter.
 
@@ -192,35 +209,22 @@ def _cholesky_with_jitter(K_y: np.ndarray) -> tuple[np.ndarray, float]:
     decades up to JITTER_MAX times the mean diagonal before giving up.
     """
     n = K_y.shape[0]
-    try:
-        return np.linalg.cholesky(K_y), 0.0
-    except np.linalg.LinAlgError:
-        pass
+    L, info = _cholesky(K_y)
+    if not info:
+        return L, 0.0
     mean_diag = float(np.mean(np.diag(K_y)))
     base = mean_diag if mean_diag > 0 else 1.0
     jitter = JITTER_START * base
     while jitter <= JITTER_MAX * base:
-        try:
-            L = np.linalg.cholesky(K_y + jitter * np.eye(n))
+        L, info = _cholesky(K_y + jitter * np.eye(n))
+        if not info:
             logger.debug("cholesky: n=%d jitter=%.3e", n, jitter)
             return L, jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+        jitter *= 10.0
     raise FactorizationError(
         "Gram matrix not positive definite after jitter escalation; "
         "degenerate hyperparameters or duplicate points with zero noise"
     )
-
-
-def _inverse_lower(L: np.ndarray) -> np.ndarray:
-    """Lower triangle of (L L^T)^{-1} from a lower Cholesky factor (LAPACK
-    ``dpotri``); the strict upper triangle is L's, i.e. zero.  Only the
-    evidence gradient reads it.  Raises :class:`numpy.linalg.LinAlgError`
-    when ``dpotri`` reports failure."""
-    inverse, info = lapack.dpotri(L, lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
-    return inverse
 
 
 def _forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -250,11 +254,12 @@ class GpModel:
     """A fitted GP: kernel, data, stacked slots ``X`` and Gram matrix ``K``.
 
     ``L`` is the lower (possibly jittered) Cholesky factor of K_y = K +
-    noise·I and ``alpha`` is K_y^{-1} y.  Posterior means read ``alpha`` and
-    every variance comes from ``L``.  ``jitter`` is the diagonal jitter the
-    factorization needed (0 when none).  Treat instances as immutable after
-    :func:`fit`, apart from ``clamp_count``: posterior queries add the
-    number of numerically negative predictive variances they clamp to zero.
+    noise·I, Fortran-ordered as LAPACK reads it, and ``alpha`` is
+    K_y^{-1} y.  Posterior means read ``alpha`` and every variance comes
+    from ``L``.  ``jitter`` is the diagonal jitter the factorization needed
+    (0 when none).  Treat instances as immutable after :func:`fit`, apart
+    from ``clamp_count``: posterior queries add the number of numerically
+    negative predictive variances they clamp to zero.
     """
 
     kernel: AddTreeKernel
@@ -405,7 +410,7 @@ def stacked_component_posterior(
         stack.lengthscales.T[:, :, None, None]
     )
     r2 = np.einsum("dkqi,dkqi->kqi", Z, Z)
-    corr = _corr_from_r2(stack.kind, r2)
+    corr, w = _corr_and_weight(stack.kind, r2)
     scales = stack.scales[:, None, None]
     C = scales * corr  # (k, q, m)
     means = np.einsum("kqi,ki->kq", C, stack.alpha)
@@ -414,7 +419,7 @@ def stacked_component_posterior(
     neg = variances < 0
     variances = np.where(neg, 0.0, variances)
     # dc/dV_d = -w * (V_d - x_d) / ls_d^2 = -w * Z_d / ls_d
-    w = scales * _lengthscale_grad_weight(stack.kind, r2, corr)
+    w = scales * w
     dmeans = -np.einsum("kqi,dkqi->kqd", w * stack.alpha[:, None, :], Z) / ls
     KC = RC @ stack.R  # row (k, q) is K_y^{-1} c restricted to R_v
     dvariances = 2.0 * np.einsum("kqi,dkqi->kqd", w * KC, Z) / ls
@@ -428,28 +433,42 @@ def _evidence_and_grad(
     log_params: np.ndarray,
     y: np.ndarray,
     noise: float,
-) -> tuple[float, np.ndarray]:
-    """Log marginal likelihood and gradient w.r.t. log kernel params.
+) -> tuple[float, np.ndarray] | None:
+    """Log marginal likelihood and gradient w.r.t. log kernel params, or
+    None where K_y is not positive definite.
 
     The kernel hyperparameters are exp(``log_params``); ``kernel`` supplies
     only the structure.  Every derivative is non-zero only on packed block
     entries and their mirror images, so ½ tr((αα^T − K^{-1}) ∂K/∂θ) is a sum
-    over the packed entries.
+    over the packed entries.  Every array of size n² or E written is one of
+    the blocks' buffers: K_y is factored and then inverted in the Gram
+    matrix's own, and αα^T − K_y^{-1} is formed in ``blocks.inner`` and
+    gathered into ``blocks.r2``.
     """
     n = y.size
     K, dK = kernel.gram_and_grads(blocks, log_params)
-    K.flat[:: n + 1] += noise
-    L = np.linalg.cholesky(K)  # raises LinAlgError; caller decides policy
-    alpha = _solve_lower(L, y)
-    lml = -0.5 * float(y @ alpha) - float(np.log(L.diagonal()).sum()) - 0.5 * n * LOG2PI
+    diagonal = K.ravel(order="F")[:: n + 1]
+    diagonal += noise
+    L, info = _cholesky(K, overwrite=True)  # K is Fortran-ordered: in place
+    if info:
+        return None
+    alpha, _ = lapack.dpotrs(L, y, lower=1)
+    # the diagonal view now reads L's diagonal
+    lml = -0.5 * float(y @ alpha) - float(np.log(diagonal).sum()) - 0.5 * n * LOG2PI
+    _, info = lapack.dpotri(L, lower=1, overwrite_c=1)  # K_y^{-1}'s lower triangle
+    if info:
+        return None
     # ½ (αα^T − K_y^{-1}) on the packed entries, all at i >= j: the lower
     # triangle counts for both halves of the symmetric sum, the diagonal once
-    half_inner = alpha[:, None] * alpha
-    half_inner -= _inverse_lower(L)
-    half_inner.flat[:: n + 1] *= 0.5
+    half_inner = blocks.inner
+    # symmetric, so written row by row through the C-ordered transpose
+    np.multiply(alpha[:, None], alpha, out=half_inner.T)
+    half_inner -= L
+    packed = half_inner.ravel(order="F")
+    packed[:: n + 1] *= 0.5
     # each block's sums of its products with dK, then onto the parameters
-    dK *= half_inner.ravel()[blocks.flat]  # in place: dK is this call's own
-    sums = np.add.reduceat(dK, blocks.starts, axis=1)
+    dK *= packed.take(blocks.flat, out=blocks.r2, mode="clip")
+    sums = np.add.reduceat(dK, blocks.starts, axis=1, out=blocks.sums)
     grad = np.bincount(
         blocks.param_index.ravel(), sums.ravel(), minlength=log_params.size + 1
     )
@@ -460,20 +479,19 @@ def _negative_evidence(kernel: AddTreeKernel, data: Dataset):
     """The minimization objective over log kernel params.
 
     Maps a vector to (-evidence, -gradient), or to ``(FAILED_EVIDENCE, 0)``
-    where the Gram matrix cannot be factorized.  The packed vertex blocks
-    are computed here, once, for every evaluation; an evaluation reads the
-    kernel part of the vector directly and builds no kernel object.
+    where the Gram matrix cannot be factorized or the evidence is not
+    finite.  The packed vertex blocks, with every buffer an evaluation
+    writes, are built here, once, for every evaluation; an evaluation reads
+    the kernel part of the vector directly and builds no kernel object.
     """
     blocks = kernel.vertex_blocks(stack_points(data.points))
+    y, noise = data.targets, data.noise
 
     def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        try:
-            lml, grad = _evidence_and_grad(kernel, blocks, vec, data.targets, data.noise)
-        except np.linalg.LinAlgError:
+        result = _evidence_and_grad(kernel, blocks, vec, y, noise)
+        if result is None or not math.isfinite(result[0]):
             return FAILED_EVIDENCE, np.zeros_like(vec)
-        if not np.isfinite(lml):
-            return FAILED_EVIDENCE, np.zeros_like(vec)
-        return -lml, -grad
+        return -result[0], -result[1]
 
     return objective
 
@@ -481,15 +499,17 @@ def _negative_evidence(kernel: AddTreeKernel, data: Dataset):
 def _lbfgsb(objective, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Minimize ``objective`` over the box [lo, hi] from ``x0`` with L-BFGS-B.
 
-    ``objective`` maps a vector to (value, gradient).  This is the loop of
+    ``objective`` maps a vector, which it must not keep, to (value,
+    float64 gradient).  This is the loop of
     ``scipy.optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
     bounds=..., options={"maxiter": FIT_MAXITER})`` around the same routine,
     ``setulb``, with the same settings and the same stopping rules, so it
     visits the same points and returns the same bits, without scipy's
-    per-evaluation wrappers.  Like scipy, it hands back the last values
-    without evaluating again when the routine asks for the point it was just
-    given.  Returns the final point, the objective's last value (scipy's
-    ``fun``) and the number of evaluations (scipy's ``nfev``).
+    per-evaluation wrappers and copies.  Like scipy, it hands back the last
+    values without evaluating again when the routine asks for the point it
+    was just given (compared by its bytes).  Returns the final point, the
+    objective's last value (scipy's ``fun``) and the number of evaluations
+    (scipy's ``nfev``).
     """
     m = LBFGSB_CORRECTIONS
     x = np.clip(np.asarray(x0, dtype=np.float64), lo, hi)
@@ -503,21 +523,21 @@ def _lbfgsb(objective, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     lsave = np.zeros(4, dtype=np.int32)
     isave = np.zeros(44, dtype=np.int32)
     dsave = np.zeros(29)
-    last_x = last_f = last_g = None
+    last_x = None
     evaluations = iterations = 0
     while True:
-        # a float64 copy, as scipy passes it: never the objective's own array
-        g = g.astype(np.float64)
+        # setulb reads g and never writes it, so the objective's own array
+        # serves where scipy passes a float64 copy
         setulb(
             m, x, lo, hi, nbd, f, g, LBFGSB_FACTR, LBFGSB_PGTOL, wa, iwa, task,
             lsave, isave, dsave, LBFGSB_MAXLS, ln_task,
         )
         if task[0] == 3:  # FG: f and g at x
-            if last_x is None or (x != last_x).any():
-                last_x = x.copy()
-                last_f, last_g = objective(last_x)
+            key = x.tobytes()
+            if key != last_x:
+                last_x = key
+                f, g = objective(x)
                 evaluations += 1
-            f, g = last_f, last_g
         elif task[0] == 1:  # NEW_X: an iteration ended
             iterations += 1
             if iterations >= FIT_MAXITER:

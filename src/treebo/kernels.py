@@ -24,21 +24,26 @@ contributing vertex to the index range of its lengthscales and the index of
 its scale there, and every method reads them through it.  Every method
 evaluates a vertex's term only on its block: the rows whose path contains
 the vertex (:meth:`AddTreeKernel._block`), from the raw per-dimension squared
-differences and one helper for the scaled squared distance,
-``_scaled_sq_dist``.  For hyperparameter fitting,
-:meth:`AddTreeKernel.vertex_blocks` does the hyperparameter-free work once: it
-packs the lower-triangle entries of every contributing vertex's block
-R_v × R_v into flat arrays (vertex after vertex in BFS order), with each
-entry's index in the Gram matrix, its squared differences zero-padded to the
-largest vertex dimension, and the vector indices of its vertex's lengthscales
-and scale.  :meth:`AddTreeKernel.gram_and_grads` evaluates every entry at once
-from exp(log vector), sums the terms into the Gram matrix with one
-``bincount``, mirrors it, and returns every entry's log-parameter
-derivatives, so its numpy work does not grow with the number of vertices.
+differences, one helper for the scaled squared distance, ``_scaled_sq_dist``,
+and one for the correlation and its lengthscale weight, ``_corr_and_weight``.
+For hyperparameter fitting, :meth:`AddTreeKernel.vertex_blocks` does the
+hyperparameter-free work once: it packs the lower-triangle entries of every
+contributing vertex's block R_v × R_v into flat arrays (vertex after vertex
+in BFS order), with each entry's index in the column-major Gram matrix, its
+squared differences zero-padded to the largest vertex dimension, and the
+indices of its vertex's parameters, and it allocates the buffers every
+evaluation writes.  :meth:`AddTreeKernel.gram_and_grads` evaluates every
+entry at once from exp(log vector), in place in those buffers: it fills the
+per-entry parameters with one ``take``, adds the terms into the Gram
+matrix's lower triangle (all of it the Cholesky factorization reads) with
+one ``np.add.at``, and returns every entry's log-parameter derivatives, so
+its numpy work does not grow with the number of vertices and it allocates
+nothing of the size of its output.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -64,35 +69,49 @@ def _sq_diffs(Va: np.ndarray, Vb: np.ndarray) -> np.ndarray:
     return D * D
 
 
-def _corr_from_r2(kind: str, r2: np.ndarray) -> np.ndarray:
-    """Correlation (value at unit output scale) from scaled squared distance."""
-    if kind == "se":
-        return np.exp(-0.5 * r2)
-    r = np.sqrt(r2)
-    if kind == "matern32":
-        return (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
-    return (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2) * np.exp(-_SQRT5 * r)
+# Per-entry scratch arrays _corr_and_weight needs besides r²: none for the
+# squared exponential, whose weight is its correlation.
+_SCRATCH_ROWS = {"se": 0, "matern32": 1, "matern52": 2}
 
 
-def _lengthscale_grad_weight(kind: str, r2: np.ndarray, corr: np.ndarray) -> np.ndarray:
-    """w such that d corr / d log(ls_d) = w * scaled_sq_dist_d.
+def _corr_and_weight(
+    kind: str, r2: np.ndarray, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The correlation (value at unit output scale) at scaled squared
+    distances ``r2``, and w such that d corr / d log(ls_d) = w * scaled_sq_dist_d.
 
-    The expressions are singularity-free at r = 0 for every supported kind.
+    Computed in place: ``r2`` is overwritten, and so is ``scratch``, which
+    holds ``_SCRATCH_ROWS[kind]`` arrays of r2's shape (allocated when None);
+    the two results are views of them, the same one twice for "se".  The
+    expressions are singularity-free at r = 0, and every caller evaluates
+    them here, with the same operations in the same order, so the packed
+    fitting layout and the per-vertex blocks give the same bits.
     """
     if kind == "se":
-        return corr
-    r = np.sqrt(r2)
+        corr = np.exp(np.multiply(r2, -0.5, out=r2), out=r2)
+        return corr, corr
+    if scratch is None:
+        scratch = np.empty((_SCRATCH_ROWS[kind],) + r2.shape)
+    root = _SQRT3 if kind == "matern32" else _SQRT5
+    cr = np.multiply(np.sqrt(r2, out=scratch[0]), root, out=scratch[0])
     if kind == "matern32":
-        return 3.0 * np.exp(-_SQRT3 * r)
-    return (5.0 / 3.0) * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
+        e = np.exp(np.negative(cr, out=r2), out=r2)
+        corr = np.multiply(np.add(cr, 1.0, out=cr), e, out=cr)  # (1 + √3 r) e
+        return corr, np.multiply(e, 3.0, out=e)  # 3 e
+    e = np.exp(np.negative(cr, out=scratch[1]), out=scratch[1])
+    np.add(cr, 1.0, out=cr)
+    np.multiply(r2, 5.0 / 3.0, out=r2)
+    corr = np.multiply(np.add(r2, cr, out=r2), e, out=r2)  # (1 + √5 r + 5/3 r²) e
+    return corr, np.multiply(np.multiply(cr, 5.0 / 3.0, out=cr), e, out=cr)  # 5/3 (1 + √5 r) e
 
 
 def _scaled_sq_dist(inv_ls2, sq: np.ndarray) -> np.ndarray:
     """r² = Σ_d inv_ls2[d] · sq[d], added up in dimension order from 0.
 
-    Every Gram entry goes through here, so the packed fitting layout and the
-    per-vertex blocks give the same bits; a matrix product may fuse the
-    multiply-adds and would not.  Zero-padded dimensions add exactly 0.
+    :meth:`AddTreeKernel.gram_and_grads` adds the same products in the same
+    order, so the packed fitting layout and the per-vertex blocks give the
+    same bits; a matrix product may fuse the multiply-adds and would not.
+    Zero-padded dimensions add exactly 0.
     """
     if sq.shape[0] == 0:
         return np.zeros(sq.shape[1:])
@@ -110,7 +129,7 @@ def _term(kind: str, lengthscales, scale: float, sq: np.ndarray) -> np.ndarray:
     constant output scale.
     """
     r2 = _scaled_sq_dist(1.0 / np.square(lengthscales), sq)
-    return scale * _corr_from_r2(kind, r2)
+    return scale * _corr_and_weight(kind, r2)[0]
 
 
 def stack_points(points: list[LinearizedPoint]) -> np.ndarray:
@@ -118,10 +137,20 @@ def stack_points(points: list[LinearizedPoint]) -> np.ndarray:
     return np.stack([p.slots for p in points])
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=256)
+def _tril_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.tril_indices(m)``, read-only and computed once per size: building
+    them is most of a small vertex's packing."""
+    a, b = np.tril_indices(m)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+@dataclass(frozen=True, eq=False)
 class VertexBlocks:
     """The hyperparameter-free part of a kernel's Gram matrix over fixed rows,
-    packed entry by entry.
+    packed entry by entry, and the buffers every evaluation on them writes:
+    the workspace of one hyperparameter fit.
 
     Built by :meth:`AddTreeKernel.vertex_blocks` once per hyperparameter fit.
     A block is the lower triangle, diagonal included, of a contributing
@@ -129,14 +158,26 @@ class VertexBlocks:
     (the upper triangle is its mirror image).  The blocks come in BFS order,
     empty ones left out, and their entries one after another, E =
     Σ_v |R_v|(|R_v| + 1)/2 of them.  Per entry (i, j), i >= j, ``flat`` (E,)
-    holds i·n + j, its index into the flattened n × n Gram matrix, and
-    ``sq`` (dmax, E) its raw squared differences, dmax being the largest
-    vertex dimension, zero past its vertex's dimension.  Per block,
-    ``starts`` and ``sizes`` hold the position of its first entry and its
-    number of entries, and ``param_index``
-    (dmax + 1, blocks) the log-vector indices of its lengthscales in rows
-    0..dmax-1 (slots past the vertex's dimension hold the padding index, the
-    vector's length) and of its scale in the last row.
+    holds i + j·n, its index into the column-major flattening of the n × n
+    Gram matrix (the lower triangle as LAPACK stores it), and ``sq``
+    (dmax, E) its raw squared differences, dmax being the largest vertex
+    dimension, zero past its vertex's dimension.  Per block, ``starts`` and
+    ``sizes`` hold the position of its first entry and its number of
+    entries, and ``param_index`` (dmax + 1, blocks) the log-vector indices
+    of its lengthscales in rows 0..dmax-1 (slots past the vertex's dimension
+    hold the padding index, the vector's length P) and of its scale in the
+    last row.  ``entry_index`` (dmax + 1, E) is the same per entry, pointing
+    into ``params``, the vector [1/θ², θ] of 2(P + 1) entries that
+    :meth:`AddTreeKernel.gram_and_grads` fills (θ's padding entry is 1):
+    row d < dmax into its first half, the scale row into its second.
+
+    The rest are buffers, so that an evaluation allocates nothing of size E
+    or n²: :meth:`AddTreeKernel.gram_and_grads` writes ``params``, ``dK``
+    (dmax + 1, E), ``r2`` (E,), ``scratch`` (``_SCRATCH_ROWS[kind]``, E)
+    and the Fortran-ordered n × n ``K``, and returns ``K`` and ``dK``
+    themselves; the evidence (:func:`treebo.gp._evidence_and_grad`) writes
+    the n × n ``inner``, ``sums`` (dmax + 1, blocks), and ``r2`` again,
+    which no longer holds anything the Gram needs.
     """
 
     n: int
@@ -145,6 +186,14 @@ class VertexBlocks:
     starts: np.ndarray
     sizes: np.ndarray
     param_index: np.ndarray
+    entry_index: np.ndarray
+    params: np.ndarray
+    dK: np.ndarray
+    r2: np.ndarray
+    scratch: np.ndarray
+    K: np.ndarray
+    inner: np.ndarray
+    sums: np.ndarray
 
 
 def _param_layout(
@@ -301,10 +350,11 @@ class AddTreeKernel:
         return np.log(self.theta)
 
     def vertex_blocks(self, A: np.ndarray) -> VertexBlocks:
-        """The packed block entries of stacked rows ``A``; they depend on the
-        kernel's structure only (contributing vertices and tied scales), so
-        they serve every log vector of the layout."""
-        n = A.shape[0]
+        """The packed block entries of stacked rows ``A`` and the buffers of
+        their evaluations; they depend on the kernel's structure and kind
+        only (contributing vertices, tied scales), so they serve every log
+        vector of the layout."""
+        n, P = A.shape[0], len(self.theta)
         dmax = max((ls.stop - ls.start for ls, _ in self._layout.values()), default=0)
         flat, sq = [np.empty(0, dtype=np.intp)], [np.empty((dmax, 0))]
         sizes, index = [], []
@@ -312,22 +362,37 @@ class AddTreeKernel:
             rows, V = self._block(vid, A)
             if not rows.size:
                 continue
-            a, b = np.tril_indices(rows.size)  # K is symmetric: entries i >= j
+            a, b = _tril_indices(rows.size)  # K is symmetric: entries i >= j
             dim, size = V.shape[1], a.size
-            flat.append(rows[a] * n + rows[b])
+            flat.append(rows[a] + rows[b] * n)
             block_sq = np.zeros((dmax, size))
-            block_sq[:dim] = _sq_diffs(V, V)[:, a, b]
+            D = V[a] - V[b]  # the differences _sq_diffs(V, V) has at (a, b)
+            block_sq[:dim] = (D * D).T
             sq.append(block_sq)
             sizes.append(size)
-            index.append([*range(ls.start, ls.stop), *[len(self.theta)] * (dmax - dim), scale])
+            index.append([*range(ls.start, ls.stop), *[P] * (dmax - dim), scale])
         sizes = np.array(sizes, dtype=np.intp)
+        flat = np.concatenate(flat)
+        param_index = np.array(index, dtype=np.intp).reshape(-1, dmax + 1).T.copy()
+        entry_index = param_index.copy()
+        entry_index[-1] += P + 1  # scales read the second half of params
+        params = np.empty(2 * (P + 1))
+        params[-1] = 1.0  # θ's padding entry, so that 1/θ² reads 1 there
         return VertexBlocks(
-            n,
-            np.concatenate(flat),
-            np.concatenate(sq, axis=1),
-            np.cumsum(sizes) - sizes,
-            sizes,
-            np.array(index, dtype=np.intp).reshape(-1, dmax + 1).T.copy(),
+            n=n,
+            flat=flat,
+            sq=np.concatenate(sq, axis=1),
+            starts=np.cumsum(sizes) - sizes,
+            sizes=sizes,
+            param_index=param_index,
+            entry_index=np.repeat(entry_index, sizes, axis=1),
+            params=params,
+            dK=np.empty((dmax + 1, flat.size)),
+            r2=np.empty(flat.size),
+            scratch=np.empty((_SCRATCH_ROWS[self.kind], flat.size)),
+            K=np.empty((n, n), order="F"),
+            inner=np.empty((n, n), order="F"),
+            sums=np.empty((dmax + 1, sizes.size)),
         )
 
     def gram_and_grads(
@@ -336,39 +401,41 @@ class AddTreeKernel:
         """Gram matrix of the blocks' rows and every entry's dK/d(log param)
         at ``log_params`` (the kernel's own theta is not read).
 
-        The derivatives come as one (dmax + 1, E) array, row d < dmax holding
-        each entry's derivative in its vertex's d-th log lengthscale (0 in
-        padded slots) and the last row the entry's term, its derivative in
-        its vertex's log scale; ``blocks.param_index`` says which parameter
-        each row of each block belongs to.  K adds the terms entry by entry in
-        the packed order, which is the order and the arithmetic of
-        :meth:`gram_matrix`, into its lower triangle and copies that to the
-        upper one, so the two agree bitwise.
+        K is the Gram matrix's lower triangle, diagonal included, with zeros
+        above it: all of it that the Cholesky factorization reads.  It adds
+        the terms entry by entry in the packed order, which is the order and
+        the arithmetic of :meth:`gram_matrix`, so the two agree bitwise on
+        that triangle.  The derivatives come as one (dmax + 1, E) array, row
+        d < dmax holding each entry's derivative in its vertex's d-th log
+        lengthscale (0 in padded slots) and the last row the entry's term,
+        its derivative in its vertex's log scale; ``blocks.param_index``
+        says which parameter each row of each block belongs to.  Both are the
+        blocks' buffers ``K`` and ``dK``, overwritten by the next call; the
+        call writes no other array than the blocks' buffers.
         """
-        theta = np.exp(np.concatenate((log_params, [0.0])))  # the padding index reads 1
-        per_block = theta[blocks.param_index]
-        per_block[:-1] = 1.0 / np.square(per_block[:-1])
-        # Each entry's 1/ls^2 rows and scale row, overwritten in place by its
-        # derivatives, and the per-entry temporaries freed before the Gram is
-        # assembled: at n = 100 a call's temporaries peak at about 0.4 MB,
-        # not 0.7 MB.  Above about 0.5 MB, glibc's heap-trim threshold in a
-        # process that has freed no larger block, the freed heap goes back to
-        # the system after every call and is faulted in again on the next.
-        dK = np.repeat(per_block, blocks.sizes, axis=1)
-        inv_ls2, scale = dK[:-1], dK[-1]
-        r2 = _scaled_sq_dist(inv_ls2, blocks.sq)
-        corr = _corr_from_r2(self.kind, r2)
-        # d term / d log ls_d = s * w * sq_d / ls_d^2
-        weight = scale * _lengthscale_grad_weight(self.kind, r2, corr)
-        term = np.multiply(scale, corr, out=dK[-1])
-        np.multiply(blocks.sq, inv_ls2, out=dK[:-1])
-        dK[:-1] *= weight
-        del r2, corr, weight
-        K = np.bincount(blocks.flat, term, minlength=blocks.n * blocks.n)
-        # bincount gives integer zeros when there are no entries
-        K = K.astype(float, copy=False).reshape(blocks.n, blocks.n)
-        K = K + K.T  # mirror the lower triangle, doubling the diagonal exactly
-        K.flat[:: blocks.n + 1] *= 0.5
+        P, dK = log_params.size, blocks.dK
+        inv_ls2, theta = blocks.params[: P + 1], blocks.params[P + 1 :]
+        np.exp(log_params, out=theta[:P])
+        np.divide(1.0, np.square(theta, out=inv_ls2), out=inv_ls2)
+        # every entry's 1/ls² rows and scale; mode "clip" writes straight
+        # into dK, where the default mode would buffer the output
+        blocks.params.take(blocks.entry_index, out=dK, mode="clip")
+        ls_rows, scale = dK[:-1], dK[-1]
+        np.multiply(blocks.sq, ls_rows, out=ls_rows)  # sq_d / ls_d², the terms of r²
+        r2 = blocks.r2  # the terms added in dimension order, as by _scaled_sq_dist
+        r2[...] = ls_rows[0] if len(ls_rows) else 0.0
+        for row in ls_rows[1:]:
+            r2 += row
+        corr, w = _corr_and_weight(self.kind, r2, blocks.scratch)
+        if w is not corr:
+            np.multiply(w, scale, out=w)
+        term = np.multiply(scale, corr, out=scale)
+        # d term / d log ls_d = s * w * sq_d / ls_d^2, and s * w is the term
+        # itself for "se"
+        ls_rows *= term if w is corr else w
+        K = blocks.K
+        K.fill(0.0)
+        np.add.at(K.ravel(order="F"), blocks.flat, term)  # in the packed order
         return K, dK
 
     # -- serialization ---------------------------------------------------------

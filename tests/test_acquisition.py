@@ -71,6 +71,12 @@ def test_schedule_validates_delta_and_rates():
             )
 
 
+def test_schedule_rejects_a_negative_dimension():
+    with pytest.raises(ValueError, match="d must be >= 0"):
+        acq.UcbSchedule(theta0=1.0, B0=1.0, delta=0.1, gamma_g=0.0, gamma_b=0.0, d=-3)
+    assert acq.UcbSchedule(theta0=1.0, B0=1.0, delta=0.1, gamma_g=0.0, gamma_b=0.0, d=0).d == 0
+
+
 def test_log_schedule_monotone_norm_bound():
     sched = acq.UcbSchedule(theta0=1.0, B0=2.0, delta=0.1, gamma_g=0.3, gamma_b=0.2, d=3)
     values = [acq.norm_bound(sched, t) for t in range(0, 50)]

@@ -90,6 +90,13 @@ def test_random_tree_objective_rejects_bad_depth():
         bench.random_tree_objective(depth=0, fanout=2, dims=1, seed=0)
 
 
+def test_random_tree_objective_rejects_no_children_below_the_root():
+    # a depth-3 tree with fanout 0 would be a single vertex
+    with pytest.raises(ValueError, match="fanout"):
+        bench.random_tree_objective(depth=3, fanout=0, dims=1, seed=0)
+    assert bench.random_tree_objective(depth=1, fanout=0, dims=1, seed=0).index.n_leaves == 1
+
+
 # -- optimization runs ----------------------------------------------------------
 
 

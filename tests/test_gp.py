@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -125,8 +126,9 @@ def test_posterior_variance_from_cholesky_factor():
     # A noiseless Gram with cond 6e16 that factors without jitter.  On it
     # k(x, x) - c^T K_y^{-1} c is wrong by up to the whole prior; the
     # Cholesky form k(x, x) - ||L^{-1} c||^2 is 0 at the training points,
-    # as a noiseless posterior must be, and matches the textbook form on
-    # an independently computed factor elsewhere.
+    # as a noiseless posterior must be, and matches the textbook form,
+    # a dense solve with the model's factor, elsewhere.  (Another LAPACK
+    # build's factor of this matrix moves some variances by 2e-9.)
     spec, index, kern, data = random_gp_instance(117, n=20, noise=0.0)
     model = gp.fit(kern, data)
     assert model.jitter == 0.0
@@ -136,7 +138,7 @@ def test_posterior_variance_from_cholesky_factor():
     _, variances = gp.posterior(model, Q)
     assert np.all(variances[:20] <= 1e-12 * k_diag[:20])
     C = kern.gram_matrix(Q, model.X)
-    W = np.linalg.solve(np.linalg.cholesky(model.K), C.T)
+    W = np.linalg.solve(model.L, C.T)
     expected = np.maximum(k_diag - np.sum(W * W, axis=0), 0.0)
     np.testing.assert_allclose(variances, expected, rtol=0, atol=1e-9 * k_diag.max())
 
@@ -614,15 +616,17 @@ def test_packed_evidence_edge_cases():
 
 def test_noise_is_added_on_the_diagonal_bitwise(monkeypatch):
     # gp.fit, the fitting objective and mutual_information add the noise to
-    # the diagonal in place; each factors bitwise K + noise * I
+    # the diagonal in place; each factors bitwise K + noise * I through the
+    # library's one Cholesky helper
     factored = []
-    cholesky = np.linalg.cholesky
+    cholesky = gp._cholesky
 
-    def recording(M):
+    def recording(M, *args, **kwargs):
         factored.append(M.copy())
-        return cholesky(M)
+        return cholesky(M, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    for module in (gp, acquisition):  # acquisition imports it by name
+        monkeypatch.setattr(module, "_cholesky", recording)
     for seed in range(4):
         _, _, kern, data = random_gp_instance(seed, n=10, noise=1e-2)
         model = gp.fit(kern, data)
@@ -630,9 +634,62 @@ def test_noise_is_added_on_the_diagonal_bitwise(monkeypatch):
         acquisition.mutual_information(model, 0.3)
         K_y = model.K + data.noise * np.eye(10)
         assert len(factored) == 3
+        # the lower triangle is what the factorization reads, and all of
+        # the Gram matrix the objective assembles
         for M, expected in zip(factored, (K_y, K_y, np.eye(10) + model.K / 0.3)):
-            np.testing.assert_array_equal(M, expected)
+            np.testing.assert_array_equal(np.tril(M), np.tril(expected))
         factored.clear()
+
+
+def test_fitting_objective_reuses_its_buffers_without_carrying_state():
+    # every evaluation of a fit writes the same per-fit buffers: evaluating
+    # other vectors in between gives a vector's value and gradient bitwise
+    # again, and leaves a gradient already returned as it was
+    for seed, (kind, tied) in enumerate(
+        itertools.product(("se", "matern32", "matern52"), (False, True))
+    ):
+        _, _, kern, data = random_gp_instance(seed, n=10, noise=1e-2, kind=kind, tied_scales=tied)
+        objective = gp._negative_evidence(kern, data)
+        vec = kern.get_log_params()
+        value, grad = objective(vec)
+        kept = grad.copy()
+        for shift in (0.3, -0.7, 2.0):
+            objective(vec + shift)
+        again, again_grad = objective(vec)
+        assert np.float64(again).tobytes() == np.float64(value).tobytes()
+        assert again_grad.tobytes() == kept.tobytes()
+        assert grad.tobytes() == kept.tobytes()
+
+
+def test_fitting_objective_evaluation_allocates_no_n_squared_temporaries():
+    # An evaluation writes into buffers built once per fit.  On the 26-d
+    # tree at n = 150 the temporaries of one evaluation, after a warm-up
+    # call, peak at 0.13 MB (a broadcasting ufunc's internal buffers); when
+    # each evaluation allocated its Gram, inverse and derivative arrays
+    # they peaked at 1.19 MB, and glibc returned that heap to the system and
+    # faulted it in again on every call (154 minor faults a call)
+    objective = bench.random_tree_objective(3, 3, 2, 0)
+    rng = np.random.default_rng(1)
+    points = [
+        linearize(objective.spec, objective.index, *bench.sample_branch_walk(objective.index, rng))
+        for _ in range(150)
+    ]
+    data = gp.Dataset.create(points, rng.normal(size=150), noise=1e-8)
+    kern = bench.BoConfig().kernel(objective.spec, objective.index)
+    evaluate = gp._negative_evidence(kern, data)
+    vec = kern.get_log_params()
+    evaluate(vec)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        evaluate(vec + 0.1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 0.25 * 2**20
 
 
 def test_fit_hyperparameters_raises_when_every_restart_fails(jenatton):
@@ -700,17 +757,27 @@ def test_solve_lower_keeps_cho_solve_checks():
 def test_lapack_helpers_match_scipy_lapack_bitwise():
     # gp loads scipy's compiled LAPACK module by file: its routines must be
     # the ones scipy.linalg.lapack exposes, with the same bits
-    routines = ("dpotri", "dpotrs", "dtrtrs")
+    routines = ("dpotrf", "dpotri", "dpotrs", "dtrtrs")
     assert all(getattr(gp.lapack, f) is getattr(lapack, f) for f in routines)
     rng = np.random.default_rng(6)
     for n in range(1, 101):
         A = rng.normal(size=(n, n))
-        L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
+        S = A @ A.T + n * np.eye(n)
+        L, info = gp._cholesky(S)
+        assert info == 0 and L.flags.f_contiguous
+        np.testing.assert_array_equal(L, lapack.dpotrf(S, lower=1)[0])
+        np.testing.assert_array_equal(L, np.tril(L))
+        # in place on a Fortran-ordered copy, and the same bits
+        F = np.asfortranarray(S)
+        in_place, _ = gp._cholesky(F, overwrite=True)
+        assert np.shares_memory(in_place, F)
+        np.testing.assert_array_equal(in_place, L)
         B = rng.normal(size=(n, 3))
-        np.testing.assert_array_equal(gp._inverse_lower(L), lapack.dpotri(L, lower=1)[0])
         np.testing.assert_array_equal(gp._forward_solve(L, B), lapack.dtrtrs(L, B, lower=1)[0])
         b = B[:, 0]
         np.testing.assert_array_equal(gp._solve_lower(L, b), lapack.dpotrs(L, b, lower=1)[0])
+    # a matrix that is not positive definite: info names the failing column
+    assert gp._cholesky(np.diag([1.0, -1.0]))[1] == 2
 
 
 def test_scipy_extension_loader_names_what_is_missing(tmp_path, monkeypatch):

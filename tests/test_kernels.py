@@ -352,18 +352,21 @@ def test_gram_grads_match_finite_differences():
                 R = np.array([i for i, p in enumerate(points) if oracles.on_path(index, vid, p)])
                 if R.size:  # a vertex on no row's path has no block
                     starts.append(pos)
-                    lower = [i * n + j for i in R for j in R if i >= j]
+                    lower = [i + j * n for i in R for j in R if i >= j]  # column-major
                     np.testing.assert_array_equal(blocks.flat[pos : pos + len(lower)], lower)
                     pos += len(lower)
             np.testing.assert_array_equal(blocks.starts, starts)
             np.testing.assert_array_equal(blocks.sizes, np.diff(starts, append=pos))
             assert blocks.flat.size == pos
-            K, dK = kern.gram_and_grads(blocks, vec)
-            np.testing.assert_array_equal(K, kern.gram_matrix(X))
+            # copies: every call returns the blocks' own buffers
+            # the lower triangle, zeros above
+            K, dK = (out.copy() for out in kern.gram_and_grads(blocks, vec))
+            np.testing.assert_array_equal(K, np.tril(kern.gram_matrix(X)))
             # a kernel at its own log vector: bitwise where exp(log(x)) is x,
             # as for the start's ones, else to that round trip's round-off
             np.testing.assert_array_equal(
-                start.gram_and_grads(blocks, start.get_log_params())[0], start.gram_matrix(X)
+                start.gram_and_grads(blocks, start.get_log_params())[0],
+                np.tril(start.gram_matrix(X)),
             )
             np.testing.assert_allclose(
                 kern.gram_and_grads(blocks, kern.get_log_params())[0], K, rtol=1e-12, atol=0
@@ -375,7 +378,9 @@ def test_gram_grads_match_finite_differences():
             h = 1e-6
             for k in range(len(vec)):
                 mine = param_index == k
-                full = np.bincount(flat[mine], dK[mine], minlength=n * n).reshape(n, n)
+                full = np.bincount(flat[mine], dK[mine], minlength=n * n).reshape(
+                    n, n, order="F"
+                )
                 full += np.tril(full, -1).T
                 up, dn = vec.copy(), vec.copy()
                 up[k] += h
@@ -392,10 +397,10 @@ def test_gram_grads_match_finite_differences():
 def test_gram_and_grads_temporaries_stay_near_its_output():
     # glibc gives the free top of its heap back to the system, and faults it
     # in again on the next call, once it passes a trim threshold of about
-    # 0.5 MB in a process that has freed no larger block.  An evidence
-    # evaluation on the 26-d tree at n = 100 stays below it only while
-    # gram_and_grads builds its derivatives in place and frees its per-entry
-    # temporaries before the Gram (its peak was 2.7x its output)
+    # 0.5 MB in a process that has freed no larger block.  gram_and_grads
+    # writes only into the blocks' buffers, so on the 26-d tree at n = 100
+    # its temporaries peak at 0.02x its output (np.add.at's own); building
+    # the output afresh they peaked at 1.6x it, and at 2.7x before that
     objective = bench.random_tree_objective(3, 3, 2, 0)
     rng = np.random.default_rng(1)
     points = [
@@ -414,7 +419,7 @@ def test_gram_and_grads_temporaries_stay_near_its_output():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 2.0 * (K.nbytes + dK.nbytes)
+    assert peak <= 0.1 * (K.nbytes + dK.nbytes)
 
 @pytest.mark.parametrize("zero_dim", ["constant", "zero"])
 def test_diag_and_component_cross_agree_with_gram(zero_dim):
