@@ -36,7 +36,6 @@ from .gp import (
 )
 from .kernels import AddTreeKernel
 from .tree_space import (
-    LinearizedPoint,
     PathIndex,
     TreeSpec,
     TreeSpecError,

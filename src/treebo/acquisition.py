@@ -59,7 +59,6 @@ __all__ = [
     "propose",
 ]
 
-DEFAULT_NOISE_FLOOR = 1e-6
 # The per-vertex ascent (:func:`_ascend`): the projected-gradient and
 # predicted-gain tolerances relative to max(1, |score|), the Armijo constant,
 # how many recent scores the non-monotone line search keeps, and the bounds
@@ -369,14 +368,16 @@ def propose(
     model: GpModel,
     schedule: UcbSchedule,
     t: int,
-    n_starts: int = 5,
-    scan_budget: int = 32,
-    noise_floor: float = DEFAULT_NOISE_FLOOR,
+    n_starts: int,
+    scan_budget: int,
+    noise_floor: float,
 ) -> Proposal:
     """Run one round of per-vertex UCB maximization and pick the best path.
 
     Vertices are maximized independently, all vertices of one dimension in
-    one batched ascent (see the module docstring); the result is
+    one batched ascent (see the module docstring) from the best
+    ``n_starts`` of ``scan_budget`` scan points; beta floors the noise
+    variance at ``noise_floor`` (``BoConfig`` holds all three).  The result is
     deterministic.  Ties between equal path scores resolve to the lowest
     path index.
     """

@@ -23,9 +23,8 @@ import numpy as np
 
 from . import gp
 from .acquisition import Proposal, UcbSchedule, propose
-from .kernels import KERNEL_KINDS, ZERO_DIM_POLICIES, AddTreeKernel, stack_points
+from .kernels import KERNEL_KINDS, ZERO_DIM_POLICIES, AddTreeKernel
 from .tree_space import (
-    LinearizedPoint,
     PathIndex,
     TreeSpec,
     VertexSpec,
@@ -432,8 +431,8 @@ class _Space:
     index: PathIndex
     leaves: tuple
 
-    def point(self, leaf: int, values) -> LinearizedPoint:
-        """Linearize an evaluation given by the objective's leaf index."""
+    def point(self, leaf: int, values) -> np.ndarray:
+        """The slot row of an evaluation given by the objective's leaf index."""
         return linearize(self.spec, self.index, self.leaves.index(leaf), values)
 
 
@@ -455,18 +454,20 @@ def _model_spaces(algorithm: str, spec: TreeSpec, index: PathIndex) -> list[_Spa
 class _GpLoop:
     """One GP-UCB loop on one space: its kernel, observations and schedule.
 
-    A refit is a full multi-start (``config.restarts`` starts, drawing from
-    ``rng_fit``) on the first refit and whenever the data has at least
-    doubled since the last full one (``full_fit_size``); every other refit
-    is one L-BFGS-B run from the previous fit, and falls back to a full one
-    in the same step if that run fails.
+    The loop minimizes, so ``data`` holds the rows of its evaluations and
+    -y, which the fits and the UCB machinery both read: the evidence does
+    not see the sign.  A refit is a full multi-start (``config.restarts``
+    starts, drawing from ``rng_fit``) on the first refit and whenever the
+    data has at least doubled since the last full one (``full_fit_size``);
+    every other refit is one L-BFGS-B run from the previous fit, and falls
+    back to a full one in the same step if that run fails.
     """
 
     def __init__(self, space: _Space, config: BoConfig):
         self.space = space
         self.config = config
         self.kernel = config.kernel(space.spec, space.index)
-        self.data = gp.Dataset.create([], [], noise=config.noise_variance)
+        self.data = gp.Dataset.create(np.empty((0, space.index.width)), [], config.noise_variance)
         self.schedule = config.schedule(space.spec.total_dimension)
         self.full_fit_size = 0
 
@@ -491,8 +492,7 @@ class _GpLoop:
         config = self.config
         if len(self.data) >= 2:
             self.refit(t, rng_fit)
-        # minimization runs the UCB machinery on -f
-        model = gp.fit(self.kernel, replace(self.data, targets=-self.data.targets))
+        model = gp.fit(self.kernel, self.data)
         return propose(
             model, self.schedule, t,
             n_starts=config.acq_starts, scan_budget=config.acq_scan,
@@ -500,10 +500,9 @@ class _GpLoop:
         )
 
     def observe(self, leaf: int, values, y: float) -> None:
-        """Record an evaluation if it lies in this loop's space."""
+        """Record an evaluation, as its row and -y, if it lies in this loop's space."""
         if leaf in self.space.leaves:
-            point = self.space.point(leaf, values)
-            self.data = self.data.extended(point, y)
+            self.data = self.data.extended(self.space.point(leaf, values), -y)
 
 
 def run_bo(
@@ -610,12 +609,12 @@ class RegressionRecord:
 
 def _test_queries(spaces: list[_Space], test) -> list[tuple[_Space, list[int], np.ndarray]]:
     """For each space that covers a test point: the space, the indices of
-    the test points it covers, and their stacked linearizations."""
+    the test points it covers, and the matrix of their slot rows."""
     out = []
     for space in spaces:
         rows = [k for k, (leaf, _) in enumerate(test) if leaf in space.leaves]
         if rows:
-            out.append((space, rows, stack_points([space.point(*test[k]) for k in rows])))
+            out.append((space, rows, np.array([space.point(*test[k]) for k in rows])))
     return out
 
 
@@ -634,8 +633,8 @@ def run_regression_study(
     whole tree; ``independent`` fits one GP per leaf on that leaf's chain.
     A space without training points predicts the prior mean 0.  Each space's
     test and training points are linearized once per seed, and each fitted
-    model predicts all of its space's test points, stacked once, in one
-    :func:`~treebo.gp.posterior` call.
+    model trains on a prefix of the training rows and predicts all of its
+    space's test rows in one :func:`~treebo.gp.posterior` call.
     """
     if test_size < 1:
         raise ValueError(f"test_size must be >= 1, got {test_size}")
@@ -660,25 +659,25 @@ def run_regression_study(
         y_test = np.array([_evaluate(objective, lf, vals) for lf, vals in test])
         y_train = np.array([_evaluate(objective, lf, vals) for lf, vals in train])
         # per method, each space that covers a test point with its training
-        # rows in stream order, linearized once for every size
+        # samples in stream order and their rows, linearized once for every size
         queries = []
         for method, spaces in methods:
             covered = []
             for space, test_rows, Q in _test_queries(spaces, test):
                 rows = [k for k, (leaf, _) in enumerate(train) if leaf in space.leaves]
-                points = [space.point(*train[k]) for k in rows]
-                covered.append((space, test_rows, Q, rows, points))
+                X = np.array([space.point(*train[k]) for k in rows])
+                covered.append((space, test_rows, Q, rows, X))
             queries.append((method, covered))
 
         for n in sizes:
             for method, covered in queries:
                 preds = np.zeros(test_size)
-                for space, test_rows, Q, rows, points in covered:
+                for space, test_rows, Q, rows, X in covered:
                     m = bisect.bisect_left(rows, n)  # the rows of the first n samples
                     if not m:
                         continue
                     dset = gp.Dataset.create(
-                        points[:m], y_train[rows[:m]], noise=config.noise_variance
+                        X[:m], y_train[rows[:m]], noise=config.noise_variance
                     )
                     result = config.fit(config.kernel(space.spec, space.index), dset, rng_fit)
                     preds[test_rows] = gp.posterior(gp.fit(result.kernel, dset), Q)[0]

@@ -1,7 +1,8 @@
 """Exact GP regression with the additive tree kernel.
 
-Inference follows the standard zero-mean GP equations on the linearized
-points:
+Inference follows the standard zero-mean GP equations on slot rows
+(:func:`~treebo.tree_space.linearize`); a dataset keeps its rows as one
+matrix, :attr:`Dataset.X`, and every entry point rejects rows of another width.
 
 * **One batched prediction on the Cholesky factor.**  :func:`fit` keeps the
   lower Cholesky factor L of K_y and α = K_y^{-1} y.  For a query with
@@ -91,8 +92,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .kernels import AddTreeKernel, VertexBlocks, _corr_and_weight, stack_points
-from .tree_space import LinearizedPoint
+from .kernels import AddTreeKernel, VertexBlocks, _corr_and_weight
 
 __all__ = [
     "Dataset",
@@ -159,33 +159,46 @@ class FactorizationError(RuntimeError):
 
 @dataclass
 class Dataset:
-    """Observations: linearized points, their targets, and the one noise
-    variance of every observation.  :meth:`create` validates."""
+    """Observations: ``X``, the (n, width) matrix of their slot rows, their
+    targets, and the one noise variance of every observation.
+    :meth:`create` validates; it takes a 2-D array or a list of rows, and an
+    empty dataset as ``np.empty((0, width))``."""
 
-    points: list[LinearizedPoint]
+    X: np.ndarray
     targets: np.ndarray
     noise: float
 
     @classmethod
-    def create(cls, points, targets, noise: float = 0.0) -> "Dataset":
+    def create(cls, X, targets, noise: float = 0.0) -> "Dataset":
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"X must be a 2-D array of slot rows, got shape {X.shape}")
         targets = np.asarray(targets, dtype=float).ravel()
-        n = len(points)
+        n = len(X)
         if targets.size != n:
-            raise ValueError(f"{n} points but {targets.size} targets")
+            raise ValueError(f"{n} rows but {targets.size} targets")
         bad = np.flatnonzero(~np.isfinite(targets))
         if bad.size:
             raise ValueError(f"target {bad[0]} is not finite: {targets[bad[0]]}")
         noise = float(noise)
         if not (noise >= 0 and np.isfinite(noise)):
             raise ValueError(f"noise variance must be non-negative and finite, got {noise}")
-        return cls(points=list(points), targets=targets, noise=noise)
+        return cls(X=X, targets=targets, noise=noise)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.X)
 
-    def extended(self, point: LinearizedPoint, target: float) -> "Dataset":
-        return replace(
-            self, points=self.points + [point], targets=np.append(self.targets, target)
+    def extended(self, row: np.ndarray, target: float) -> "Dataset":
+        return replace(self, X=np.vstack([self.X, row]), targets=np.append(self.targets, target))
+
+
+def _check_width(kernel: AddTreeKernel, A: np.ndarray, what: str) -> None:
+    """Reject ``A`` unless it is a matrix of rows as wide as the kernel's
+    layout: the kernel would read another space's rows at the wrong slots."""
+    if A.ndim != 2 or A.shape[1] != kernel.index.width:
+        raise ValueError(
+            f"{what} of shape {A.shape} is not a matrix of "
+            f"{kernel.index.width}-slot rows, the kernel's layout"
         )
 
 
@@ -251,7 +264,7 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GpModel:
-    """A fitted GP: kernel, data, stacked slots ``X`` and Gram matrix ``K``.
+    """A fitted GP: kernel, data and the Gram matrix ``K`` of ``data.X``.
 
     ``L`` is the lower (possibly jittered) Cholesky factor of K_y = K +
     noise·I, Fortran-ordered as LAPACK reads it, and ``alpha`` is
@@ -264,7 +277,6 @@ class GpModel:
 
     kernel: AddTreeKernel
     data: Dataset
-    X: np.ndarray
     K: np.ndarray
     L: np.ndarray
     alpha: np.ndarray
@@ -283,15 +295,15 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
     :class:`FactorizationError` when the matrix stays indefinite through the
     jitter schedule.
     """
+    _check_width(kernel, data.X, "data")
     if len(data) == 0:  # LAPACK's dpotrs rejects 0 x 0 inputs
-        empty, X = np.empty((0, 0)), np.empty((0, kernel.index.width))
-        return GpModel(kernel, data, X, empty, empty, np.empty(0), jitter=0.0)
-    X = stack_points(data.points)
-    K = kernel.gram_matrix(X)
+        empty = np.empty((0, 0))
+        return GpModel(kernel, data, empty, empty, np.empty(0), jitter=0.0)
+    K = kernel.gram_matrix(data.X)
     K_y = K.copy()
     K_y.flat[:: len(data) + 1] += data.noise
     L, jitter = _cholesky_with_jitter(K_y)
-    return GpModel(kernel, data, X, K, L, _solve_lower(L, data.targets), jitter)
+    return GpModel(kernel, data, K, L, _solve_lower(L, data.targets), jitter)
 
 
 def _predict(model: GpModel, C: np.ndarray, prior: float | np.ndarray) -> tuple[np.ndarray, ...]:
@@ -313,15 +325,16 @@ def _predict(model: GpModel, C: np.ndarray, prior: float | np.ndarray) -> tuple[
 
 
 def posterior(model: GpModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive means and variances at stacked query slot rows.
+    """Predictive means and variances at query slot rows.
 
-    ``Q`` is (m, width), e.g. :func:`~treebo.kernels.stack_points` of
-    linearized points.  Returns two length-m arrays, from one cross-covariance
-    matrix against all training rows (exact, see the module docstring); each
-    variance lies in ``[0, k(x, x)]``.  An empty model returns means 0 and
-    variances k(x, x).
+    ``Q`` is (m, width), one slot row per query.  Returns two length-m
+    arrays, from one cross-covariance matrix against all training rows
+    (exact, see the module docstring); each variance lies in
+    ``[0, k(x, x)]``.  An empty model returns means 0 and variances k(x, x).
     """
-    return _predict(model, model.kernel.gram_matrix(Q, model.X), model.kernel.diag(Q))
+    kernel = model.kernel
+    _check_width(kernel, Q, "query")
+    return _predict(model, kernel.gram_matrix(Q, model.data.X), kernel.diag(Q))
 
 
 def component_posterior_batch(
@@ -333,7 +346,7 @@ def component_posterior_batch(
     row as a 1-D array.  Returns per-row means and clamped variances of the
     vertex's additive latent component given all observations.
     """
-    C = model.kernel.component_cross(vertex_id, V, model.X)  # (m, n)
+    C = model.kernel.component_cross(vertex_id, V, model.data.X)  # (m, n)
     return _predict(model, C, model.kernel.component_prior_variance(vertex_id))
 
 
@@ -367,7 +380,7 @@ def component_stack(model: GpModel, vertex_ids) -> ComponentStack:
     if len(dims) != 1 or 0 in dims:
         raise ValueError(f"stacked vertices need one dimension >= 1, got {sorted(dims)}")
     (dim,) = dims
-    blocks = [kernel._block(vid, model.X) for vid in vertex_ids]
+    blocks = [kernel._block(vid, model.data.X) for vid in vertex_ids]
     n, k, m = model.n, len(vertex_ids), max(rows.size for rows, _ in blocks)
     L_inv = _forward_solve(model.L, np.eye(n)) if n else model.L  # dtrtrs rejects 0 x 0
     values, alpha, W = np.zeros((dim, k, m)), np.zeros((k, m)), np.zeros((k, n, m))
@@ -484,7 +497,7 @@ def _negative_evidence(kernel: AddTreeKernel, data: Dataset):
     writes, are built here, once, for every evaluation; an evaluation reads
     the kernel part of the vector directly and builds no kernel object.
     """
-    blocks = kernel.vertex_blocks(stack_points(data.points))
+    blocks = kernel.vertex_blocks(data.X)
     y, noise = data.targets, data.noise
 
     def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
@@ -584,6 +597,7 @@ def fit_hyperparameters(
         raise ValueError("restarts must be >= 1")
     if len(data) == 0:
         raise ValueError("hyperparameter fitting needs at least one observation")
+    _check_width(kernel, data.X, "data")
     rng = rng if rng is not None else np.random.default_rng(0)
     objective = _negative_evidence(kernel, data)
     if not kernel.theta:  # nothing to fit: L-BFGS-B cannot take an empty vector

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree_space import LinearizedPoint, PathIndex, TreeSpec
+from .tree_space import PathIndex, TreeSpec
 
 __all__ = [
     "AddTreeKernel",
@@ -132,11 +132,6 @@ def _term(kind: str, lengthscales, scale: float, sq: np.ndarray) -> np.ndarray:
     return scale * _corr_and_weight(kind, r2)[0]
 
 
-def stack_points(points: list[LinearizedPoint]) -> np.ndarray:
-    """Stack linearized points (at least one) into a slots matrix, row by row."""
-    return np.stack([p.slots for p in points])
-
-
 @functools.lru_cache(maxsize=256)
 def _tril_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.tril_indices(m)``, read-only and computed once per size: building
@@ -161,9 +156,9 @@ class VertexBlocks:
     holds i + j·n, its index into the column-major flattening of the n × n
     Gram matrix (the lower triangle as LAPACK stores it), and ``sq``
     (dmax, E) its raw squared differences, dmax being the largest vertex
-    dimension, zero past its vertex's dimension.  Per block, ``starts`` and
-    ``sizes`` hold the position of its first entry and its number of
-    entries, and ``param_index`` (dmax + 1, blocks) the log-vector indices
+    dimension, zero past its vertex's dimension.  Per block, ``starts``
+    holds the position of its first entry, and ``param_index``
+    (dmax + 1, blocks) the log-vector indices
     of its lengthscales in rows 0..dmax-1 (slots past the vertex's dimension
     hold the padding index, the vector's length P) and of its scale in the
     last row.  ``entry_index`` (dmax + 1, E) is the same per entry, pointing
@@ -180,11 +175,9 @@ class VertexBlocks:
     which no longer holds anything the Gram needs.
     """
 
-    n: int
     flat: np.ndarray
     sq: np.ndarray
     starts: np.ndarray
-    sizes: np.ndarray
     param_index: np.ndarray
     entry_index: np.ndarray
     params: np.ndarray
@@ -221,11 +214,14 @@ class AddTreeKernel:
 
     ``theta`` holds the positive hyperparameters, one flat vector in
     :meth:`param_names` order (any sequence, stored as a tuple of floats):
-    per contributing vertex its lengthscales and output scale.  Every vertex's base kernel is of the one ``kind``.  With
-    ``tied_scales`` all vertices share a single output scale (the vector's
-    last entry); evidence maximization then cannot silence a rarely-visited
-    branch by collapsing its amplitude.  Instances are immutable value
-    objects and evaluation is pure.
+    per contributing vertex its lengthscales and output scale.  Every
+    vertex's base kernel is of the one ``kind``.  With ``tied_scales`` all
+    vertices share a single output scale (the vector's last entry); evidence
+    maximization then cannot silence a rarely-visited branch by collapsing
+    its amplitude.  Every method takes configurations as slot rows
+    (:func:`~treebo.tree_space.linearize`), stacked into a matrix of
+    ``index.width`` columns.  Instances are immutable value objects and
+    evaluation is pure.
     """
 
     spec: TreeSpec
@@ -379,11 +375,9 @@ class AddTreeKernel:
         params = np.empty(2 * (P + 1))
         params[-1] = 1.0  # θ's padding entry, so that 1/θ² reads 1 there
         return VertexBlocks(
-            n=n,
             flat=flat,
             sq=np.concatenate(sq, axis=1),
             starts=np.cumsum(sizes) - sizes,
-            sizes=sizes,
             param_index=param_index,
             entry_index=np.repeat(entry_index, sizes, axis=1),
             params=params,

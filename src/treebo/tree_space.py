@@ -7,16 +7,17 @@ of one categorical variable (edge labels are the contiguous integers
 values to the continuous variables along it; variables off the active path do
 not exist as far as the objective is concerned.
 
-Configurations are stored in a fixed-width *linear layout*: the vertices are
-laid out in breadth-first order and each vertex occupies ``1 + dim`` slots --
-one *tag* slot followed by its value slots.  The tag of a vertex is its
-branch label (root has tag 0), so every real tag is >= 0.  When a
-configuration is linearized, vertices on the active path keep their tag and
-receive their values; every vertex off the path gets the tag ``OFF_PATH``
-(-1).  A non-negative tag slot therefore decides "is this vertex on the
-point's active path?" without consulting the tree, and a vertex lies on two
-points' paths exactly when both tag slots are non-negative; that is the one
-membership rule the kernels rely on.
+A configuration is one *slot row*: a float vector of fixed width in the
+*linear layout*, written by :func:`linearize`.  The vertices are laid out in
+breadth-first order and each vertex occupies ``1 + dim`` slots -- one *tag*
+slot followed by its value slots.  The tag of a vertex is its branch label
+(root has tag 0), so every real tag is >= 0.  In a row, vertices on the
+active path keep their tag and receive their values; every vertex off the
+path gets the tag ``OFF_PATH`` (-1).  A non-negative tag slot therefore
+decides "is this vertex on the row's active path?" without consulting the
+tree, and a vertex lies on two rows' paths exactly when both tag slots are
+non-negative; that is the one membership rule the kernels rely on.  A set of
+configurations is the matrix of their rows, one row each.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ __all__ = [
     "VertexSpec",
     "TreeSpec",
     "PathIndex",
-    "LinearizedPoint",
     "make_tree_spec",
     "parse_tree_spec",
     "build_path_index",
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 OFF_PATH = -1.0
-"""Tag-slot value of every vertex off a linearized point's active path."""
+"""Tag-slot value of every vertex off a slot row's active path."""
 
 
 class TreeSpecError(ValueError):
@@ -339,30 +339,19 @@ def build_path_index(spec: TreeSpec) -> PathIndex:
     )
 
 
-@dataclass(frozen=True)
-class LinearizedPoint:
-    """One configuration in the fixed-width linear layout.
-
-    ``slots`` holds tags and values; ``active_leaf`` is the leaf index of the
-    active path.  Off-path tag slots hold ``OFF_PATH`` (real tags are >= 0),
-    and off-path value slots are zero-filled and ignored by every consumer.
-    """
-
-    slots: np.ndarray
-    active_leaf: int
-
-
 def linearize(
     spec: TreeSpec,
     index: PathIndex,
     leaf: int,
     values: np.ndarray | list[float],
-) -> LinearizedPoint:
-    """Encode (leaf, path-ordered values) into the linear layout.
+) -> np.ndarray:
+    """The slot row of (leaf, path-ordered values): a vector of
+    ``index.width`` floats in the linear layout.
 
     ``values`` concatenates the continuous variables of the vertices on the
     leaf's path in root-to-leaf order and must respect the declared bounds.
-    Pure: equal arguments give bit-identical slots.
+    Off-path tag slots hold ``OFF_PATH`` and off-path value slots 0, which no
+    consumer reads.  Pure: equal arguments give bit-identical rows.
     """
     if not 0 <= leaf < index.n_leaves:
         raise ValueError(f"leaf index {leaf} out of range (space has {index.n_leaves} leaves)")
@@ -391,4 +380,4 @@ def linearize(
                 )
         slots[vs:ve] = chunk
         taken += v.dim
-    return LinearizedPoint(slots=slots, active_leaf=leaf)
+    return slots

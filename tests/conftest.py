@@ -55,21 +55,30 @@ def random_kernel(spec, index, rng, kind=None, zero_dim="constant", tied_scales=
 
 
 def random_points(spec, index, rng, n):
-    pts = []
+    """``n`` uniform configurations: the list of their leaves, which the
+    oracles read membership from, and the (n, width) matrix of their slot
+    rows."""
+    leaves, rows = [], []
     for _ in range(n):
         leaf, values = bench.sample_uniform_point(index, rng)
-        pts.append(linearize(spec, index, leaf, values))
-    return pts
+        leaves.append(leaf)
+        rows.append(linearize(spec, index, leaf, values))
+    return leaves, np.array(rows).reshape(n, index.width)
+
+
+def no_rows(index):
+    """The slot-row matrix of an empty dataset on the space."""
+    return np.empty((0, index.width))
 
 
 def random_gp_instance(seed, n=12, noise=1e-4, max_dim=2, **kernel_args):
-    """A random (tree, kernel, dataset) triple for inference tests;
-    ``kernel_args`` go to :func:`random_kernel`."""
+    """A random tree, kernel and dataset for inference tests, and the leaves
+    of the dataset's rows; ``kernel_args`` go to :func:`random_kernel`."""
     rng = np.random.default_rng(seed)
     spec = random_tree_spec(seed, max_depth=3, max_fanout=2, max_dim=max_dim)
     index = build_path_index(spec)
     kernel = random_kernel(spec, index, rng, **kernel_args)
-    pts = random_points(spec, index, rng, n)
+    leaves, X = random_points(spec, index, rng, n)
     y = rng.normal(size=n)
-    data = gp.Dataset.create(pts, y, noise=noise)
-    return spec, index, kernel, data
+    data = gp.Dataset.create(X, y, noise=noise)
+    return spec, index, kernel, data, leaves

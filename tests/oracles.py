@@ -2,6 +2,7 @@
 
 Each one is written from the definitions, not through the code under test:
 the base kernels from their closed forms with ``math``, vertex membership from
+the configuration's leaf, passed next to its slot row, and
 ``index.leaf_paths`` rather than from tag slots, restrictions from
 ``index.offsets``, and the evidence with dense ``slogdet`` and ``solve``.
 The block evidence engine is the per-vertex assembly that the packed fitting
@@ -74,31 +75,34 @@ def vertex_params(kernel, vertex_id):
     return config["kind"], p["lengthscales"], p["output_scale"]
 
 
-def on_path(index, vertex_id, point) -> bool:
-    """Whether the vertex lies on the point's active path."""
-    return vertex_id in index.leaf_paths[point.active_leaf]
+def on_path(index, vertex_id, leaf) -> bool:
+    """Whether the vertex lies on the path of the leaf with index ``leaf``."""
+    return vertex_id in index.leaf_paths[leaf]
 
 
-def restrict(index, point, vertex_id) -> np.ndarray:
-    """The point's values at one vertex: its value slots when the vertex is on
-    the active path, else empty.  Unknown ids raise KeyError."""
+def restrict(index, leaf, row, vertex_id) -> np.ndarray:
+    """The values at one vertex of the configuration with slot row ``row``
+    on leaf ``leaf``: the row's value slots of the vertex when the vertex is
+    on the leaf's path, else empty.  Unknown ids raise KeyError."""
     _, vs, ve = index.offsets[vertex_id]
-    return point.slots[vs:ve].copy() if on_path(index, vertex_id, point) else np.empty(0)
+    return row[vs:ve].copy() if on_path(index, vertex_id, leaf) else np.empty(0)
 
 
-def add_tree(kernel, x, y) -> float:
-    """The add-tree kernel as the sum over tree vertices on both paths of the
-    base kernel on the two restrictions; under ``zero_dim="zero"`` dim-0
+def add_tree(kernel, leaf_x, x, leaf_y, y) -> float:
+    """The add-tree kernel between slot rows ``x`` and ``y`` on leaves
+    ``leaf_x`` and ``leaf_y``, as the sum over tree vertices on both paths of
+    the base kernel on the two restrictions; under ``zero_dim="zero"`` dim-0
     vertices are left out."""
+    index = kernel.index
     total = 0.0
     for v in kernel.spec.vertices:
         if kernel.zero_dim == "zero" and v.dim == 0:
             continue
-        if on_path(kernel.index, v.id, x) and on_path(kernel.index, v.id, y):
+        if on_path(index, v.id, leaf_x) and on_path(index, v.id, leaf_y):
             total += base_kernel(
                 *vertex_params(kernel, v.id),
-                restrict(kernel.index, x, v.id),
-                restrict(kernel.index, y, v.id),
+                restrict(index, leaf_x, x, v.id),
+                restrict(index, leaf_y, y, v.id),
             )
     return total
 
@@ -129,10 +133,10 @@ def _correlation_and_weight(kind, r2):
     return (1 + math.sqrt(5) * r + 5 * r2 / 3) * e, 5 / 3 * (1 + math.sqrt(5) * r) * e
 
 
-def block_evidence_and_grad(kernel, points, y, noise, log_params):
-    """Log evidence of ``points`` and ``y`` under the kernel with
-    hyperparameters exp(``log_params``), and its gradient in them, from dense
-    per-vertex blocks.
+def block_evidence_and_grad(kernel, leaves, X, y, noise, log_params):
+    """Log evidence of the slot rows ``X`` on ``leaves`` and targets ``y``
+    under the kernel with hyperparameters exp(``log_params``), and its
+    gradient in them, from dense per-vertex blocks.
 
     The rows are ordered by the depth-first rank of their leaf, so each
     contributing vertex's rows R_v are one contiguous slice s.  Its term is
@@ -145,10 +149,10 @@ def block_evidence_and_grad(kernel, points, y, noise, log_params):
     # where the leaves of every subtree are adjacent.
     bfs_pos = {vid: i for i, vid in enumerate(index.bfs_order)}
     dfs = sorted(range(index.n_leaves), key=lambda i: [bfs_pos[v] for v in index.leaf_paths[i]])
-    order = sorted(range(len(points)), key=lambda i: dfs.index(points[i].active_leaf))
-    points = [points[i] for i in order]
+    order = sorted(range(len(leaves)), key=lambda i: dfs.index(leaves[i]))
+    leaves, X = [leaves[i] for i in order], np.asarray(X)[order]
     y = np.asarray(y, dtype=float)[order]
-    n = len(points)
+    n = len(leaves)
     theta = np.exp(log_params)
     where = {name: k for k, name in enumerate(kernel.param_names())}
     K = np.zeros((n, n))
@@ -157,10 +161,11 @@ def block_evidence_and_grad(kernel, points, y, noise, log_params):
         dim = kernel.spec.vertex(vid).dim
         if dim == 0 and kernel.zero_dim == "zero":
             continue
-        rows = [i for i, p in enumerate(points) if on_path(index, vid, p)]
+        rows = [i for i, leaf in enumerate(leaves) if on_path(index, vid, leaf)]
         s = slice(rows[0], rows[-1] + 1) if rows else slice(0, 0)
         assert s.stop - s.start == len(rows), "rows of a vertex are not contiguous"
-        V = np.array([restrict(index, points[i], vid) for i in rows]).reshape(len(rows), dim)
+        V = np.array([restrict(index, leaves[i], X[i], vid) for i in rows])
+        V = V.reshape(len(rows), dim)
         D = V.T[:, :, None] - V.T[:, None, :]
         sq = D * D
         ls = [where[f"{vid}::ls{d}"] for d in range(dim)]

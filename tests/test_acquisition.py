@@ -5,12 +5,17 @@ import pytest
 from scipy.stats import qmc
 
 import oracles
-from conftest import random_gp_instance, random_points
+from conftest import no_rows, random_gp_instance, random_points
 from oracles import restrict
 from treebo import acquisition as acq
 from treebo import bench, gp
 from treebo.kernels import AddTreeKernel
 from treebo.tree_space import build_path_index, linearize
+
+
+# propose's search budget and noise floor as a BO run passes them
+RUN = bench.BoConfig()
+ACQ_ARGS = dict(n_starts=RUN.acq_starts, scan_budget=RUN.acq_scan, noise_floor=RUN.noise_floor)
 
 
 def zero_rate_schedule(d):
@@ -20,7 +25,7 @@ def zero_rate_schedule(d):
 
 def empty_model(spec, index, **kw):
     kern = AddTreeKernel.default(spec, index, **kw)
-    return gp.fit(kern, gp.Dataset.create([], []))
+    return gp.fit(kern, gp.Dataset.create(no_rows(index), []))
 
 
 def test_beta_without_noise_equals_norm_bound_squared():
@@ -120,7 +125,7 @@ def make_single_vertex_model():
 
 
 def test_mutual_information_matches_eigen_oracle():
-    spec, index, kern, data = random_gp_instance(6, n=10, noise=0.3)
+    spec, index, kern, data, _ = random_gp_instance(6, n=10, noise=0.3)
     model = gp.fit(kern, data)
     mi = acq.mutual_information(model, 0.3)
     eigs = np.linalg.eigvalsh(model.K)
@@ -145,9 +150,9 @@ def test_propose_beta_floors_the_noise_variance(jenatton, n, noise, floor):
     # an empty model too (its information gain is 0)
     spec, index = jenatton.spec, jenatton.index
     rng = np.random.default_rng(31)
-    pts = random_points(spec, index, rng, n)
+    _, X = random_points(spec, index, rng, n)
     kern = AddTreeKernel.default(spec, index)
-    model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=n), noise=noise))
+    model = gp.fit(kern, gp.Dataset.create(X, rng.normal(size=n), noise=noise))
     sched = acq.UcbSchedule(theta0=1.0, B0=1.0, delta=0.1, gamma_g=0.02, gamma_b=0.3, d=3)
     prop = acq.propose(model, sched, t=n + 1, n_starts=1, scan_budget=4, noise_floor=floor)
     s2 = max(noise, floor)
@@ -158,7 +163,7 @@ def test_propose_beta_floors_the_noise_variance(jenatton, n, noise, floor):
 def test_propose_prior_symmetric_tie_breaks_to_first_path(jenatton):
     model = empty_model(jenatton.spec, jenatton.index)
     sched = zero_rate_schedule(jenatton.spec.total_dimension)
-    prop = acq.propose(model, sched, t=1)
+    prop = acq.propose(model, sched, t=1, **ACQ_ARGS)
     np.testing.assert_allclose(prop.path_ucb, prop.path_ucb[0])
     assert prop.chosen_leaf == 0
     # every vertex scored sqrt(beta) * prior component std
@@ -185,16 +190,16 @@ def test_propose_matches_grid_oracle(jenatton, kind):
     spec, index = jenatton.spec, jenatton.index
     rng = np.random.default_rng(17)
     kern = AddTreeKernel.default(spec, index, kind=kind, lengthscale=0.7)
-    pts = random_points(spec, index, rng, 12)
+    leaves, X = random_points(spec, index, rng, 12)
     y = np.array([
-        jenatton(p.active_leaf, np.concatenate([
-            restrict(index, p, v) for v in index.leaf_paths[p.active_leaf]
+        jenatton(leaf, np.concatenate([
+            restrict(index, leaf, x, v) for v in index.leaf_paths[leaf]
         ]))
-        for p in pts
+        for leaf, x in zip(leaves, X)
     ])
-    model = gp.fit(kern, gp.Dataset.create(pts, -y, noise=1e-6))
+    model = gp.fit(kern, gp.Dataset.create(X, -y, noise=1e-6))
     sched = zero_rate_schedule(spec.total_dimension)
-    prop = acq.propose(model, sched, t=13)
+    prop = acq.propose(model, sched, t=13, **ACQ_ARGS)
 
     sqrt_beta = math.sqrt(prop.beta)
     for v in spec.vertices:
@@ -215,9 +220,11 @@ ORACLE_SEEDS = range(4)
 def oracle_cases(kind):
     """Per tree: the fitted model, its proposal and sqrt(beta)."""
     for seed in ORACLE_SEEDS:
-        spec, index, kern, data = random_gp_instance(seed, n=15, noise=1e-3, max_dim=2, kind=kind)
+        spec, index, kern, data, _ = random_gp_instance(
+            seed, n=15, noise=1e-3, max_dim=2, kind=kind
+        )
         model = gp.fit(kern, data)
-        prop = acq.propose(model, zero_rate_schedule(spec.total_dimension), t=16)
+        prop = acq.propose(model, zero_rate_schedule(spec.total_dimension), t=16, **ACQ_ARGS)
         yield seed, spec, model, prop, math.sqrt(prop.beta)
 
 
@@ -258,11 +265,11 @@ def test_propose_deterministic(jenatton):
     spec, index = jenatton.spec, jenatton.index
     rng = np.random.default_rng(23)
     kern = AddTreeKernel.default(spec, index)
-    pts = random_points(spec, index, rng, 9)
-    model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=9), noise=1e-6))
+    _, X = random_points(spec, index, rng, 9)
+    model = gp.fit(kern, gp.Dataset.create(X, rng.normal(size=9), noise=1e-6))
     sched = zero_rate_schedule(spec.total_dimension)
-    a = acq.propose(model, sched, t=10)
-    b = acq.propose(model, sched, t=10)
+    a = acq.propose(model, sched, t=10, **ACQ_ARGS)
+    b = acq.propose(model, sched, t=10, **ACQ_ARGS)
     assert a.chosen_leaf == b.chosen_leaf
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.path_ucb, b.path_ucb)
@@ -274,13 +281,14 @@ def test_proposal_point_restricts_to_vertex_argmaxes(jenatton):
     spec, index = jenatton.spec, jenatton.index
     rng = np.random.default_rng(29)
     kern = AddTreeKernel.default(spec, index)
-    pts = random_points(spec, index, rng, 6)
-    model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=6), noise=1e-6))
+    _, X = random_points(spec, index, rng, 6)
+    model = gp.fit(kern, gp.Dataset.create(X, rng.normal(size=6), noise=1e-6))
     sched = zero_rate_schedule(spec.total_dimension)
-    prop = acq.propose(model, sched, t=7)
-    point = linearize(spec, index, prop.chosen_leaf, prop.values)
-    for vid in index.leaf_paths[prop.chosen_leaf]:
-        np.testing.assert_array_equal(restrict(index, point, vid), prop.vertex_points[vid])
+    prop = acq.propose(model, sched, t=7, **ACQ_ARGS)
+    leaf = prop.chosen_leaf
+    row = linearize(spec, index, leaf, prop.values)
+    for vid in index.leaf_paths[leaf]:
+        np.testing.assert_array_equal(restrict(index, leaf, row, vid), prop.vertex_points[vid])
     assert prop.path_ucb[prop.chosen_leaf] == pytest.approx(
         sum(prop.vertex_ucb[v] for v in index.leaf_paths[prop.chosen_leaf])
     )
@@ -290,7 +298,7 @@ def test_propose_validates_budget(jenatton):
     model = empty_model(jenatton.spec, jenatton.index)
     sched = zero_rate_schedule(1)
     with pytest.raises(ValueError, match="budget"):
-        acq.propose(model, sched, t=1, scan_budget=0)
+        acq.propose(model, sched, t=1, **{**ACQ_ARGS, "scan_budget": 0})
 
 
 SOBOL_BUDGETS = [1, 2, 3, 5, 8, 31, 32, 33, 100, 1024, 4096]

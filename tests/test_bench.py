@@ -23,7 +23,7 @@ from treebo.bench import (
     run_regression_study,
     wilcoxon_one_sided,
 )
-from treebo.tree_space import VertexSpec, make_tree_spec
+from treebo.tree_space import VertexSpec, linearize, make_tree_spec
 
 
 # -- objectives ---------------------------------------------------------------
@@ -244,6 +244,45 @@ def test_failed_warm_refit_falls_back_to_a_full_one(jenatton, monkeypatch):
     sizes = [(n, restarts) for _, n, restarts, _ in calls]
     assert sizes[:5] == [(10, 3), (11, 1), (12, 1), (13, 1), (13, 3)]
     assert [n for n, restarts in sizes if restarts == 3] == [10, 13, 26]
+
+
+@pytest.mark.parametrize("algorithm", ["addtree", "independent"])
+def test_loop_keeps_the_rows_and_negated_values_its_models_read(
+    jenatton, monkeypatch, algorithm
+):
+    # a loop's dataset is the slot rows of the evaluations in its space and
+    # their -y, bitwise, and every model the loop fits reads a prefix of it
+    loops, fitted = [], []
+    init, fit = bench._GpLoop.__init__, gp.fit
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        loops.append(self)
+
+    def recorded_fit(kernel, data):
+        fitted.append((kernel.spec, data))
+        return fit(kernel, data)
+
+    monkeypatch.setattr(bench._GpLoop, "__init__", recorded_init)
+    monkeypatch.setattr(gp, "fit", recorded_fit)
+    trace = run_bo(jenatton, algorithm, iterations=16, seed=3, config=BoConfig(n_init=6))
+    # addtree: its one loop; independent: the chain of the last leaf chosen
+    loop = next(lp for lp in loops if trace.records[-1].leaf in lp.space.leaves)
+    records = [r for r in trace.records if r.leaf in loop.space.leaves]
+    assert len(records) >= 2
+    space = loop.space
+    rows = [
+        linearize(space.spec, space.index, space.leaves.index(r.leaf), r.values) for r in records
+    ]
+    assert loop.data.X.shape == (len(records), space.index.width)
+    assert loop.data.X.tobytes() == np.array(rows).tobytes()
+    assert loop.data.targets.tobytes() == np.array([-r.y for r in records]).tobytes()
+    mine = [data for spec, data in fitted if spec is space.spec]
+    assert len(mine) == 16 - 6  # one model a model-based step
+    for data in mine:
+        n = len(data)
+        assert data.X.tobytes() == loop.data.X[:n].tobytes()
+        assert data.targets.tobytes() == loop.data.targets[:n].tobytes()
 
 
 def test_regression_study_fits_with_every_restart(jenatton, monkeypatch):

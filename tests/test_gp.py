@@ -11,10 +11,10 @@ from scipy.linalg import cho_solve, lapack
 from scipy.optimize import minimize
 
 import oracles
-from conftest import random_gp_instance, random_kernel, random_points
+from conftest import no_rows, random_gp_instance, random_kernel, random_points
 from oracles import random_tree_spec, restrict
 from treebo import acquisition, bench, gp
-from treebo.kernels import AddTreeKernel, stack_points
+from treebo.kernels import AddTreeKernel
 from treebo.tree_space import VertexSpec, build_path_index, linearize, make_tree_spec
 
 
@@ -52,8 +52,8 @@ def test_fit_factorization_reconstructs(jenatton):
     spec, index = jenatton.spec, jenatton.index
     rng = np.random.default_rng(2)
     kern = random_kernel(spec, index, rng)
-    pts = random_points(spec, index, rng, 20)
-    data = gp.Dataset.create(pts, rng.normal(size=20), noise=1e-6)
+    _, X = random_points(spec, index, rng, 20)
+    data = gp.Dataset.create(X, rng.normal(size=20), noise=1e-6)
     model = gp.fit(kern, data)
     K_y = model.K + (data.noise + model.jitter) * np.eye(20)
     np.testing.assert_array_equal(model.L, np.tril(model.L))
@@ -64,8 +64,12 @@ def test_fit_factorization_reconstructs(jenatton):
 def test_dataset_validation():
     spec, index = chain_space((1,))
     p = linearize(spec, index, 0, [0.0])
-    with pytest.raises(ValueError, match="targets"):
+    with pytest.raises(ValueError, match="1 rows but 2 targets"):
         gp.Dataset.create([p], [1.0, 2.0])
+    # one row is not a matrix of rows, and an empty list has no width
+    for X, y in ((p, [1.0]), ([], [])):
+        with pytest.raises(ValueError, match="2-D array of slot rows"):
+            gp.Dataset.create(X, y)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="target 1 is not finite"):
             gp.Dataset.create([p, p, p], [0.0, bad, bad])
@@ -74,16 +78,73 @@ def test_dataset_validation():
             gp.Dataset.create([p], [1.0], noise=bad)
 
 
+def test_dataset_is_one_matrix_of_slot_rows():
+    # a list of rows and their stacked matrix make the same dataset, and an
+    # empty dataset extended row by row grows into it
+    spec, index = chain_space((1, 1))
+    rows = [linearize(spec, index, 0, [x, -x]) for x in (0.1, 0.2, 0.3)]
+    data = gp.Dataset.create(rows, [1.0, 2.0, 3.0], noise=0.5)
+    assert data.X.shape == (3, index.width) and len(data) == 3
+    assert data.X.tobytes() == np.array(rows).tobytes()
+    grown = gp.Dataset.create(no_rows(index), [], noise=0.5)
+    for row, y in zip(rows, data.targets):
+        grown = grown.extended(row, y)
+    assert grown.X.tobytes() == data.X.tobytes()
+    assert grown.targets.tobytes() == data.targets.tobytes() and grown.noise == 0.5
+
+
+def other_width_cases(jenatton):
+    """Rows of one space with the kernel of another, both ways: Jenatton's
+    rows are 13 slots wide and those of the two-level random tree 6.  The
+    error message names both widths: the rows' in their shape."""
+    narrow = bench.random_tree_objective(2, 2, 1, 0)
+    rng = np.random.default_rng(0)
+    for rows_of, kernel_of in ((jenatton, narrow), (narrow, jenatton)):
+        _, X = random_points(rows_of.spec, rows_of.index, rng, 4)
+        data = gp.Dataset.create(X, rng.normal(size=4), noise=1e-2)
+        kern = AddTreeKernel.default(kernel_of.spec, kernel_of.index)
+        message = (
+            rf"of shape \(4, {rows_of.index.width}\) is not a matrix of "
+            f"{kernel_of.index.width}-slot rows, the kernel's layout"
+        )
+        yield kern, data, message
+
+
+def test_fit_rejects_rows_of_another_width(jenatton):
+    # 13-wide rows under the 6-wide kernel were fitted silently (a 4 x 4
+    # Gram), and 6-wide rows under the 13-wide kernel raised an IndexError
+    for kern, data, message in other_width_cases(jenatton):
+        with pytest.raises(ValueError, match="data " + message):
+            gp.fit(kern, data)
+
+
+def test_fit_hyperparameters_rejects_rows_of_another_width(jenatton):
+    for kern, data, message in other_width_cases(jenatton):
+        with pytest.raises(ValueError, match="data " + message):
+            gp.fit_hyperparameters(kern, data, restarts=1)
+
+
+def test_posterior_rejects_queries_of_another_width(jenatton):
+    # the model is fitted on rows of its own space; the queries are not
+    for kern, data, message in other_width_cases(jenatton):
+        _, X = random_points(kern.spec, kern.index, np.random.default_rng(1), 4)
+        model = gp.fit(kern, gp.Dataset.create(X, data.targets, noise=1e-2))
+        with pytest.raises(ValueError, match="query " + message):
+            gp.posterior(model, data.X)
+        with pytest.raises(ValueError, match="is not a matrix"):
+            gp.posterior(model, X[0])
+
+
 def test_posterior_interpolates_noiseless(jenatton):
     spec, index = jenatton.spec, jenatton.index
     rng = np.random.default_rng(4)
     kern = AddTreeKernel.default(spec, index)
-    pts = random_points(spec, index, rng, 10)
-    y = np.array([jenatton(p.active_leaf, np.concatenate(
-        [restrict(index, p, v) for v in index.leaf_paths[p.active_leaf]]
-    )) for p in pts])
-    model = gp.fit(kern, gp.Dataset.create(pts, y, noise=0.0))
-    means, variances = gp.posterior(model, stack_points(pts))
+    leaves, X = random_points(spec, index, rng, 10)
+    y = np.array([jenatton(leaf, np.concatenate(
+        [restrict(index, leaf, x, v) for v in index.leaf_paths[leaf]]
+    )) for leaf, x in zip(leaves, X)])
+    model = gp.fit(kern, gp.Dataset.create(X, y, noise=0.0))
+    means, variances = gp.posterior(model, X)
     assert np.all(np.abs(means - y) < 1e-6)
     assert np.all(variances <= 1e-6)
 
@@ -91,13 +152,13 @@ def test_posterior_interpolates_noiseless(jenatton):
 def test_posterior_prior_with_no_data(two_leaf):
     spec, index = two_leaf
     kern = AddTreeKernel.default(spec, index, output_scale=1.3)
-    model = gp.fit(kern, gp.Dataset.create([], []))
+    model = gp.fit(kern, gp.Dataset.create(no_rows(index), []))
     q = linearize(spec, index, 0, [0, 0, 0, 0])
-    mean, var = gp.posterior(model, q.slots[None, :])
+    mean, var = gp.posterior(model, q[None, :])
     assert mean[0] == 0.0
     assert var[0] == pytest.approx(2.6, rel=1e-12)
     # several rows on both leaves: means 0, variances k(x, x)
-    Q = stack_points(random_points(spec, index, np.random.default_rng(3), 6))
+    _, Q = random_points(spec, index, np.random.default_rng(3), 6)
     means, variances = gp.posterior(model, Q)
     np.testing.assert_array_equal(means, np.zeros(6))
     np.testing.assert_array_equal(variances, kern.diag(Q))
@@ -108,12 +169,12 @@ def test_posterior_prior_with_no_data(two_leaf):
 def test_posterior_matches_dense_solve(zero_dim):
     # oracle: the textbook equations with dense solves against K + noise
     for seed in range(12):
-        spec, index, kern, data = random_gp_instance(seed, n=14, zero_dim=zero_dim)
+        spec, index, kern, data, _ = random_gp_instance(seed, n=14, zero_dim=zero_dim)
         model = gp.fit(kern, data)
-        X = np.stack([p.slots for p in data.points])
+        X = data.X
         K_y = kern.gram_matrix(X) + data.noise * np.eye(len(data))
         rng = np.random.default_rng(1000 + seed)
-        Q = stack_points(random_points(spec, index, rng, 5))
+        _, Q = random_points(spec, index, rng, 5)
         k = kern.gram_matrix(Q, X)
         mean_o = k @ np.linalg.solve(K_y, data.targets)
         var_o = kern.diag(Q) - np.einsum("ij,ji->i", k, np.linalg.solve(K_y, k.T))
@@ -129,15 +190,15 @@ def test_posterior_variance_from_cholesky_factor():
     # as a noiseless posterior must be, and matches the textbook form,
     # a dense solve with the model's factor, elsewhere.  (Another LAPACK
     # build's factor of this matrix moves some variances by 2e-9.)
-    spec, index, kern, data = random_gp_instance(117, n=20, noise=0.0)
+    spec, index, kern, data, _ = random_gp_instance(117, n=20, noise=0.0)
     model = gp.fit(kern, data)
     assert model.jitter == 0.0
     rng = np.random.default_rng(5)
-    Q = stack_points(data.points + random_points(spec, index, rng, 50))
+    Q = np.vstack([data.X, random_points(spec, index, rng, 50)[1]])
     k_diag = kern.diag(Q)
     _, variances = gp.posterior(model, Q)
     assert np.all(variances[:20] <= 1e-12 * k_diag[:20])
-    C = kern.gram_matrix(Q, model.X)
+    C = kern.gram_matrix(Q, model.data.X)
     W = np.linalg.solve(model.L, C.T)
     expected = np.maximum(k_diag - np.sum(W * W, axis=0), 0.0)
     np.testing.assert_allclose(variances, expected, rtol=0, atol=1e-9 * k_diag.max())
@@ -149,10 +210,10 @@ def test_posterior_batch_rows_match_single_row_calls():
     # stacked component test: at 1e-4 the two BLAS paths' summation orders
     # alone differ by up to 1.8e-12.
     for seed in range(8):
-        spec, index, kern, data = random_gp_instance(seed, n=12, noise=1e-2)
+        spec, index, kern, data, _ = random_gp_instance(seed, n=12, noise=1e-2)
         model = gp.fit(kern, data)
         rng = np.random.default_rng(3000 + seed)
-        Q = stack_points(random_points(spec, index, rng, 7) + data.points[:3])
+        Q = np.vstack([random_points(spec, index, rng, 7)[1], data.X[:3]])
         means, variances = gp.posterior(model, Q)
         assert means.shape == variances.shape == (10,)
         for i in range(len(Q)):
@@ -167,13 +228,13 @@ def test_posterior_clamps_and_counts_negative_variances():
     # is clamped to 0 and counted once; every variance lies in [0, k(x, x)].
     spec, index = chain_space((1,))
     pts = [linearize(spec, index, 0, [x]) for x in (-0.7, 0.3, 1.0)]
-    Q = stack_points(pts + [linearize(spec, index, 0, [1.5])])  # and a far query
+    Q = np.array(pts + [linearize(spec, index, 0, [1.5])])  # and a far query
     clamped = 0
     for s in np.linspace(0.5, 3.0, 41):
         kern = AddTreeKernel.default(spec, index, output_scale=float(s))
         model = gp.fit(kern, gp.Dataset.create(pts, [1.0, -0.5, 0.2], noise=0.0))
         # the unclamped variances, in the posterior's own operation order
-        C, k_diag = kern.gram_matrix(Q, model.X), kern.diag(Q)
+        C, k_diag = kern.gram_matrix(Q, model.data.X), kern.diag(Q)
         W = gp._forward_solve(model.L, C.T)
         raw = k_diag - np.einsum("iq,iq->q", W, W)
         neg = raw < 0
@@ -201,7 +262,7 @@ def test_zero_policy_unshared_query_gets_prior():
     kern = AddTreeKernel.default(spec, index, output_scale=0.7, zero_dim="zero")
     pts = [linearize(spec, index, 1, [x]) for x in (-0.5, 0.1, 0.8)]
     model = gp.fit(kern, gp.Dataset.create(pts, [1.0, 2.0, 3.0], noise=1e-6))
-    q = linearize(spec, index, 0, [0.3]).slots[None, :]
+    q = linearize(spec, index, 0, [0.3])[None, :]
     mean, var = gp.posterior(model, q)
     assert mean[0] == 0.0
     assert var[0] == pytest.approx(0.7, rel=1e-12)  # summed contributing scales
@@ -215,7 +276,7 @@ def test_zero_policy_unshared_query_gets_prior():
 def test_component_posterior_prior_cases(two_leaf):
     spec, index = two_leaf
     kern = AddTreeKernel.default(spec, index, output_scale=0.9)
-    empty = gp.fit(kern, gp.Dataset.create([], []))
+    empty = gp.fit(kern, gp.Dataset.create(no_rows(index), []))
     mean, var = gp.component_posterior_batch(empty, "root", np.zeros((1, 2)))
     assert (mean[0], var[0]) == (0.0, pytest.approx(0.9))
 
@@ -235,7 +296,7 @@ def test_component_posterior_errors(two_leaf):
     model = gp.fit(kern, gp.Dataset.create([p], [1.0], noise=1e-6))
     with pytest.raises(KeyError, match="ghost"):
         gp.component_posterior_batch(model, "ghost", np.zeros((1, 1)))
-    empty = gp.fit(kern, gp.Dataset.create([], []))
+    empty = gp.fit(kern, gp.Dataset.create(no_rows(index), []))
     for m in (model, empty):
         with pytest.raises(ValueError, match="expects 2-dim values, got 1"):
             gp.component_posterior_batch(m, "root", np.zeros((1, 1)))
@@ -244,15 +305,16 @@ def test_component_posterior_errors(two_leaf):
 @pytest.mark.parametrize("zero_dim", ["constant", "zero"])
 def test_component_means_add_to_posterior_mean(zero_dim):
     for seed in range(10):
-        spec, index, kern, data = random_gp_instance(seed, n=12, zero_dim=zero_dim)
+        spec, index, kern, data, _ = random_gp_instance(seed, n=12, zero_dim=zero_dim)
         model = gp.fit(kern, data)
         rng = np.random.default_rng(2000 + seed)
-        qs = random_points(spec, index, rng, 5)
-        means, _ = gp.posterior(model, stack_points(qs))
-        for q, mean in zip(qs, means):
+        leaves, Q = random_points(spec, index, rng, 5)
+        means, _ = gp.posterior(model, Q)
+        for leaf, q, mean in zip(leaves, Q, means):
             total = 0.0
-            for vid in index.leaf_paths[q.active_leaf]:
-                component, _ = gp.component_posterior_batch(model, vid, restrict(index, q, vid))
+            for vid in index.leaf_paths[leaf]:
+                V = restrict(index, leaf, q, vid)
+                component, _ = gp.component_posterior_batch(model, vid, V)
                 total += component[0]
             assert abs(total - mean) < 1e-8
 
@@ -301,19 +363,17 @@ def test_component_posterior_gradients_match_finite_differences(kind):
     for seed in range(6):
         for zero_dim in ("constant", "zero"):
             for tied in (False, True):
-                spec, index, kern, data = random_gp_instance(
+                spec, index, kern, data, leaves = random_gp_instance(
                     seed, n=10, noise=1e-2, max_dim=3,
                     kind=kind, zero_dim=zero_dim, tied_scales=tied,
                 )
                 # all the data, and only the first point's leaf's (which
                 # leaves R_v empty for every vertex off that leaf's path)
-                leaf = data.points[0].active_leaf
-                one_leaf = [i for i, p in enumerate(data.points) if p.active_leaf == leaf]
-                for points, targets in [
-                    (data.points, data.targets),
-                    ([data.points[i] for i in one_leaf], data.targets[one_leaf]),
-                ]:
-                    model = gp.fit(kern, gp.Dataset.create(points, targets, noise=1e-2))
+                one_leaf = [i for i, leaf in enumerate(leaves) if leaf == leaves[0]]
+                for rows_kept in [list(range(len(leaves))), one_leaf]:
+                    points = [(leaves[i], data.X[i]) for i in rows_kept]
+                    X, targets = data.X[rows_kept], data.targets[rows_kept]
+                    model = gp.fit(kern, gp.Dataset.create(X, targets, noise=1e-2))
                     rng = np.random.default_rng(300 + seed)
                     by_dim = {}
                     for v in spec.vertices:
@@ -324,9 +384,9 @@ def test_component_posterior_gradients_match_finite_differences(kind):
                         for v in vertices:
                             lo, hi = np.array(v.bounds).T
                             rows = rng.uniform(lo, hi, size=(4, dim))
-                            on_path = [p for p in points if oracles.on_path(index, v.id, p)]
+                            on_path = [p for p in points if oracles.on_path(index, v.id, p[0])]
                             if on_path:
-                                rows[0] = restrict(index, on_path[0], v.id)
+                                rows[0] = restrict(index, *on_path[0], v.id)
                             else:
                                 empty_rows += 1
                             V.append(rows)
@@ -339,8 +399,8 @@ def test_component_posterior_gradients_match_finite_differences(kind):
 
 def test_stacked_component_posterior_matches_reference(two_leaf):
     # the empty model: every vertex at its prior
-    spec, index, kern, _ = random_gp_instance(0, max_dim=2)
-    empty = gp.fit(kern, gp.Dataset.create([], []))
+    spec, index, kern, *_ = random_gp_instance(0, max_dim=2)
+    empty = gp.fit(kern, gp.Dataset.create(no_rows(index), []))
     vertices = [v for v in spec.vertices if v.dim == 2]
     V = np.random.default_rng(1).uniform(-1, 1, size=(len(vertices), 3, 2))
     means, variances, _, _ = _stack_matches_reference(empty, [v.id for v in vertices], V)
@@ -352,8 +412,8 @@ def test_stacked_component_posterior_matches_reference(two_leaf):
     spec, index = two_leaf
     rng = np.random.default_rng(4)
     kern = AddTreeKernel.default(spec, index)
-    pts = random_points(spec, index, rng, 8)
-    model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=8), noise=1e-3))
+    _, X = random_points(spec, index, rng, 8)
+    model = gp.fit(kern, gp.Dataset.create(X, rng.normal(size=8), noise=1e-3))
     for v in spec.vertices:
         if v.dim:
             lo, hi = np.array(v.bounds).T
@@ -413,7 +473,7 @@ def test_component_stack_factor_is_the_inverse_block():
     # every dimension's vertices stacked together
     checked, padded = 0, 0
     for seed in range(10):
-        spec, index, kern, data = random_gp_instance(seed, n=14, noise=1e-2, max_dim=3)
+        spec, index, kern, data, leaves = random_gp_instance(seed, n=14, noise=1e-2, max_dim=3)
         model = gp.fit(kern, data)
         K_y_inv = np.linalg.inv(model.K + (data.noise + model.jitter) * np.eye(model.n))
         by_dim = {}
@@ -423,7 +483,7 @@ def test_component_stack_factor_is_the_inverse_block():
         for ids in by_dim.values():
             stack = gp.component_stack(model, ids)
             for R, vid in zip(stack.R, ids):
-                rows = [i for i, p in enumerate(data.points) if oracles.on_path(index, vid, p)]
+                rows = [i for i, leaf in enumerate(leaves) if oracles.on_path(index, vid, leaf)]
                 r = len(rows)
                 np.testing.assert_array_equal(R, np.triu(R))
                 np.testing.assert_array_equal(R[r:], 0.0)
@@ -465,9 +525,10 @@ def test_stacked_variances_stay_accurate_near_repeated_observations(jenatton):
     # two within 1e-9 on a grid over n0's box.
     spec, index = jenatton.spec, jenatton.index
     rng = np.random.default_rng(0)
-    pts = [linearize(spec, index, 0, [0.0, 0.0])] * 30 + random_points(spec, index, rng, 8)
+    optimum = linearize(spec, index, 0, [0.0, 0.0])
+    X = np.vstack([[optimum] * 30, random_points(spec, index, rng, 8)[1]])
     kern = AddTreeKernel.default(spec, index, output_scale=5.0)
-    model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=38), noise=1e-8))
+    model = gp.fit(kern, gp.Dataset.create(X, rng.normal(size=38), noise=1e-8))
     assert model.jitter == 0.0
     V = np.linspace(0.0, 1.0, 2001)[:, None]
     _, variances, _, _ = gp.stacked_component_posterior(gp.component_stack(model, ["n0"]), V[None])
@@ -481,7 +542,7 @@ def test_component_stack_needs_one_positive_dimension(two_leaf, jenatton):
         ((jenatton.spec, jenatton.index), ["root"]),  # dim 0
         ((jenatton.spec, jenatton.index), ["root", "n0"]),
     ]:
-        model = gp.fit(AddTreeKernel.default(spec, index), gp.Dataset.create([], []))
+        model = gp.fit(AddTreeKernel.default(spec, index), gp.Dataset.create(no_rows(index), []))
         with pytest.raises(ValueError, match="one dimension >= 1"):
             gp.component_stack(model, vertex_ids)
 
@@ -490,12 +551,12 @@ def test_posterior_variance_shrinks_with_data(jenatton):
     spec, index = jenatton.spec, jenatton.index
     kern = AddTreeKernel.default(spec, index)
     rng = np.random.default_rng(12)
-    pts = random_points(spec, index, rng, 15)
+    _, X = random_points(spec, index, rng, 15)
     y = rng.normal(size=15)
-    q = linearize(spec, index, 0, [0.5, 0.5]).slots[None, :]
+    q = linearize(spec, index, 0, [0.5, 0.5])[None, :]
     prev = np.inf
     for n in (1, 3, 7, 15):
-        model = gp.fit(kern, gp.Dataset.create(pts[:n], y[:n], noise=1e-4))
+        model = gp.fit(kern, gp.Dataset.create(X[:n], y[:n], noise=1e-4))
         _, var = gp.posterior(model, q)
         assert var[0] <= prev + 1e-12
         prev = var[0]
@@ -517,8 +578,8 @@ def test_lml_standard_normal_evidence():
 
 
 def test_lml_zero_targets_drop_quadratic_term():
-    spec, index, kern, data = random_gp_instance(3, n=8)
-    data = gp.Dataset(points=data.points, targets=np.zeros(8), noise=data.noise)
+    spec, index, kern, data, _ = random_gp_instance(3, n=8)
+    data = gp.Dataset(X=data.X, targets=np.zeros(8), noise=data.noise)
     K_y = gp.fit(kern, data).K + data.noise * np.eye(8)
     expected = -0.5 * np.linalg.slogdet(K_y)[1] - 4 * math.log(2 * math.pi)
     assert evidence(kern, data)[0] == pytest.approx(expected, rel=1e-10)
@@ -528,7 +589,7 @@ def test_lml_gradient_matches_finite_differences():
     # the objective's gradient against central differences, step 1e-5 in
     # log-parameter space, of the dense evidence of gp.fit's matrices
     for seed in range(20):
-        spec, index, kern, data = random_gp_instance(seed, n=8, noise=1e-2)
+        spec, index, kern, data, _ = random_gp_instance(seed, n=8, noise=1e-2)
         lml, grad = evidence(kern, data)
         assert lml == pytest.approx(oracles.log_evidence(gp.fit(kern, data)), rel=1e-10)
         vec = kern.get_log_params()
@@ -549,7 +610,7 @@ def test_fitting_objective_gradient_matches_finite_differences():
     # the L-BFGS objective on random trees with per-vertex and with tied
     # output scales; a tree whose layout is empty checks the value alone
     for seed in range(8):
-        _, _, kern, data = random_gp_instance(
+        _, _, kern, data, _ = random_gp_instance(
             seed, n=10, noise=1e-2,
             zero_dim=("constant", "zero")[seed % 2], tied_scales=seed % 4 >= 2,
         )
@@ -569,10 +630,10 @@ def test_fitting_objective_gradient_matches_finite_differences():
         assert np.all(np.abs(grad - fd) / scale < 1e-5)
 
 
-def assert_evidence_matches_block_engine(kern, data):
+def assert_evidence_matches_block_engine(kern, data, leaves):
     lml, grad = evidence(kern, data)
     ref_lml, ref_grad = oracles.block_evidence_and_grad(
-        kern, data.points, data.targets, data.noise, kern.get_log_params()
+        kern, leaves, data.X, data.targets, data.noise, kern.get_log_params()
     )
     assert lml == pytest.approx(ref_lml, rel=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=0)
@@ -591,9 +652,9 @@ def test_packed_evidence_matches_block_engine(kind):
         index = build_path_index(spec)
         for zero_dim, tied in itertools.product(("constant", "zero"), (False, True)):
             kern = random_kernel(spec, index, rng, kind, zero_dim=zero_dim, tied_scales=tied)
-            pts = random_points(spec, index, rng, 12)
-            data = gp.Dataset.create(pts, rng.normal(size=12), noise=1e-2)
-            assert_evidence_matches_block_engine(kern, data)
+            leaves, X = random_points(spec, index, rng, 12)
+            data = gp.Dataset.create(X, rng.normal(size=12), noise=1e-2)
+            assert_evidence_matches_block_engine(kern, data, leaves)
 
 
 def test_packed_evidence_edge_cases():
@@ -603,7 +664,7 @@ def test_packed_evidence_edge_cases():
     assert kern.vertex_blocks(np.zeros((3, index.width))).flat.size == 0
     p = linearize(spec, index, 0, [])
     assert_evidence_matches_block_engine(
-        kern, gp.Dataset.create([p] * 3, [0.4, -0.2, 0.1], noise=1e-2)
+        kern, gp.Dataset.create([p] * 3, [0.4, -0.2, 0.1], noise=1e-2), [0] * 3
     )
     # one observation, on every kind with per-vertex and tied scales
     spec, index = chain_space((0, 1, 2))
@@ -611,7 +672,9 @@ def test_packed_evidence_edge_cases():
     rng = np.random.default_rng(5)
     for kind, tied in itertools.product(("se", "matern32", "matern52"), (False, True)):
         kern = random_kernel(spec, index, rng, kind, tied_scales=tied)
-        assert_evidence_matches_block_engine(kern, gp.Dataset.create([p], [0.7], noise=1e-2))
+        assert_evidence_matches_block_engine(
+            kern, gp.Dataset.create([p], [0.7], noise=1e-2), [0]
+        )
 
 
 def test_noise_is_added_on_the_diagonal_bitwise(monkeypatch):
@@ -628,7 +691,7 @@ def test_noise_is_added_on_the_diagonal_bitwise(monkeypatch):
     for module in (gp, acquisition):  # acquisition imports it by name
         monkeypatch.setattr(module, "_cholesky", recording)
     for seed in range(4):
-        _, _, kern, data = random_gp_instance(seed, n=10, noise=1e-2)
+        _, _, kern, data, _ = random_gp_instance(seed, n=10, noise=1e-2)
         model = gp.fit(kern, data)
         evidence(kern, data)
         acquisition.mutual_information(model, 0.3)
@@ -648,7 +711,9 @@ def test_fitting_objective_reuses_its_buffers_without_carrying_state():
     for seed, (kind, tied) in enumerate(
         itertools.product(("se", "matern32", "matern52"), (False, True))
     ):
-        _, _, kern, data = random_gp_instance(seed, n=10, noise=1e-2, kind=kind, tied_scales=tied)
+        _, _, kern, data, _ = random_gp_instance(
+            seed, n=10, noise=1e-2, kind=kind, tied_scales=tied
+        )
         objective = gp._negative_evidence(kern, data)
         vec = kern.get_log_params()
         value, grad = objective(vec)
@@ -670,11 +735,11 @@ def test_fitting_objective_evaluation_allocates_no_n_squared_temporaries():
     # faulted it in again on every call (154 minor faults a call)
     objective = bench.random_tree_objective(3, 3, 2, 0)
     rng = np.random.default_rng(1)
-    points = [
+    X = [
         linearize(objective.spec, objective.index, *bench.sample_branch_walk(objective.index, rng))
         for _ in range(150)
     ]
-    data = gp.Dataset.create(points, rng.normal(size=150), noise=1e-8)
+    data = gp.Dataset.create(X, rng.normal(size=150), noise=1e-8)
     kern = bench.BoConfig().kernel(objective.spec, objective.index)
     evaluate = gp._negative_evidence(kern, data)
     vec = kern.get_log_params()
@@ -712,8 +777,8 @@ def test_fit_hyperparameters_builds_one_kernel(jenatton, monkeypatch):
 
         monkeypatch.setattr(AddTreeKernel, name, counted)
     rng = np.random.default_rng(3)
-    pts = random_points(jenatton.spec, jenatton.index, rng, 12)
-    data = gp.Dataset.create(pts, rng.normal(size=12), noise=1e-2)
+    _, X = random_points(jenatton.spec, jenatton.index, rng, 12)
+    data = gp.Dataset.create(X, rng.normal(size=12), noise=1e-2)
     kern = bench.BoConfig().kernel(jenatton.spec, jenatton.index)
     calls["__post_init__"] = 0
     result = gp.fit_hyperparameters(kern, data, restarts=4, rng=rng)
@@ -727,8 +792,8 @@ def test_fit_hyperparameters_builds_one_kernel(jenatton, monkeypatch):
 def test_one_start_refit_of_a_fitted_kernel_is_cheaper(jenatton):
     # what a BO loop's warm refit does: one run from the last fit
     rng = np.random.default_rng(8)
-    pts = random_points(jenatton.spec, jenatton.index, rng, 15)
-    data = gp.Dataset.create(pts, rng.normal(size=15), noise=1e-2)
+    _, X = random_points(jenatton.spec, jenatton.index, rng, 15)
+    data = gp.Dataset.create(X, rng.normal(size=15), noise=1e-2)
     kern = bench.BoConfig().kernel(jenatton.spec, jenatton.index)
     full = gp.fit_hyperparameters(kern, data, restarts=3, rng=rng)
     warm = gp.fit_hyperparameters(full.kernel, data, restarts=1, rng=rng)
@@ -832,7 +897,7 @@ def test_lbfgsb_driver_matches_scipy_minimize(kind, tied_scales):
     # from the kernel's own start, a random draw, a corner of the box and a
     # start outside it (both clip it), on random trees
     for seed in range(4):
-        spec, index, kern, data = random_gp_instance(
+        spec, index, kern, data, _ = random_gp_instance(
             seed, n=10, noise=1e-3, kind=kind, tied_scales=tied_scales
         )
         lo, hi = _log_box(kern)
@@ -852,9 +917,9 @@ def test_lbfgsb_driver_matches_scipy_minimize_where_the_gram_fails():
     # factorize and the objective reports FAILED_EVIDENCE with a zero gradient
     mixed = 0
     for seed in (1, 4, 17):
-        spec, index, kern, data = random_gp_instance(seed, n=8, noise=0.0)
+        spec, index, kern, data, _ = random_gp_instance(seed, n=8, noise=0.0)
         data = gp.Dataset.create(
-            data.points + data.points[:1], np.append(data.targets, data.targets[0])
+            np.vstack([data.X, data.X[:1]]), np.append(data.targets, data.targets[0])
         )
         lo, hi = _log_box(kern)
         rng = np.random.default_rng(seed)
@@ -868,7 +933,7 @@ def test_lbfgsb_driver_matches_scipy_minimize_where_the_gram_fails():
 def test_lbfgsb_driver_stops_at_the_iteration_limit(monkeypatch):
     monkeypatch.setattr(gp, "FIT_MAXITER", 2)
     for seed in range(3):
-        spec, index, kern, data = random_gp_instance(seed, n=12, noise=1e-3)
+        spec, index, kern, data, _ = random_gp_instance(seed, n=12, noise=1e-3)
         lo, hi = _log_box(kern)
         _, res = _lbfgsb_matches_scipy(kern, data, np.random.default_rng(seed).uniform(lo, hi))
         assert res.nit == 2 and "ITERATIONS REACHED LIMIT" in res.message
@@ -884,7 +949,7 @@ def test_fit_hyperparameters_recovers_lengthscale():
         X = rng.uniform(-2, 2, size=200)
         pts = [linearize(spec, index, 0, [x]) for x in X]
         true = AddTreeKernel.default(spec, index, lengthscale=true_ls)
-        K = true.gram_matrix(stack_points(pts)) + 1e-6 * np.eye(200)
+        K = true.gram_matrix(np.array(pts)) + 1e-6 * np.eye(200)
         y = np.linalg.cholesky(K) @ rng.normal(size=200)
         data = gp.Dataset.create(pts, y, noise=1e-6)
         start = AddTreeKernel.default(spec, index, lengthscale=1.0)
@@ -894,8 +959,27 @@ def test_fit_hyperparameters_recovers_lengthscale():
     assert 0.7 <= median_ratio <= 1.3
 
 
+def test_sign_of_the_targets_changes_no_fitted_bit():
+    # why a minimizing loop can keep -y as its one dataset: the evidence,
+    # its gradient and so the fitted kernel are bitwise those of y, and
+    # alpha = K_y^{-1} y only changes sign
+    for seed in range(4):
+        spec, index, kern, data, _ = random_gp_instance(seed, n=12, noise=1e-3)
+        flipped = replace(data, targets=-data.targets)
+        a, b = (
+            gp.fit_hyperparameters(kern, d, restarts=3, rng=np.random.default_rng(seed))
+            for d in (data, flipped)
+        )
+        assert a.kernel.theta == b.kernel.theta
+        assert a.log_evidence == b.log_evidence
+        assert a.restart_evidences == b.restart_evidences
+        assert a.evaluations == b.evaluations
+        model, model_flipped = gp.fit(a.kernel, data), gp.fit(b.kernel, flipped)
+        assert model_flipped.alpha.tobytes() == (-model.alpha).tobytes()
+
+
 def test_fit_hyperparameters_never_worse_than_start():
-    spec, index, kern, data = random_gp_instance(5, n=10, noise=1e-2)
+    spec, index, kern, data, _ = random_gp_instance(5, n=10, noise=1e-2)
     start_lml = oracles.log_evidence(gp.fit(kern, data))
     result = gp.fit_hyperparameters(kern, data, restarts=1)
     assert result.log_evidence >= start_lml - 1e-9
@@ -905,9 +989,9 @@ def test_fit_hyperparameters_requires_data(two_leaf):
     spec, index = two_leaf
     kern = AddTreeKernel.default(spec, index)
     with pytest.raises(ValueError, match="at least one observation"):
-        gp.fit_hyperparameters(kern, gp.Dataset.create([], []))
+        gp.fit_hyperparameters(kern, gp.Dataset.create(no_rows(index), []))
     with pytest.raises(ValueError, match="restarts"):
-        gp.fit_hyperparameters(kern, gp.Dataset.create([], []), restarts=0)
+        gp.fit_hyperparameters(kern, gp.Dataset.create(no_rows(index), []), restarts=0)
 
 
 def test_fit_hyperparameters_with_nothing_to_fit(monkeypatch):
@@ -928,7 +1012,7 @@ def test_fit_hyperparameters_with_nothing_to_fit(monkeypatch):
     assert result.restart_evidences == [result.log_evidence]
     assert result.evaluations == 1
     with pytest.raises(gp.FactorizationError, match="no hyperparameters"):
-        gp.fit_hyperparameters(kern, gp.Dataset.create(data.points, data.targets, noise=0.0))
+        gp.fit_hyperparameters(kern, gp.Dataset.create(data.X, data.targets, noise=0.0))
 
 
 def test_lengthscale_cap_min_rule():

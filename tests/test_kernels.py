@@ -13,13 +13,13 @@ import oracles
 from conftest import random_kernel, random_points
 from oracles import random_tree_spec
 from treebo import bench
-from treebo.kernels import AddTreeKernel, stack_points
+from treebo.kernels import AddTreeKernel
 from treebo.tree_space import VertexSpec, build_path_index, linearize, make_tree_spec
 
 
 def k(kern, x, y):
-    """The kernel between two linearized points."""
-    return float(kern.gram_matrix(stack_points([x]), stack_points([y]))[0, 0])
+    """The kernel between two slot rows."""
+    return float(kern.gram_matrix(x[None], y[None])[0, 0])
 
 
 def one_vertex(dim):
@@ -64,7 +64,7 @@ def test_base_kernel_matern_closed_forms():
 def test_base_kernel_dimension_mismatch(two_leaf):
     spec, index = two_leaf
     kern = AddTreeKernel.default(spec, index)
-    X = stack_points([linearize(spec, index, 0, [0.0, 0.0, 0.0, 0.0])])
+    X = linearize(spec, index, 0, [0.0, 0.0, 0.0, 0.0])[None]
     with pytest.raises(ValueError, match="expects 2-dim values, got 1"):
         kern.component_cross("root", [[0.0]], X)
 
@@ -115,11 +115,10 @@ def test_delta_shared_root(two_leaf):
     # a vertex's component covaries with exactly the rows whose path holds it
     spec, index = two_leaf
     kern = AddTreeKernel.default(spec, index)
-    pts = [
+    X = np.array([
         linearize(spec, index, 0, [0.1, 0.2, 0.3, 0.4]),
         linearize(spec, index, 1, [0.5, 0.6, 0.7, 0.8, 0.9]),
-    ]
-    X = stack_points(pts)
+    ])
     rows = {
         vid: np.flatnonzero(kern.component_cross(vid, np.zeros(spec.vertex(vid).dim), X)[0])
         for vid in index.bfs_order
@@ -140,8 +139,8 @@ def test_add_tree_same_leaf_sums_root_and_leaf(two_leaf):
     expected = sum(
         oracles.base_kernel(
             *oracles.vertex_params(kern, vid),
-            oracles.restrict(index, x, vid),
-            oracles.restrict(index, y, vid),
+            oracles.restrict(index, 0, x, vid),
+            oracles.restrict(index, 0, y, vid),
         )
         for vid in ("root", "left")
     )
@@ -155,8 +154,8 @@ def test_add_tree_cross_leaf_root_only(two_leaf):
     y = linearize(spec, index, 1, [0.5, 0.6, 0.7, 0.8, 0.9])
     expected = oracles.base_kernel(
         *oracles.vertex_params(kern, "root"),
-        oracles.restrict(index, x, "root"),
-        oracles.restrict(index, y, "root"),
+        oracles.restrict(index, 0, x, "root"),
+        oracles.restrict(index, 1, y, "root"),
     )
     assert k(kern, x, y) == pytest.approx(expected, rel=1e-12)
 
@@ -175,9 +174,9 @@ def test_add_tree_symmetry_exact():
         spec = random_tree_spec(seed)
         index = build_path_index(spec)
         kern = random_kernel(spec, index, rng)
-        pts = random_points(spec, index, rng, 6)
-        for x in pts:
-            for y in pts:
+        _, X = random_points(spec, index, rng, 6)
+        for x in X:
+            for y in X:
                 assert k(kern, x, y) == k(kern, y, x)
 
 
@@ -191,11 +190,10 @@ def test_add_tree_matches_vertex_sum_oracle(zero_dim):
         index = build_path_index(spec)
         for kind in ("se", "matern32", "matern52"):
             kern = random_kernel(spec, index, rng, zero_dim=zero_dim, kind=kind)
-            pts = random_points(spec, index, rng, 5)
-            expected = [[oracles.add_tree(kern, x, y) for y in pts] for x in pts]
-            np.testing.assert_allclose(
-                kern.gram_matrix(stack_points(pts)), expected, rtol=0, atol=1e-12
-            )
+            leaves, X = random_points(spec, index, rng, 5)
+            pts = list(zip(leaves, X))
+            expected = [[oracles.add_tree(kern, *x, *y) for y in pts] for x in pts]
+            np.testing.assert_allclose(kern.gram_matrix(X), expected, rtol=0, atol=1e-12)
 
 
 def test_gram_block_structure(two_leaf):
@@ -203,28 +201,30 @@ def test_gram_block_structure(two_leaf):
     spec, index = two_leaf
     rng = np.random.default_rng(5)
     kern = random_kernel(spec, index, rng)
-    pts = []
-    for leaf in (0, 0, 1, 1):
+    leaves = (0, 0, 1, 1)
+    rows = []
+    for leaf in leaves:
         bounds = index.leaf_bounds(leaf)
         vals = [rng.uniform(lo, hi) for lo, hi in bounds]
-        pts.append(linearize(spec, index, leaf, vals))
-    K = kern.gram_matrix(stack_points(pts))
+        rows.append(linearize(spec, index, leaf, vals))
+    X = np.array(rows)
+    K = kern.gram_matrix(X)
 
     def term(vid, i, j):
         return oracles.base_kernel(
             *oracles.vertex_params(kern, vid),
-            oracles.restrict(index, pts[i], vid),
-            oracles.restrict(index, pts[j], vid),
+            oracles.restrict(index, leaves[i], X[i], vid),
+            oracles.restrict(index, leaves[j], X[j], vid),
         )
 
-    n = len(pts)
+    n = len(leaves)
     root_block = np.zeros((n, n))
     leaf_block = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             root_block[i, j] = term("root", i, j)
-            if pts[i].active_leaf == pts[j].active_leaf:
-                leaf_block[i, j] = term(index.leaf_ids[pts[i].active_leaf], i, j)
+            if leaves[i] == leaves[j]:
+                leaf_block[i, j] = term(index.leaf_ids[leaves[i]], i, j)
     expected = root_block + leaf_block
     np.testing.assert_allclose(K, expected, rtol=1e-12)
 
@@ -233,7 +233,7 @@ def test_gram_single_point_is_summed_scales(two_leaf):
     spec, index = two_leaf
     kern = AddTreeKernel.default(spec, index, output_scale=1.5)
     p = linearize(spec, index, 0, [0, 0, 0, 0])
-    K = kern.gram_matrix(stack_points([p]))
+    K = kern.gram_matrix(p[None])
     assert K.shape == (1, 1)
     assert K[0, 0] == pytest.approx(3.0, rel=1e-12)
 
@@ -244,8 +244,8 @@ def test_gram_psd_on_random_trees():
         spec = random_tree_spec(seed, max_depth=3, max_fanout=3)
         index = build_path_index(spec)
         kern = random_kernel(spec, index, rng)
-        pts = random_points(spec, index, rng, 50)
-        K = kern.gram_matrix(stack_points(pts))
+        _, X = random_points(spec, index, rng, 50)
+        K = kern.gram_matrix(X)
         np.testing.assert_allclose(K, K.T)
         eigs = np.linalg.eigvalsh(K)
         assert eigs[0] >= -1e-8 * max(eigs[-1], 1.0)
@@ -340,8 +340,7 @@ def test_gram_grads_match_finite_differences():
             )
             vec = rng.uniform(-1.0, 1.0, len(start.param_names()))
             kern = replace(start, theta=np.exp(vec))
-            points = random_points(spec, index, rng, 12)
-            X = stack_points(points)
+            leaves, X = random_points(spec, index, rng, 12)
             n = X.shape[0]
             blocks = kern.vertex_blocks(X)
             pos, starts = 0, []  # entries vertex after vertex
@@ -349,14 +348,13 @@ def test_gram_grads_match_finite_differences():
                 if spec.vertex(vid).dim == 0 and zero_dim == "zero":
                     continue
                 saw_dim0 |= spec.vertex(vid).dim == 0
-                R = np.array([i for i, p in enumerate(points) if oracles.on_path(index, vid, p)])
+                R = np.array([i for i, lf in enumerate(leaves) if oracles.on_path(index, vid, lf)])
                 if R.size:  # a vertex on no row's path has no block
                     starts.append(pos)
                     lower = [i + j * n for i in R for j in R if i >= j]  # column-major
                     np.testing.assert_array_equal(blocks.flat[pos : pos + len(lower)], lower)
                     pos += len(lower)
             np.testing.assert_array_equal(blocks.starts, starts)
-            np.testing.assert_array_equal(blocks.sizes, np.diff(starts, append=pos))
             assert blocks.flat.size == pos
             # copies: every call returns the blocks' own buffers
             # the lower triangle, zeros above
@@ -371,7 +369,8 @@ def test_gram_grads_match_finite_differences():
             np.testing.assert_allclose(
                 kern.gram_and_grads(blocks, kern.get_log_params())[0], K, rtol=1e-12, atol=0
             )
-            param_index = np.repeat(blocks.param_index, blocks.sizes, axis=1)
+            sizes = np.diff(blocks.starts, append=blocks.flat.size)
+            param_index = np.repeat(blocks.param_index, sizes, axis=1)
             assert dK.shape == param_index.shape
             assert not dK[param_index == len(vec)].any()  # padding slots
             flat = np.broadcast_to(blocks.flat, dK.shape)
@@ -403,12 +402,12 @@ def test_gram_and_grads_temporaries_stay_near_its_output():
     # the output afresh they peaked at 1.6x it, and at 2.7x before that
     objective = bench.random_tree_objective(3, 3, 2, 0)
     rng = np.random.default_rng(1)
-    points = [
+    X = np.array([
         linearize(objective.spec, objective.index, *bench.sample_branch_walk(objective.index, rng))
         for _ in range(100)
-    ]
+    ])
     kern = AddTreeKernel.default(objective.spec, objective.index, "se")
-    blocks = kern.vertex_blocks(stack_points(points))
+    blocks = kern.vertex_blocks(X)
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
@@ -428,12 +427,12 @@ def test_diag_and_component_cross_agree_with_gram(zero_dim):
         spec = random_tree_spec(seed)
         index = build_path_index(spec)
         kern = random_kernel(spec, index, rng, zero_dim=zero_dim)
-        X = stack_points(random_points(spec, index, rng, 8))
+        _, X = random_points(spec, index, rng, 8)
         np.testing.assert_array_equal(kern.diag(X), np.diag(kern.gram_matrix(X)))
-        for q in random_points(spec, index, rng, 3):
+        for leaf, q in zip(*random_points(spec, index, rng, 3)):
             total = sum(
-                kern.component_cross(vid, oracles.restrict(index, q, vid), X)[0]
-                for vid in index.leaf_paths[q.active_leaf]
+                kern.component_cross(vid, oracles.restrict(index, leaf, q, vid), X)[0]
+                for vid in index.leaf_paths[leaf]
             )
-            expected = kern.gram_matrix(q.slots[None, :], X)[0]
+            expected = kern.gram_matrix(q[None, :], X)[0]
             np.testing.assert_allclose(total, expected, rtol=1e-13, atol=0)

@@ -131,29 +131,30 @@ def test_perfect_binary_depth3_dimensions():
 def test_linearize_layout_first_leaf(two_leaf):
     spec, index = two_leaf
     p = linearize(spec, index, 0, [0.1, 0.2, 0.3, 0.4])
-    assert p.slots[0] == 0.0
-    np.testing.assert_array_equal(p.slots[1:3], [0.1, 0.2])
-    assert p.slots[3] == 0.0
-    np.testing.assert_array_equal(p.slots[4:6], [0.3, 0.4])
-    assert p.slots[6] < 0  # off-path tag for the inactive leaf
-    np.testing.assert_array_equal(p.slots[7:10], [0.0, 0.0, 0.0])
+    assert isinstance(p, np.ndarray) and p.shape == (index.width,)
+    assert p[0] == 0.0
+    np.testing.assert_array_equal(p[1:3], [0.1, 0.2])
+    assert p[3] == 0.0
+    np.testing.assert_array_equal(p[4:6], [0.3, 0.4])
+    assert p[6] < 0  # off-path tag for the inactive leaf
+    np.testing.assert_array_equal(p[7:10], [0.0, 0.0, 0.0])
 
 
 def test_linearize_layout_second_leaf(two_leaf):
     spec, index = two_leaf
     p = linearize(spec, index, 1, [0.5, 0.6, 0.7, 0.8, 0.9])
-    assert p.slots[0] == 0.0
-    np.testing.assert_array_equal(p.slots[1:3], [0.5, 0.6])
-    assert p.slots[3] < 0
-    assert p.slots[6] == 1.0
-    np.testing.assert_array_equal(p.slots[7:10], [0.7, 0.8, 0.9])
+    assert p[0] == 0.0
+    np.testing.assert_array_equal(p[1:3], [0.5, 0.6])
+    assert p[3] < 0
+    assert p[6] == 1.0
+    np.testing.assert_array_equal(p[7:10], [0.7, 0.8, 0.9])
 
 
 def test_linearize_single_vertex():
     spec = parse_tree_spec("vertex only 1 0 1\n")
     index = build_path_index(spec)
     p = linearize(spec, index, 0, [0.5])
-    np.testing.assert_array_equal(p.slots, [0.0, 0.5])
+    np.testing.assert_array_equal(p, [0.0, 0.5])
 
 
 def test_linearize_rejects_out_of_bounds(two_leaf):
@@ -171,16 +172,16 @@ def test_linearize_rejects_wrong_count(two_leaf):
 def test_restrict_active_and_inactive(two_leaf):
     spec, index = two_leaf
     p = linearize(spec, index, 0, [0.1, 0.2, 0.3, 0.4])
-    np.testing.assert_array_equal(restrict(index, p, "root"), [0.1, 0.2])
-    np.testing.assert_array_equal(restrict(index, p, "left"), [0.3, 0.4])
-    assert restrict(index, p, "right").size == 0
+    np.testing.assert_array_equal(restrict(index, 0, p, "root"), [0.1, 0.2])
+    np.testing.assert_array_equal(restrict(index, 0, p, "left"), [0.3, 0.4])
+    assert restrict(index, 0, p, "right").size == 0
 
 
 def test_restrict_unknown_vertex(two_leaf):
     _, index = two_leaf
     p = linearize(index.spec, index, 0, [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(KeyError, match="ghost"):
-        restrict(index, p, "ghost")
+        restrict(index, 0, p, "ghost")
 
 
 def test_dim0_vertex_empty_restriction_but_matching_tag():
@@ -196,12 +197,12 @@ def test_dim0_vertex_empty_restriction_but_matching_tag():
     index = build_path_index(spec)
     pa = linearize(spec, index, 0, [0.5])
     pb = linearize(spec, index, 1, [0.5])
-    assert restrict(index, pa, "r").size == 0
-    assert restrict(index, pa, "b").size == 0  # off path: also empty
+    assert restrict(index, 0, pa, "r").size == 0
+    assert restrict(index, 0, pa, "b").size == 0  # off path: also empty
     tag_pos = index.offsets["r"][0]
-    assert pa.slots[tag_pos] == pb.slots[tag_pos] == 0.0  # on-path: tags match
+    assert pa[tag_pos] == pb[tag_pos] == 0.0  # on-path: tags match
     apos = index.offsets["a"][0]
-    assert pa.slots[apos] == 0.0 and pb.slots[apos] < 0  # off-path: negative tag
+    assert pa[apos] == 0.0 and pb[apos] < 0  # off-path: negative tag
 
 
 @given(st.integers(0, 200))
@@ -215,10 +216,10 @@ def test_restrict_on_random_trees(seed):
         leaf, values = bench.sample_uniform_point(index, rng)
         p = linearize(spec, index, leaf, values)
         for vid in index.bfs_order:
-            got = restrict(index, p, vid)
+            got = restrict(index, leaf, p, vid)
             if vid in index.leaf_paths[leaf]:
                 _, vs, ve = index.offsets[vid]
-                np.testing.assert_array_equal(got, p.slots[vs:ve])
+                np.testing.assert_array_equal(got, p[vs:ve])
                 assert got.size == spec.vertex(vid).dim
             else:
                 assert got.size == 0
@@ -246,7 +247,7 @@ def test_restriction_round_trip(two_leaf, data):
         [data.draw(st.floats(lo, hi, allow_nan=False)) for lo, hi in bounds]
     )
     p = linearize(spec, index, leaf, values)
-    chunks = [restrict(index, p, vid) for vid in index.leaf_paths[leaf]]
+    chunks = [restrict(index, leaf, p, vid) for vid in index.leaf_paths[leaf]]
     np.testing.assert_array_equal(np.concatenate(chunks), values)
 
 
@@ -262,11 +263,11 @@ def test_tag_slots_mark_path_membership(two_leaf):
         p = linearize(spec, index, leaf, values)
         on_path = set(index.leaf_paths[leaf])
         for vid in index.bfs_order:
-            tag = p.slots[index.offsets[vid][0]]
+            tag = p[index.offsets[vid][0]]
             if vid in on_path:
                 assert tag == rank[vid]
             else:
                 assert tag < 0
-        # linearize is pure: a second call gives bit-identical slots
+        # linearize is pure: a second call gives a bit-identical row
         again = linearize(spec, index, leaf, values)
-        assert again.slots.tobytes() == p.slots.tobytes()
+        assert again.tobytes() == p.tobytes()
