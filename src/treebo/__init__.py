@@ -36,11 +36,9 @@ from .gp import (
 )
 from .kernels import AddTreeKernel
 from .tree_space import (
-    PathIndex,
     TreeSpec,
     TreeSpecError,
     VertexSpec,
-    build_path_index,
     linearize,
     make_tree_spec,
     parse_tree_spec,

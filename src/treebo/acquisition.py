@@ -132,8 +132,10 @@ def beta(schedule: UcbSchedule, t: float, info_gain: float, noise_std: float) ->
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    if info_gain < 0:
+    if not info_gain >= 0:  # NaN fails too
         raise ValueError(f"info_gain must be >= 0, got {info_gain}")
+    if not noise_std >= 0:
+        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
     root = norm_bound(schedule, t) + 4.0 * noise_std * math.sqrt(
         info_gain + 1.0 + math.log(1.0 / schedule.delta)
     )
@@ -148,8 +150,11 @@ def mutual_information(model: GpModel, noise_variance: float) -> float:
     """
     if model.n == 0:
         return 0.0
-    if noise_variance <= 0:
-        raise ValueError("mutual information undefined for zero noise; floor sigma^2")
+    if not noise_variance > 0:  # NaN fails too
+        raise ValueError(
+            f"mutual information needs a positive noise variance, got {noise_variance}; "
+            "floor sigma^2"
+        )
     M = model.K / noise_variance
     M.flat[:: model.n + 1] += 1.0
     L, info = _cholesky(M)
@@ -385,34 +390,33 @@ def propose(
         raise ValueError(f"t must be >= 1, got {t}")
     if scan_budget < 1 or n_starts < 1:
         raise ValueError("optimizer budget must allow at least one evaluation")
-    index = model.kernel.index
+    spec = model.kernel.spec
 
     s2 = max(model.data.noise, noise_floor)
     info = mutual_information(model, s2)
     beta_value = beta(schedule, t, info, math.sqrt(s2))
     sqrt_beta = math.sqrt(beta_value)
 
-    spec = model.kernel.spec
     by_dim: dict[int, list[str]] = {}
-    for vid in index.bfs_order:
+    for vid in spec.bfs_order:
         by_dim.setdefault(spec.vertex(vid).dim, []).append(vid)
     points = {vid: np.empty(0) for vid in by_dim.pop(0, [])}
     for vids in by_dim.values():
         points.update(zip(vids, _maximize_vertices(model, vids, sqrt_beta, n_starts, scan_budget)))
     # every score comes from the reference posterior: the closed form of a
     # dim-0 vertex, a single-row re-score of the argmax of any other
-    vertex_points = {vid: points[vid] for vid in index.bfs_order}
+    vertex_points = {vid: points[vid] for vid in spec.bfs_order}
     vertex_ucb = {}
     for vid, x in vertex_points.items():
         means, variances = component_posterior_batch(model, vid, x[None, :])
         vertex_ucb[vid] = float(means[0] + sqrt_beta * math.sqrt(variances[0]))
 
     path_ucb = np.array(
-        [sum(vertex_ucb[vid] for vid in path) for path in index.leaf_paths]
+        [sum(vertex_ucb[vid] for vid in path) for path in spec.leaf_paths]
     )
     chosen = int(np.argmax(path_ucb))  # first max: lowest path index wins ties
     values = np.concatenate(
-        [vertex_points[vid] for vid in index.leaf_paths[chosen]]
+        [vertex_points[vid] for vid in spec.leaf_paths[chosen]]
         or [np.empty(0)]
     )
     return Proposal(

@@ -24,14 +24,7 @@ import numpy as np
 from . import gp
 from .acquisition import Proposal, UcbSchedule, propose
 from .kernels import KERNEL_KINDS, ZERO_DIM_POLICIES, AddTreeKernel
-from .tree_space import (
-    PathIndex,
-    TreeSpec,
-    VertexSpec,
-    build_path_index,
-    linearize,
-    make_tree_spec,
-)
+from .tree_space import TreeSpec, VertexSpec, linearize, make_tree_spec
 
 __all__ = [
     "Objective",
@@ -74,7 +67,6 @@ class Objective:
 
     name: str
     spec: TreeSpec
-    index: PathIndex
     fn: object
     known_optimum: float | None = None
 
@@ -124,16 +116,13 @@ def jenatton_objective() -> Objective:
         ("n1", 1, "leaf11"),
     ]
     spec = make_tree_spec(vertices, edges)
-    index = build_path_index(spec)
     offsets = (0.1, 0.2, 0.3, 0.4)
 
     def fn(leaf: int, values: np.ndarray) -> float:
         r, x = values  # path order: mid-level variable, then leaf variable
         return x * x + offsets[leaf] + r
 
-    return Objective(
-        name="jenatton", spec=spec, index=index, fn=fn, known_optimum=0.1
-    )
+    return Objective(name="jenatton", spec=spec, fn=fn, known_optimum=0.1)
 
 
 def quadratic_objective(spec: TreeSpec, seed: int, name: str | None = None) -> Objective:
@@ -145,10 +134,9 @@ def quadratic_objective(spec: TreeSpec, seed: int, name: str | None = None) -> O
     construction and the global optimum has a closed form: the minimum over
     leaves of the summed per-vertex offsets.
     """
-    index = build_path_index(spec)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(37,)))
     bowls: dict[str, tuple[np.ndarray, np.ndarray, float]] = {}
-    for vid in index.bfs_order:
+    for vid in spec.bfs_order:
         v = spec.vertex(vid)
         lo = np.array([b[0] for b in v.bounds])
         hi = np.array([b[1] for b in v.bounds])
@@ -160,20 +148,16 @@ def quadratic_objective(spec: TreeSpec, seed: int, name: str | None = None) -> O
     def fn(leaf: int, values: np.ndarray) -> float:
         total = 0.0
         taken = 0
-        for vid in index.leaf_paths[leaf]:
+        for vid in spec.leaf_paths[leaf]:
             w, c, o = bowls[vid]
             chunk = values[taken : taken + w.size]
             total += o + float(w @ (chunk - c) ** 2)
             taken += w.size
         return total
 
-    optimum = min(sum(bowls[vid][2] for vid in path) for path in index.leaf_paths)
+    optimum = min(sum(bowls[vid][2] for vid in path) for path in spec.leaf_paths)
     return Objective(
-        name=name or f"quadratic-{seed}",
-        spec=spec,
-        index=index,
-        fn=fn,
-        known_optimum=float(optimum),
+        name=name or f"quadratic-{seed}", spec=spec, fn=fn, known_optimum=float(optimum)
     )
 
 
@@ -209,27 +193,26 @@ def random_tree_objective(depth: int, fanout: int, dims: int, seed: int) -> Obje
     return quadratic_objective(spec, seed, name=f"random-tree-{seed}")
 
 
-def sample_uniform_point(index: PathIndex, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+def sample_uniform_point(spec: TreeSpec, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Uniform leaf choice, then uniform values in the leaf's box."""
-    leaf = int(rng.integers(index.n_leaves))
-    bounds = index.leaf_bounds(leaf)
+    leaf = int(rng.integers(spec.n_leaves))
+    bounds = spec.leaf_bounds(leaf)
     values = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
     return leaf, values
 
 
-def sample_branch_walk(index: PathIndex, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+def sample_branch_walk(spec: TreeSpec, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Walk from the root choosing branches uniformly (Bernoulli(1/2) for a
     binary tree), then draw values uniformly; the data scheme of the
     regression study."""
-    spec = index.spec
     cur = spec.root_id
     while True:
         children = spec.children(cur)
         if not children:
             break
         cur = children[int(rng.integers(len(children)))][1]
-    leaf = index.leaf_ids.index(cur)
-    bounds = index.leaf_bounds(leaf)
+    leaf = spec.leaf_ids.index(cur)
+    bounds = spec.leaf_bounds(leaf)
     values = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
     return leaf, values
 
@@ -296,11 +279,10 @@ class BoConfig:
         """The confidence schedule on a space of total dimension ``d``."""
         return UcbSchedule(self.theta0, self.B0, self.delta, self.gamma_g, self.gamma_b, d)
 
-    def kernel(self, spec: TreeSpec, index: PathIndex) -> AddTreeKernel:
+    def kernel(self, spec: TreeSpec) -> AddTreeKernel:
         """The unfitted starting kernel of this config on a space."""
         return AddTreeKernel.default(
-            spec, index, kind=self.kernel_kind, zero_dim=self.zero_dim,
-            tied_scales=self.tie_scales,
+            spec, kind=self.kernel_kind, zero_dim=self.zero_dim, tied_scales=self.tie_scales
         )
 
     def fit(
@@ -388,6 +370,11 @@ def read_trace(path) -> RunTrace:
             f"{path}: unsupported trace version {header.get('version')!r} "
             f"(this reader handles version {TRACE_VERSION})"
         )
+    if not isinstance(header.get("algorithm"), str):
+        raise ValueError(f"{path}: header algorithm {header.get('algorithm')!r} is not a string")
+    seed = header.get("seed")
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"{path}: header seed {seed!r} is not a non-negative integer")
     meta = {k: v for k, v in header.items() if k not in ("format", "version", "kind")}
     names = [f.name for f in fields(IterationRecord)]
     try:
@@ -428,26 +415,25 @@ class _Space:
     (``leaves[k]`` is this space's leaf k)."""
 
     spec: TreeSpec
-    index: PathIndex
     leaves: tuple
 
     def point(self, leaf: int, values) -> np.ndarray:
         """The slot row of an evaluation given by the objective's leaf index."""
-        return linearize(self.spec, self.index, self.leaves.index(leaf), values)
+        return linearize(self.spec, self.leaves.index(leaf), values)
 
 
-def _model_spaces(algorithm: str, spec: TreeSpec, index: PathIndex) -> list[_Space]:
+def _model_spaces(algorithm: str, spec: TreeSpec) -> list[_Space]:
     """The spaces an algorithm models, covering the leaves in leaf order: the
     whole tree for addtree, for independent one chain per leaf (a single-path
     copy of the leaf's subspace), none for random."""
     if algorithm == "addtree":
-        return [_Space(spec, index, tuple(range(index.n_leaves)))]
+        return [_Space(spec, tuple(range(spec.n_leaves)))]
     chains = []
     if algorithm == "independent":
-        for leaf, path in enumerate(index.leaf_paths):
+        for leaf, path in enumerate(spec.leaf_paths):
             edges = [(parent, 0, child) for parent, child in zip(path, path[1:])]
             chain = make_tree_spec([spec.vertex(vid) for vid in path], edges)
-            chains.append(_Space(chain, build_path_index(chain), (leaf,)))
+            chains.append(_Space(chain, (leaf,)))
     return chains
 
 
@@ -466,8 +452,8 @@ class _GpLoop:
     def __init__(self, space: _Space, config: BoConfig):
         self.space = space
         self.config = config
-        self.kernel = config.kernel(space.spec, space.index)
-        self.data = gp.Dataset.create(np.empty((0, space.index.width)), [], config.noise_variance)
+        self.kernel = config.kernel(space.spec)
+        self.data = gp.Dataset.create(np.empty((0, space.spec.width)), [], config.noise_variance)
         self.schedule = config.schedule(space.spec.total_dimension)
         self.full_fit_size = 0
 
@@ -550,11 +536,11 @@ def run_bo(
     }
     trace = RunTrace(meta=meta)
 
-    spec, index = objective.spec, objective.index
+    spec = objective.spec
     n_init = config.resolve_n_init(spec)
     rng_init = _init_rng(seed)
     rng_fit = _fit_rng(seed)
-    loops = [_GpLoop(space, config) for space in _model_spaces(algorithm, spec, index)]
+    loops = [_GpLoop(space, config) for space in _model_spaces(algorithm, spec)]
 
     best = np.inf
     writer = None
@@ -565,7 +551,7 @@ def run_bo(
             beta_value = None
 
             if not loops or t <= n_init:
-                leaf, values = sample_uniform_point(index, rng_init)
+                leaf, values = sample_uniform_point(spec, rng_init)
             else:
                 props = [loop.suggest(t, rng_fit) for loop in loops]
                 by_leaf = [prop for loop, prop in zip(loops, props) for _ in loop.space.leaves]
@@ -642,20 +628,20 @@ def run_regression_study(
     for seed in seeds:
         _check_seed(seed)
     config = config or BoConfig()
-    spec, index = objective.spec, objective.index
+    spec = objective.spec
     sizes = sorted(set(int(n) for n in train_sizes))
     if not sizes or sizes[0] < 0:
         raise ValueError(f"train_sizes needs one or more sizes >= 0, got {sizes}")
     n_max = sizes[-1]
     records: list[RegressionRecord] = []
 
-    methods = [(m, _model_spaces(m, spec, index)) for m in ("addtree", "independent")]
+    methods = [(m, _model_spaces(m, spec)) for m in ("addtree", "independent")]
 
     for seed in seeds:
         rng = _study_rng(seed)
         rng_fit = _fit_rng(seed)
-        test = [sample_branch_walk(index, rng) for _ in range(test_size)]
-        train = [sample_branch_walk(index, rng) for _ in range(n_max)]
+        test = [sample_branch_walk(spec, rng) for _ in range(test_size)]
+        train = [sample_branch_walk(spec, rng) for _ in range(n_max)]
         y_test = np.array([_evaluate(objective, lf, vals) for lf, vals in test])
         y_train = np.array([_evaluate(objective, lf, vals) for lf, vals in train])
         # per method, each space that covers a test point with its training
@@ -679,7 +665,7 @@ def run_regression_study(
                     dset = gp.Dataset.create(
                         X[:m], y_train[rows[:m]], noise=config.noise_variance
                     )
-                    result = config.fit(config.kernel(space.spec, space.index), dset, rng_fit)
+                    result = config.fit(config.kernel(space.spec), dset, rng_fit)
                     preds[test_rows] = gp.posterior(gp.fit(result.kernel, dset), Q)[0]
                 mse = float(np.mean((preds - y_test) ** 2))
                 records.append(RegressionRecord(method, n, seed, mse))

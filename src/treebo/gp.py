@@ -189,16 +189,20 @@ class Dataset:
         return len(self.X)
 
     def extended(self, row: np.ndarray, target: float) -> "Dataset":
-        return replace(self, X=np.vstack([self.X, row]), targets=np.append(self.targets, target))
+        """This dataset and one more observation, validated by :meth:`create`."""
+        return Dataset.create(
+            np.vstack([self.X, row]), np.append(self.targets, target), self.noise
+        )
 
 
 def _check_width(kernel: AddTreeKernel, A: np.ndarray, what: str) -> None:
-    """Reject ``A`` unless it is a matrix of rows as wide as the kernel's
-    layout: the kernel would read another space's rows at the wrong slots."""
-    if A.ndim != 2 or A.shape[1] != kernel.index.width:
+    """Reject ``A`` unless it is a matrix of rows of ``kernel.spec.width``
+    slots, the width of the kernel's layout: the kernel would read another
+    space's rows at the wrong slots."""
+    if A.ndim != 2 or A.shape[1] != kernel.spec.width:
         raise ValueError(
             f"{what} of shape {A.shape} is not a matrix of "
-            f"{kernel.index.width}-slot rows, the kernel's layout"
+            f"{kernel.spec.width}-slot rows, the kernel's layout"
         )
 
 

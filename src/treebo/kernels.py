@@ -8,8 +8,9 @@ shared by both active paths, i.e. over the path from the root to the
 leaves' lowest common ancestor; each term is evaluated on the two points'
 restrictions to that vertex.  Vertex membership is decided by the sign of
 the vertex's tag slot in the linear layout (non-negative on the active
-path), so the whole kernel evaluates on fixed-width vectors without
-consulting the tree.
+path), so the whole kernel evaluates on slot rows of ``spec.width`` floats
+without walking the tree: it reads the tag and value slots of each vertex
+at ``spec.offsets``.
 
 A vertex with no continuous variables contributes its output scale as a
 constant whenever it is shared (``zero_dim="constant"``, the default), which
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree_space import PathIndex, TreeSpec
+from .tree_space import TreeSpec
 
 __all__ = [
     "AddTreeKernel",
@@ -190,7 +191,7 @@ class VertexBlocks:
 
 
 def _param_layout(
-    spec: TreeSpec, index: PathIndex, zero_dim: str, tied_scales: bool
+    spec: TreeSpec, zero_dim: str, tied_scales: bool
 ) -> tuple[dict[str, tuple[slice, int]], int]:
     """The hyperparameter vector's length and, per contributing BFS vertex,
     the index range of its ``dim`` lengthscales and the index of its scale,
@@ -198,7 +199,7 @@ def _param_layout(
     entry.  Under the 'zero' policy dim-0 vertices have no entries (the
     kernel never uses them, so they are unidentifiable)."""
     layout, pos = {}, 0
-    for vid in index.bfs_order:
+    for vid in spec.bfs_order:
         dim = spec.vertex(vid).dim
         if dim or zero_dim == "constant":
             layout[vid] = (slice(pos, pos + dim), pos + dim)
@@ -220,12 +221,11 @@ class AddTreeKernel:
     maximization then cannot silence a rarely-visited branch by collapsing
     its amplitude.  Every method takes configurations as slot rows
     (:func:`~treebo.tree_space.linearize`), stacked into a matrix of
-    ``index.width`` columns.  Instances are immutable value objects and
+    ``spec.width`` columns.  Instances are immutable value objects and
     evaluation is pure.
     """
 
     spec: TreeSpec
-    index: PathIndex
     theta: tuple[float, ...]
     kind: str = "se"
     zero_dim: str = "constant"
@@ -237,7 +237,7 @@ class AddTreeKernel:
             raise ValueError(f"unknown kernel kind {self.kind!r}; choose from {KERNEL_KINDS}")
         if self.zero_dim not in ZERO_DIM_POLICIES:
             raise ValueError(f"zero_dim must be 'constant' or 'zero', got {self.zero_dim!r}")
-        layout, size = _param_layout(self.spec, self.index, self.zero_dim, self.tied_scales)
+        layout, size = _param_layout(self.spec, self.zero_dim, self.tied_scales)
         theta = tuple(map(float, self.theta))
         if len(theta) != size:
             raise ValueError(f"expected {size} hyperparameters, got {len(theta)}")
@@ -252,7 +252,6 @@ class AddTreeKernel:
     def default(
         cls,
         spec: TreeSpec,
-        index: PathIndex,
         kind: str = "se",
         lengthscale: float = 1.0,
         output_scale: float = 1.0,
@@ -260,11 +259,11 @@ class AddTreeKernel:
         tied_scales: bool = False,
     ) -> "AddTreeKernel":
         """Uniform parameters across vertices; the usual fitting start."""
-        layout, size = _param_layout(spec, index, zero_dim, tied_scales)
+        layout, size = _param_layout(spec, zero_dim, tied_scales)
         theta = [lengthscale] * size
         for _, scale in layout.values():
             theta[scale] = output_scale
-        return cls(spec, index, tuple(theta), kind, zero_dim, tied_scales)
+        return cls(spec, tuple(theta), kind, zero_dim, tied_scales)
 
     def _block(self, vid: str, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One vertex's rows in stacked slots and their value columns.
@@ -272,7 +271,7 @@ class AddTreeKernel:
         This is the one membership rule: a row has the vertex on its active
         path iff the vertex's tag slot is non-negative.
         """
-        tag_pos, vs, ve = self.index.offsets[vid]
+        tag_pos, vs, ve = self.spec.offsets[vid]
         rows = (A[:, tag_pos] >= 0).nonzero()[0]
         return rows, A[rows, vs:ve]
 

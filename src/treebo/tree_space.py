@@ -1,19 +1,35 @@
 """Tree-structured conditional parameter spaces.
 
-A search space is a rooted tree.  Every vertex carries zero or more bounded
-continuous variables; the outgoing edges of a vertex represent the settings
-of one categorical variable (edge labels are the contiguous integers
-``0 .. fanout-1``).  A configuration picks one root-to-leaf path and assigns
-values to the continuous variables along it; variables off the active path do
-not exist as far as the objective is concerned.
+A search space is a rooted tree, one :class:`TreeSpec`.  Every vertex carries
+zero or more bounded continuous variables; the outgoing edges of a vertex
+represent the settings of one categorical variable (edge labels are the
+contiguous integers ``0 .. fanout-1``).  A configuration picks one
+root-to-leaf path and assigns values to the continuous variables along it;
+variables off the active path do not exist as far as the objective is
+concerned.
 
-A configuration is one *slot row*: a float vector of fixed width in the
+A TreeSpec also holds the tree's path structure, derived in one walk when
+it is built; everything downstream (linearization, kernels, inference)
+reads it rather than re-walking the tree.  Vertices appear in deterministic
+BFS order with children visited in ascending branch-label order; leaves are
+numbered by their position in that order.
+
+* ``bfs_order``: vertex ids in BFS order.
+* ``offsets``: per vertex id, ``(tag_slot, value_start, value_end)`` in the
+  linear layout; ``width``, the layout's width, is ``sum(1 + dim)`` over
+  vertices.
+* ``leaf_ids`` / ``leaf_paths``: leaves and their root-to-leaf vertex-id
+  paths; two leaves' common ancestors are the common prefix of their paths.
+* ``effective_dims``: per leaf, the sum of dims along its path.
+* ``tags``: per vertex id, its tag, the label of its incoming branch (0 at
+  the root).
+
+A configuration is one *slot row*: a float vector of ``width`` floats in the
 *linear layout*, written by :func:`linearize`.  The vertices are laid out in
-breadth-first order and each vertex occupies ``1 + dim`` slots -- one *tag*
-slot followed by its value slots.  The tag of a vertex is its branch label
-(root has tag 0), so every real tag is >= 0.  In a row, vertices on the
-active path keep their tag and receive their values; every vertex off the
-path gets the tag ``OFF_PATH`` (-1).  A non-negative tag slot therefore
+BFS order and each vertex occupies ``1 + dim`` slots -- one *tag* slot
+followed by its value slots.  Every real tag is >= 0.  In a row, vertices on
+the active path keep their tag and receive their values; every vertex off
+the path gets the tag ``OFF_PATH`` (-1).  A non-negative tag slot therefore
 decides "is this vertex on the row's active path?" without consulting the
 tree, and a vertex lies on two rows' paths exactly when both tag slots are
 non-negative; that is the one membership rule the kernels rely on.  A set of
@@ -22,7 +38,7 @@ configurations is the matrix of their rows, one row each.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,10 +46,8 @@ __all__ = [
     "TreeSpecError",
     "VertexSpec",
     "TreeSpec",
-    "PathIndex",
     "make_tree_spec",
     "parse_tree_spec",
-    "build_path_index",
     "linearize",
     "OFF_PATH",
 ]
@@ -51,15 +65,12 @@ class VertexSpec:
     """One vertex of the space.
 
     ``dim`` may be zero: the vertex then carries no continuous variable and
-    contributes only structure.  ``tag`` is the sibling rank assigned during
-    validation (its incoming branch label, 0 at the root); it is -1 until the
-    vertex is part of a validated tree.
+    contributes only structure.
     """
 
     id: str
     dim: int
     bounds: tuple[tuple[float, float], ...]
-    tag: int = -1
 
     def __post_init__(self) -> None:
         if self.dim < 0:
@@ -79,12 +90,25 @@ class VertexSpec:
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """A validated rooted tree with branch-labelled edges.
+    """A validated rooted tree with branch-labelled edges, and its path
+    structure.
 
     ``edges`` maps ``(parent_id, branch_label)`` to the child id.  Instances
     should be built through :func:`make_tree_spec` or :func:`parse_tree_spec`,
-    which validate the structure and assign sibling-rank tags.  A TreeSpec is
-    immutable and safe to share across threads.
+    which validate the structure.  A TreeSpec is immutable and safe to share
+    across threads.
+
+    The path structure is derived from the other fields by one BFS walk
+    when the spec is built (children in ascending label order; leaves
+    numbered by their position in that order):
+
+    bfs_order : vertex ids in BFS order.
+    offsets : per vertex id, ``(tag_slot, value_start, value_end)`` in the
+        linear layout.  ``width`` is ``sum(1 + dim)`` over vertices.
+    leaf_ids / leaf_paths : leaves and their root-to-leaf vertex-id paths;
+        two leaves' common ancestors are the common prefix of their paths.
+    effective_dims : per leaf, the sum of dims along its path.
+    tags : per vertex id, its incoming branch label, 0 at the root.
     """
 
     vertices: tuple[VertexSpec, ...]
@@ -92,15 +116,58 @@ class TreeSpec:
     edges: tuple[tuple[str, int, str], ...]
     _by_id: dict = field(init=False, repr=False, compare=False)
     _children: dict = field(init=False, repr=False, compare=False)
+    bfs_order: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    offsets: dict = field(init=False, repr=False, compare=False)
+    width: int = field(init=False, repr=False, compare=False)
+    leaf_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    leaf_paths: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+    effective_dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    tags: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        by_id = {v.id: v for v in self.vertices}
         children: dict[str, list[tuple[int, str]]] = {}
         for par, lab, child in self.edges:
             children.setdefault(par, []).append((lab, child))
-        object.__setattr__(self, "_by_id", {v.id: v for v in self.vertices})
-        object.__setattr__(
-            self, "_children", {par: tuple(sorted(out)) for par, out in children.items()}
+        children = {par: tuple(sorted(out)) for par, out in children.items()}
+
+        order: list[str] = []
+        offsets: dict[str, tuple[int, int, int]] = {}
+        tags, paths = {self.root_id: 0}, {self.root_id: (self.root_id,)}
+        pos = 0
+        queue = deque([self.root_id])
+        while queue:
+            vid = queue.popleft()
+            order.append(vid)
+            offsets[vid] = (pos, pos + 1, pos + 1 + by_id[vid].dim)
+            pos = offsets[vid][2]
+            for lab, child in children.get(vid, ()):
+                if child in tags:  # a cycle: the walk would never end
+                    raise TreeSpecError(f"vertex {child!r} is reached twice from the root")
+                tags[child] = lab
+                paths[child] = paths[vid] + (child,)
+                queue.append(child)
+        # Each non-root vertex has one parent, so the walk covers every
+        # vertex iff there is no cycle and no disconnected component.
+        if len(order) != len(by_id):
+            stranded = sorted(by_id.keys() - offsets.keys())
+            raise TreeSpecError(f"vertices unreachable from root {self.root_id!r}: {stranded}")
+        leaf_ids = tuple(vid for vid in order if vid not in children)
+        leaf_paths = tuple(paths[leaf] for leaf in leaf_ids)
+
+        derived = dict(
+            _by_id=by_id,
+            _children=children,
+            bfs_order=tuple(order),
+            offsets=offsets,
+            width=pos,
+            leaf_ids=leaf_ids,
+            leaf_paths=leaf_paths,
+            effective_dims=tuple(sum(by_id[vid].dim for vid in path) for path in leaf_paths),
+            tags=tags,
         )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def vertex(self, vertex_id: str) -> VertexSpec:
         try:
@@ -113,6 +180,14 @@ class TreeSpec:
         return list(self._children.get(vertex_id, ()))
 
     @property
+    def n_leaves(self) -> int:
+        return len(self.leaf_ids)
+
+    def leaf_bounds(self, leaf: int) -> list[tuple[float, float]]:
+        """Bounds of the path-ordered continuous vector at a leaf."""
+        return [b for vid in self.leaf_paths[leaf] for b in self._by_id[vid].bounds]
+
+    @property
     def total_dimension(self) -> int:
         """Continuous dimensions plus one categorical per branching vertex.
 
@@ -120,12 +195,7 @@ class TreeSpec:
         categorical dimension; a chain's total dimension is its effective
         dimension.
         """
-        cont = sum(v.dim for v in self.vertices)
-        fanout: dict[str, int] = {}
-        for par, _, _ in self.edges:
-            fanout[par] = fanout.get(par, 0) + 1
-        cat = sum(1 for n in fanout.values() if n >= 2)
-        return cont + cat
+        return self.continuous_dimension + sum(len(out) >= 2 for out in self._children.values())
 
     @property
     def continuous_dimension(self) -> int:
@@ -136,12 +206,12 @@ def make_tree_spec(
     vertices: list[VertexSpec] | tuple[VertexSpec, ...],
     edges: list[tuple[str, int, str]],
 ) -> TreeSpec:
-    """Validate raw vertices/edges and return a TreeSpec with tags assigned.
+    """Validate raw vertices/edges and return their TreeSpec.
 
     Checks: unique vertex ids, edges reference known vertices, branch labels
     of each vertex unique and contiguous from 0, exactly one root, every
-    non-root vertex has exactly one parent, and all vertices are reachable
-    from the root (no cycles, single component).
+    non-root vertex has exactly one parent, and (in the TreeSpec's own walk)
+    all vertices are reachable from the root (no cycles, single component).
     """
     ids = [v.id for v in vertices]
     if len(ids) != len(set(ids)):
@@ -176,27 +246,7 @@ def make_tree_spec(
     roots = [i for i in ids if i not in parents]
     if len(roots) != 1:
         raise TreeSpecError(f"expected exactly one root, found {roots!r}")
-    root = roots[0]
-
-    # Reachability from the root covers every vertex iff there is no cycle
-    # and no disconnected component (each non-root has exactly one parent).
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        for _, child in out_edges.get(queue.popleft(), ()):
-            seen.add(child)
-            queue.append(child)
-    if seen != known:
-        stranded = sorted(known - seen)
-        raise TreeSpecError(f"vertices unreachable from root {root!r}: {stranded}")
-
-    # Labels are contiguous from 0, so a vertex's sibling rank is its label.
-    tags = {root: 0}
-    for _, lab, child in edges:
-        tags[child] = lab
-
-    tagged = tuple(replace(v, tag=tags[v.id]) for v in vertices)
-    return TreeSpec(vertices=tagged, root_id=root, edges=tuple(edges))
+    return TreeSpec(vertices=tuple(vertices), root_id=roots[0], edges=tuple(edges))
 
 
 def parse_tree_spec(text: str) -> TreeSpec:
@@ -256,121 +306,33 @@ def parse_tree_spec(text: str) -> TreeSpec:
     return make_tree_spec(vertices, edges)
 
 
-@dataclass(frozen=True)
-class PathIndex:
-    """Precomputed path structure of a TreeSpec.
-
-    Everything downstream (linearization, kernels, inference) works off this
-    index rather than re-walking the tree.  Vertices appear in deterministic
-    BFS order with children visited in ascending branch-label order; leaves
-    are numbered by their position in that order.
-
-    Attributes
-    ----------
-    bfs_order : vertex ids in BFS order.
-    offsets : per vertex id, ``(tag_slot, value_start, value_end)`` in the
-        linear layout.  Layout width is ``sum(1 + dim)`` over vertices.
-    leaf_ids / leaf_paths : leaves and their root-to-leaf vertex-id paths;
-        two leaves' common ancestors are the common prefix of their paths.
-    effective_dims : per leaf, the sum of dims along its path.
-    """
-
-    spec: TreeSpec
-    bfs_order: tuple[str, ...]
-    offsets: dict
-    width: int
-    leaf_ids: tuple[str, ...]
-    leaf_paths: tuple[tuple[str, ...], ...]
-    effective_dims: tuple[int, ...]
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self.leaf_ids)
-
-    def leaf_bounds(self, leaf: int) -> list[tuple[float, float]]:
-        """Bounds of the path-ordered continuous vector at a leaf."""
-        out: list[tuple[float, float]] = []
-        for vid in self.leaf_paths[leaf]:
-            out.extend(self.spec.vertex(vid).bounds)
-        return out
-
-
-def build_path_index(spec: TreeSpec) -> PathIndex:
-    """Walk the tree once and derive the full PathIndex."""
-    order: list[str] = []
-    parent: dict[str, str] = {}
-    queue = deque([spec.root_id])
-    while queue:
-        cur = queue.popleft()
-        order.append(cur)
-        for _, child in spec.children(cur):
-            parent[child] = cur
-            queue.append(child)
-
-    offsets: dict[str, tuple[int, int, int]] = {}
-    pos = 0
-    for vid in order:
-        dim = spec.vertex(vid).dim
-        offsets[vid] = (pos, pos + 1, pos + 1 + dim)
-        pos += 1 + dim
-    width = pos
-
-    leaf_ids = tuple(v for v in order if not spec.children(v))
-    leaf_paths = []
-    for leaf in leaf_ids:
-        path = [leaf]
-        while path[-1] != spec.root_id:
-            path.append(parent[path[-1]])
-        leaf_paths.append(tuple(reversed(path)))
-    leaf_paths = tuple(leaf_paths)
-
-    effective_dims = tuple(
-        sum(spec.vertex(vid).dim for vid in path) for path in leaf_paths
-    )
-
-    return PathIndex(
-        spec=spec,
-        bfs_order=tuple(order),
-        offsets=offsets,
-        width=width,
-        leaf_ids=leaf_ids,
-        leaf_paths=leaf_paths,
-        effective_dims=effective_dims,
-    )
-
-
-def linearize(
-    spec: TreeSpec,
-    index: PathIndex,
-    leaf: int,
-    values: np.ndarray | list[float],
-) -> np.ndarray:
+def linearize(spec: TreeSpec, leaf: int, values: np.ndarray | list[float]) -> np.ndarray:
     """The slot row of (leaf, path-ordered values): a vector of
-    ``index.width`` floats in the linear layout.
+    ``spec.width`` floats in the linear layout.
 
     ``values`` concatenates the continuous variables of the vertices on the
     leaf's path in root-to-leaf order and must respect the declared bounds.
     Off-path tag slots hold ``OFF_PATH`` and off-path value slots 0, which no
     consumer reads.  Pure: equal arguments give bit-identical rows.
     """
-    if not 0 <= leaf < index.n_leaves:
-        raise ValueError(f"leaf index {leaf} out of range (space has {index.n_leaves} leaves)")
+    if not 0 <= leaf < spec.n_leaves:
+        raise ValueError(f"leaf index {leaf} out of range (space has {spec.n_leaves} leaves)")
     values = np.asarray(values, dtype=float).ravel()
-    need = index.effective_dims[leaf]
+    need = spec.effective_dims[leaf]
     if values.size != need:
         raise ValueError(
-            f"leaf {leaf} expects {need} values ({index.leaf_ids[leaf]!r} path), got {values.size}"
+            f"leaf {leaf} expects {need} values ({spec.leaf_ids[leaf]!r} path), got {values.size}"
         )
 
-    slots = np.zeros(index.width)
-    on_path = set(index.leaf_paths[leaf])
+    slots = np.zeros(spec.width)
+    on_path = set(spec.leaf_paths[leaf])
     taken = 0
-    for vid in index.bfs_order:
-        tag_pos = index.offsets[vid][0]
-        slots[tag_pos] = float(spec.vertex(vid).tag) if vid in on_path else OFF_PATH
-    for vid in index.leaf_paths[leaf]:
+    for vid in spec.bfs_order:
+        tag_pos = spec.offsets[vid][0]
+        slots[tag_pos] = float(spec.tags[vid]) if vid in on_path else OFF_PATH
+    for vid in spec.leaf_paths[leaf]:
         v = spec.vertex(vid)
-        _, vs, ve = index.offsets[vid]
+        _, vs, ve = spec.offsets[vid]
         chunk = values[taken : taken + v.dim]
         for k, (lo, hi) in enumerate(v.bounds):
             if not lo <= chunk[k] <= hi:

@@ -14,7 +14,7 @@ import pytest  # noqa: E402
 from oracles import random_tree_spec  # noqa: E402
 from treebo import bench, gp  # noqa: E402
 from treebo.kernels import AddTreeKernel  # noqa: E402
-from treebo.tree_space import build_path_index, linearize, parse_tree_spec  # noqa: E402
+from treebo.tree_space import linearize, parse_tree_spec  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -30,15 +30,13 @@ def src_env() -> dict:
 @pytest.fixture(scope="session")
 def two_leaf():
     """Root with 2 shared dims, leaves with 2 and 3 dims (total space dim 8)."""
-    spec = parse_tree_spec((DATA / "two_leaf.tree").read_text())
-    return spec, build_path_index(spec)
+    return parse_tree_spec((DATA / "two_leaf.tree").read_text())
 
 
 @pytest.fixture(scope="session")
 def binary_depth3():
     """Bare root, two mid vertices with one dim each, four 1-dim leaves."""
-    spec = parse_tree_spec((DATA / "binary_depth3.tree").read_text())
-    return spec, build_path_index(spec)
+    return parse_tree_spec((DATA / "binary_depth3.tree").read_text())
 
 
 @pytest.fixture(scope="session")
@@ -46,29 +44,29 @@ def jenatton():
     return bench.jenatton_objective()
 
 
-def random_kernel(spec, index, rng, kind=None, zero_dim="constant", tied_scales=False):
+def random_kernel(spec, rng, kind=None, zero_dim="constant", tied_scales=False):
     """A kernel of ``kind`` (one drawn at random by default) with log
     hyperparameters drawn uniformly from [-1, 1]."""
     kind = kind or str(rng.choice(["se", "matern32", "matern52"]))
-    kern = AddTreeKernel.default(spec, index, kind, zero_dim=zero_dim, tied_scales=tied_scales)
+    kern = AddTreeKernel.default(spec, kind, zero_dim=zero_dim, tied_scales=tied_scales)
     return replace(kern, theta=np.exp(rng.uniform(-1.0, 1.0, size=len(kern.theta))))
 
 
-def random_points(spec, index, rng, n):
+def random_points(spec, rng, n):
     """``n`` uniform configurations: the list of their leaves, which the
     oracles read membership from, and the (n, width) matrix of their slot
     rows."""
     leaves, rows = [], []
     for _ in range(n):
-        leaf, values = bench.sample_uniform_point(index, rng)
+        leaf, values = bench.sample_uniform_point(spec, rng)
         leaves.append(leaf)
-        rows.append(linearize(spec, index, leaf, values))
-    return leaves, np.array(rows).reshape(n, index.width)
+        rows.append(linearize(spec, leaf, values))
+    return leaves, np.array(rows).reshape(n, spec.width)
 
 
-def no_rows(index):
+def no_rows(spec):
     """The slot-row matrix of an empty dataset on the space."""
-    return np.empty((0, index.width))
+    return np.empty((0, spec.width))
 
 
 def random_gp_instance(seed, n=12, noise=1e-4, max_dim=2, **kernel_args):
@@ -76,9 +74,8 @@ def random_gp_instance(seed, n=12, noise=1e-4, max_dim=2, **kernel_args):
     of the dataset's rows; ``kernel_args`` go to :func:`random_kernel`."""
     rng = np.random.default_rng(seed)
     spec = random_tree_spec(seed, max_depth=3, max_fanout=2, max_dim=max_dim)
-    index = build_path_index(spec)
-    kernel = random_kernel(spec, index, rng, **kernel_args)
-    leaves, X = random_points(spec, index, rng, n)
+    kernel = random_kernel(spec, rng, **kernel_args)
+    leaves, X = random_points(spec, rng, n)
     y = rng.normal(size=n)
     data = gp.Dataset.create(X, y, noise=noise)
-    return spec, index, kernel, data, leaves
+    return spec, kernel, data, leaves

@@ -3,8 +3,8 @@
 Each one is written from the definitions, not through the code under test:
 the base kernels from their closed forms with ``math``, vertex membership from
 the configuration's leaf, passed next to its slot row, and
-``index.leaf_paths`` rather than from tag slots, restrictions from
-``index.offsets``, and the evidence with dense ``slogdet`` and ``solve``.
+``spec.leaf_paths`` rather than from tag slots, restrictions from
+``spec.offsets``, and the evidence with dense ``slogdet`` and ``solve``.
 The block evidence engine is the per-vertex assembly that the packed fitting
 layout replaced, kept as the reference for its evidence and gradient.
 The reference UCB maximizer polishes every start on its own with scipy's
@@ -75,17 +75,17 @@ def vertex_params(kernel, vertex_id):
     return config["kind"], p["lengthscales"], p["output_scale"]
 
 
-def on_path(index, vertex_id, leaf) -> bool:
+def on_path(spec, vertex_id, leaf) -> bool:
     """Whether the vertex lies on the path of the leaf with index ``leaf``."""
-    return vertex_id in index.leaf_paths[leaf]
+    return vertex_id in spec.leaf_paths[leaf]
 
 
-def restrict(index, leaf, row, vertex_id) -> np.ndarray:
+def restrict(spec, leaf, row, vertex_id) -> np.ndarray:
     """The values at one vertex of the configuration with slot row ``row``
     on leaf ``leaf``: the row's value slots of the vertex when the vertex is
     on the leaf's path, else empty.  Unknown ids raise KeyError."""
-    _, vs, ve = index.offsets[vertex_id]
-    return row[vs:ve].copy() if on_path(index, vertex_id, leaf) else np.empty(0)
+    _, vs, ve = spec.offsets[vertex_id]
+    return row[vs:ve].copy() if on_path(spec, vertex_id, leaf) else np.empty(0)
 
 
 def add_tree(kernel, leaf_x, x, leaf_y, y) -> float:
@@ -93,16 +93,16 @@ def add_tree(kernel, leaf_x, x, leaf_y, y) -> float:
     ``leaf_x`` and ``leaf_y``, as the sum over tree vertices on both paths of
     the base kernel on the two restrictions; under ``zero_dim="zero"`` dim-0
     vertices are left out."""
-    index = kernel.index
+    spec = kernel.spec
     total = 0.0
-    for v in kernel.spec.vertices:
+    for v in spec.vertices:
         if kernel.zero_dim == "zero" and v.dim == 0:
             continue
-        if on_path(index, v.id, leaf_x) and on_path(index, v.id, leaf_y):
+        if on_path(spec, v.id, leaf_x) and on_path(spec, v.id, leaf_y):
             total += base_kernel(
                 *vertex_params(kernel, v.id),
-                restrict(index, leaf_x, x, v.id),
-                restrict(index, leaf_y, y, v.id),
+                restrict(spec, leaf_x, x, v.id),
+                restrict(spec, leaf_y, y, v.id),
             )
     return total
 
@@ -144,11 +144,11 @@ def block_evidence_and_grad(kernel, leaves, X, y, noise, log_params):
     is non-zero on (a tied scale's is all of K), and contributes
     ½ Σ (αα^T − K_y^{-1})[s, s] ∘ ∂K/∂θ to the gradient.
     """
-    index = kernel.index
+    spec = kernel.spec
     # Leaves sorted by their paths' BFS positions come in depth-first order,
     # where the leaves of every subtree are adjacent.
-    bfs_pos = {vid: i for i, vid in enumerate(index.bfs_order)}
-    dfs = sorted(range(index.n_leaves), key=lambda i: [bfs_pos[v] for v in index.leaf_paths[i]])
+    bfs_pos = {vid: i for i, vid in enumerate(spec.bfs_order)}
+    dfs = sorted(range(spec.n_leaves), key=lambda i: [bfs_pos[v] for v in spec.leaf_paths[i]])
     order = sorted(range(len(leaves)), key=lambda i: dfs.index(leaves[i]))
     leaves, X = [leaves[i] for i in order], np.asarray(X)[order]
     y = np.asarray(y, dtype=float)[order]
@@ -157,14 +157,14 @@ def block_evidence_and_grad(kernel, leaves, X, y, noise, log_params):
     where = {name: k for k, name in enumerate(kernel.param_names())}
     K = np.zeros((n, n))
     derivs = []  # (parameter index, block slice, dense derivative block)
-    for vid in index.bfs_order:
-        dim = kernel.spec.vertex(vid).dim
+    for vid in spec.bfs_order:
+        dim = spec.vertex(vid).dim
         if dim == 0 and kernel.zero_dim == "zero":
             continue
-        rows = [i for i, leaf in enumerate(leaves) if on_path(index, vid, leaf)]
+        rows = [i for i, leaf in enumerate(leaves) if on_path(spec, vid, leaf)]
         s = slice(rows[0], rows[-1] + 1) if rows else slice(0, 0)
         assert s.stop - s.start == len(rows), "rows of a vertex are not contiguous"
-        V = np.array([restrict(index, leaves[i], X[i], vid) for i in rows])
+        V = np.array([restrict(spec, leaves[i], X[i], vid) for i in rows])
         V = V.reshape(len(rows), dim)
         D = V.T[:, :, None] - V.T[:, None, :]
         sq = D * D

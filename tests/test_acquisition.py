@@ -10,7 +10,7 @@ from oracles import restrict
 from treebo import acquisition as acq
 from treebo import bench, gp
 from treebo.kernels import AddTreeKernel
-from treebo.tree_space import build_path_index, linearize
+from treebo.tree_space import linearize
 
 
 # propose's search budget and noise floor as a BO run passes them
@@ -23,9 +23,9 @@ def zero_rate_schedule(d):
     return acq.UcbSchedule(theta0=1.0, B0=1.0, delta=0.1, gamma_g=0.0, gamma_b=0.0, d=d)
 
 
-def empty_model(spec, index, **kw):
-    kern = AddTreeKernel.default(spec, index, **kw)
-    return gp.fit(kern, gp.Dataset.create(no_rows(index), []))
+def empty_model(spec, **kw):
+    kern = AddTreeKernel.default(spec, **kw)
+    return gp.fit(kern, gp.Dataset.create(no_rows(spec), []))
 
 
 def test_beta_without_noise_equals_norm_bound_squared():
@@ -58,8 +58,12 @@ def test_beta_validates_inputs():
     sched = acq.UcbSchedule(theta0=1.0, B0=1.0, delta=0.1, gamma_g=0.0, gamma_b=0.0, d=1)
     with pytest.raises(ValueError, match="t must be >= 1"):
         acq.beta(sched, 0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="info_gain"):
-        acq.beta(sched, 1, -1.0, 1.0)
+    for info_gain in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="info_gain"):
+            acq.beta(sched, 1, info_gain, 1.0)
+    for noise_std in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="noise_std"):
+            acq.beta(sched, 5, 0.0, noise_std)
 
 
 def test_schedule_validates_delta_and_rates():
@@ -103,8 +107,8 @@ def test_lengthscale_cap_follows_g():
 
 
 def test_mutual_information_empty_and_single(two_leaf):
-    spec, index = two_leaf
-    model = empty_model(spec, index)
+    spec = two_leaf
+    model = empty_model(spec)
     assert acq.mutual_information(model, noise_variance=1.0) == 0.0
 
     # one observation with k(x,x) = 1 and unit noise: 0.5 * log 2
@@ -118,14 +122,13 @@ def make_single_vertex_model():
     from treebo.tree_space import VertexSpec, make_tree_spec
 
     spec = make_tree_spec([VertexSpec("v", 1, ((-1.0, 1.0),))], [])
-    index = build_path_index(spec)
-    kern = AddTreeKernel.default(spec, index)
-    p = linearize(spec, index, 0, [0.0])
+    kern = AddTreeKernel.default(spec)
+    p = linearize(spec, 0, [0.0])
     return gp.fit(kern, gp.Dataset.create([p], [0.3], noise=1.0))
 
 
 def test_mutual_information_matches_eigen_oracle():
-    spec, index, kern, data, _ = random_gp_instance(6, n=10, noise=0.3)
+    spec, kern, data, _ = random_gp_instance(6, n=10, noise=0.3)
     model = gp.fit(kern, data)
     mi = acq.mutual_information(model, 0.3)
     eigs = np.linalg.eigvalsh(model.K)
@@ -136,8 +139,9 @@ def test_mutual_information_matches_eigen_oracle():
 
 def test_mutual_information_rejects_zero_noise():
     model = make_single_vertex_model()
-    with pytest.raises(ValueError, match="floor"):
-        acq.mutual_information(model, noise_variance=0.0)
+    for noise_variance in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="floor"):
+            acq.mutual_information(model, noise_variance=noise_variance)
 
 
 @pytest.mark.parametrize(
@@ -148,10 +152,10 @@ def test_mutual_information_rejects_zero_noise():
 def test_propose_beta_floors_the_noise_variance(jenatton, n, noise, floor):
     # beta's information gain and noise term both use max(noise, floor), on
     # an empty model too (its information gain is 0)
-    spec, index = jenatton.spec, jenatton.index
+    spec = jenatton.spec
     rng = np.random.default_rng(31)
-    _, X = random_points(spec, index, rng, n)
-    kern = AddTreeKernel.default(spec, index)
+    _, X = random_points(spec, rng, n)
+    kern = AddTreeKernel.default(spec)
     model = gp.fit(kern, gp.Dataset.create(X, rng.normal(size=n), noise=noise))
     sched = acq.UcbSchedule(theta0=1.0, B0=1.0, delta=0.1, gamma_g=0.02, gamma_b=0.3, d=3)
     prop = acq.propose(model, sched, t=n + 1, n_starts=1, scan_budget=4, noise_floor=floor)
@@ -161,7 +165,7 @@ def test_propose_beta_floors_the_noise_variance(jenatton, n, noise, floor):
 
 
 def test_propose_prior_symmetric_tie_breaks_to_first_path(jenatton):
-    model = empty_model(jenatton.spec, jenatton.index)
+    model = empty_model(jenatton.spec)
     sched = zero_rate_schedule(jenatton.spec.total_dimension)
     prop = acq.propose(model, sched, t=1, **ACQ_ARGS)
     np.testing.assert_allclose(prop.path_ucb, prop.path_ucb[0])
@@ -174,9 +178,9 @@ def test_propose_prior_symmetric_tie_breaks_to_first_path(jenatton):
 
 
 def test_propose_untouched_branch_keeps_prior_components(jenatton):
-    spec, index = jenatton.spec, jenatton.index
-    kern = AddTreeKernel.default(spec, index)
-    p = linearize(spec, index, 0, [0.0, 0.0])  # observe only leaf00
+    spec = jenatton.spec
+    kern = AddTreeKernel.default(spec)
+    p = linearize(spec, 0, [0.0, 0.0])  # observe only leaf00
     model = gp.fit(kern, gp.Dataset.create([p], [jenatton(0, [0, 0])], noise=1e-6))
     for vid in ("n1", "leaf10", "leaf11"):
         mean, var = gp.component_posterior_batch(model, vid, np.array([[0.5]]))
@@ -187,13 +191,13 @@ def test_propose_untouched_branch_keeps_prior_components(jenatton):
 
 @pytest.mark.parametrize("kind", ["se", "matern32", "matern52"])
 def test_propose_matches_grid_oracle(jenatton, kind):
-    spec, index = jenatton.spec, jenatton.index
+    spec = jenatton.spec
     rng = np.random.default_rng(17)
-    kern = AddTreeKernel.default(spec, index, kind=kind, lengthscale=0.7)
-    leaves, X = random_points(spec, index, rng, 12)
+    kern = AddTreeKernel.default(spec, kind=kind, lengthscale=0.7)
+    leaves, X = random_points(spec, rng, 12)
     y = np.array([
         jenatton(leaf, np.concatenate([
-            restrict(index, leaf, x, v) for v in index.leaf_paths[leaf]
+            restrict(spec, leaf, x, v) for v in spec.leaf_paths[leaf]
         ]))
         for leaf, x in zip(leaves, X)
     ])
@@ -220,7 +224,7 @@ ORACLE_SEEDS = range(4)
 def oracle_cases(kind):
     """Per tree: the fitted model, its proposal and sqrt(beta)."""
     for seed in ORACLE_SEEDS:
-        spec, index, kern, data, _ = random_gp_instance(
+        spec, kern, data, _ = random_gp_instance(
             seed, n=15, noise=1e-3, max_dim=2, kind=kind
         )
         model = gp.fit(kern, data)
@@ -262,10 +266,10 @@ def test_propose_argmaxes_are_lbfgsb_stationary(kind):
 
 
 def test_propose_deterministic(jenatton):
-    spec, index = jenatton.spec, jenatton.index
+    spec = jenatton.spec
     rng = np.random.default_rng(23)
-    kern = AddTreeKernel.default(spec, index)
-    _, X = random_points(spec, index, rng, 9)
+    kern = AddTreeKernel.default(spec)
+    _, X = random_points(spec, rng, 9)
     model = gp.fit(kern, gp.Dataset.create(X, rng.normal(size=9), noise=1e-6))
     sched = zero_rate_schedule(spec.total_dimension)
     a = acq.propose(model, sched, t=10, **ACQ_ARGS)
@@ -278,24 +282,24 @@ def test_propose_deterministic(jenatton):
 
 
 def test_proposal_point_restricts_to_vertex_argmaxes(jenatton):
-    spec, index = jenatton.spec, jenatton.index
+    spec = jenatton.spec
     rng = np.random.default_rng(29)
-    kern = AddTreeKernel.default(spec, index)
-    _, X = random_points(spec, index, rng, 6)
+    kern = AddTreeKernel.default(spec)
+    _, X = random_points(spec, rng, 6)
     model = gp.fit(kern, gp.Dataset.create(X, rng.normal(size=6), noise=1e-6))
     sched = zero_rate_schedule(spec.total_dimension)
     prop = acq.propose(model, sched, t=7, **ACQ_ARGS)
     leaf = prop.chosen_leaf
-    row = linearize(spec, index, leaf, prop.values)
-    for vid in index.leaf_paths[leaf]:
-        np.testing.assert_array_equal(restrict(index, leaf, row, vid), prop.vertex_points[vid])
+    row = linearize(spec, leaf, prop.values)
+    for vid in spec.leaf_paths[leaf]:
+        np.testing.assert_array_equal(restrict(spec, leaf, row, vid), prop.vertex_points[vid])
     assert prop.path_ucb[prop.chosen_leaf] == pytest.approx(
-        sum(prop.vertex_ucb[v] for v in index.leaf_paths[prop.chosen_leaf])
+        sum(prop.vertex_ucb[v] for v in spec.leaf_paths[prop.chosen_leaf])
     )
 
 
 def test_propose_validates_budget(jenatton):
-    model = empty_model(jenatton.spec, jenatton.index)
+    model = empty_model(jenatton.spec)
     sched = zero_rate_schedule(1)
     with pytest.raises(ValueError, match="budget"):
         acq.propose(model, sched, t=1, **{**ACQ_ARGS, "scan_budget": 0})

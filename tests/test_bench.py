@@ -44,15 +44,15 @@ def test_jenatton_even_in_leaf_variable(jenatton):
 def test_jenatton_never_undershoots_optimum(jenatton):
     rng = np.random.default_rng(0)
     for _ in range(1000):
-        leaf, values = bench.sample_uniform_point(jenatton.index, rng)
+        leaf, values = bench.sample_uniform_point(jenatton.spec, rng)
         assert jenatton(leaf, values) >= 0.1 - 1e-12
 
 
 def test_random_tree_objective_depth_one_is_plain_quadratic():
     obj = bench.random_tree_objective(depth=1, fanout=2, dims=2, seed=5)
-    assert obj.index.n_leaves == 1
+    assert obj.spec.n_leaves == 1
     # numeric minimization over the box agrees with the closed-form optimum
-    bounds = obj.index.leaf_bounds(0)
+    bounds = obj.spec.leaf_bounds(0)
     best = np.inf
     for start in np.linspace(0.1, 0.9, 5):
         x0 = [lo + start * (hi - lo) for lo, hi in bounds]
@@ -64,8 +64,8 @@ def test_random_tree_objective_depth_one_is_plain_quadratic():
 def test_random_tree_objective_optimum_matches_per_leaf_minimization():
     obj = bench.random_tree_objective(depth=3, fanout=2, dims=1, seed=9)
     per_leaf = []
-    for leaf in range(obj.index.n_leaves):
-        bounds = obj.index.leaf_bounds(leaf)
+    for leaf in range(obj.spec.n_leaves):
+        bounds = obj.spec.leaf_bounds(leaf)
         best = np.inf
         for start in np.linspace(0.05, 0.95, 4):
             x0 = [lo + start * (hi - lo) for lo, hi in bounds]
@@ -80,7 +80,7 @@ def test_random_tree_objective_deterministic():
     b = bench.random_tree_objective(depth=2, fanout=2, dims=1, seed=3)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        leaf, values = bench.sample_uniform_point(a.index, rng)
+        leaf, values = bench.sample_uniform_point(a.spec, rng)
         assert a(leaf, values) == b(leaf, values)
     assert a.known_optimum == b.known_optimum
 
@@ -94,19 +94,19 @@ def test_random_tree_objective_rejects_no_children_below_the_root():
     # a depth-3 tree with fanout 0 would be a single vertex
     with pytest.raises(ValueError, match="fanout"):
         bench.random_tree_objective(depth=3, fanout=0, dims=1, seed=0)
-    assert bench.random_tree_objective(depth=1, fanout=0, dims=1, seed=0).index.n_leaves == 1
+    assert bench.random_tree_objective(depth=1, fanout=0, dims=1, seed=0).spec.n_leaves == 1
 
 
 # -- optimization runs ----------------------------------------------------------
 
 
 def _assert_trace_valid(trace, objective):
-    index = objective.index
+    spec = objective.spec
     prev = np.inf
     for k, rec in enumerate(trace.records, start=1):
         assert rec.t == k
-        assert 0 <= rec.leaf < index.n_leaves
-        bounds = index.leaf_bounds(rec.leaf)
+        assert 0 <= rec.leaf < spec.n_leaves
+        bounds = spec.leaf_bounds(rec.leaf)
         assert len(rec.values) == len(bounds)
         for v, (lo, hi) in zip(rec.values, bounds):
             assert lo <= v <= hi
@@ -164,7 +164,7 @@ def test_initialization_shared_across_algorithms(jenatton):
 def test_independent_equals_addtree_on_single_path_space():
     # a chain has one leaf, so per-leaf modelling and shared modelling coincide
     obj = bench.random_tree_objective(depth=2, fanout=1, dims=1, seed=11)
-    assert obj.index.n_leaves == 1
+    assert obj.spec.n_leaves == 1
     cfg = BoConfig(n_init=3, restarts=2)
     a = run_bo(obj, "addtree", iterations=8, seed=5, config=cfg)
     b = run_bo(obj, "independent", iterations=8, seed=5, config=cfg)
@@ -272,9 +272,9 @@ def test_loop_keeps_the_rows_and_negated_values_its_models_read(
     assert len(records) >= 2
     space = loop.space
     rows = [
-        linearize(space.spec, space.index, space.leaves.index(r.leaf), r.values) for r in records
+        linearize(space.spec, space.leaves.index(r.leaf), r.values) for r in records
     ]
-    assert loop.data.X.shape == (len(records), space.index.width)
+    assert loop.data.X.shape == (len(records), space.spec.width)
     assert loop.data.X.tobytes() == np.array(rows).tobytes()
     assert loop.data.targets.tobytes() == np.array([-r.y for r in records]).tobytes()
     mine = [data for spec, data in fitted if spec is space.spec]
@@ -303,7 +303,7 @@ def test_objective_failure_flushes_partial_trace(tmp_path, jenatton):
         return jenatton.fn(leaf, values)
 
     broken = bench.Objective(
-        name="flaky", spec=jenatton.spec, index=jenatton.index, fn=flaky
+        name="flaky", spec=jenatton.spec, fn=flaky
     )
     path = tmp_path / "partial.jsonl"
     with pytest.raises(RuntimeError, match="backend died"):
@@ -316,7 +316,7 @@ def _nan_on_leaf0(jenatton):
     def fn(leaf, values):
         return math.nan if leaf == 0 else jenatton.fn(leaf, values)
 
-    return bench.Objective(name="nan-leaf0", spec=jenatton.spec, index=jenatton.index, fn=fn)
+    return bench.Objective(name="nan-leaf0", spec=jenatton.spec, fn=fn)
 
 
 def test_run_bo_rejects_non_finite_objective(tmp_path, jenatton):
@@ -421,7 +421,7 @@ def test_regression_prior_case_and_improvement(jenatton):
     by_key = {(r.method, r.n_train): r.mse for r in records}
     # with no data both methods predict the prior mean zero
     rng = bench._study_rng(0)
-    test = [bench.sample_branch_walk(jenatton.index, rng) for _ in range(8)]
+    test = [bench.sample_branch_walk(jenatton.spec, rng) for _ in range(8)]
     y = np.array([jenatton(lf, v) for lf, v in test])
     assert by_key[("addtree", 0)] == pytest.approx(float(np.mean(y**2)))
     assert by_key[("independent", 0)] == pytest.approx(float(np.mean(y**2)))

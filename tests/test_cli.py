@@ -288,8 +288,21 @@ def test_compare_out_in_missing_directory_is_user_error(tmp_path, capsys):
     assert _one_line_error(captured.err) and str(report) in captured.err
 
 
+HEADER = '{"format": "treebo-trace", "version": 1, "kind": "header", '
+
+
 @pytest.mark.parametrize(
-    "text", ['{"kind": "iteration"}\n', "not json\n"], ids=["no-header", "not-json"]
+    "text",
+    [
+        '{"kind": "iteration"}\n',
+        "not json\n",
+        HEADER + '"seed": 0}\n',
+        HEADER + '"algorithm": 3, "seed": 0}\n',
+        HEADER + '"algorithm": "addtree", "seed": "one"}\n',
+        HEADER + '"algorithm": "addtree", "seed": -1}\n',
+    ],
+    ids=["no-header", "not-json", "no-algorithm", "algorithm-not-str", "seed-not-int",
+         "negative-seed"],
 )
 def test_compare_bad_trace_file_is_user_error(tmp_path, capsys, text):
     out = tmp_path / "traces"
@@ -298,7 +311,7 @@ def test_compare_bad_trace_file_is_user_error(tmp_path, capsys, text):
     bad.write_text(text)
     assert run_cli("compare", str(out), "--iterations", "1") == 1
     err = capsys.readouterr().err
-    assert str(bad) in err and "Traceback" not in err
+    assert _one_line_error(err) and str(bad) in err
 
 
 def test_regression_command_round_trips(tmp_path, capsys):

@@ -14,6 +14,7 @@ import treebo
 from conftest import random_points, src_env
 from treebo import bench
 from treebo.kernels import AddTreeKernel
+from treebo.tree_space import TreeSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -31,10 +32,11 @@ def test_every_exported_name_exists(name):
 
 def test_every_public_name_is_read_by_the_program():
     # what only tests call is not part of the program: every exported name
-    # and every public AddTreeKernel method must be read, as a loaded name or
-    # an attribute (a definition or an import is not a read), in src/treebo
-    # or perfbench, its test aside.  to_config waits for the traces that will
-    # record fitted kernels.
+    # and every public method of AddTreeKernel, and of TreeSpec with its
+    # properties, must be read, as a loaded name or an attribute (a
+    # definition or an import is not a read), in src/treebo or perfbench, its
+    # test aside.  to_config waits for the traces that will record fitted
+    # kernels.
     read = set()
     for path in [*(ROOT / "src" / "treebo").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
         if path.name.startswith("test_"):
@@ -45,11 +47,13 @@ def test_every_public_name_is_read_by_the_program():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     methods = [
-        name for name, member in vars(AddTreeKernel).items()
-        if not name.startswith("_") and isinstance(member, (types.FunctionType, classmethod))
+        name for cls in (AddTreeKernel, TreeSpec) for name, member in vars(cls).items()
+        if not name.startswith("_")
+        and isinstance(member, (types.FunctionType, classmethod, property))
     ]
     exported = [name for m in MODULES for name in importlib.import_module(m).__all__]
-    assert "component_cross" in methods and "propose" in exported
+    assert {"component_cross", "leaf_bounds", "n_leaves"} <= set(methods)
+    assert "propose" in exported
     assert [name for name in exported + methods if name not in read] == ["to_config"]
 
 
@@ -147,8 +151,8 @@ def test_benchmark_tracer_names_exist(jenatton, monkeypatch):
     # its gram_and_grads observer unpacks (K, derivatives) and adds up the
     # bytes of K and of every derivative array: a real call through the
     # installed tracer must be counted
-    kern = bench.BoConfig().kernel(jenatton.spec, jenatton.index)
-    _, X = random_points(jenatton.spec, jenatton.index, np.random.default_rng(2), 9)
+    kern = bench.BoConfig().kernel(jenatton.spec)
+    _, X = random_points(jenatton.spec, np.random.default_rng(2), 9)
     blocks = kern.vertex_blocks(X)
     tracer = tracing.Tracer()
     with tracer.installed():

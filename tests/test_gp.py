@@ -15,7 +15,7 @@ from conftest import no_rows, random_gp_instance, random_kernel, random_points
 from oracles import random_tree_spec, restrict
 from treebo import acquisition, bench, gp
 from treebo.kernels import AddTreeKernel
-from treebo.tree_space import VertexSpec, build_path_index, linearize, make_tree_spec
+from treebo.tree_space import VertexSpec, linearize, make_tree_spec
 
 
 def chain_space(dims=(1, 1)):
@@ -23,14 +23,13 @@ def chain_space(dims=(1, 1)):
         VertexSpec(f"c{i}", d, tuple([(-2.0, 2.0)] * d)) for i, d in enumerate(dims)
     ]
     edges = [(f"c{i}", 0, f"c{i + 1}") for i in range(len(dims) - 1)]
-    spec = make_tree_spec(vertices, edges)
-    return spec, build_path_index(spec)
+    return make_tree_spec(vertices, edges)
 
 
 def test_fit_single_observation_closed_form():
-    spec, index = chain_space((1, 1))
-    kern = AddTreeKernel.default(spec, index)
-    p = linearize(spec, index, 0, [0.5, -0.5])
+    spec = chain_space((1, 1))
+    kern = AddTreeKernel.default(spec)
+    p = linearize(spec, 0, [0.5, -0.5])
     data = gp.Dataset.create([p], [3.0], noise=0.0)
     model = gp.fit(kern, data)
     np.testing.assert_allclose(model.K + data.noise, [[2.0]])
@@ -39,20 +38,20 @@ def test_fit_single_observation_closed_form():
 
 
 def test_fit_duplicates_with_zero_noise_escalates_jitter():
-    spec, index = chain_space((1,))
-    kern = AddTreeKernel.default(spec, index)
-    p = linearize(spec, index, 0, [0.5])
-    q = linearize(spec, index, 0, [0.5])
+    spec = chain_space((1,))
+    kern = AddTreeKernel.default(spec)
+    p = linearize(spec, 0, [0.5])
+    q = linearize(spec, 0, [0.5])
     data = gp.Dataset.create([p, q], [1.0, 1.0], noise=0.0)
     model = gp.fit(kern, data)  # succeeds via jitter, or raises explicitly
     assert model.jitter > 0.0
 
 
 def test_fit_factorization_reconstructs(jenatton):
-    spec, index = jenatton.spec, jenatton.index
+    spec = jenatton.spec
     rng = np.random.default_rng(2)
-    kern = random_kernel(spec, index, rng)
-    _, X = random_points(spec, index, rng, 20)
+    kern = random_kernel(spec, rng)
+    _, X = random_points(spec, rng, 20)
     data = gp.Dataset.create(X, rng.normal(size=20), noise=1e-6)
     model = gp.fit(kern, data)
     K_y = model.K + (data.noise + model.jitter) * np.eye(20)
@@ -62,8 +61,8 @@ def test_fit_factorization_reconstructs(jenatton):
 
 
 def test_dataset_validation():
-    spec, index = chain_space((1,))
-    p = linearize(spec, index, 0, [0.0])
+    spec = chain_space((1,))
+    p = linearize(spec, 0, [0.0])
     with pytest.raises(ValueError, match="1 rows but 2 targets"):
         gp.Dataset.create([p], [1.0, 2.0])
     # one row is not a matrix of rows, and an empty list has no width
@@ -73,6 +72,9 @@ def test_dataset_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="target 1 is not finite"):
             gp.Dataset.create([p, p, p], [0.0, bad, bad])
+        # extended runs the same checks
+        with pytest.raises(ValueError, match="target 1 is not finite"):
+            gp.Dataset.create([p], [0.0]).extended(p, bad)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="noise"):
             gp.Dataset.create([p], [1.0], noise=bad)
@@ -81,12 +83,12 @@ def test_dataset_validation():
 def test_dataset_is_one_matrix_of_slot_rows():
     # a list of rows and their stacked matrix make the same dataset, and an
     # empty dataset extended row by row grows into it
-    spec, index = chain_space((1, 1))
-    rows = [linearize(spec, index, 0, [x, -x]) for x in (0.1, 0.2, 0.3)]
+    spec = chain_space((1, 1))
+    rows = [linearize(spec, 0, [x, -x]) for x in (0.1, 0.2, 0.3)]
     data = gp.Dataset.create(rows, [1.0, 2.0, 3.0], noise=0.5)
-    assert data.X.shape == (3, index.width) and len(data) == 3
+    assert data.X.shape == (3, spec.width) and len(data) == 3
     assert data.X.tobytes() == np.array(rows).tobytes()
-    grown = gp.Dataset.create(no_rows(index), [], noise=0.5)
+    grown = gp.Dataset.create(no_rows(spec), [], noise=0.5)
     for row, y in zip(rows, data.targets):
         grown = grown.extended(row, y)
     assert grown.X.tobytes() == data.X.tobytes()
@@ -100,12 +102,12 @@ def other_width_cases(jenatton):
     narrow = bench.random_tree_objective(2, 2, 1, 0)
     rng = np.random.default_rng(0)
     for rows_of, kernel_of in ((jenatton, narrow), (narrow, jenatton)):
-        _, X = random_points(rows_of.spec, rows_of.index, rng, 4)
+        _, X = random_points(rows_of.spec, rng, 4)
         data = gp.Dataset.create(X, rng.normal(size=4), noise=1e-2)
-        kern = AddTreeKernel.default(kernel_of.spec, kernel_of.index)
+        kern = AddTreeKernel.default(kernel_of.spec)
         message = (
-            rf"of shape \(4, {rows_of.index.width}\) is not a matrix of "
-            f"{kernel_of.index.width}-slot rows, the kernel's layout"
+            rf"of shape \(4, {rows_of.spec.width}\) is not a matrix of "
+            f"{kernel_of.spec.width}-slot rows, the kernel's layout"
         )
         yield kern, data, message
 
@@ -127,7 +129,7 @@ def test_fit_hyperparameters_rejects_rows_of_another_width(jenatton):
 def test_posterior_rejects_queries_of_another_width(jenatton):
     # the model is fitted on rows of its own space; the queries are not
     for kern, data, message in other_width_cases(jenatton):
-        _, X = random_points(kern.spec, kern.index, np.random.default_rng(1), 4)
+        _, X = random_points(kern.spec, np.random.default_rng(1), 4)
         model = gp.fit(kern, gp.Dataset.create(X, data.targets, noise=1e-2))
         with pytest.raises(ValueError, match="query " + message):
             gp.posterior(model, data.X)
@@ -136,12 +138,12 @@ def test_posterior_rejects_queries_of_another_width(jenatton):
 
 
 def test_posterior_interpolates_noiseless(jenatton):
-    spec, index = jenatton.spec, jenatton.index
+    spec = jenatton.spec
     rng = np.random.default_rng(4)
-    kern = AddTreeKernel.default(spec, index)
-    leaves, X = random_points(spec, index, rng, 10)
+    kern = AddTreeKernel.default(spec)
+    leaves, X = random_points(spec, rng, 10)
     y = np.array([jenatton(leaf, np.concatenate(
-        [restrict(index, leaf, x, v) for v in index.leaf_paths[leaf]]
+        [restrict(spec, leaf, x, v) for v in spec.leaf_paths[leaf]]
     )) for leaf, x in zip(leaves, X)])
     model = gp.fit(kern, gp.Dataset.create(X, y, noise=0.0))
     means, variances = gp.posterior(model, X)
@@ -150,15 +152,15 @@ def test_posterior_interpolates_noiseless(jenatton):
 
 
 def test_posterior_prior_with_no_data(two_leaf):
-    spec, index = two_leaf
-    kern = AddTreeKernel.default(spec, index, output_scale=1.3)
-    model = gp.fit(kern, gp.Dataset.create(no_rows(index), []))
-    q = linearize(spec, index, 0, [0, 0, 0, 0])
+    spec = two_leaf
+    kern = AddTreeKernel.default(spec, output_scale=1.3)
+    model = gp.fit(kern, gp.Dataset.create(no_rows(spec), []))
+    q = linearize(spec, 0, [0, 0, 0, 0])
     mean, var = gp.posterior(model, q[None, :])
     assert mean[0] == 0.0
     assert var[0] == pytest.approx(2.6, rel=1e-12)
     # several rows on both leaves: means 0, variances k(x, x)
-    _, Q = random_points(spec, index, np.random.default_rng(3), 6)
+    _, Q = random_points(spec, np.random.default_rng(3), 6)
     means, variances = gp.posterior(model, Q)
     np.testing.assert_array_equal(means, np.zeros(6))
     np.testing.assert_array_equal(variances, kern.diag(Q))
@@ -169,12 +171,12 @@ def test_posterior_prior_with_no_data(two_leaf):
 def test_posterior_matches_dense_solve(zero_dim):
     # oracle: the textbook equations with dense solves against K + noise
     for seed in range(12):
-        spec, index, kern, data, _ = random_gp_instance(seed, n=14, zero_dim=zero_dim)
+        spec, kern, data, _ = random_gp_instance(seed, n=14, zero_dim=zero_dim)
         model = gp.fit(kern, data)
         X = data.X
         K_y = kern.gram_matrix(X) + data.noise * np.eye(len(data))
         rng = np.random.default_rng(1000 + seed)
-        _, Q = random_points(spec, index, rng, 5)
+        _, Q = random_points(spec, rng, 5)
         k = kern.gram_matrix(Q, X)
         mean_o = k @ np.linalg.solve(K_y, data.targets)
         var_o = kern.diag(Q) - np.einsum("ij,ji->i", k, np.linalg.solve(K_y, k.T))
@@ -190,11 +192,11 @@ def test_posterior_variance_from_cholesky_factor():
     # as a noiseless posterior must be, and matches the textbook form,
     # a dense solve with the model's factor, elsewhere.  (Another LAPACK
     # build's factor of this matrix moves some variances by 2e-9.)
-    spec, index, kern, data, _ = random_gp_instance(117, n=20, noise=0.0)
+    spec, kern, data, _ = random_gp_instance(117, n=20, noise=0.0)
     model = gp.fit(kern, data)
     assert model.jitter == 0.0
     rng = np.random.default_rng(5)
-    Q = np.vstack([data.X, random_points(spec, index, rng, 50)[1]])
+    Q = np.vstack([data.X, random_points(spec, rng, 50)[1]])
     k_diag = kern.diag(Q)
     _, variances = gp.posterior(model, Q)
     assert np.all(variances[:20] <= 1e-12 * k_diag[:20])
@@ -210,10 +212,10 @@ def test_posterior_batch_rows_match_single_row_calls():
     # stacked component test: at 1e-4 the two BLAS paths' summation orders
     # alone differ by up to 1.8e-12.
     for seed in range(8):
-        spec, index, kern, data, _ = random_gp_instance(seed, n=12, noise=1e-2)
+        spec, kern, data, _ = random_gp_instance(seed, n=12, noise=1e-2)
         model = gp.fit(kern, data)
         rng = np.random.default_rng(3000 + seed)
-        Q = np.vstack([random_points(spec, index, rng, 7)[1], data.X[:3]])
+        Q = np.vstack([random_points(spec, rng, 7)[1], data.X[:3]])
         means, variances = gp.posterior(model, Q)
         assert means.shape == variances.shape == (10,)
         for i in range(len(Q)):
@@ -226,12 +228,12 @@ def test_posterior_clamps_and_counts_negative_variances():
     # A noiseless model queried at its own observed points: the variance is
     # 0 up to round-off, negative for some output scales.  Each negative row
     # is clamped to 0 and counted once; every variance lies in [0, k(x, x)].
-    spec, index = chain_space((1,))
-    pts = [linearize(spec, index, 0, [x]) for x in (-0.7, 0.3, 1.0)]
-    Q = np.array(pts + [linearize(spec, index, 0, [1.5])])  # and a far query
+    spec = chain_space((1,))
+    pts = [linearize(spec, 0, [x]) for x in (-0.7, 0.3, 1.0)]
+    Q = np.array(pts + [linearize(spec, 0, [1.5])])  # and a far query
     clamped = 0
     for s in np.linspace(0.5, 3.0, 41):
-        kern = AddTreeKernel.default(spec, index, output_scale=float(s))
+        kern = AddTreeKernel.default(spec, output_scale=float(s))
         model = gp.fit(kern, gp.Dataset.create(pts, [1.0, -0.5, 0.2], noise=0.0))
         # the unclamped variances, in the posterior's own operation order
         C, k_diag = kern.gram_matrix(Q, model.data.X), kern.diag(Q)
@@ -258,31 +260,30 @@ def test_zero_policy_unshared_query_gets_prior():
         ],
         [("r", 0, "a"), ("r", 1, "b")],
     )
-    index = build_path_index(spec)
-    kern = AddTreeKernel.default(spec, index, output_scale=0.7, zero_dim="zero")
-    pts = [linearize(spec, index, 1, [x]) for x in (-0.5, 0.1, 0.8)]
+    kern = AddTreeKernel.default(spec, output_scale=0.7, zero_dim="zero")
+    pts = [linearize(spec, 1, [x]) for x in (-0.5, 0.1, 0.8)]
     model = gp.fit(kern, gp.Dataset.create(pts, [1.0, 2.0, 3.0], noise=1e-6))
-    q = linearize(spec, index, 0, [0.3])[None, :]
+    q = linearize(spec, 0, [0.3])[None, :]
     mean, var = gp.posterior(model, q)
     assert mean[0] == 0.0
     assert var[0] == pytest.approx(0.7, rel=1e-12)  # summed contributing scales
     # under the constant policy the same query is informed through the root
-    kern_c = AddTreeKernel.default(spec, index, output_scale=0.7, zero_dim="constant")
+    kern_c = AddTreeKernel.default(spec, output_scale=0.7, zero_dim="constant")
     model_c = gp.fit(kern_c, gp.Dataset.create(pts, [1.0, 2.0, 3.0], noise=1e-6))
     mean_c, _ = gp.posterior(model_c, q)
     assert mean_c[0] != 0.0
 
 
 def test_component_posterior_prior_cases(two_leaf):
-    spec, index = two_leaf
-    kern = AddTreeKernel.default(spec, index, output_scale=0.9)
-    empty = gp.fit(kern, gp.Dataset.create(no_rows(index), []))
+    spec = two_leaf
+    kern = AddTreeKernel.default(spec, output_scale=0.9)
+    empty = gp.fit(kern, gp.Dataset.create(no_rows(spec), []))
     mean, var = gp.component_posterior_batch(empty, "root", np.zeros((1, 2)))
     assert (mean[0], var[0]) == (0.0, pytest.approx(0.9))
 
     # vertex absent from every training path: all-zero cross covariance
     rng = np.random.default_rng(8)
-    pts = [linearize(spec, index, 0, rng.uniform(-1, 1, size=4)) for _ in range(6)]
+    pts = [linearize(spec, 0, rng.uniform(-1, 1, size=4)) for _ in range(6)]
     model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=6), noise=1e-6))
     mean, var = gp.component_posterior_batch(model, "right", np.array([[0.1, 0.2, 0.3]]))
     assert mean[0] == 0.0
@@ -290,13 +291,13 @@ def test_component_posterior_prior_cases(two_leaf):
 
 
 def test_component_posterior_errors(two_leaf):
-    spec, index = two_leaf
-    kern = AddTreeKernel.default(spec, index)
-    p = linearize(spec, index, 0, [0.0, 0.0, 0.0, 0.0])
+    spec = two_leaf
+    kern = AddTreeKernel.default(spec)
+    p = linearize(spec, 0, [0.0, 0.0, 0.0, 0.0])
     model = gp.fit(kern, gp.Dataset.create([p], [1.0], noise=1e-6))
     with pytest.raises(KeyError, match="ghost"):
         gp.component_posterior_batch(model, "ghost", np.zeros((1, 1)))
-    empty = gp.fit(kern, gp.Dataset.create(no_rows(index), []))
+    empty = gp.fit(kern, gp.Dataset.create(no_rows(spec), []))
     for m in (model, empty):
         with pytest.raises(ValueError, match="expects 2-dim values, got 1"):
             gp.component_posterior_batch(m, "root", np.zeros((1, 1)))
@@ -305,15 +306,15 @@ def test_component_posterior_errors(two_leaf):
 @pytest.mark.parametrize("zero_dim", ["constant", "zero"])
 def test_component_means_add_to_posterior_mean(zero_dim):
     for seed in range(10):
-        spec, index, kern, data, _ = random_gp_instance(seed, n=12, zero_dim=zero_dim)
+        spec, kern, data, _ = random_gp_instance(seed, n=12, zero_dim=zero_dim)
         model = gp.fit(kern, data)
         rng = np.random.default_rng(2000 + seed)
-        leaves, Q = random_points(spec, index, rng, 5)
+        leaves, Q = random_points(spec, rng, 5)
         means, _ = gp.posterior(model, Q)
         for leaf, q, mean in zip(leaves, Q, means):
             total = 0.0
-            for vid in index.leaf_paths[leaf]:
-                V = restrict(index, leaf, q, vid)
+            for vid in spec.leaf_paths[leaf]:
+                V = restrict(spec, leaf, q, vid)
                 component, _ = gp.component_posterior_batch(model, vid, V)
                 total += component[0]
             assert abs(total - mean) < 1e-8
@@ -363,7 +364,7 @@ def test_component_posterior_gradients_match_finite_differences(kind):
     for seed in range(6):
         for zero_dim in ("constant", "zero"):
             for tied in (False, True):
-                spec, index, kern, data, leaves = random_gp_instance(
+                spec, kern, data, leaves = random_gp_instance(
                     seed, n=10, noise=1e-2, max_dim=3,
                     kind=kind, zero_dim=zero_dim, tied_scales=tied,
                 )
@@ -384,9 +385,9 @@ def test_component_posterior_gradients_match_finite_differences(kind):
                         for v in vertices:
                             lo, hi = np.array(v.bounds).T
                             rows = rng.uniform(lo, hi, size=(4, dim))
-                            on_path = [p for p in points if oracles.on_path(index, v.id, p[0])]
+                            on_path = [p for p in points if oracles.on_path(spec, v.id, p[0])]
                             if on_path:
-                                rows[0] = restrict(index, *on_path[0], v.id)
+                                rows[0] = restrict(spec, *on_path[0], v.id)
                             else:
                                 empty_rows += 1
                             V.append(rows)
@@ -399,8 +400,8 @@ def test_component_posterior_gradients_match_finite_differences(kind):
 
 def test_stacked_component_posterior_matches_reference(two_leaf):
     # the empty model: every vertex at its prior
-    spec, index, kern, *_ = random_gp_instance(0, max_dim=2)
-    empty = gp.fit(kern, gp.Dataset.create(no_rows(index), []))
+    spec, kern, *_ = random_gp_instance(0, max_dim=2)
+    empty = gp.fit(kern, gp.Dataset.create(no_rows(spec), []))
     vertices = [v for v in spec.vertices if v.dim == 2]
     V = np.random.default_rng(1).uniform(-1, 1, size=(len(vertices), 3, 2))
     means, variances, _, _ = _stack_matches_reference(empty, [v.id for v in vertices], V)
@@ -409,10 +410,10 @@ def test_stacked_component_posterior_matches_reference(two_leaf):
 
     # vertices of different dimensions stack separately; one query row per
     # vertex gives the same values as a vertex of its own
-    spec, index = two_leaf
+    spec = two_leaf
     rng = np.random.default_rng(4)
-    kern = AddTreeKernel.default(spec, index)
-    _, X = random_points(spec, index, rng, 8)
+    kern = AddTreeKernel.default(spec)
+    _, X = random_points(spec, rng, 8)
     model = gp.fit(kern, gp.Dataset.create(X, rng.normal(size=8), noise=1e-3))
     for v in spec.vertices:
         if v.dim:
@@ -426,11 +427,11 @@ def _clamp_sweep():
     for some scales.  Yields each scale's stacked results (checked against
     the reference), the variances before the clamp, in the stacked
     evaluator's own operation order, and their negative mask."""
-    spec, index = chain_space((1,))
-    pts = [linearize(spec, index, 0, [x]) for x in (0.3, 1.0)]
+    spec = chain_space((1,))
+    pts = [linearize(spec, 0, [x]) for x in (0.3, 1.0)]
     V = np.array([[[0.3], [1.5]]])  # an observed value, and a far query
     for s in np.linspace(0.5, 3.0, 41):
-        kern = AddTreeKernel.default(spec, index, output_scale=float(s))
+        kern = AddTreeKernel.default(spec, output_scale=float(s))
         model = gp.fit(kern, gp.Dataset.create(pts, [1.0, -0.5], noise=0.0))
         stacked = _stack_matches_reference(model, ["c0"], V)
         stack = gp.component_stack(model, ["c0"])
@@ -473,7 +474,7 @@ def test_component_stack_factor_is_the_inverse_block():
     # every dimension's vertices stacked together
     checked, padded = 0, 0
     for seed in range(10):
-        spec, index, kern, data, leaves = random_gp_instance(seed, n=14, noise=1e-2, max_dim=3)
+        spec, kern, data, leaves = random_gp_instance(seed, n=14, noise=1e-2, max_dim=3)
         model = gp.fit(kern, data)
         K_y_inv = np.linalg.inv(model.K + (data.noise + model.jitter) * np.eye(model.n))
         by_dim = {}
@@ -483,7 +484,7 @@ def test_component_stack_factor_is_the_inverse_block():
         for ids in by_dim.values():
             stack = gp.component_stack(model, ids)
             for R, vid in zip(stack.R, ids):
-                rows = [i for i, leaf in enumerate(leaves) if oracles.on_path(index, vid, leaf)]
+                rows = [i for i, leaf in enumerate(leaves) if oracles.on_path(spec, vid, leaf)]
                 r = len(rows)
                 np.testing.assert_array_equal(R, np.triu(R))
                 np.testing.assert_array_equal(R[r:], 0.0)
@@ -500,10 +501,10 @@ def test_stacked_vertex_without_rows_gets_exactly_the_prior(jenatton):
     # only leaf 0 is observed, so n0 and leaf00 have rows and n1 and leaf10
     # have none; stacked next to observed vertices, an unobserved one is at
     # its prior bitwise: mean 0, variance s_v, and both gradients 0
-    spec, index = jenatton.spec, jenatton.index
+    spec = jenatton.spec
     rng = np.random.default_rng(8)
-    kern = random_kernel(spec, index, rng, kind="se")
-    pts = [linearize(spec, index, 0, rng.uniform([0, -1], [1, 1])) for _ in range(6)]
+    kern = random_kernel(spec, rng, kind="se")
+    pts = [linearize(spec, 0, rng.uniform([0, -1], [1, 1])) for _ in range(6)]
     model = gp.fit(kern, gp.Dataset.create(pts, rng.normal(size=6), noise=1e-4))
     ids = ["n0", "n1", "leaf00", "leaf10"]
     V = rng.uniform(0, 1, size=(4, 5, 1))
@@ -523,11 +524,11 @@ def test_stacked_variances_stay_accurate_near_repeated_observations(jenatton):
     # and a variance formed from its gathered blocks, s_v - c^T K_y^{-1} c,
     # was off from the reference by 1e-5; the triangular factor keeps the
     # two within 1e-9 on a grid over n0's box.
-    spec, index = jenatton.spec, jenatton.index
+    spec = jenatton.spec
     rng = np.random.default_rng(0)
-    optimum = linearize(spec, index, 0, [0.0, 0.0])
-    X = np.vstack([[optimum] * 30, random_points(spec, index, rng, 8)[1]])
-    kern = AddTreeKernel.default(spec, index, output_scale=5.0)
+    optimum = linearize(spec, 0, [0.0, 0.0])
+    X = np.vstack([[optimum] * 30, random_points(spec, rng, 8)[1]])
+    kern = AddTreeKernel.default(spec, output_scale=5.0)
     model = gp.fit(kern, gp.Dataset.create(X, rng.normal(size=38), noise=1e-8))
     assert model.jitter == 0.0
     V = np.linspace(0.0, 1.0, 2001)[:, None]
@@ -537,23 +538,23 @@ def test_stacked_variances_stay_accurate_near_repeated_observations(jenatton):
 
 
 def test_component_stack_needs_one_positive_dimension(two_leaf, jenatton):
-    for (spec, index), vertex_ids in [
+    for spec, vertex_ids in [
         (two_leaf, ["root", "right"]),  # dims 2 and 3
-        ((jenatton.spec, jenatton.index), ["root"]),  # dim 0
-        ((jenatton.spec, jenatton.index), ["root", "n0"]),
+        (jenatton.spec, ["root"]),  # dim 0
+        (jenatton.spec, ["root", "n0"]),
     ]:
-        model = gp.fit(AddTreeKernel.default(spec, index), gp.Dataset.create(no_rows(index), []))
+        model = gp.fit(AddTreeKernel.default(spec), gp.Dataset.create(no_rows(spec), []))
         with pytest.raises(ValueError, match="one dimension >= 1"):
             gp.component_stack(model, vertex_ids)
 
 
 def test_posterior_variance_shrinks_with_data(jenatton):
-    spec, index = jenatton.spec, jenatton.index
-    kern = AddTreeKernel.default(spec, index)
+    spec = jenatton.spec
+    kern = AddTreeKernel.default(spec)
     rng = np.random.default_rng(12)
-    _, X = random_points(spec, index, rng, 15)
+    _, X = random_points(spec, rng, 15)
     y = rng.normal(size=15)
-    q = linearize(spec, index, 0, [0.5, 0.5])[None, :]
+    q = linearize(spec, 0, [0.5, 0.5])[None, :]
     prev = np.inf
     for n in (1, 3, 7, 15):
         model = gp.fit(kern, gp.Dataset.create(X[:n], y[:n], noise=1e-4))
@@ -570,15 +571,15 @@ def evidence(kern, data):
 
 
 def test_lml_standard_normal_evidence():
-    spec, index = chain_space((1,))
-    kern = AddTreeKernel.default(spec, index)  # k(x,x) = 1 on a single vertex
-    p = linearize(spec, index, 0, [0.0])
+    spec = chain_space((1,))
+    kern = AddTreeKernel.default(spec)  # k(x,x) = 1 on a single vertex
+    p = linearize(spec, 0, [0.0])
     lml, _ = evidence(kern, gp.Dataset.create([p], [0.0], noise=0.0))
     assert lml == pytest.approx(-0.5 * math.log(2 * math.pi), rel=1e-12)
 
 
 def test_lml_zero_targets_drop_quadratic_term():
-    spec, index, kern, data, _ = random_gp_instance(3, n=8)
+    spec, kern, data, _ = random_gp_instance(3, n=8)
     data = gp.Dataset(X=data.X, targets=np.zeros(8), noise=data.noise)
     K_y = gp.fit(kern, data).K + data.noise * np.eye(8)
     expected = -0.5 * np.linalg.slogdet(K_y)[1] - 4 * math.log(2 * math.pi)
@@ -589,7 +590,7 @@ def test_lml_gradient_matches_finite_differences():
     # the objective's gradient against central differences, step 1e-5 in
     # log-parameter space, of the dense evidence of gp.fit's matrices
     for seed in range(20):
-        spec, index, kern, data, _ = random_gp_instance(seed, n=8, noise=1e-2)
+        spec, kern, data, _ = random_gp_instance(seed, n=8, noise=1e-2)
         lml, grad = evidence(kern, data)
         assert lml == pytest.approx(oracles.log_evidence(gp.fit(kern, data)), rel=1e-10)
         vec = kern.get_log_params()
@@ -610,7 +611,7 @@ def test_fitting_objective_gradient_matches_finite_differences():
     # the L-BFGS objective on random trees with per-vertex and with tied
     # output scales; a tree whose layout is empty checks the value alone
     for seed in range(8):
-        _, _, kern, data, _ = random_gp_instance(
+        _, kern, data, _ = random_gp_instance(
             seed, n=10, noise=1e-2,
             zero_dim=("constant", "zero")[seed % 2], tied_scales=seed % 4 >= 2,
         )
@@ -649,29 +650,28 @@ def test_packed_evidence_matches_block_engine(kind):
     rng = np.random.default_rng(29)
     for seed, depth in ((0, 3), (4, 3), (9, 3), (11, 4), (32, 4)):
         spec = random_tree_spec(seed, max_depth=depth, max_dim=2)
-        index = build_path_index(spec)
         for zero_dim, tied in itertools.product(("constant", "zero"), (False, True)):
-            kern = random_kernel(spec, index, rng, kind, zero_dim=zero_dim, tied_scales=tied)
-            leaves, X = random_points(spec, index, rng, 12)
+            kern = random_kernel(spec, rng, kind, zero_dim=zero_dim, tied_scales=tied)
+            leaves, X = random_points(spec, rng, 12)
             data = gp.Dataset.create(X, rng.normal(size=12), noise=1e-2)
             assert_evidence_matches_block_engine(kern, data, leaves)
 
 
 def test_packed_evidence_edge_cases():
     # an empty layout: every vertex is dim-0 under zero_dim="zero", so K = 0
-    spec, index = chain_space((0, 0))
-    kern = AddTreeKernel.default(spec, index, zero_dim="zero")
-    assert kern.vertex_blocks(np.zeros((3, index.width))).flat.size == 0
-    p = linearize(spec, index, 0, [])
+    spec = chain_space((0, 0))
+    kern = AddTreeKernel.default(spec, zero_dim="zero")
+    assert kern.vertex_blocks(np.zeros((3, spec.width))).flat.size == 0
+    p = linearize(spec, 0, [])
     assert_evidence_matches_block_engine(
         kern, gp.Dataset.create([p] * 3, [0.4, -0.2, 0.1], noise=1e-2), [0] * 3
     )
     # one observation, on every kind with per-vertex and tied scales
-    spec, index = chain_space((0, 1, 2))
-    p = linearize(spec, index, 0, [0.3, -0.5, 1.1])
+    spec = chain_space((0, 1, 2))
+    p = linearize(spec, 0, [0.3, -0.5, 1.1])
     rng = np.random.default_rng(5)
     for kind, tied in itertools.product(("se", "matern32", "matern52"), (False, True)):
-        kern = random_kernel(spec, index, rng, kind, tied_scales=tied)
+        kern = random_kernel(spec, rng, kind, tied_scales=tied)
         assert_evidence_matches_block_engine(
             kern, gp.Dataset.create([p], [0.7], noise=1e-2), [0]
         )
@@ -691,7 +691,7 @@ def test_noise_is_added_on_the_diagonal_bitwise(monkeypatch):
     for module in (gp, acquisition):  # acquisition imports it by name
         monkeypatch.setattr(module, "_cholesky", recording)
     for seed in range(4):
-        _, _, kern, data, _ = random_gp_instance(seed, n=10, noise=1e-2)
+        _, kern, data, _ = random_gp_instance(seed, n=10, noise=1e-2)
         model = gp.fit(kern, data)
         evidence(kern, data)
         acquisition.mutual_information(model, 0.3)
@@ -711,7 +711,7 @@ def test_fitting_objective_reuses_its_buffers_without_carrying_state():
     for seed, (kind, tied) in enumerate(
         itertools.product(("se", "matern32", "matern52"), (False, True))
     ):
-        _, _, kern, data, _ = random_gp_instance(
+        _, kern, data, _ = random_gp_instance(
             seed, n=10, noise=1e-2, kind=kind, tied_scales=tied
         )
         objective = gp._negative_evidence(kern, data)
@@ -736,11 +736,11 @@ def test_fitting_objective_evaluation_allocates_no_n_squared_temporaries():
     objective = bench.random_tree_objective(3, 3, 2, 0)
     rng = np.random.default_rng(1)
     X = [
-        linearize(objective.spec, objective.index, *bench.sample_branch_walk(objective.index, rng))
+        linearize(objective.spec, *bench.sample_branch_walk(objective.spec, rng))
         for _ in range(150)
     ]
     data = gp.Dataset.create(X, rng.normal(size=150), noise=1e-8)
-    kern = bench.BoConfig().kernel(objective.spec, objective.index)
+    kern = bench.BoConfig().kernel(objective.spec)
     evaluate = gp._negative_evidence(kern, data)
     vec = kern.get_log_params()
     evaluate(vec)
@@ -759,9 +759,9 @@ def test_fitting_objective_evaluation_allocates_no_n_squared_temporaries():
 
 def test_fit_hyperparameters_raises_when_every_restart_fails(jenatton):
     # three identical points and zero noise: no hyperparameters factorize
-    p = linearize(jenatton.spec, jenatton.index, 0, [0.3, 0.7])
+    p = linearize(jenatton.spec, 0, [0.3, 0.7])
     data = gp.Dataset.create([p, p, p], [1.0, 1.0, 1.0], noise=0.0)
-    kern = bench.BoConfig().kernel(jenatton.spec, jenatton.index)
+    kern = bench.BoConfig().kernel(jenatton.spec)
     with pytest.raises(gp.FactorizationError, match="all 3 restarts"):
         gp.fit_hyperparameters(kern, data, restarts=3, rng=np.random.default_rng(0))
 
@@ -777,9 +777,9 @@ def test_fit_hyperparameters_builds_one_kernel(jenatton, monkeypatch):
 
         monkeypatch.setattr(AddTreeKernel, name, counted)
     rng = np.random.default_rng(3)
-    _, X = random_points(jenatton.spec, jenatton.index, rng, 12)
+    _, X = random_points(jenatton.spec, rng, 12)
     data = gp.Dataset.create(X, rng.normal(size=12), noise=1e-2)
-    kern = bench.BoConfig().kernel(jenatton.spec, jenatton.index)
+    kern = bench.BoConfig().kernel(jenatton.spec)
     calls["__post_init__"] = 0
     result = gp.fit_hyperparameters(kern, data, restarts=4, rng=rng)
     assert len(result.restart_evidences) == 4
@@ -792,9 +792,9 @@ def test_fit_hyperparameters_builds_one_kernel(jenatton, monkeypatch):
 def test_one_start_refit_of_a_fitted_kernel_is_cheaper(jenatton):
     # what a BO loop's warm refit does: one run from the last fit
     rng = np.random.default_rng(8)
-    _, X = random_points(jenatton.spec, jenatton.index, rng, 15)
+    _, X = random_points(jenatton.spec, rng, 15)
     data = gp.Dataset.create(X, rng.normal(size=15), noise=1e-2)
-    kern = bench.BoConfig().kernel(jenatton.spec, jenatton.index)
+    kern = bench.BoConfig().kernel(jenatton.spec)
     full = gp.fit_hyperparameters(kern, data, restarts=3, rng=rng)
     warm = gp.fit_hyperparameters(full.kernel, data, restarts=1, rng=rng)
     assert len(warm.restart_evidences) == 1
@@ -897,7 +897,7 @@ def test_lbfgsb_driver_matches_scipy_minimize(kind, tied_scales):
     # from the kernel's own start, a random draw, a corner of the box and a
     # start outside it (both clip it), on random trees
     for seed in range(4):
-        spec, index, kern, data, _ = random_gp_instance(
+        spec, kern, data, _ = random_gp_instance(
             seed, n=10, noise=1e-3, kind=kind, tied_scales=tied_scales
         )
         lo, hi = _log_box(kern)
@@ -917,7 +917,7 @@ def test_lbfgsb_driver_matches_scipy_minimize_where_the_gram_fails():
     # factorize and the objective reports FAILED_EVIDENCE with a zero gradient
     mixed = 0
     for seed in (1, 4, 17):
-        spec, index, kern, data, _ = random_gp_instance(seed, n=8, noise=0.0)
+        spec, kern, data, _ = random_gp_instance(seed, n=8, noise=0.0)
         data = gp.Dataset.create(
             np.vstack([data.X, data.X[:1]]), np.append(data.targets, data.targets[0])
         )
@@ -933,7 +933,7 @@ def test_lbfgsb_driver_matches_scipy_minimize_where_the_gram_fails():
 def test_lbfgsb_driver_stops_at_the_iteration_limit(monkeypatch):
     monkeypatch.setattr(gp, "FIT_MAXITER", 2)
     for seed in range(3):
-        spec, index, kern, data, _ = random_gp_instance(seed, n=12, noise=1e-3)
+        spec, kern, data, _ = random_gp_instance(seed, n=12, noise=1e-3)
         lo, hi = _log_box(kern)
         _, res = _lbfgsb_matches_scipy(kern, data, np.random.default_rng(seed).uniform(lo, hi))
         assert res.nit == 2 and "ITERATIONS REACHED LIMIT" in res.message
@@ -941,18 +941,18 @@ def test_lbfgsb_driver_stops_at_the_iteration_limit(monkeypatch):
 
 def test_fit_hyperparameters_recovers_lengthscale():
     # data drawn from a known single-vertex SE kernel; median recovery +-30%
-    spec, index = chain_space((1,))
+    spec = chain_space((1,))
     true_ls = 0.5
     errors = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
         X = rng.uniform(-2, 2, size=200)
-        pts = [linearize(spec, index, 0, [x]) for x in X]
-        true = AddTreeKernel.default(spec, index, lengthscale=true_ls)
+        pts = [linearize(spec, 0, [x]) for x in X]
+        true = AddTreeKernel.default(spec, lengthscale=true_ls)
         K = true.gram_matrix(np.array(pts)) + 1e-6 * np.eye(200)
         y = np.linalg.cholesky(K) @ rng.normal(size=200)
         data = gp.Dataset.create(pts, y, noise=1e-6)
-        start = AddTreeKernel.default(spec, index, lengthscale=1.0)
+        start = AddTreeKernel.default(spec, lengthscale=1.0)
         result = gp.fit_hyperparameters(start, data, restarts=2, rng=rng)
         errors.append(result.kernel.to_config()["params"]["c0"]["lengthscales"][0] / true_ls)
     median_ratio = float(np.median(errors))
@@ -964,7 +964,7 @@ def test_sign_of_the_targets_changes_no_fitted_bit():
     # its gradient and so the fitted kernel are bitwise those of y, and
     # alpha = K_y^{-1} y only changes sign
     for seed in range(4):
-        spec, index, kern, data, _ = random_gp_instance(seed, n=12, noise=1e-3)
+        spec, kern, data, _ = random_gp_instance(seed, n=12, noise=1e-3)
         flipped = replace(data, targets=-data.targets)
         a, b = (
             gp.fit_hyperparameters(kern, d, restarts=3, rng=np.random.default_rng(seed))
@@ -979,28 +979,28 @@ def test_sign_of_the_targets_changes_no_fitted_bit():
 
 
 def test_fit_hyperparameters_never_worse_than_start():
-    spec, index, kern, data, _ = random_gp_instance(5, n=10, noise=1e-2)
+    spec, kern, data, _ = random_gp_instance(5, n=10, noise=1e-2)
     start_lml = oracles.log_evidence(gp.fit(kern, data))
     result = gp.fit_hyperparameters(kern, data, restarts=1)
     assert result.log_evidence >= start_lml - 1e-9
 
 
 def test_fit_hyperparameters_requires_data(two_leaf):
-    spec, index = two_leaf
-    kern = AddTreeKernel.default(spec, index)
+    spec = two_leaf
+    kern = AddTreeKernel.default(spec)
     with pytest.raises(ValueError, match="at least one observation"):
-        gp.fit_hyperparameters(kern, gp.Dataset.create(no_rows(index), []))
+        gp.fit_hyperparameters(kern, gp.Dataset.create(no_rows(spec), []))
     with pytest.raises(ValueError, match="restarts"):
-        gp.fit_hyperparameters(kern, gp.Dataset.create(no_rows(index), []), restarts=0)
+        gp.fit_hyperparameters(kern, gp.Dataset.create(no_rows(spec), []), restarts=0)
 
 
 def test_fit_hyperparameters_with_nothing_to_fit(monkeypatch):
     # zero_dim="zero" on a chain of dim-0 vertices leaves no hyperparameter:
     # the kernel comes back as it is, with its evidence, and no optimizer runs
-    spec, index = chain_space((0, 0))
-    kern = AddTreeKernel.default(spec, index, zero_dim="zero")
+    spec = chain_space((0, 0))
+    kern = AddTreeKernel.default(spec, zero_dim="zero")
     assert kern.theta == ()
-    data = gp.Dataset.create([linearize(spec, index, 0, [])] * 2, [0.4, -0.2], noise=0.1)
+    data = gp.Dataset.create([linearize(spec, 0, [])] * 2, [0.4, -0.2], noise=0.1)
     def no_lbfgsb(*args, **kwargs):
         raise AssertionError("L-BFGS-B ran")
 
@@ -1019,12 +1019,12 @@ def test_lengthscale_cap_min_rule():
     # schedule: g(t) = 2, theta0 = 1 -> cap 0.5.  c0 follows sin(8 x) and
     # fits below the cap; c1 is nearly linear and fits above it.  The capped
     # fit is the uncapped one with min(ls, 0.5) per lengthscale, bitwise.
-    spec, index = chain_space((1, 1))
+    spec = chain_space((1, 1))
     rng = np.random.default_rng(0)
     X = rng.uniform(-2, 2, size=(30, 2))
-    pts = [linearize(spec, index, 0, x) for x in X]
+    pts = [linearize(spec, 0, x) for x in X]
     data = gp.Dataset.create(pts, np.sin(8 * X[:, 0]) + 0.2 * X[:, 1], noise=1e-4)
-    kern = AddTreeKernel.default(spec, index)
+    kern = AddTreeKernel.default(spec)
     free, capped = (
         gp.fit_hyperparameters(
             kern, data, restarts=2, rng=np.random.default_rng(1), lengthscale_cap=cap

@@ -14,7 +14,7 @@ from conftest import random_kernel, random_points
 from oracles import random_tree_spec
 from treebo import bench
 from treebo.kernels import AddTreeKernel
-from treebo.tree_space import VertexSpec, build_path_index, linearize, make_tree_spec
+from treebo.tree_space import VertexSpec, linearize, make_tree_spec
 
 
 def k(kern, x, y):
@@ -23,16 +23,15 @@ def k(kern, x, y):
 
 
 def one_vertex(dim):
-    spec = make_tree_spec([VertexSpec("v", dim, ((-100.0, 100.0),) * dim)], [])
-    return spec, build_path_index(spec)
+    return make_tree_spec([VertexSpec("v", dim, ((-100.0, 100.0),) * dim)], [])
 
 
 def vertex_kernel(kind, lengthscales, scale, a, b):
     """One vertex's base kernel between two value vectors: the add-tree
     kernel of a one-vertex tree."""
-    spec, index = one_vertex(len(lengthscales))
-    kern = AddTreeKernel(spec, index, (*lengthscales, scale), kind)
-    return k(kern, linearize(spec, index, 0, a), linearize(spec, index, 0, b))
+    spec = one_vertex(len(lengthscales))
+    kern = AddTreeKernel(spec, (*lengthscales, scale), kind)
+    return k(kern, linearize(spec, 0, a), linearize(spec, 0, b))
 
 
 def test_base_kernel_identical_inputs_return_scale():
@@ -62,9 +61,9 @@ def test_base_kernel_matern_closed_forms():
 
 
 def test_base_kernel_dimension_mismatch(two_leaf):
-    spec, index = two_leaf
-    kern = AddTreeKernel.default(spec, index)
-    X = linearize(spec, index, 0, [0.0, 0.0, 0.0, 0.0])[None]
+    spec = two_leaf
+    kern = AddTreeKernel.default(spec)
+    X = linearize(spec, 0, [0.0, 0.0, 0.0, 0.0])[None]
     with pytest.raises(ValueError, match="expects 2-dim values, got 1"):
         kern.component_cross("root", [[0.0]], X)
 
@@ -82,17 +81,17 @@ def test_base_kernel_correlation_in_unit_interval():
 
 
 def test_params_validation():
-    spec, index = one_vertex(1)
+    spec = one_vertex(1)
     for theta in ((0.0, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match="positive"):
-            AddTreeKernel(spec, index, theta)
+            AddTreeKernel(spec, theta)
     with pytest.raises(ValueError, match="unknown kernel kind"):
-        AddTreeKernel(spec, index, (1.0, 1.0), "cubic")
+        AddTreeKernel(spec, (1.0, 1.0), "cubic")
     with pytest.raises(ValueError, match="zero_dim"):
-        AddTreeKernel(spec, index, (1.0, 1.0), zero_dim="bogus")
+        AddTreeKernel(spec, (1.0, 1.0), zero_dim="bogus")
     for theta in ((1.0,), (1.0, 1.0, 1.0)):
         with pytest.raises(ValueError, match="expected 2 hyperparameters"):
-            AddTreeKernel(spec, index, theta)
+            AddTreeKernel(spec, theta)
 
 
 @given(
@@ -113,15 +112,15 @@ def test_base_kernel_stationary_and_symmetric(a, b, shift, kind):
 
 def test_delta_shared_root(two_leaf):
     # a vertex's component covaries with exactly the rows whose path holds it
-    spec, index = two_leaf
-    kern = AddTreeKernel.default(spec, index)
+    spec = two_leaf
+    kern = AddTreeKernel.default(spec)
     X = np.array([
-        linearize(spec, index, 0, [0.1, 0.2, 0.3, 0.4]),
-        linearize(spec, index, 1, [0.5, 0.6, 0.7, 0.8, 0.9]),
+        linearize(spec, 0, [0.1, 0.2, 0.3, 0.4]),
+        linearize(spec, 1, [0.5, 0.6, 0.7, 0.8, 0.9]),
     ])
     rows = {
         vid: np.flatnonzero(kern.component_cross(vid, np.zeros(spec.vertex(vid).dim), X)[0])
-        for vid in index.bfs_order
+        for vid in spec.bfs_order
     }
     assert {vid: r.tolist() for vid, r in rows.items()} == {
         "root": [0, 1], "left": [0], "right": [1]
@@ -132,15 +131,15 @@ def test_delta_shared_root(two_leaf):
 
 
 def test_add_tree_same_leaf_sums_root_and_leaf(two_leaf):
-    spec, index = two_leaf
-    kern = AddTreeKernel.default(spec, index)
-    x = linearize(spec, index, 0, [0.1, 0.2, 0.3, 0.4])
-    y = linearize(spec, index, 0, [-0.3, 0.0, 0.8, -0.2])
+    spec = two_leaf
+    kern = AddTreeKernel.default(spec)
+    x = linearize(spec, 0, [0.1, 0.2, 0.3, 0.4])
+    y = linearize(spec, 0, [-0.3, 0.0, 0.8, -0.2])
     expected = sum(
         oracles.base_kernel(
             *oracles.vertex_params(kern, vid),
-            oracles.restrict(index, 0, x, vid),
-            oracles.restrict(index, 0, y, vid),
+            oracles.restrict(spec, 0, x, vid),
+            oracles.restrict(spec, 0, y, vid),
         )
         for vid in ("root", "left")
     )
@@ -148,22 +147,22 @@ def test_add_tree_same_leaf_sums_root_and_leaf(two_leaf):
 
 
 def test_add_tree_cross_leaf_root_only(two_leaf):
-    spec, index = two_leaf
-    kern = AddTreeKernel.default(spec, index)
-    x = linearize(spec, index, 0, [0.1, 0.2, 0.3, 0.4])
-    y = linearize(spec, index, 1, [0.5, 0.6, 0.7, 0.8, 0.9])
+    spec = two_leaf
+    kern = AddTreeKernel.default(spec)
+    x = linearize(spec, 0, [0.1, 0.2, 0.3, 0.4])
+    y = linearize(spec, 1, [0.5, 0.6, 0.7, 0.8, 0.9])
     expected = oracles.base_kernel(
         *oracles.vertex_params(kern, "root"),
-        oracles.restrict(index, 0, x, "root"),
-        oracles.restrict(index, 1, y, "root"),
+        oracles.restrict(spec, 0, x, "root"),
+        oracles.restrict(spec, 1, y, "root"),
     )
     assert k(kern, x, y) == pytest.approx(expected, rel=1e-12)
 
 
 def test_add_tree_identical_point_counts_path_scales(binary_depth3):
-    spec, index = binary_depth3
-    kern = AddTreeKernel.default(spec, index)
-    x = linearize(spec, index, 2, [0.5, 0.25])
+    spec = binary_depth3
+    kern = AddTreeKernel.default(spec)
+    x = linearize(spec, 2, [0.5, 0.25])
     # path has 3 vertices, each with unit output scale
     assert k(kern, x, x) == pytest.approx(3.0, rel=1e-12)
 
@@ -172,9 +171,8 @@ def test_add_tree_symmetry_exact():
     rng = np.random.default_rng(3)
     for seed in range(10):
         spec = random_tree_spec(seed)
-        index = build_path_index(spec)
-        kern = random_kernel(spec, index, rng)
-        _, X = random_points(spec, index, rng, 6)
+        kern = random_kernel(spec, rng)
+        _, X = random_points(spec, rng, 6)
         for x in X:
             for y in X:
                 assert k(kern, x, y) == k(kern, y, x)
@@ -187,10 +185,9 @@ def test_add_tree_matches_vertex_sum_oracle(zero_dim):
     rng = np.random.default_rng(11)
     for seed in range(15):
         spec = random_tree_spec(seed)
-        index = build_path_index(spec)
         for kind in ("se", "matern32", "matern52"):
-            kern = random_kernel(spec, index, rng, zero_dim=zero_dim, kind=kind)
-            leaves, X = random_points(spec, index, rng, 5)
+            kern = random_kernel(spec, rng, zero_dim=zero_dim, kind=kind)
+            leaves, X = random_points(spec, rng, 5)
             pts = list(zip(leaves, X))
             expected = [[oracles.add_tree(kern, *x, *y) for y in pts] for x in pts]
             np.testing.assert_allclose(kern.gram_matrix(X), expected, rtol=0, atol=1e-12)
@@ -198,23 +195,23 @@ def test_add_tree_matches_vertex_sum_oracle(zero_dim):
 
 def test_gram_block_structure(two_leaf):
     # two-leaf tree: Gram == root-only Gram + blockdiag(leaf Grams)
-    spec, index = two_leaf
+    spec = two_leaf
     rng = np.random.default_rng(5)
-    kern = random_kernel(spec, index, rng)
+    kern = random_kernel(spec, rng)
     leaves = (0, 0, 1, 1)
     rows = []
     for leaf in leaves:
-        bounds = index.leaf_bounds(leaf)
+        bounds = spec.leaf_bounds(leaf)
         vals = [rng.uniform(lo, hi) for lo, hi in bounds]
-        rows.append(linearize(spec, index, leaf, vals))
+        rows.append(linearize(spec, leaf, vals))
     X = np.array(rows)
     K = kern.gram_matrix(X)
 
     def term(vid, i, j):
         return oracles.base_kernel(
             *oracles.vertex_params(kern, vid),
-            oracles.restrict(index, leaves[i], X[i], vid),
-            oracles.restrict(index, leaves[j], X[j], vid),
+            oracles.restrict(spec, leaves[i], X[i], vid),
+            oracles.restrict(spec, leaves[j], X[j], vid),
         )
 
     n = len(leaves)
@@ -224,15 +221,15 @@ def test_gram_block_structure(two_leaf):
         for j in range(n):
             root_block[i, j] = term("root", i, j)
             if leaves[i] == leaves[j]:
-                leaf_block[i, j] = term(index.leaf_ids[leaves[i]], i, j)
+                leaf_block[i, j] = term(spec.leaf_ids[leaves[i]], i, j)
     expected = root_block + leaf_block
     np.testing.assert_allclose(K, expected, rtol=1e-12)
 
 
 def test_gram_single_point_is_summed_scales(two_leaf):
-    spec, index = two_leaf
-    kern = AddTreeKernel.default(spec, index, output_scale=1.5)
-    p = linearize(spec, index, 0, [0, 0, 0, 0])
+    spec = two_leaf
+    kern = AddTreeKernel.default(spec, output_scale=1.5)
+    p = linearize(spec, 0, [0, 0, 0, 0])
     K = kern.gram_matrix(p[None])
     assert K.shape == (1, 1)
     assert K[0, 0] == pytest.approx(3.0, rel=1e-12)
@@ -242,9 +239,8 @@ def test_gram_psd_on_random_trees():
     rng = np.random.default_rng(7)
     for seed in range(20):
         spec = random_tree_spec(seed, max_depth=3, max_fanout=3)
-        index = build_path_index(spec)
-        kern = random_kernel(spec, index, rng)
-        _, X = random_points(spec, index, rng, 50)
+        kern = random_kernel(spec, rng)
+        _, X = random_points(spec, rng, 50)
         K = kern.gram_matrix(X)
         np.testing.assert_allclose(K, K.T)
         eigs = np.linalg.eigvalsh(K)
@@ -253,11 +249,10 @@ def test_gram_psd_on_random_trees():
 
 def test_zero_dim_policy_changes_cross_leaf_covariance():
     spec = bench.jenatton_objective().spec
-    index = build_path_index(spec)
-    x = linearize(spec, index, 0, [0.5, 0.0])
-    y = linearize(spec, index, 2, [0.5, 0.0])  # other branch: shares only the root
-    const = AddTreeKernel.default(spec, index, zero_dim="constant")
-    zero = AddTreeKernel.default(spec, index, zero_dim="zero")
+    x = linearize(spec, 0, [0.5, 0.0])
+    y = linearize(spec, 2, [0.5, 0.0])  # other branch: shares only the root
+    const = AddTreeKernel.default(spec, zero_dim="constant")
+    zero = AddTreeKernel.default(spec, zero_dim="zero")
     assert k(const, x, y) == pytest.approx(1.0)  # root output scale
     assert k(zero, x, y) == 0.0
     # diagonal: constant counts the root, zero does not
@@ -267,20 +262,20 @@ def test_zero_dim_policy_changes_cross_leaf_covariance():
 
 def test_stationarity_per_vertex(two_leaf):
     # translating both restrictions at one vertex leaves its contribution fixed
-    spec, index = two_leaf
-    kern = AddTreeKernel.default(spec, index, lengthscale=0.9)
-    x = linearize(spec, index, 0, [0.1, 0.2, 0.3, 0.4])
-    y = linearize(spec, index, 0, [-0.1, 0.0, 0.5, 0.1])
+    spec = two_leaf
+    kern = AddTreeKernel.default(spec, lengthscale=0.9)
+    x = linearize(spec, 0, [0.1, 0.2, 0.3, 0.4])
+    y = linearize(spec, 0, [-0.1, 0.0, 0.5, 0.1])
     shift = 0.37
-    xs = linearize(spec, index, 0, [0.1 + shift, 0.2, 0.3, 0.4])
-    ys = linearize(spec, index, 0, [-0.1 + shift, 0.0, 0.5, 0.1])
+    xs = linearize(spec, 0, [0.1 + shift, 0.2, 0.3, 0.4])
+    ys = linearize(spec, 0, [-0.1 + shift, 0.0, 0.5, 0.1])
     assert k(kern, xs, ys) == pytest.approx(k(kern, x, y), rel=1e-12)
 
 
 def test_log_param_round_trip(two_leaf):
-    spec, index = two_leaf
+    spec = two_leaf
     rng = np.random.default_rng(9)
-    kern = random_kernel(spec, index, rng)
+    kern = random_kernel(spec, rng)
     vec = kern.get_log_params()
     back = replace(kern, theta=np.exp(vec))
     np.testing.assert_allclose(back.get_log_params(), vec, rtol=1e-12)
@@ -296,17 +291,17 @@ def test_config_round_trip(two_leaf, jenatton):
     # param_names() names them.
     rng = np.random.default_rng(10)
     lone = random_tree_spec(3, max_dim=2)
-    for spec, index in (two_leaf, (jenatton.spec, jenatton.index), (lone, build_path_index(lone))):
+    for spec in (two_leaf, jenatton.spec, lone):
         for zero_dim in ("constant", "zero"):
             for tied in (False, True):
-                kern = random_kernel(spec, index, rng, zero_dim=zero_dim, tied_scales=tied)
+                kern = random_kernel(spec, rng, zero_dim=zero_dim, tied_scales=tied)
                 record = json.loads(json.dumps(kern.to_config()))
                 assert (record["kind"], record["zero_dim"], record["tied_scales"]) == (
                     kern.kind, zero_dim, tied
                 )
                 theta = dict(zip(kern.param_names(), kern.theta))
                 contributing = [
-                    vid for vid in index.bfs_order
+                    vid for vid in spec.bfs_order
                     if spec.vertex(vid).dim or zero_dim == "constant"
                 ]
                 assert list(record["params"]) == contributing
@@ -331,24 +326,23 @@ def test_gram_grads_match_finite_differences():
     saw_dim0 = False
     for seed, depth in ((0, 3), (4, 3), (9, 3), (11, 4), (32, 4)):
         spec = random_tree_spec(seed, max_depth=depth, max_dim=2)
-        index = build_path_index(spec)
         for kind, zero_dim, tied in itertools.product(
             ("se", "matern32", "matern52"), ("constant", "zero"), (False, True)
         ):
             start = AddTreeKernel.default(
-                spec, index, kind=kind, zero_dim=zero_dim, tied_scales=tied
+                spec, kind=kind, zero_dim=zero_dim, tied_scales=tied
             )
             vec = rng.uniform(-1.0, 1.0, len(start.param_names()))
             kern = replace(start, theta=np.exp(vec))
-            leaves, X = random_points(spec, index, rng, 12)
+            leaves, X = random_points(spec, rng, 12)
             n = X.shape[0]
             blocks = kern.vertex_blocks(X)
             pos, starts = 0, []  # entries vertex after vertex
-            for vid in index.bfs_order:
+            for vid in spec.bfs_order:
                 if spec.vertex(vid).dim == 0 and zero_dim == "zero":
                     continue
                 saw_dim0 |= spec.vertex(vid).dim == 0
-                R = np.array([i for i, lf in enumerate(leaves) if oracles.on_path(index, vid, lf)])
+                R = np.array([i for i, lf in enumerate(leaves) if oracles.on_path(spec, vid, lf)])
                 if R.size:  # a vertex on no row's path has no block
                     starts.append(pos)
                     lower = [i + j * n for i in R for j in R if i >= j]  # column-major
@@ -403,10 +397,10 @@ def test_gram_and_grads_temporaries_stay_near_its_output():
     objective = bench.random_tree_objective(3, 3, 2, 0)
     rng = np.random.default_rng(1)
     X = np.array([
-        linearize(objective.spec, objective.index, *bench.sample_branch_walk(objective.index, rng))
+        linearize(objective.spec, *bench.sample_branch_walk(objective.spec, rng))
         for _ in range(100)
     ])
-    kern = AddTreeKernel.default(objective.spec, objective.index, "se")
+    kern = AddTreeKernel.default(objective.spec, "se")
     blocks = kern.vertex_blocks(X)
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
@@ -425,14 +419,13 @@ def test_diag_and_component_cross_agree_with_gram(zero_dim):
     rng = np.random.default_rng(19)
     for seed in range(10):
         spec = random_tree_spec(seed)
-        index = build_path_index(spec)
-        kern = random_kernel(spec, index, rng, zero_dim=zero_dim)
-        _, X = random_points(spec, index, rng, 8)
+        kern = random_kernel(spec, rng, zero_dim=zero_dim)
+        _, X = random_points(spec, rng, 8)
         np.testing.assert_array_equal(kern.diag(X), np.diag(kern.gram_matrix(X)))
-        for leaf, q in zip(*random_points(spec, index, rng, 3)):
+        for leaf, q in zip(*random_points(spec, rng, 3)):
             total = sum(
-                kern.component_cross(vid, oracles.restrict(index, leaf, q, vid), X)[0]
-                for vid in index.leaf_paths[leaf]
+                kern.component_cross(vid, oracles.restrict(spec, leaf, q, vid), X)[0]
+                for vid in spec.leaf_paths[leaf]
             )
             expected = kern.gram_matrix(q[None, :], X)[0]
             np.testing.assert_allclose(total, expected, rtol=1e-13, atol=0)

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from oracles import random_tree_spec, restrict
 from treebo import bench
 from treebo.tree_space import (
+    TreeSpec,
     TreeSpecError,
     VertexSpec,
-    build_path_index,
     linearize,
     make_tree_spec,
     parse_tree_spec,
@@ -16,21 +16,20 @@ from treebo.tree_space import (
 
 
 def test_parse_two_leaf(two_leaf):
-    spec, index = two_leaf
+    spec = two_leaf
     assert spec.root_id == "root"
     assert spec.total_dimension == 8
-    assert index.n_leaves == 2
-    assert index.effective_dims == (4, 5)
-    assert index.width == 10  # 3 tags + 7 value slots
+    assert spec.n_leaves == 2
+    assert spec.effective_dims == (4, 5)
+    assert spec.width == 10  # 3 tags + 7 value slots
 
 
 def test_parse_single_vertex():
     spec = parse_tree_spec("vertex only 1 0 1\n")
-    index = build_path_index(spec)
     assert spec.root_id == "only"
-    assert index.leaf_ids == ("only",)
-    assert index.leaf_paths == (("only",),)
-    assert index.effective_dims == (1,)
+    assert spec.leaf_ids == ("only",)
+    assert spec.leaf_paths == (("only",),)
+    assert spec.effective_dims == (1,)
 
 
 def test_parse_rejects_duplicate_branch_label():
@@ -75,6 +74,20 @@ def test_parse_rejects_cycle():
         parse_tree_spec(text)
 
 
+def test_tree_spec_built_directly_rejects_a_cycle_from_the_root():
+    # TreeSpec walks the tree when it is built; a cycle must not hang it
+    a, b = VertexSpec("a", 0, ()), VertexSpec("b", 0, ())
+    with pytest.raises(TreeSpecError, match="'a' is reached twice"):
+        TreeSpec((a, b), "a", (("a", 0, "b"), ("b", 0, "a")))
+
+
+def test_parse_rejects_cycle_beside_the_root():
+    # one root, and a cycle that no path from it reaches
+    text = "vertex r 0\nvertex a 0\nvertex b 0\nedge a 0 b\nedge b 0 a\n"
+    with pytest.raises(TreeSpecError, match=r"unreachable from root 'r': \['a', 'b'\]"):
+        parse_tree_spec(text)
+
+
 def test_parse_rejects_unknown_edge_endpoint():
     with pytest.raises(TreeSpecError, match="unknown child 'ghost'"):
         parse_tree_spec("vertex a 0\nedge a 0 ghost\n")
@@ -104,16 +117,12 @@ def test_vertex_rejects_negative_dim():
 
 
 def test_tags_follow_sibling_rank(two_leaf):
-    spec, _ = two_leaf
-    assert spec.vertex("root").tag == 0
-    assert spec.vertex("left").tag == 0
-    assert spec.vertex("right").tag == 1
+    assert two_leaf.tags == {"root": 0, "left": 0, "right": 1}
 
 
 def test_effective_dims_depth3(binary_depth3):
-    _, index = binary_depth3
-    assert index.n_leaves == 4
-    assert index.effective_dims == (2, 2, 2, 2)
+    assert binary_depth3.n_leaves == 4
+    assert binary_depth3.effective_dims == (2, 2, 2, 2)
 
 
 def test_perfect_binary_depth3_dimensions():
@@ -123,15 +132,14 @@ def test_perfect_binary_depth3_dimensions():
         edges.append((f"v{i}", 0, f"v{2 * i + 1}"))
         edges.append((f"v{i}", 1, f"v{2 * i + 2}"))
     spec = make_tree_spec(vertices, edges)
-    index = build_path_index(spec)
-    assert all(d == 3 for d in index.effective_dims)
+    assert all(d == 3 for d in spec.effective_dims)
     assert spec.total_dimension == 3 * 2 ** 2 - 2 == 10
 
 
 def test_linearize_layout_first_leaf(two_leaf):
-    spec, index = two_leaf
-    p = linearize(spec, index, 0, [0.1, 0.2, 0.3, 0.4])
-    assert isinstance(p, np.ndarray) and p.shape == (index.width,)
+    spec = two_leaf
+    p = linearize(spec, 0, [0.1, 0.2, 0.3, 0.4])
+    assert isinstance(p, np.ndarray) and p.shape == (spec.width,)
     assert p[0] == 0.0
     np.testing.assert_array_equal(p[1:3], [0.1, 0.2])
     assert p[3] == 0.0
@@ -141,8 +149,8 @@ def test_linearize_layout_first_leaf(two_leaf):
 
 
 def test_linearize_layout_second_leaf(two_leaf):
-    spec, index = two_leaf
-    p = linearize(spec, index, 1, [0.5, 0.6, 0.7, 0.8, 0.9])
+    spec = two_leaf
+    p = linearize(spec, 1, [0.5, 0.6, 0.7, 0.8, 0.9])
     assert p[0] == 0.0
     np.testing.assert_array_equal(p[1:3], [0.5, 0.6])
     assert p[3] < 0
@@ -152,36 +160,35 @@ def test_linearize_layout_second_leaf(two_leaf):
 
 def test_linearize_single_vertex():
     spec = parse_tree_spec("vertex only 1 0 1\n")
-    index = build_path_index(spec)
-    p = linearize(spec, index, 0, [0.5])
+    p = linearize(spec, 0, [0.5])
     np.testing.assert_array_equal(p, [0.0, 0.5])
 
 
 def test_linearize_rejects_out_of_bounds(two_leaf):
-    spec, index = two_leaf
+    spec = two_leaf
     with pytest.raises(ValueError, match="dimension 1"):
-        linearize(spec, index, 0, [0.0, 5.0, 0.0, 0.0])
+        linearize(spec, 0, [0.0, 5.0, 0.0, 0.0])
 
 
 def test_linearize_rejects_wrong_count(two_leaf):
-    spec, index = two_leaf
+    spec = two_leaf
     with pytest.raises(ValueError, match="expects 4 values"):
-        linearize(spec, index, 0, [0.0, 0.0])
+        linearize(spec, 0, [0.0, 0.0])
 
 
 def test_restrict_active_and_inactive(two_leaf):
-    spec, index = two_leaf
-    p = linearize(spec, index, 0, [0.1, 0.2, 0.3, 0.4])
-    np.testing.assert_array_equal(restrict(index, 0, p, "root"), [0.1, 0.2])
-    np.testing.assert_array_equal(restrict(index, 0, p, "left"), [0.3, 0.4])
-    assert restrict(index, 0, p, "right").size == 0
+    spec = two_leaf
+    p = linearize(spec, 0, [0.1, 0.2, 0.3, 0.4])
+    np.testing.assert_array_equal(restrict(spec, 0, p, "root"), [0.1, 0.2])
+    np.testing.assert_array_equal(restrict(spec, 0, p, "left"), [0.3, 0.4])
+    assert restrict(spec, 0, p, "right").size == 0
 
 
 def test_restrict_unknown_vertex(two_leaf):
-    _, index = two_leaf
-    p = linearize(index.spec, index, 0, [0.0, 0.0, 0.0, 0.0])
+    spec = two_leaf
+    p = linearize(spec, 0, [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(KeyError, match="ghost"):
-        restrict(index, 0, p, "ghost")
+        restrict(spec, 0, p, "ghost")
 
 
 def test_dim0_vertex_empty_restriction_but_matching_tag():
@@ -194,14 +201,13 @@ def test_dim0_vertex_empty_restriction_but_matching_tag():
         ],
         [("r", 0, "a"), ("r", 1, "b")],
     )
-    index = build_path_index(spec)
-    pa = linearize(spec, index, 0, [0.5])
-    pb = linearize(spec, index, 1, [0.5])
-    assert restrict(index, 0, pa, "r").size == 0
-    assert restrict(index, 0, pa, "b").size == 0  # off path: also empty
-    tag_pos = index.offsets["r"][0]
+    pa = linearize(spec, 0, [0.5])
+    pb = linearize(spec, 1, [0.5])
+    assert restrict(spec, 0, pa, "r").size == 0
+    assert restrict(spec, 0, pa, "b").size == 0  # off path: also empty
+    tag_pos = spec.offsets["r"][0]
     assert pa[tag_pos] == pb[tag_pos] == 0.0  # on-path: tags match
-    apos = index.offsets["a"][0]
+    apos = spec.offsets["a"][0]
     assert pa[apos] == 0.0 and pb[apos] < 0  # off-path: negative tag
 
 
@@ -210,27 +216,57 @@ def test_dim0_vertex_empty_restriction_but_matching_tag():
 def test_restrict_on_random_trees(seed):
     # empty exactly off the active leaf's path, the value slots on it
     spec = random_tree_spec(seed)
-    index = build_path_index(spec)
     rng = np.random.default_rng(seed)
     for _ in range(4):
-        leaf, values = bench.sample_uniform_point(index, rng)
-        p = linearize(spec, index, leaf, values)
-        for vid in index.bfs_order:
-            got = restrict(index, leaf, p, vid)
-            if vid in index.leaf_paths[leaf]:
-                _, vs, ve = index.offsets[vid]
+        leaf, values = bench.sample_uniform_point(spec, rng)
+        p = linearize(spec, leaf, values)
+        for vid in spec.bfs_order:
+            got = restrict(spec, leaf, p, vid)
+            if vid in spec.leaf_paths[leaf]:
+                _, vs, ve = spec.offsets[vid]
                 np.testing.assert_array_equal(got, p[vs:ve])
                 assert got.size == spec.vertex(vid).dim
             else:
                 assert got.size == 0
 
 
+def test_path_structure_on_random_trees():
+    # from the definitions: BFS with children in label order, 1 + dim slots
+    # per vertex, leaves in BFS order with their paths up the parent edges,
+    # and each tag the label of the incoming edge
+    for seed in range(40):
+        spec = random_tree_spec(seed)
+        parent = {child: (par, lab) for par, lab, child in spec.edges}
+        order, queue = [], [spec.root_id]
+        while queue:
+            order.append(queue.pop(0))
+            queue += [child for _, child in sorted(
+                (lab, child) for par, lab, child in spec.edges if par == order[-1]
+            )]
+        assert spec.bfs_order == tuple(order)
+        dims = [spec.vertex(vid).dim for vid in order]
+        starts = np.cumsum([0] + [1 + d for d in dims])
+        assert spec.offsets == {
+            vid: (int(a), int(a) + 1, int(b)) for vid, a, b in zip(order, starts, starts[1:])
+        }
+        assert spec.width == starts[-1]
+        assert spec.leaf_ids == tuple(vid for vid in order if not spec.children(vid))
+        for leaf, path in zip(spec.leaf_ids, spec.leaf_paths):
+            up = [leaf]
+            while up[-1] in parent:
+                up.append(parent[up[-1]][0])
+            assert path == tuple(reversed(up)) and path[0] == spec.root_id
+        assert spec.effective_dims == tuple(
+            sum(spec.vertex(vid).dim for vid in path) for path in spec.leaf_paths
+        )
+        assert spec.tags == {vid: parent[vid][1] if vid in parent else 0 for vid in order}
+
+
 def test_effective_dim_bounded_by_total_dimension():
     for seed in range(40):
         spec = random_tree_spec(seed)
-        index = build_path_index(spec)
         single_path = all(len(spec.children(v.id)) <= 1 for v in spec.vertices)
-        for d in index.effective_dims:
+        for d in spec.effective_dims:
             if single_path:
                 assert d == spec.total_dimension
             else:
@@ -240,34 +276,34 @@ def test_effective_dim_bounded_by_total_dimension():
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_restriction_round_trip(two_leaf, data):
-    spec, index = two_leaf
-    leaf = data.draw(st.integers(0, index.n_leaves - 1))
-    bounds = index.leaf_bounds(leaf)
+    spec = two_leaf
+    leaf = data.draw(st.integers(0, spec.n_leaves - 1))
+    bounds = spec.leaf_bounds(leaf)
     values = np.array(
         [data.draw(st.floats(lo, hi, allow_nan=False)) for lo, hi in bounds]
     )
-    p = linearize(spec, index, leaf, values)
-    chunks = [restrict(index, leaf, p, vid) for vid in index.leaf_paths[leaf]]
+    p = linearize(spec, leaf, values)
+    chunks = [restrict(spec, leaf, p, vid) for vid in spec.leaf_paths[leaf]]
     np.testing.assert_array_equal(np.concatenate(chunks), values)
 
 
 def test_tag_slots_mark_path_membership(two_leaf):
-    spec, index = two_leaf
+    spec = two_leaf
     rank = {spec.root_id: 0}
-    for vid in index.bfs_order:
+    for vid in spec.bfs_order:
         for k, (_, child) in enumerate(spec.children(vid)):
             rank[child] = k
     rng = np.random.default_rng(0)
     for _ in range(200):
-        leaf, values = bench.sample_uniform_point(index, rng)
-        p = linearize(spec, index, leaf, values)
-        on_path = set(index.leaf_paths[leaf])
-        for vid in index.bfs_order:
-            tag = p[index.offsets[vid][0]]
+        leaf, values = bench.sample_uniform_point(spec, rng)
+        p = linearize(spec, leaf, values)
+        on_path = set(spec.leaf_paths[leaf])
+        for vid in spec.bfs_order:
+            tag = p[spec.offsets[vid][0]]
             if vid in on_path:
                 assert tag == rank[vid]
             else:
                 assert tag < 0
         # linearize is pure: a second call gives a bit-identical row
-        again = linearize(spec, index, leaf, values)
+        again = linearize(spec, leaf, values)
         assert again.tobytes() == p.tobytes()
