@@ -27,7 +27,9 @@ about half a second and 20 MB.
 plus a mutual-information noise term.  The inflation functions grow
 logarithmically, ``g(t) = 1 + gamma_g * log(1 + t)`` (lengthscale deflation)
 and ``b(t) = 1 + gamma_b * log(1 + t)`` (norm-bound growth); zero rates give
-the constant schedule ``g = b = 1``.
+the constant schedule ``g = b = 1``.  The GP and beta assume one noise
+variance, the data's noise plus any jitter, and the information gain reads
+the model's own Cholesky factor.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import scipy
 from .gp import (
     ComponentStack,
     GpModel,
-    _cholesky,
     component_posterior_batch,
     component_stack,
     stacked_component_posterior,
@@ -142,25 +143,20 @@ def beta(schedule: UcbSchedule, t: float, info_gain: float, noise_std: float) ->
     return root * root
 
 
-def mutual_information(model: GpModel, noise_variance: float) -> float:
+def mutual_information(model: GpModel) -> float:
     """Information between the observations and the prior: half the
-    log-determinant of I + K / sigma^2 over the current data, with sigma^2
-    the positive ``noise_variance`` (:func:`propose` passes the model's
-    noise floored at its ``noise_floor``).
+    log-determinant of I + K / sigma^2, with sigma^2 the model's noise plus
+    its jitter, the one noise variance of the GP and of beta, which
+    ``model.L`` factors on the diagonal.  As det(K + sigma^2 I) = sigma^(2n)
+    det(I + K / sigma^2), it is sum(log diag L) - n/2 log sigma^2 on the
+    model's own factor L, clamped at 0 against round-off.
     """
     if model.n == 0:
         return 0.0
-    if not noise_variance > 0:  # NaN fails too
-        raise ValueError(
-            f"mutual information needs a positive noise variance, got {noise_variance}; "
-            "floor sigma^2"
-        )
-    M = model.K / noise_variance
-    M.flat[:: model.n + 1] += 1.0
-    L, info = _cholesky(M)
-    if info:
-        raise np.linalg.LinAlgError("I + K / sigma^2 is not positive definite")
-    return float(np.sum(np.log(np.diag(L))))
+    s2 = model.data.noise + model.jitter
+    if not s2 > 0:
+        raise ValueError(f"mutual information needs a positive noise variance, got {s2}")
+    return max(0.0, float(np.log(np.diag(model.L)).sum()) - 0.5 * model.n * math.log(s2))
 
 
 @dataclass(frozen=True)
@@ -375,16 +371,15 @@ def propose(
     t: int,
     n_starts: int,
     scan_budget: int,
-    noise_floor: float,
 ) -> Proposal:
     """Run one round of per-vertex UCB maximization and pick the best path.
 
     Vertices are maximized independently, all vertices of one dimension in
     one batched ascent (see the module docstring) from the best
-    ``n_starts`` of ``scan_budget`` scan points; beta floors the noise
-    variance at ``noise_floor`` (``BoConfig`` holds all three).  The result is
-    deterministic.  Ties between equal path scores resolve to the lowest
-    path index.
+    ``n_starts`` of ``scan_budget`` scan points (``BoConfig`` holds both);
+    beta reads the model's one noise variance, its noise plus any jitter.
+    The result is deterministic.  Ties between equal path scores resolve to
+    the lowest path index.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -392,9 +387,8 @@ def propose(
         raise ValueError("optimizer budget must allow at least one evaluation")
     spec = model.kernel.spec
 
-    s2 = max(model.data.noise, noise_floor)
-    info = mutual_information(model, s2)
-    beta_value = beta(schedule, t, info, math.sqrt(s2))
+    noise_std = math.sqrt(model.data.noise + model.jitter)
+    beta_value = beta(schedule, t, mutual_information(model), noise_std)
     sqrt_beta = math.sqrt(beta_value)
 
     by_dim: dict[int, list[str]] = {}

@@ -234,9 +234,12 @@ class BoConfig:
     norm bound); fitted lengthscales are always capped by the min rule at
     ``theta0 / g(t)``, which stops evidence maximization from flattening a
     barely-observed region into false certainty.  The fit's bounds are
-    :data:`gp.LENGTHSCALE_BOUNDS` and :data:`gp.SCALE_BOUNDS`.  A config
-    whose schedule, acquisition, noise, fit or kernel settings are invalid
-    raises ``ValueError`` when it is built.
+    :data:`gp.LENGTHSCALE_BOUNDS` and :data:`gp.SCALE_BOUNDS`.
+    ``noise_variance`` is the one noise variance: the GP conditions on it,
+    and beta's information gain and noise term read it too, plus any
+    jitter a factorization needed, so it must be positive.  A config whose
+    schedule, acquisition, noise, fit or kernel settings are invalid raises
+    ``ValueError`` when it is built.
     """
 
     n_init: int | None = None
@@ -247,7 +250,6 @@ class BoConfig:
     gamma_g: float = 0.02
     gamma_b: float = 0.3
     noise_variance: float = 1e-8
-    noise_floor: float = 1e-6
     acq_starts: int = 5
     acq_scan: int = 32
     kernel_kind: str = "se"
@@ -260,12 +262,10 @@ class BoConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_init is not None and not self.n_init >= 0:
             raise ValueError(f"n_init must be >= 0, got {self.n_init}")
-        if not (self.noise_variance >= 0 and math.isfinite(self.noise_variance)):
+        if not (self.noise_variance > 0 and math.isfinite(self.noise_variance)):
             raise ValueError(
-                f"noise_variance must be non-negative and finite, got {self.noise_variance}"
+                f"noise_variance must be positive and finite, got {self.noise_variance}"
             )
-        if not (self.noise_floor > 0 and math.isfinite(self.noise_floor)):
-            raise ValueError(f"noise_floor must be positive and finite, got {self.noise_floor}")
         if self.kernel_kind not in KERNEL_KINDS:
             raise ValueError(f"kernel_kind must be one of {KERNEL_KINDS}, got {self.kernel_kind!r}")
         if self.zero_dim not in ZERO_DIM_POLICIES:
@@ -480,9 +480,7 @@ class _GpLoop:
             self.refit(t, rng_fit)
         model = gp.fit(self.kernel, self.data)
         return propose(
-            model, self.schedule, t,
-            n_starts=config.acq_starts, scan_budget=config.acq_scan,
-            noise_floor=config.noise_floor,
+            model, self.schedule, t, n_starts=config.acq_starts, scan_budget=config.acq_scan
         )
 
     def observe(self, leaf: int, values, y: float) -> None:

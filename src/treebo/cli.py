@@ -86,11 +86,13 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _add_objective_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--objective", default="jenatton", help="builtin objective name")
+    """None marks a flag not given, so a flag the objective ignores is an error."""
+    p.add_argument("--objective", default=None,
+                   help="builtin objective name (default: jenatton); not with --tree-spec")
     p.add_argument("--tree-spec", default=None,
                    help="tree-spec file; runs a seeded quadratic objective on it")
-    p.add_argument("--objective-seed", type=int, default=0,
-                   help="seed of the quadratic objective used with --tree-spec")
+    p.add_argument("--objective-seed", type=int, default=None,
+                   help="seed of the quadratic objective on --tree-spec (default: 0)")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -111,9 +113,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     flag("--delta", "delta", "confidence level in (0,1)", type=float)
     flag("--gamma-g", "gamma_g", "lengthscale-deflation rate; 0 disables adaptation", type=float)
     flag("--gamma-b", "gamma_b", "norm-bound growth rate; 0 disables adaptation", type=float)
-    flag("--noise-variance", "noise_variance", "observation noise variance assumed by the GP",
-         type=float)
-    flag("--noise-floor", "noise_floor", "variance floor for information-gain terms", type=float)
+    flag("--noise-variance", "noise_variance", "observation noise variance, > 0: the GP "
+         "assumes it, and so do beta's information gain and noise term", type=float)
     flag("--acq-starts", "acq_starts", "local-search starts per vertex acquisition", type=int)
     flag("--acq-scan", "acq_scan", "low-discrepancy scan budget per vertex acquisition",
          type=int)
@@ -146,7 +147,10 @@ def _make_out_dir(text: str) -> Path:
 
 
 def _build_objective(payload: dict):
+    name, seed = payload.get("objective"), payload.get("objective_seed")
     if payload.get("tree_spec"):
+        if name is not None:
+            raise UserError("--objective and --tree-spec both name the objective; give one")
         path = Path(payload["tree_spec"])
         try:
             spec = parse_tree_spec(path.read_text())
@@ -156,12 +160,13 @@ def _build_objective(payload: dict):
             raise UserError(f"tree-spec file {path} is not UTF-8 text") from None
         except TreeSpecError as exc:
             raise UserError(f"{path}: {exc}") from None
-        seed = payload.get("objective_seed", 0)
+        seed = 0 if seed is None else seed
         if seed < 0:
             raise UserError(f"--objective-seed must be >= 0, got {seed}")
         return quadratic_objective(spec, seed, name=f"tree:{path.name}")
-    name = payload.get("objective", "jenatton")
-    if name == "jenatton":
+    if seed is not None:
+        raise UserError("--objective-seed seeds the objective on --tree-spec; it needs that flag")
+    if name in (None, "jenatton"):
         return jenatton_objective()
     raise UserError(f"unknown objective {name!r}")
 

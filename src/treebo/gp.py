@@ -196,14 +196,17 @@ class Dataset:
 
 
 def _check_width(kernel: AddTreeKernel, A: np.ndarray, what: str) -> None:
-    """Reject ``A`` unless it is a matrix of rows of ``kernel.spec.width``
-    slots, the width of the kernel's layout: the kernel would read another
-    space's rows at the wrong slots."""
+    """Reject ``A`` unless it is a matrix of finite rows of
+    ``kernel.spec.width`` slots: the kernel would read another space's rows
+    at the wrong slots, and a NaN slot would fail a fit or a posterior later."""
     if A.ndim != 2 or A.shape[1] != kernel.spec.width:
         raise ValueError(
             f"{what} of shape {A.shape} is not a matrix of "
             f"{kernel.spec.width}-slot rows, the kernel's layout"
         )
+    if not np.isfinite(A).all():
+        row, col = np.argwhere(~np.isfinite(A))[0]
+        raise ValueError(f"{what} row {row} slot {col} is not finite: {A[row, col]}")
 
 
 def _cholesky(A: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, int]:
@@ -268,20 +271,21 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GpModel:
-    """A fitted GP: kernel, data and the Gram matrix ``K`` of ``data.X``.
+    """A fitted GP: kernel, data and the factors every prediction reads.
 
-    ``L`` is the lower (possibly jittered) Cholesky factor of K_y = K +
-    noise·I, Fortran-ordered as LAPACK reads it, and ``alpha`` is
-    K_y^{-1} y.  Posterior means read ``alpha`` and every variance comes
-    from ``L``.  ``jitter`` is the diagonal jitter the factorization needed
-    (0 when none).  Treat instances as immutable after :func:`fit`, apart
-    from ``clamp_count``: posterior queries add the number of numerically
+    ``L`` is the lower Cholesky factor of K + σ²·I, K the Gram matrix of
+    ``data.X`` and σ² = ``data.noise + jitter``, with ``jitter`` the
+    diagonal jitter the factorization needed (0 when none): the one noise
+    variance of the GP and of β.  It is Fortran-ordered as LAPACK reads it,
+    and ``alpha`` is (K + σ²·I)^{-1} y.  Posterior means read ``alpha``;
+    every variance and β's information gain come from ``L``.
+    Treat instances as immutable after :func:`fit`, apart from
+    ``clamp_count``: posterior queries add the number of numerically
     negative predictive variances they clamp to zero.
     """
 
     kernel: AddTreeKernel
     data: Dataset
-    K: np.ndarray
     L: np.ndarray
     alpha: np.ndarray
     jitter: float
@@ -301,13 +305,11 @@ def fit(kernel: AddTreeKernel, data: Dataset) -> GpModel:
     """
     _check_width(kernel, data.X, "data")
     if len(data) == 0:  # LAPACK's dpotrs rejects 0 x 0 inputs
-        empty = np.empty((0, 0))
-        return GpModel(kernel, data, empty, empty, np.empty(0), jitter=0.0)
-    K = kernel.gram_matrix(data.X)
-    K_y = K.copy()
+        return GpModel(kernel, data, np.empty((0, 0)), np.empty(0), jitter=0.0)
+    K_y = kernel.gram_matrix(data.X)
     K_y.flat[:: len(data) + 1] += data.noise
     L, jitter = _cholesky_with_jitter(K_y)
-    return GpModel(kernel, data, K, L, _solve_lower(L, data.targets), jitter)
+    return GpModel(kernel, data, L, _solve_lower(L, data.targets), jitter)
 
 
 def _predict(model: GpModel, C: np.ndarray, prior: float | np.ndarray) -> tuple[np.ndarray, ...]:

@@ -93,10 +93,13 @@ class TreeSpec:
     """A validated rooted tree with branch-labelled edges, and its path
     structure.
 
-    ``edges`` maps ``(parent_id, branch_label)`` to the child id.  Instances
-    should be built through :func:`make_tree_spec` or :func:`parse_tree_spec`,
-    which validate the structure.  A TreeSpec is immutable and safe to share
-    across threads.
+    ``edges`` maps ``(parent_id, branch_label)`` to the child id.  Building
+    one validates it, raising :class:`TreeSpecError` unless the vertex ids
+    are unique, every edge joins known vertices, each vertex's branch labels
+    are unique and contiguous from 0, no vertex has two parents, and every
+    vertex is reachable from the root (no cycle, one component).
+    :func:`make_tree_spec` finds the root for you.  A TreeSpec is immutable
+    and safe to share across threads.
 
     The path structure is derived from the other fields by one BFS walk
     when the spec is built (children in ascending label order; leaves
@@ -125,11 +128,32 @@ class TreeSpec:
     tags: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_id = {v.id: v for v in self.vertices}
+        by_id: dict[str, VertexSpec] = {}
+        for v in self.vertices:
+            if v.id in by_id:
+                raise TreeSpecError(f"duplicate vertex id {v.id!r}")
+            by_id[v.id] = v
+        if self.root_id not in by_id:
+            raise TreeSpecError(f"unknown root {self.root_id!r}")
         children: dict[str, list[tuple[int, str]]] = {}
+        has_parent: set[str] = set()
         for par, lab, child in self.edges:
+            for end, role in ((par, "parent"), (child, "child")):
+                if end not in by_id:
+                    raise TreeSpecError(f"edge ({par!r}, {lab}, {child!r}): unknown {role} {end!r}")
+            if child in has_parent:
+                raise TreeSpecError(f"vertex {child!r} has more than one parent")
+            has_parent.add(child)
             children.setdefault(par, []).append((lab, child))
         children = {par: tuple(sorted(out)) for par, out in children.items()}
+        for par, out in children.items():
+            labels = [lab for lab, _ in out]
+            if labels != list(range(len(labels))):
+                dup = [a for a, b in zip(labels, labels[1:]) if a == b]
+                raise TreeSpecError(
+                    f"vertex {par!r}: duplicate branch label {dup[0]}" if dup else
+                    f"vertex {par!r}: branch labels {labels} are not contiguous from 0"
+                )
 
         order: list[str] = []
         offsets: dict[str, tuple[int, int, int]] = {}
@@ -206,44 +230,10 @@ def make_tree_spec(
     vertices: list[VertexSpec] | tuple[VertexSpec, ...],
     edges: list[tuple[str, int, str]],
 ) -> TreeSpec:
-    """Validate raw vertices/edges and return their TreeSpec.
-
-    Checks: unique vertex ids, edges reference known vertices, branch labels
-    of each vertex unique and contiguous from 0, exactly one root, every
-    non-root vertex has exactly one parent, and (in the TreeSpec's own walk)
-    all vertices are reachable from the root (no cycles, single component).
-    """
-    ids = [v.id for v in vertices]
-    if len(ids) != len(set(ids)):
-        dup = next(i for i in ids if ids.count(i) > 1)
-        raise TreeSpecError(f"duplicate vertex id {dup!r}")
-    known = set(ids)
-
-    parents: dict[str, str] = {}
-    out_edges: dict[str, list[tuple[int, str]]] = {}
-    for par, lab, child in edges:
-        if par not in known:
-            raise TreeSpecError(f"edge ({par!r}, {lab}, {child!r}): unknown parent {par!r}")
-        if child not in known:
-            raise TreeSpecError(f"edge ({par!r}, {lab}, {child!r}): unknown child {child!r}")
-        if lab < 0:
-            raise TreeSpecError(f"edge ({par!r}, {lab}, {child!r}): negative branch label")
-        if child in parents:
-            raise TreeSpecError(f"vertex {child!r} has more than one parent")
-        parents[child] = par
-        out_edges.setdefault(par, []).append((lab, child))
-
-    for par, out in out_edges.items():
-        labels = [lab for lab, _ in out]
-        if len(labels) != len(set(labels)):
-            dup_lab = next(l for l in labels if labels.count(l) > 1)
-            raise TreeSpecError(f"vertex {par!r}: duplicate branch label {dup_lab}")
-        if sorted(labels) != list(range(len(labels))):
-            raise TreeSpecError(
-                f"vertex {par!r}: branch labels {sorted(labels)} are not contiguous from 0"
-            )
-
-    roots = [i for i in ids if i not in parents]
+    """The TreeSpec of raw vertices/edges, rooted at the one vertex that is
+    no edge's child; :class:`TreeSpec` validates the rest."""
+    children = {child for _, _, child in edges}
+    roots = list(dict.fromkeys(v.id for v in vertices if v.id not in children))
     if len(roots) != 1:
         raise TreeSpecError(f"expected exactly one root, found {roots!r}")
     return TreeSpec(vertices=tuple(vertices), root_id=roots[0], edges=tuple(edges))

@@ -110,7 +110,7 @@ def add_tree(kernel, leaf_x, x, leaf_y, y) -> float:
 def log_evidence(model) -> float:
     """Log marginal likelihood of a fitted model's data from dense algebra on
     ``K + noise * I`` (without any jitter the fit added)."""
-    K_y = model.K + model.data.noise * np.eye(model.n)
+    K_y = model.kernel.gram_matrix(model.data.X) + model.data.noise * np.eye(model.n)
     y = model.data.targets
     return float(
         -0.5 * y @ np.linalg.solve(K_y, y)

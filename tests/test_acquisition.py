@@ -10,12 +10,12 @@ from oracles import restrict
 from treebo import acquisition as acq
 from treebo import bench, gp
 from treebo.kernels import AddTreeKernel
-from treebo.tree_space import linearize
+from treebo.tree_space import VertexSpec, linearize, make_tree_spec
 
 
-# propose's search budget and noise floor as a BO run passes them
+# propose's search budget as a BO run passes it
 RUN = bench.BoConfig()
-ACQ_ARGS = dict(n_starts=RUN.acq_starts, scan_budget=RUN.acq_scan, noise_floor=RUN.noise_floor)
+ACQ_ARGS = dict(n_starts=RUN.acq_starts, scan_budget=RUN.acq_scan)
 
 
 def zero_rate_schedule(d):
@@ -109,58 +109,85 @@ def test_lengthscale_cap_follows_g():
 def test_mutual_information_empty_and_single(two_leaf):
     spec = two_leaf
     model = empty_model(spec)
-    assert acq.mutual_information(model, noise_variance=1.0) == 0.0
+    assert acq.mutual_information(model) == 0.0
 
     # one observation with k(x,x) = 1 and unit noise: 0.5 * log 2
     single = make_single_vertex_model()
-    assert acq.mutual_information(single, noise_variance=1.0) == pytest.approx(
-        0.5 * math.log(2.0), rel=1e-12
-    )
+    assert acq.mutual_information(single) == pytest.approx(0.5 * math.log(2.0), rel=1e-12)
+
+    # a kernel that is 0 everywhere gains nothing: sum(log diag L) and
+    # n/2 log sigma^2 cancel, and round-off must not take the gain below 0
+    spec = make_tree_spec([VertexSpec("v", 0, ())], [])
+    kern = AddTreeKernel.default(spec, zero_dim="zero")
+    X = np.repeat(linearize(spec, 0, [])[None], 3, axis=0)
+    for noise in np.geomspace(1e-12, 10.0, 60):
+        flat = gp.fit(kern, gp.Dataset.create(X, np.zeros(3), noise=noise))
+        assert 0.0 <= acq.mutual_information(flat) < 1e-14
 
 
-def make_single_vertex_model():
-    from treebo.tree_space import VertexSpec, make_tree_spec
-
+def make_single_vertex_model(noise=1.0):
     spec = make_tree_spec([VertexSpec("v", 1, ((-1.0, 1.0),))], [])
     kern = AddTreeKernel.default(spec)
     p = linearize(spec, 0, [0.0])
-    return gp.fit(kern, gp.Dataset.create([p], [0.3], noise=1.0))
+    return gp.fit(kern, gp.Dataset.create([p], [0.3], noise=noise))
 
 
 def test_mutual_information_matches_eigen_oracle():
+    # half the log-determinant of I + K / sigma^2 from K's eigenvalues, with
+    # sigma^2 the noise plus the jitter: on well-conditioned data and on
+    # repeated rows with zero noise, whose factorization needs jitter.  An
+    # eigenvalue is exact to about n * eps * |K| only, which is that much
+    # over sigma^2 in its log term.
     spec, kern, data, _ = random_gp_instance(6, n=10, noise=0.3)
-    model = gp.fit(kern, data)
-    mi = acq.mutual_information(model, 0.3)
-    eigs = np.linalg.eigvalsh(model.K)
-    expected = 0.5 * float(np.sum(np.log1p(np.maximum(eigs, 0.0) / 0.3)))
-    assert mi == pytest.approx(expected, abs=1e-8)
-    assert mi >= 0.0
-
-
-def test_mutual_information_rejects_zero_noise():
-    model = make_single_vertex_model()
-    for noise_variance in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="floor"):
-            acq.mutual_information(model, noise_variance=noise_variance)
+    repeated = gp.Dataset.create(np.repeat(data.X[:4], 2, axis=0), np.zeros(8), noise=0.0)
+    for data in (data, repeated):
+        model = gp.fit(kern, data)
+        s2 = data.noise + model.jitter
+        eigs = np.linalg.eigvalsh(kern.gram_matrix(data.X))
+        expected = 0.5 * float(np.sum(np.log1p(np.maximum(eigs, 0.0) / s2)))
+        tol = model.n * np.finfo(float).eps * eigs.max() / s2
+        assert acq.mutual_information(model) == pytest.approx(expected, abs=tol)
+    assert model.jitter > 0
 
 
 @pytest.mark.parametrize(
-    "n, noise, floor",
-    [(6, 1e-8, 1e-6), (6, 0.3, 1e-6), (0, 0.3, 1e-6), (0, 1e-8, 1e-6)],
-    ids=["below-floor", "above-floor", "empty-above-floor", "empty-below-floor"],
+    "noise, rel", [(1e-2, 1e-12), (0.3, 1e-12), (1e-8, 1e-8)], ids=["1e-2", "0.3", "1e-8"]
 )
-def test_propose_beta_floors_the_noise_variance(jenatton, n, noise, floor):
-    # beta's information gain and noise term both use max(noise, floor), on
-    # an empty model too (its information gain is 0)
+def test_mutual_information_matches_the_scaled_gram_factor(noise, rel):
+    # the gain read from the model's own factor of K + sigma^2 I equals the
+    # log-determinant of the separately factored I + K / sigma^2
+    for seed in range(5):
+        _, kern, data, _ = random_gp_instance(seed, n=12, noise=noise)
+        model = gp.fit(kern, data)
+        M = np.eye(12) + kern.gram_matrix(data.X) / (noise + model.jitter)
+        expected = float(np.log(np.diag(np.linalg.cholesky(M))).sum())
+        assert acq.mutual_information(model) == pytest.approx(expected, rel=rel)
+
+
+def test_mutual_information_rejects_zero_noise():
+    # with no noise and no jitter, I + K / sigma^2 does not exist
+    model = make_single_vertex_model(noise=0.0)
+    assert model.jitter == 0.0
+    with pytest.raises(ValueError, match="positive noise variance, got 0.0"):
+        acq.mutual_information(model)
+
+
+@pytest.mark.parametrize(
+    "n, noise", [(6, 1e-8), (6, 0.3), (0, 0.3), (0, 1e-8)],
+    ids=["small-noise", "large-noise", "empty-large-noise", "empty-small-noise"],
+)
+def test_propose_beta_reads_the_model_noise(jenatton, n, noise):
+    # beta's information gain and noise term both use the noise the model
+    # conditions on, on an empty model too (its information gain is 0)
     spec = jenatton.spec
     rng = np.random.default_rng(31)
     _, X = random_points(spec, rng, n)
     kern = AddTreeKernel.default(spec)
     model = gp.fit(kern, gp.Dataset.create(X, rng.normal(size=n), noise=noise))
+    assert model.jitter == 0.0
     sched = acq.UcbSchedule(theta0=1.0, B0=1.0, delta=0.1, gamma_g=0.02, gamma_b=0.3, d=3)
-    prop = acq.propose(model, sched, t=n + 1, n_starts=1, scan_budget=4, noise_floor=floor)
-    s2 = max(noise, floor)
-    expected = acq.beta(sched, n + 1, acq.mutual_information(model, s2), math.sqrt(s2))
+    prop = acq.propose(model, sched, t=n + 1, n_starts=1, scan_budget=4)
+    expected = acq.beta(sched, n + 1, acq.mutual_information(model), math.sqrt(noise))
     assert prop.beta == expected
 
 

@@ -343,15 +343,14 @@ def test_bo_config_rejects_bad_schedule_settings():
         ("theta0", 0.0), ("theta0", -1.0), ("theta0", math.inf), ("theta0", math.nan),
         ("B0", -1.0), ("B0", math.inf), ("B0", math.nan),
         ("acq_starts", 0), ("acq_scan", 0), ("restarts", 0), ("restarts", -2),
-        ("noise_variance", -1.0), ("noise_variance", math.inf), ("noise_variance", math.nan),
-        ("noise_floor", 0.0), ("noise_floor", -1.0), ("noise_floor", math.inf),
-        ("noise_floor", math.nan), ("n_init", -3), ("n_init", -1),
+        ("noise_variance", 0.0), ("noise_variance", -1.0), ("noise_variance", math.inf),
+        ("noise_variance", math.nan), ("n_init", -3), ("n_init", -1),
         ("kernel_kind", "cubic"), ("zero_dim", "bogus"),
     ]:
         with pytest.raises(ValueError, match=field):
             BoConfig(**{field: value})
     BoConfig(B0=0.0)  # a zero norm bound is allowed
-    BoConfig(noise_variance=0.0, restarts=1, acq_starts=1, acq_scan=1, n_init=0)
+    BoConfig(noise_variance=1e-300, restarts=1, acq_starts=1, acq_scan=1, n_init=0)
 
 
 def test_every_bo_config_field_is_read():

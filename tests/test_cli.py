@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -159,12 +161,12 @@ def test_bad_flag_is_user_error(capsys):
         ("--acq-scan", "0"),
         ("--restarts", "0"),
         ("--noise-variance", "-1"),
-        ("--noise-variance", "0", "--noise-floor", "0"),
+        ("--noise-variance", "0"),
         ("--n-init", "-3"),
     ],
     ids=[
         "rate", "delta", "theta0", "b0", "acq-starts", "acq-scan", "restarts", "noise-variance",
-        "noise-floor", "n-init",
+        "zero-noise-variance", "n-init",
     ],
 )
 def test_bad_schedule_settings_are_user_errors(tmp_path, capsys, command, flags):
@@ -179,6 +181,45 @@ def test_config_flag_defaults_are_bo_config_defaults():
     parser = cli._build_parser()
     for argv in (["run", "--out", "X"], ["regression"]):
         assert cli._config_from_args(parser.parse_args(argv)) == BoConfig()
+
+
+def test_config_flags_are_exactly_the_bo_config_fields():
+    # _config_from_args drops names that are not fields, so a flag left
+    # behind by a removed field would parse and do nothing
+    fields = sorted(f.name for f in dataclasses.fields(BoConfig))
+    flags = argparse.ArgumentParser(add_help=False)
+    cli._add_config_flags(flags)
+    assert sorted(action.dest for action in flags._actions) == fields
+    parser = cli._build_parser()  # and both subcommands take all of them
+    for argv in (["run", "--out", "X"], ["regression"]):
+        assert set(fields) <= set(vars(parser.parse_args(argv)))
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("run", ["--objective-seed", "-5"], "--objective-seed"),
+        ("run", ["--objective-seed", "3"], "--objective-seed"),
+        ("run", ["--tree-spec", str(DATA / "two_leaf.tree"), "--objective", "jenatton"],
+         "--objective and --tree-spec"),
+        ("regression", ["--objective-seed", "0"], "--objective-seed"),
+        ("regression", ["--tree-spec", str(DATA / "two_leaf.tree"), "--objective", "jenatton"],
+         "--objective and --tree-spec"),
+    ],
+    ids=["run-negative-seed", "run-seed", "run-both", "regression-seed", "regression-both"],
+)
+def test_objective_flag_the_objective_ignores_is_user_error(
+    tmp_path, capsys, command, flags, message
+):
+    # the seed only seeds the objective on a tree spec, and a tree spec
+    # replaces the builtin objective: either flag alone would do nothing
+    out = tmp_path / "o"
+    argv = FAST if command == "run" else ["--train-sizes", "4", "--test-size", "1",
+                                          "--seeds", "0", "--restarts", "1"]
+    assert run_cli(command, *flags, *argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and message in err
+    assert not out.exists()
 
 
 def test_run_on_tree_spec_file(tmp_path):

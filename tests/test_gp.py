@@ -32,7 +32,7 @@ def test_fit_single_observation_closed_form():
     p = linearize(spec, 0, [0.5, -0.5])
     data = gp.Dataset.create([p], [3.0], noise=0.0)
     model = gp.fit(kern, data)
-    np.testing.assert_allclose(model.K + data.noise, [[2.0]])
+    np.testing.assert_allclose(model.L @ model.L.T, [[2.0]])
     np.testing.assert_allclose(model.alpha, [1.5])
     assert model.jitter == 0.0
 
@@ -54,7 +54,7 @@ def test_fit_factorization_reconstructs(jenatton):
     _, X = random_points(spec, rng, 20)
     data = gp.Dataset.create(X, rng.normal(size=20), noise=1e-6)
     model = gp.fit(kern, data)
-    K_y = model.K + (data.noise + model.jitter) * np.eye(20)
+    K_y = kern.gram_matrix(data.X) + (data.noise + model.jitter) * np.eye(20)
     np.testing.assert_array_equal(model.L, np.tril(model.L))
     np.testing.assert_allclose(model.L @ model.L.T, K_y, rtol=0, atol=1e-12 * K_y.max())
     np.testing.assert_allclose(K_y @ model.alpha, data.targets, rtol=0, atol=1e-8)
@@ -135,6 +135,25 @@ def test_posterior_rejects_queries_of_another_width(jenatton):
             gp.posterior(model, data.X)
         with pytest.raises(ValueError, match="is not a matrix"):
             gp.posterior(model, X[0])
+
+
+def test_every_entry_point_rejects_non_finite_slots(jenatton):
+    # a NaN or inf slot reached the fit as a FactorizationError or scipy's
+    # "must not contain infs or NaNs", and a query as NaN means and variances
+    kern = AddTreeKernel.default(jenatton.spec)
+    _, X = random_points(jenatton.spec, np.random.default_rng(2), 4)
+    model = gp.fit(kern, gp.Dataset.create(X, np.arange(4.0), noise=1e-2))
+    for bad in (math.nan, math.inf, -math.inf):
+        Y = X.copy()
+        Y[2, 5] = bad
+        data = gp.Dataset.create(Y, np.arange(4.0), noise=1e-2)
+        message = f"row 2 slot 5 is not finite: {bad}"
+        with pytest.raises(ValueError, match="data " + message):
+            gp.fit(kern, data)
+        with pytest.raises(ValueError, match="data " + message):
+            gp.fit_hyperparameters(kern, data, restarts=1)
+        with pytest.raises(ValueError, match="query " + message):
+            gp.posterior(model, Y)
 
 
 def test_posterior_interpolates_noiseless(jenatton):
@@ -476,7 +495,9 @@ def test_component_stack_factor_is_the_inverse_block():
     for seed in range(10):
         spec, kern, data, leaves = random_gp_instance(seed, n=14, noise=1e-2, max_dim=3)
         model = gp.fit(kern, data)
-        K_y_inv = np.linalg.inv(model.K + (data.noise + model.jitter) * np.eye(model.n))
+        K_y_inv = np.linalg.inv(
+            kern.gram_matrix(data.X) + (data.noise + model.jitter) * np.eye(model.n)
+        )
         by_dim = {}
         for v in spec.vertices:
             if v.dim:
@@ -581,7 +602,7 @@ def test_lml_standard_normal_evidence():
 def test_lml_zero_targets_drop_quadratic_term():
     spec, kern, data, _ = random_gp_instance(3, n=8)
     data = gp.Dataset(X=data.X, targets=np.zeros(8), noise=data.noise)
-    K_y = gp.fit(kern, data).K + data.noise * np.eye(8)
+    K_y = kern.gram_matrix(data.X) + data.noise * np.eye(8)
     expected = -0.5 * np.linalg.slogdet(K_y)[1] - 4 * math.log(2 * math.pi)
     assert evidence(kern, data)[0] == pytest.approx(expected, rel=1e-10)
 
@@ -678,9 +699,9 @@ def test_packed_evidence_edge_cases():
 
 
 def test_noise_is_added_on_the_diagonal_bitwise(monkeypatch):
-    # gp.fit, the fitting objective and mutual_information add the noise to
-    # the diagonal in place; each factors bitwise K + noise * I through the
-    # library's one Cholesky helper
+    # gp.fit and the fitting objective add the noise to the diagonal in
+    # place; each factors bitwise K + noise * I through the library's one
+    # Cholesky helper, and mutual_information reads gp.fit's factor
     factored = []
     cholesky = gp._cholesky
 
@@ -688,19 +709,18 @@ def test_noise_is_added_on_the_diagonal_bitwise(monkeypatch):
         factored.append(M.copy())
         return cholesky(M, *args, **kwargs)
 
-    for module in (gp, acquisition):  # acquisition imports it by name
-        monkeypatch.setattr(module, "_cholesky", recording)
+    monkeypatch.setattr(gp, "_cholesky", recording)
     for seed in range(4):
         _, kern, data, _ = random_gp_instance(seed, n=10, noise=1e-2)
         model = gp.fit(kern, data)
         evidence(kern, data)
-        acquisition.mutual_information(model, 0.3)
-        K_y = model.K + data.noise * np.eye(10)
-        assert len(factored) == 3
+        acquisition.mutual_information(model)
+        K_y = kern.gram_matrix(data.X) + data.noise * np.eye(10)
+        assert len(factored) == 2
         # the lower triangle is what the factorization reads, and all of
         # the Gram matrix the objective assembles
-        for M, expected in zip(factored, (K_y, K_y, np.eye(10) + model.K / 0.3)):
-            np.testing.assert_array_equal(np.tril(M), np.tril(expected))
+        for M in factored:
+            np.testing.assert_array_equal(np.tril(M), np.tril(K_y))
         factored.clear()
 
 

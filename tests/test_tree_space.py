@@ -81,6 +81,26 @@ def test_tree_spec_built_directly_rejects_a_cycle_from_the_root():
         TreeSpec((a, b), "a", (("a", 0, "b"), ("b", 0, "a")))
 
 
+def test_tree_spec_built_directly_is_validated():
+    # TreeSpec validates itself; make_tree_spec only finds the root
+    r, b, c = (VertexSpec(vid, 0, ()) for vid in "rbc")
+    for edges, message in [
+        ((("r", 0, "ghost"),), "unknown child 'ghost'"),
+        ((("ghost", 0, "b"),), "unknown parent 'ghost'"),
+        ((("r", 0, "b"), ("r", 0, "c")), "'r': duplicate branch label 0"),
+        ((("r", -1, "b"), ("r", 0, "c")), r"'r': branch labels \[-1, 0\] are not contiguous"),
+        ((("r", 0, "b"), ("r", 1, "c"), ("b", 0, "c")), "'c' has more than one parent"),
+    ]:
+        with pytest.raises(TreeSpecError, match=message):
+            TreeSpec((r, b, c), "r", edges)
+    with pytest.raises(TreeSpecError, match="duplicate vertex id 'b'"):
+        TreeSpec((r, b, b), "r", (("r", 0, "b"),))
+    with pytest.raises(TreeSpecError, match="duplicate vertex id 'b'"):
+        make_tree_spec([r, b, b], [("r", 0, "b")])
+    with pytest.raises(TreeSpecError, match="unknown root 'x'"):
+        TreeSpec((r,), "x", ())
+
+
 def test_parse_rejects_cycle_beside_the_root():
     # one root, and a cycle that no path from it reaches
     text = "vertex r 0\nvertex a 0\nvertex b 0\nedge a 0 b\nedge b 0 a\n"
