@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gp
 from .acquisition import Proposal, UcbSchedule, propose
-from .kernels import KERNEL_KINDS, ZERO_DIM_POLICIES, AddTreeKernel
+from .kernels import KERNEL_KINDS, AddTreeKernel
 from .tree_space import TreeSpec, VertexSpec, linearize, make_tree_spec
 
 __all__ = [
@@ -224,6 +224,11 @@ def sample_branch_walk(spec: TreeSpec, rng: np.random.Generator) -> tuple[int, n
 class BoConfig:
     """Knobs shared by every optimizer run.
 
+    An optimization loop (:func:`run_bo`) reads every field.  The regression
+    study (:func:`run_regression_study`) reads only the four that its fits
+    and kernels read: ``restarts``, ``noise_variance``, ``kernel_kind`` and
+    ``tie_scales``, so ``treebo regression`` takes only their flags.
+
     ``n_init=None`` resolves to 4 plus the space's continuous dimension.
     ``restarts`` is the number of L-BFGS-B starts of a full hyperparameter
     fit: the previous kernel plus ``restarts - 1`` log-uniform draws.  Every
@@ -253,7 +258,6 @@ class BoConfig:
     acq_starts: int = 5
     acq_scan: int = 32
     kernel_kind: str = "se"
-    zero_dim: str = "constant"
     tie_scales: bool = True
 
     def __post_init__(self) -> None:
@@ -268,8 +272,6 @@ class BoConfig:
             )
         if self.kernel_kind not in KERNEL_KINDS:
             raise ValueError(f"kernel_kind must be one of {KERNEL_KINDS}, got {self.kernel_kind!r}")
-        if self.zero_dim not in ZERO_DIM_POLICIES:
-            raise ValueError(f"zero_dim must be one of {ZERO_DIM_POLICIES}, got {self.zero_dim!r}")
         self.schedule(1)  # raises on a bad theta0, B0, delta or rate
 
     def resolve_n_init(self, spec: TreeSpec) -> int:
@@ -281,9 +283,7 @@ class BoConfig:
 
     def kernel(self, spec: TreeSpec) -> AddTreeKernel:
         """The unfitted starting kernel of this config on a space."""
-        return AddTreeKernel.default(
-            spec, kind=self.kernel_kind, zero_dim=self.zero_dim, tied_scales=self.tie_scales
-        )
+        return AddTreeKernel.default(spec, kind=self.kernel_kind, tied_scales=self.tie_scales)
 
     def fit(
         self, kernel, data, rng, t: float = 0.0, schedule=None, warm: bool = False

@@ -33,7 +33,7 @@ from .bench import (
     run_bo,
     run_regression_study,
 )
-from .kernels import KERNEL_KINDS, ZERO_DIM_POLICIES
+from .kernels import KERNEL_KINDS
 from .tree_space import TreeSpecError, parse_tree_spec
 
 __all__ = ["main", "cmd_run", "cmd_compare", "cmd_regression"]
@@ -95,39 +95,48 @@ def _add_objective_flags(p: argparse.ArgumentParser) -> None:
                    help="seed of the quadratic objective on --tree-spec (default: 0)")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+# (flag, BoConfig field, help, argparse keywords) of the fields both
+# subcommands read: the fit's and the kernel's
+_FIT_FLAGS = (
+    ("--restarts", "restarts", "hyperparameter optimizer starts of a full refit; every "
+     "regression fit is one, and a BO loop runs one on its first refit and when its data "
+     "has doubled since the last, and one warm start from the previous fit otherwise",
+     {"type": int}),
+    ("--noise-variance", "noise_variance", "observation noise variance, > 0: the GP "
+     "assumes it, and so do beta's information gain and noise term", {"type": float}),
+    ("--kernel", "kernel_kind", None, {"choices": KERNEL_KINDS}),
+    ("--tie-scales", "tie_scales", "share one fitted output scale across all vertices",
+     {"action": argparse.BooleanOptionalAction}),
+)
+# ... and of the fields only an optimization loop reads: its random start,
+# confidence schedule and acquisition
+_LOOP_FLAGS = (
+    ("--n-init", "n_init", "random iterations before model-based proposals "
+     "(default: 4 + continuous dimension)", {"type": int}),
+    ("--theta0", "theta0", "lengthscale cap at t = 0: fitted lengthscales are capped at "
+     "theta0 / g(t) (fits start from lengthscale 1 or the last fit)", {"type": float}),
+    ("--b0", "B0", "initial norm-bound guess", {"type": float}),
+    ("--delta", "delta", "confidence level in (0,1)", {"type": float}),
+    ("--gamma-g", "gamma_g", "lengthscale-deflation rate; 0 disables adaptation",
+     {"type": float}),
+    ("--gamma-b", "gamma_b", "norm-bound growth rate; 0 disables adaptation", {"type": float}),
+    ("--acq-starts", "acq_starts", "local-search starts per vertex acquisition", {"type": int}),
+    ("--acq-scan", "acq_scan", "low-discrepancy scan budget per vertex acquisition",
+     {"type": int}),
+)
+
+
+def _add_config_flags(p: argparse.ArgumentParser, flags) -> None:
     """One flag per BoConfig field it sets; defaults come from ``BoConfig()``."""
     d = BoConfig()
-
-    def flag(name, dest, help=None, **kw):
+    for name, dest, help, kw in flags:
         p.add_argument(name, dest=dest, default=getattr(d, dest), help=help, **kw)
-
-    flag("--n-init", "n_init", "random iterations before model-based proposals "
-         "(default: 4 + continuous dimension)", type=int)
-    flag("--restarts", "restarts", "hyperparameter optimizer starts of a full refit; a BO "
-         "loop runs one on its first refit and when its data has doubled since the last, "
-         "and one warm start from the previous fit otherwise", type=int)
-    flag("--theta0", "theta0", "lengthscale cap at t = 0: fitted lengthscales are capped at "
-         "theta0 / g(t) (fits start from lengthscale 1 or the last fit)", type=float)
-    flag("--b0", "B0", "initial norm-bound guess", type=float)
-    flag("--delta", "delta", "confidence level in (0,1)", type=float)
-    flag("--gamma-g", "gamma_g", "lengthscale-deflation rate; 0 disables adaptation", type=float)
-    flag("--gamma-b", "gamma_b", "norm-bound growth rate; 0 disables adaptation", type=float)
-    flag("--noise-variance", "noise_variance", "observation noise variance, > 0: the GP "
-         "assumes it, and so do beta's information gain and noise term", type=float)
-    flag("--acq-starts", "acq_starts", "local-search starts per vertex acquisition", type=int)
-    flag("--acq-scan", "acq_scan", "low-discrepancy scan budget per vertex acquisition",
-         type=int)
-    flag("--kernel", "kernel_kind", choices=KERNEL_KINDS)
-    flag("--zero-dim", "zero_dim", "kernel contribution of vertices without variables",
-         choices=ZERO_DIM_POLICIES)
-    flag("--tie-scales", "tie_scales", "share one fitted output scale across all vertices",
-         action=argparse.BooleanOptionalAction)
 
 
 def _config_from_args(args) -> BoConfig:
-    """The config from the BoConfig fields in the namespace; bad settings
-    (such as a delta outside (0, 1)) are user errors."""
+    """The config from the BoConfig fields in the namespace, the rest at
+    their defaults; bad settings (such as a delta outside (0, 1)) are user
+    errors."""
     fields = {f.name for f in dataclasses.fields(BoConfig)}
     try:
         return BoConfig(**{k: v for k, v in vars(args).items() if k in fields})
@@ -335,7 +344,7 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--seeds", default="0", help="comma-separated seed list")
     p_run.add_argument("--workers", type=int, default=1, help="parallel run workers")
     p_run.add_argument("--out", required=True, help="output directory for traces")
-    _add_config_flags(p_run)
+    _add_config_flags(p_run, _FIT_FLAGS + _LOOP_FLAGS)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare trace directories")
@@ -352,7 +361,7 @@ def _build_parser() -> _Parser:
     p_reg.add_argument("--test-size", type=int, default=50)
     p_reg.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
     p_reg.add_argument("--out", default=None, help="output directory for records")
-    _add_config_flags(p_reg)
+    _add_config_flags(p_reg, _FIT_FLAGS)
     p_reg.set_defaults(func=cmd_regression)
     return parser
 

@@ -8,15 +8,11 @@ matrix, :attr:`Dataset.X`, and every entry point rejects rows of another width.
   lower Cholesky factor L of K_y and α = K_y^{-1} y.  For a query with
   cross-covariance c, μ = c^T α and σ² = k(x, x) − ‖L^{-1} c‖², one
   triangular solve (LAPACK ``dtrtrs``); :func:`posterior` evaluates them for
-  many stacked query rows at once.  No row selection is needed: rows that
-  share no kernel-contributing vertex with the query path are uncorrelated
-  with it and with every row that does (shared vertices form a root prefix,
-  and of three leaves' lowest common ancestors the two shallowest coincide),
-  so K_y is block-diagonal up to a row permutation and the full-data formula
-  equals the one on the relevant rows alone.  The squared norm keeps its
-  accuracy where K_y is nearly singular; the equal c^T K_y^{-1} c can be
-  wrong by the whole prior there, as entries of K_y^{-1} grow like 1/noise
-  near repeated observations.
+  many stacked query rows at once.  No row selection is needed: any two
+  paths share the root, so every training row is correlated with every
+  query.  The squared norm keeps its accuracy where K_y is nearly singular;
+  the equal c^T K_y^{-1} c can be wrong by the whole prior there, as entries
+  of K_y^{-1} grow like 1/noise near repeated observations.
 
 * **Component posteriors.**  The kernel is a sum of per-vertex terms, so each
   vertex has its own latent component.  Its conditional mean/variance given
@@ -37,8 +33,8 @@ matrix, :attr:`Dataset.X`, and every entry point rejects rows of another width.
 
 * **Evidence on packed vertex blocks.**  Hyperparameter fitting builds the
   kernel's :class:`~treebo.kernels.VertexBlocks` once per fit: the
-  lower-triangle entries of every contributing vertex's block, packed into
-  flat arrays, and the buffers every evaluation writes.  Each evaluation
+  lower-triangle entries of every vertex's block, packed into flat arrays,
+  and the buffers every evaluation writes.  Each evaluation
   goes from the optimizer's log vector straight to the Gram matrix's lower
   triangle and the per-entry derivatives (no kernel object is built; the
   fitted kernel is made once, from the winning vector).  It factors K_y in
@@ -571,7 +567,7 @@ def _lbfgsb(objective, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 class FitResult:
     """The fitted kernel, its log evidence, the best evidence each restart
     reached, and ``evaluations``: the objective evaluations summed over the
-    restarts (1 when there was nothing to fit)."""
+    restarts."""
 
     kernel: AddTreeKernel
     log_evidence: float
@@ -594,10 +590,8 @@ def fit_hyperparameters(
     the remaining ``restarts - 1`` starts are log-uniform draws.
     ``lengthscale_cap`` applies the min rule afterwards: every fitted
     lengthscale becomes min(lengthscale, cap), so a capped one is exactly
-    the cap.  A kernel with no free hyperparameters (every vertex dim-0
-    under ``zero_dim="zero"``) is returned as it is, with its evidence as
-    the one restart evidence.  Raises :class:`FactorizationError` when
-    every restart ends where the Gram matrix cannot be factorized.
+    the cap.  Raises :class:`FactorizationError` when every restart ends
+    where the Gram matrix cannot be factorized.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -606,17 +600,6 @@ def fit_hyperparameters(
     _check_width(kernel, data.X, "data")
     rng = rng if rng is not None else np.random.default_rng(0)
     objective = _negative_evidence(kernel, data)
-    if not kernel.theta:  # nothing to fit: L-BFGS-B cannot take an empty vector
-        value, _ = objective(np.empty(0))
-        if value >= FAILED_EVIDENCE:
-            raise FactorizationError(
-                "the Gram matrix is not positive definite and the kernel has no "
-                "hyperparameters to change; duplicate points with zero noise?"
-            )
-        return FitResult(
-            kernel=kernel, log_evidence=-value, restart_evidences=[-value], evaluations=1
-        )
-
     is_scale = np.array([nm.endswith("::scale") for nm in kernel.param_names()])
     lo = np.where(is_scale, np.log(SCALE_BOUNDS[0]), np.log(LENGTHSCALE_BOUNDS[0]))
     hi = np.where(is_scale, np.log(SCALE_BOUNDS[1]), np.log(LENGTHSCALE_BOUNDS[1]))

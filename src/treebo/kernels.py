@@ -12,25 +12,24 @@ path), so the whole kernel evaluates on slot rows of ``spec.width`` floats
 without walking the tree: it reads the tag and value slots of each vertex
 at ``spec.offsets``.
 
-A vertex with no continuous variables contributes its output scale as a
-constant whenever it is shared (``zero_dim="constant"``, the default), which
-keeps an information channel open through shared structural vertices.  The
-alternative ``zero_dim="zero"`` drops such vertices from the sum entirely;
-under that policy points whose paths only share dim-0 vertices have exactly
-zero covariance.
+Every vertex has an output scale.  A vertex with no continuous variables
+contributes its scale as a constant whenever it is shared, which keeps an
+information channel open through shared structural vertices: any two
+points share at least the root, so their covariance is at least the root's
+scale, and the hyperparameter vector is never empty.
 
 The positive hyperparameters are stored once, as the flat vector
 ``AddTreeKernel.theta``; the kernel's layout (built once per kernel) maps each
-contributing vertex to the index range of its lengthscales and the index of
-its scale there, and every method reads them through it.  Every method
-evaluates a vertex's term only on its block: the rows whose path contains
-the vertex (:meth:`AddTreeKernel._block`), from the raw per-dimension squared
+vertex to the index range of its lengthscales and the index of its scale
+there, and every method reads them through it.  Every method evaluates a
+vertex's term only on its block: the rows whose path contains the vertex
+(:meth:`AddTreeKernel._block`), from the raw per-dimension squared
 differences, one helper for the scaled squared distance, ``_scaled_sq_dist``,
 and one for the correlation and its lengthscale weight, ``_corr_and_weight``.
 For hyperparameter fitting, :meth:`AddTreeKernel.vertex_blocks` does the
 hyperparameter-free work once: it packs the lower-triangle entries of every
-contributing vertex's block R_v × R_v into flat arrays (vertex after vertex
-in BFS order), with each entry's index in the column-major Gram matrix, its
+vertex's block R_v × R_v into flat arrays (vertex after vertex in BFS
+order), with each entry's index in the column-major Gram matrix, its
 squared differences zero-padded to the largest vertex dimension, and the
 indices of its vertex's parameters, and it allocates the buffers every
 evaluation writes.  :meth:`AddTreeKernel.gram_and_grads` evaluates every
@@ -58,7 +57,6 @@ __all__ = [
 ]
 
 KERNEL_KINDS = ("se", "matern32", "matern52")
-ZERO_DIM_POLICIES = ("constant", "zero")
 
 _SQRT3 = np.sqrt(3.0)
 _SQRT5 = np.sqrt(5.0)
@@ -149,11 +147,11 @@ class VertexBlocks:
     the workspace of one hyperparameter fit.
 
     Built by :meth:`AddTreeKernel.vertex_blocks` once per hyperparameter fit.
-    A block is the lower triangle, diagonal included, of a contributing
-    vertex's R_v × R_v, R_v being the rows whose path contains the vertex
-    (the upper triangle is its mirror image).  The blocks come in BFS order,
-    empty ones left out, and their entries one after another, E =
-    Σ_v |R_v|(|R_v| + 1)/2 of them.  Per entry (i, j), i >= j, ``flat`` (E,)
+    A block is the lower triangle, diagonal included, of a vertex's R_v ×
+    R_v, R_v being the rows whose path contains the vertex (the upper
+    triangle is its mirror image).  The blocks come in BFS order, empty ones
+    left out, and their entries one after another, E = Σ_v |R_v|(|R_v| +
+    1)/2 of them.  Per entry (i, j), i >= j, ``flat`` (E,)
     holds i + j·n, its index into the column-major flattening of the n × n
     Gram matrix (the lower triangle as LAPACK stores it), and ``sq``
     (dmax, E) its raw squared differences, dmax being the largest vertex
@@ -191,22 +189,20 @@ class VertexBlocks:
 
 
 def _param_layout(
-    spec: TreeSpec, zero_dim: str, tied_scales: bool
+    spec: TreeSpec, tied_scales: bool
 ) -> tuple[dict[str, tuple[slice, int]], int]:
-    """The hyperparameter vector's length and, per contributing BFS vertex,
-    the index range of its ``dim`` lengthscales and the index of its scale,
-    which follows them unless scales are tied: tied scales share one trailing
-    entry.  Under the 'zero' policy dim-0 vertices have no entries (the
-    kernel never uses them, so they are unidentifiable)."""
+    """The hyperparameter vector's length and, per BFS vertex, the index
+    range of its ``dim`` lengthscales and the index of its scale, which
+    follows them unless scales are tied: tied scales share one trailing
+    entry."""
     layout, pos = {}, 0
     for vid in spec.bfs_order:
         dim = spec.vertex(vid).dim
-        if dim or zero_dim == "constant":
-            layout[vid] = (slice(pos, pos + dim), pos + dim)
-            pos += dim + (not tied_scales)
+        layout[vid] = (slice(pos, pos + dim), pos + dim)
+        pos += dim + (not tied_scales)
     if not tied_scales:
         return layout, pos
-    return {vid: (ls, pos) for vid, (ls, _) in layout.items()}, pos + bool(layout)
+    return {vid: (ls, pos) for vid, (ls, _) in layout.items()}, pos + 1
 
 
 @dataclass(frozen=True)
@@ -215,11 +211,11 @@ class AddTreeKernel:
 
     ``theta`` holds the positive hyperparameters, one flat vector in
     :meth:`param_names` order (any sequence, stored as a tuple of floats):
-    per contributing vertex its lengthscales and output scale.  Every
-    vertex's base kernel is of the one ``kind``.  With ``tied_scales`` all
-    vertices share a single output scale (the vector's last entry); evidence
-    maximization then cannot silence a rarely-visited branch by collapsing
-    its amplitude.  Every method takes configurations as slot rows
+    per vertex its lengthscales and output scale.  Every vertex's base
+    kernel is of the one ``kind``.  With ``tied_scales`` all vertices share
+    a single output scale (the vector's last entry); evidence maximization
+    then cannot silence a rarely-visited branch by collapsing its
+    amplitude.  Every method takes configurations as slot rows
     (:func:`~treebo.tree_space.linearize`), stacked into a matrix of
     ``spec.width`` columns.  Instances are immutable value objects and
     evaluation is pure.
@@ -228,16 +224,13 @@ class AddTreeKernel:
     spec: TreeSpec
     theta: tuple[float, ...]
     kind: str = "se"
-    zero_dim: str = "constant"
     tied_scales: bool = False
     _layout: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; choose from {KERNEL_KINDS}")
-        if self.zero_dim not in ZERO_DIM_POLICIES:
-            raise ValueError(f"zero_dim must be 'constant' or 'zero', got {self.zero_dim!r}")
-        layout, size = _param_layout(self.spec, self.zero_dim, self.tied_scales)
+        layout, size = _param_layout(self.spec, self.tied_scales)
         theta = tuple(map(float, self.theta))
         if len(theta) != size:
             raise ValueError(f"expected {size} hyperparameters, got {len(theta)}")
@@ -255,15 +248,14 @@ class AddTreeKernel:
         kind: str = "se",
         lengthscale: float = 1.0,
         output_scale: float = 1.0,
-        zero_dim: str = "constant",
         tied_scales: bool = False,
     ) -> "AddTreeKernel":
         """Uniform parameters across vertices; the usual fitting start."""
-        layout, size = _param_layout(spec, zero_dim, tied_scales)
+        layout, size = _param_layout(spec, tied_scales)
         theta = [lengthscale] * size
         for _, scale in layout.values():
             theta[scale] = output_scale
-        return cls(spec, tuple(theta), kind, zero_dim, tied_scales)
+        return cls(spec, tuple(theta), kind, tied_scales)
 
     def _block(self, vid: str, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One vertex's rows in stacked slots and their value columns.
@@ -294,8 +286,8 @@ class AddTreeKernel:
         return K
 
     def diag(self, A: np.ndarray) -> np.ndarray:
-        """k(x, x) for each stacked row: summed contributing output scales
-        on its path (each vertex term at zero distance)."""
+        """k(x, x) for each stacked row: the summed output scales of the
+        vertices on its path (each vertex term at zero distance)."""
         out = np.zeros(A.shape[0])
         for vid, (_, scale) in self._layout.items():
             rows, _ = self._block(vid, A)
@@ -307,7 +299,9 @@ class AddTreeKernel:
 
         ``V`` is (m, dim) query values for the vertex (m x 0 for dim-0).
         Entry (q, i) is the vertex's base kernel between V[q] and row i's
-        restriction when the vertex is on row i's path, else 0.
+        restriction when the vertex is on row i's path, else 0.  Raises
+        ``KeyError`` for an id that is no vertex and ``ValueError`` for
+        values of the wrong width or not finite.
         """
         dim = self.spec.vertex(vertex_id).dim
         V = np.asarray(V, dtype=float)
@@ -317,17 +311,24 @@ class AddTreeKernel:
             raise ValueError(
                 f"vertex {vertex_id!r} expects {dim}-dim values, got {V.shape[1]}"
             )
+        if not np.isfinite(V).all():
+            row, col = np.argwhere(~np.isfinite(V))[0]
+            raise ValueError(
+                f"vertex {vertex_id!r} value row {row} column {col} is not finite: {V[row, col]}"
+            )
+        ls, scale = self._layout[vertex_id]
         out = np.zeros((V.shape[0], A.shape[0]))
-        if A.shape[0] and vertex_id in self._layout:
-            ls, scale = self._layout[vertex_id]
-            rows, VA = self._block(vertex_id, A)
-            out[:, rows] = _term(self.kind, self.theta[ls], self.theta[scale], _sq_diffs(V, VA))
+        rows, VA = self._block(vertex_id, A)
+        out[:, rows] = _term(self.kind, self.theta[ls], self.theta[scale], _sq_diffs(V, VA))
         return out
 
     def component_prior_variance(self, vertex_id: str) -> float:
-        if vertex_id not in self._layout:
-            return 0.0
-        return self.theta[self._layout[vertex_id][1]]
+        """The prior variance of one vertex's component, its output scale;
+        raises ``KeyError`` for an id that is no vertex."""
+        try:
+            return self.theta[self._layout[vertex_id][1]]
+        except KeyError:
+            raise KeyError(f"unknown vertex id {vertex_id!r}") from None
 
     # -- hyperparameter plumbing ----------------------------------------------
 
@@ -347,10 +348,10 @@ class AddTreeKernel:
     def vertex_blocks(self, A: np.ndarray) -> VertexBlocks:
         """The packed block entries of stacked rows ``A`` and the buffers of
         their evaluations; they depend on the kernel's structure and kind
-        only (contributing vertices, tied scales), so they serve every log
+        only (the vertices' dimensions, tied scales), so they serve every log
         vector of the layout."""
         n, P = A.shape[0], len(self.theta)
-        dmax = max((ls.stop - ls.start for ls, _ in self._layout.values()), default=0)
+        dmax = max(ls.stop - ls.start for ls, _ in self._layout.values())
         flat, sq = [np.empty(0, dtype=np.intp)], [np.empty((dmax, 0))]
         sizes, index = [], []
         for vid, (ls, scale) in self._layout.items():
@@ -434,12 +435,10 @@ class AddTreeKernel:
     # -- serialization ---------------------------------------------------------
 
     def to_config(self) -> dict:
-        """Named-parameter record: the kind, the zero-dim policy, whether
-        scales are tied, and per contributing vertex id its lengthscales and
-        output scale."""
+        """Named-parameter record: the kind, whether scales are tied, and per
+        vertex id its lengthscales and output scale."""
         return {
             "kind": self.kind,
-            "zero_dim": self.zero_dim,
             "tied_scales": self.tied_scales,
             "params": {
                 vid: {"lengthscales": list(self.theta[ls]), "output_scale": self.theta[scale]}

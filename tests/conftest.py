@@ -44,11 +44,11 @@ def jenatton():
     return bench.jenatton_objective()
 
 
-def random_kernel(spec, rng, kind=None, zero_dim="constant", tied_scales=False):
+def random_kernel(spec, rng, kind=None, tied_scales=False):
     """A kernel of ``kind`` (one drawn at random by default) with log
     hyperparameters drawn uniformly from [-1, 1]."""
     kind = kind or str(rng.choice(["se", "matern32", "matern52"]))
-    kern = AddTreeKernel.default(spec, kind, zero_dim=zero_dim, tied_scales=tied_scales)
+    kern = AddTreeKernel.default(spec, kind, tied_scales=tied_scales)
     return replace(kern, theta=np.exp(rng.uniform(-1.0, 1.0, size=len(kern.theta))))
 
 

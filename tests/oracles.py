@@ -67,7 +67,7 @@ def base_kernel(kind, lengthscales, scale, a, b) -> float:
 
 
 def vertex_params(kernel, vertex_id):
-    """(kind, lengthscales, scale) of one contributing vertex, read from the
+    """(kind, lengthscales, scale) of one vertex, read from the
     kernel's named-parameter record: the arguments :func:`base_kernel` takes
     before the two value vectors."""
     config = kernel.to_config()
@@ -91,13 +91,10 @@ def restrict(spec, leaf, row, vertex_id) -> np.ndarray:
 def add_tree(kernel, leaf_x, x, leaf_y, y) -> float:
     """The add-tree kernel between slot rows ``x`` and ``y`` on leaves
     ``leaf_x`` and ``leaf_y``, as the sum over tree vertices on both paths of
-    the base kernel on the two restrictions; under ``zero_dim="zero"`` dim-0
-    vertices are left out."""
+    the base kernel on the two restrictions."""
     spec = kernel.spec
     total = 0.0
     for v in spec.vertices:
-        if kernel.zero_dim == "zero" and v.dim == 0:
-            continue
         if on_path(spec, v.id, leaf_x) and on_path(spec, v.id, leaf_y):
             total += base_kernel(
                 *vertex_params(kernel, v.id),
@@ -139,7 +136,7 @@ def block_evidence_and_grad(kernel, leaves, X, y, noise, log_params):
     gradient in them, from dense per-vertex blocks.
 
     The rows are ordered by the depth-first rank of their leaf, so each
-    contributing vertex's rows R_v are one contiguous slice s.  Its term is
+    vertex's rows R_v are one contiguous slice s.  Its term is
     added into K[s, s]; each log-parameter derivative is the dense block it
     is non-zero on (a tied scale's is all of K), and contributes
     ½ Σ (αα^T − K_y^{-1})[s, s] ∘ ∂K/∂θ to the gradient.
@@ -159,8 +156,6 @@ def block_evidence_and_grad(kernel, leaves, X, y, noise, log_params):
     derivs = []  # (parameter index, block slice, dense derivative block)
     for vid in spec.bfs_order:
         dim = spec.vertex(vid).dim
-        if dim == 0 and kernel.zero_dim == "zero":
-            continue
         rows = [i for i, leaf in enumerate(leaves) if on_path(spec, vid, leaf)]
         s = slice(rows[0], rows[-1] + 1) if rows else slice(0, 0)
         assert s.stop - s.start == len(rows), "rows of a vertex are not contiguous"

@@ -115,10 +115,11 @@ def test_mutual_information_empty_and_single(two_leaf):
     single = make_single_vertex_model()
     assert acq.mutual_information(single) == pytest.approx(0.5 * math.log(2.0), rel=1e-12)
 
-    # a kernel that is 0 everywhere gains nothing: sum(log diag L) and
-    # n/2 log sigma^2 cancel, and round-off must not take the gain below 0
+    # a kernel negligible against every noise gains nothing: its factor is
+    # sqrt(noise) I exactly, so sum(log diag L) and n/2 log sigma^2 cancel,
+    # and round-off must not take the gain below 0
     spec = make_tree_spec([VertexSpec("v", 0, ())], [])
-    kern = AddTreeKernel.default(spec, zero_dim="zero")
+    kern = AddTreeKernel.default(spec, output_scale=1e-300)
     X = np.repeat(linearize(spec, 0, [])[None], 3, axis=0)
     for noise in np.geomspace(1e-12, 10.0, 60):
         flat = gp.fit(kern, gp.Dataset.create(X, np.zeros(3), noise=noise))

@@ -23,7 +23,7 @@ from treebo.bench import (
     run_regression_study,
     wilcoxon_one_sided,
 )
-from treebo.tree_space import VertexSpec, linearize, make_tree_spec
+from treebo.tree_space import linearize
 
 
 # -- objectives ---------------------------------------------------------------
@@ -172,19 +172,6 @@ def test_independent_equals_addtree_on_single_path_space():
         assert ra.values == rb.values
         assert ra.y == rb.y
         assert ra.beta == rb.beta
-
-
-def test_independent_runs_a_chain_with_nothing_to_fit():
-    # under zero_dim="zero" leaf b's chain (root, b) has no hyperparameters;
-    # its fit once b has two points used to fail inside scipy's minimize
-    spec = make_tree_spec(
-        [VertexSpec("root", 0, ()), VertexSpec("a", 1, ((-1.0, 1.0),)), VertexSpec("b", 0, ())],
-        [("root", 0, "a"), ("root", 1, "b")],
-    )
-    obj = bench.quadratic_objective(spec, 0)
-    trace = run_bo(obj, "independent", iterations=12, seed=0, config=BoConfig(zero_dim="zero"))
-    _assert_trace_valid(trace, obj)
-    assert sum(rec.leaf == 1 for rec in trace.records) >= 2
 
 
 def test_addtree_makes_progress_on_jenatton(jenatton):
@@ -345,7 +332,7 @@ def test_bo_config_rejects_bad_schedule_settings():
         ("acq_starts", 0), ("acq_scan", 0), ("restarts", 0), ("restarts", -2),
         ("noise_variance", 0.0), ("noise_variance", -1.0), ("noise_variance", math.inf),
         ("noise_variance", math.nan), ("n_init", -3), ("n_init", -1),
-        ("kernel_kind", "cubic"), ("zero_dim", "bogus"),
+        ("kernel_kind", "cubic"),
     ]:
         with pytest.raises(ValueError, match=field):
             BoConfig(**{field: value})

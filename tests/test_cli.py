@@ -9,7 +9,7 @@ import pytest
 
 from conftest import src_env
 from treebo import cli
-from treebo.bench import BoConfig, RegressionRecord, read_trace
+from treebo.bench import BoConfig, RegressionRecord, read_trace, run_bo, run_regression_study
 
 DATA = Path(__file__).parent / "data"
 
@@ -149,32 +149,65 @@ def test_bad_flag_is_user_error(capsys):
     assert run_cli("run", "--no-such-flag") == 1
 
 
+# The BoConfig fields that only an optimization loop reads; ``regression``
+# takes none of their flags.
+LOOP_FLAGS = ("--n-init", "--theta0", "--b0", "--delta", "--gamma-g", "--gamma-b",
+              "--acq-starts", "--acq-scan")
+STUDY_FIELDS = {"restarts", "noise_variance", "kernel_kind", "tie_scales"}
+
+
 @pytest.mark.parametrize("command", ["run", "regression"])
 @pytest.mark.parametrize(
-    "flags",
+    "flags, message",
     [
-        ("--gamma-g", "-0.5", "--gamma-b", "0"),
-        ("--delta", "1.5"),
-        ("--theta0", "0"),
-        ("--b0", "-1"),
-        ("--acq-starts", "0"),
-        ("--acq-scan", "0"),
-        ("--restarts", "0"),
-        ("--noise-variance", "-1"),
-        ("--noise-variance", "0"),
-        ("--n-init", "-3"),
+        (("--gamma-g", "-0.5", "--gamma-b", "0"), "gamma_g and gamma_b"),
+        (("--delta", "1.5"), "delta"),
+        (("--theta0", "0"), "theta0"),
+        (("--b0", "-1"), "B0"),
+        (("--acq-starts", "0"), "acq_starts"),
+        (("--acq-scan", "0"), "acq_scan"),
+        (("--restarts", "0"), "restarts"),
+        (("--noise-variance", "-1"), "noise_variance"),
+        (("--noise-variance", "0"), "noise_variance"),
+        (("--n-init", "-3"), "n_init"),
     ],
     ids=[
         "rate", "delta", "theta0", "b0", "acq-starts", "acq-scan", "restarts", "noise-variance",
         "zero-noise-variance", "n-init",
     ],
 )
-def test_bad_schedule_settings_are_user_errors(tmp_path, capsys, command, flags):
+def test_bad_schedule_settings_are_user_errors(tmp_path, capsys, command, flags, message):
+    # run rejects each bad setting by its field; regression rejects the loop's
+    # flags themselves, as it reads none of their fields
+    if command == "regression" and flags[0] in LOOP_FLAGS:
+        message = f"unrecognized arguments: {' '.join(flags)}"
     out = tmp_path / "o"
     assert run_cli(command, "--out", str(out), *flags) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert _one_line_error(err) and message in err
     assert not out.exists()  # rejected before any run started
+
+
+def test_traces_with_a_zero_dim_header_still_load(tmp_path, capsys):
+    # traces written while BoConfig had a zero_dim field carry it in their
+    # header config.  They still load and compare, and the same run today
+    # gives the same records (the wall times aside) under a header without it
+    old = DATA / "zero_dim_traces"
+    new = tmp_path / "new"
+    assert run_cli("run", "--objective", "jenatton", "--algorithms", "addtree,random",
+                   "--seeds", "0,1", "--out", str(new), *FAST) == 0
+    for path in sorted(old.glob("*.jsonl")):
+        before, after = read_trace(path), read_trace(new / path.name)
+        config = dict(before.meta["config"])
+        assert config.pop("zero_dim") == "constant"
+        assert after.meta["config"] == config
+        assert [dataclasses.replace(r, wall_time=0) for r in before.records] == [
+            dataclasses.replace(r, wall_time=0) for r in after.records
+        ]
+    capsys.readouterr()
+    assert run_cli("compare", str(old), str(new), "--iterations", "3,6") == 0
+    report = capsys.readouterr().out
+    assert "arg0:addtree" in report and "arg1:random" in report
 
 
 def test_config_flag_defaults_are_bo_config_defaults():
@@ -186,13 +219,72 @@ def test_config_flag_defaults_are_bo_config_defaults():
 def test_config_flags_are_exactly_the_bo_config_fields():
     # _config_from_args drops names that are not fields, so a flag left
     # behind by a removed field would parse and do nothing
-    fields = sorted(f.name for f in dataclasses.fields(BoConfig))
+    fields = {f.name for f in dataclasses.fields(BoConfig)}
     flags = argparse.ArgumentParser(add_help=False)
-    cli._add_config_flags(flags)
-    assert sorted(action.dest for action in flags._actions) == fields
-    parser = cli._build_parser()  # and both subcommands take all of them
-    for argv in (["run", "--out", "X"], ["regression"]):
-        assert set(fields) <= set(vars(parser.parse_args(argv)))
+    cli._add_config_flags(flags, cli._FIT_FLAGS + cli._LOOP_FLAGS)
+    assert sorted(action.dest for action in flags._actions) == sorted(fields)
+    # run takes all of them, and regression only the four its study reads
+    parser = cli._build_parser()
+    assert fields <= set(vars(parser.parse_args(["run", "--out", "X"])))
+    assert set(vars(parser.parse_args(["regression"]))) & fields == STUDY_FIELDS
+
+
+# One moved setting per config flag, each away from its BoConfig default.
+MOVED = {
+    "--n-init": ["3"], "--restarts": ["1"], "--theta0": ["0.5"], "--b0": ["2"],
+    "--delta": ["0.5"], "--gamma-g": ["0.1"], "--gamma-b": ["0"],
+    "--noise-variance": ["1e-4"], "--acq-starts": ["2"], "--acq-scan": ["8"],
+    "--kernel": ["matern52"], "--no-tie-scales": [],
+}
+
+
+def _moved_configs(*command):
+    """Per config flag the subcommand takes, the config it parses to with
+    that flag moved; each differs from the default in one field."""
+    parser = cli._build_parser()
+    default = cli._config_from_args(parser.parse_args(command))
+    configs = {}
+    for flag, values in MOVED.items():
+        try:
+            config = cli._config_from_args(parser.parse_args([*command, flag, *values]))
+        except cli.UserError:
+            continue  # a flag this subcommand does not take
+        moved = [f.name for f in dataclasses.fields(BoConfig)
+                 if getattr(config, f.name) != getattr(default, f.name)]
+        assert len(moved) == 1, (flag, moved)
+        configs[moved[0]] = config
+    return default, configs
+
+
+def test_no_run_config_flag_is_inert(jenatton):
+    # every config flag of run changes a short Jenatton run.  Seed 1 is a run
+    # in which a full refit's draws change the winning start, so restarts
+    # moves it too (at seed 0 restarts 1 leaves the run as it is)
+    default, configs = _moved_configs("run", "--out", "X")
+    assert set(configs) == {f.name for f in dataclasses.fields(BoConfig)}
+
+    def records(config):
+        trace = run_bo(jenatton, "addtree", 16, 1, config)
+        return [(r.leaf, r.values, r.y, r.beta) for r in trace.records]
+
+    base = records(default)
+    for field, config in configs.items():
+        assert records(config) != base, field
+
+
+def test_no_regression_config_flag_is_inert(jenatton):
+    # every config flag of regression changes a two-seed study's MSEs
+    default, configs = _moved_configs("regression")
+    assert set(configs) == STUDY_FIELDS
+
+    def mses(config):
+        records = run_regression_study(jenatton, (6, 12), test_size=20, seeds=(0, 1),
+                                       config=config)
+        return [r.mse for r in records]
+
+    base = mses(default)
+    for field, config in configs.items():
+        assert mses(config) != base, field
 
 
 @pytest.mark.parametrize(

@@ -186,11 +186,10 @@ def test_posterior_prior_with_no_data(two_leaf):
     assert model.clamp_count == 0
 
 
-@pytest.mark.parametrize("zero_dim", ["constant", "zero"])
-def test_posterior_matches_dense_solve(zero_dim):
+def test_posterior_matches_dense_solve():
     # oracle: the textbook equations with dense solves against K + noise
     for seed in range(12):
-        spec, kern, data, _ = random_gp_instance(seed, n=14, zero_dim=zero_dim)
+        spec, kern, data, _ = random_gp_instance(seed, n=14)
         model = gp.fit(kern, data)
         X = data.X
         K_y = kern.gram_matrix(X) + data.noise * np.eye(len(data))
@@ -269,8 +268,11 @@ def test_posterior_clamps_and_counts_negative_variances():
     assert clamped > 0
 
 
-def test_zero_policy_unshared_query_gets_prior():
-    # bare root, two 1-dim branches; data only on branch 1, query on branch 0
+def test_unshared_query_is_informed_through_the_root():
+    # bare root, two 1-dim branches; data only on branch 1, query on branch 0.
+    # The two paths share only the dim-0 root, whose term is its output
+    # scale: the query's mean is the root component's, and only the root's
+    # share of its prior variance 0.7 + 0.7 is reduced
     spec = make_tree_spec(
         [
             VertexSpec("r", 0, ()),
@@ -279,18 +281,15 @@ def test_zero_policy_unshared_query_gets_prior():
         ],
         [("r", 0, "a"), ("r", 1, "b")],
     )
-    kern = AddTreeKernel.default(spec, output_scale=0.7, zero_dim="zero")
+    kern = AddTreeKernel.default(spec, output_scale=0.7)
     pts = [linearize(spec, 1, [x]) for x in (-0.5, 0.1, 0.8)]
     model = gp.fit(kern, gp.Dataset.create(pts, [1.0, 2.0, 3.0], noise=1e-6))
     q = linearize(spec, 0, [0.3])[None, :]
     mean, var = gp.posterior(model, q)
-    assert mean[0] == 0.0
-    assert var[0] == pytest.approx(0.7, rel=1e-12)  # summed contributing scales
-    # under the constant policy the same query is informed through the root
-    kern_c = AddTreeKernel.default(spec, output_scale=0.7, zero_dim="constant")
-    model_c = gp.fit(kern_c, gp.Dataset.create(pts, [1.0, 2.0, 3.0], noise=1e-6))
-    mean_c, _ = gp.posterior(model_c, q)
-    assert mean_c[0] != 0.0
+    root_mean, _ = gp.component_posterior_batch(model, "r", np.empty((1, 0)))
+    assert mean[0] != 0.0
+    assert mean[0] == pytest.approx(root_mean[0], rel=1e-12)
+    assert 0.7 < var[0] < 1.4
 
 
 def test_component_posterior_prior_cases(two_leaf):
@@ -322,10 +321,22 @@ def test_component_posterior_errors(two_leaf):
             gp.component_posterior_batch(m, "root", np.zeros((1, 1)))
 
 
-@pytest.mark.parametrize("zero_dim", ["constant", "zero"])
-def test_component_means_add_to_posterior_mean(zero_dim):
+def test_component_posterior_rejects_non_finite_values(two_leaf, jenatton):
+    # as the slot-row entry points do: a NaN value would otherwise come back
+    # as a NaN mean and variance, and a NaN path score in the acquisition
+    for spec, vid, V, where in (
+        (jenatton.spec, "n0", [[np.nan]], "row 0 column 0"),
+        (two_leaf, "root", [[0.1, 0.2], [0.3, -np.inf]], "row 1 column 1"),
+    ):
+        p = linearize(spec, 0, [0.0] * len(spec.leaf_bounds(0)))
+        model = gp.fit(AddTreeKernel.default(spec), gp.Dataset.create([p], [1.0], noise=1e-6))
+        with pytest.raises(ValueError, match=f"'{vid}' value {where} is not finite"):
+            gp.component_posterior_batch(model, vid, V)
+
+
+def test_component_means_add_to_posterior_mean():
     for seed in range(10):
-        spec, kern, data, _ = random_gp_instance(seed, n=12, zero_dim=zero_dim)
+        spec, kern, data, _ = random_gp_instance(seed, n=12)
         model = gp.fit(kern, data)
         rng = np.random.default_rng(2000 + seed)
         leaves, Q = random_points(spec, rng, 5)
@@ -375,45 +386,42 @@ def _stack_matches_reference(model, vertex_ids, V):
 
 @pytest.mark.parametrize("kind", ["se", "matern32", "matern52"])
 def test_component_posterior_gradients_match_finite_differences(kind):
-    # random trees with up to 3-dim vertices, both zero-dim policies,
-    # per-vertex and tied scales; every dimension's vertices are stacked
-    # together, with queries drawn in their boxes plus one training row's
-    # values (r = 0 against that row)
+    # random trees with up to 3-dim vertices, per-vertex and tied scales;
+    # every dimension's vertices are stacked together, with queries drawn in
+    # their boxes plus one training row's values (r = 0 against that row)
     checked, empty_rows = 0, 0
     for seed in range(6):
-        for zero_dim in ("constant", "zero"):
-            for tied in (False, True):
-                spec, kern, data, leaves = random_gp_instance(
-                    seed, n=10, noise=1e-2, max_dim=3,
-                    kind=kind, zero_dim=zero_dim, tied_scales=tied,
-                )
-                # all the data, and only the first point's leaf's (which
-                # leaves R_v empty for every vertex off that leaf's path)
-                one_leaf = [i for i, leaf in enumerate(leaves) if leaf == leaves[0]]
-                for rows_kept in [list(range(len(leaves))), one_leaf]:
-                    points = [(leaves[i], data.X[i]) for i in rows_kept]
-                    X, targets = data.X[rows_kept], data.targets[rows_kept]
-                    model = gp.fit(kern, gp.Dataset.create(X, targets, noise=1e-2))
-                    rng = np.random.default_rng(300 + seed)
-                    by_dim = {}
-                    for v in spec.vertices:
-                        if v.dim:
-                            by_dim.setdefault(v.dim, []).append(v)
-                    for dim, vertices in by_dim.items():
-                        V = []
-                        for v in vertices:
-                            lo, hi = np.array(v.bounds).T
-                            rows = rng.uniform(lo, hi, size=(4, dim))
-                            on_path = [p for p in points if oracles.on_path(spec, v.id, p[0])]
-                            if on_path:
-                                rows[0] = restrict(spec, *on_path[0], v.id)
-                            else:
-                                empty_rows += 1
-                            V.append(rows)
-                        ids = [v.id for v in vertices]
-                        _, variances, _, _ = _stack_matches_reference(model, ids, np.array(V))
-                        assert np.all(variances > 0)  # no clamp: the differences are smooth
-                        checked += len(vertices)
+        for tied in (False, True):
+            spec, kern, data, leaves = random_gp_instance(
+                seed, n=10, noise=1e-2, max_dim=3, kind=kind, tied_scales=tied
+            )
+            # all the data, and only the first point's leaf's (which
+            # leaves R_v empty for every vertex off that leaf's path)
+            one_leaf = [i for i, leaf in enumerate(leaves) if leaf == leaves[0]]
+            for rows_kept in [list(range(len(leaves))), one_leaf]:
+                points = [(leaves[i], data.X[i]) for i in rows_kept]
+                X, targets = data.X[rows_kept], data.targets[rows_kept]
+                model = gp.fit(kern, gp.Dataset.create(X, targets, noise=1e-2))
+                rng = np.random.default_rng(300 + seed)
+                by_dim = {}
+                for v in spec.vertices:
+                    if v.dim:
+                        by_dim.setdefault(v.dim, []).append(v)
+                for dim, vertices in by_dim.items():
+                    V = []
+                    for v in vertices:
+                        lo, hi = np.array(v.bounds).T
+                        rows = rng.uniform(lo, hi, size=(4, dim))
+                        on_path = [p for p in points if oracles.on_path(spec, v.id, p[0])]
+                        if on_path:
+                            rows[0] = restrict(spec, *on_path[0], v.id)
+                        else:
+                            empty_rows += 1
+                        V.append(rows)
+                    ids = [v.id for v in vertices]
+                    _, variances, _, _ = _stack_matches_reference(model, ids, np.array(V))
+                    assert np.all(variances > 0)  # no clamp: the differences are smooth
+                    checked += len(vertices)
     assert checked > 50 and empty_rows > 0
 
 
@@ -630,12 +638,9 @@ def test_lml_gradient_matches_finite_differences():
 
 def test_fitting_objective_gradient_matches_finite_differences():
     # the L-BFGS objective on random trees with per-vertex and with tied
-    # output scales; a tree whose layout is empty checks the value alone
+    # output scales
     for seed in range(8):
-        _, kern, data, _ = random_gp_instance(
-            seed, n=10, noise=1e-2,
-            zero_dim=("constant", "zero")[seed % 2], tied_scales=seed % 4 >= 2,
-        )
+        _, kern, data, _ = random_gp_instance(seed, n=10, noise=1e-2, tied_scales=seed % 4 >= 2)
         objective = gp._negative_evidence(kern, data)
         vec = kern.get_log_params()
         value, grad = objective(vec)
@@ -664,29 +669,21 @@ def assert_evidence_matches_block_engine(kern, data, leaves):
 @pytest.mark.parametrize("kind", ["se", "matern32", "matern52"])
 def test_packed_evidence_matches_block_engine(kind):
     # the packed evidence and gradient against the per-vertex block engine
-    # at noise 1e-2, for both zero_dim policies and tied and untied scales.
+    # at noise 1e-2, for tied and untied scales.
     # In the depth-4 trees the BFS leaf order splits a subtree, so the
     # engine has to reorder rows to make every R_v contiguous; trees 9, 11
     # and 32 have dim-0 vertices.
     rng = np.random.default_rng(29)
     for seed, depth in ((0, 3), (4, 3), (9, 3), (11, 4), (32, 4)):
         spec = random_tree_spec(seed, max_depth=depth, max_dim=2)
-        for zero_dim, tied in itertools.product(("constant", "zero"), (False, True)):
-            kern = random_kernel(spec, rng, kind, zero_dim=zero_dim, tied_scales=tied)
+        for tied in (False, True):
+            kern = random_kernel(spec, rng, kind, tied_scales=tied)
             leaves, X = random_points(spec, rng, 12)
             data = gp.Dataset.create(X, rng.normal(size=12), noise=1e-2)
             assert_evidence_matches_block_engine(kern, data, leaves)
 
 
 def test_packed_evidence_edge_cases():
-    # an empty layout: every vertex is dim-0 under zero_dim="zero", so K = 0
-    spec = chain_space((0, 0))
-    kern = AddTreeKernel.default(spec, zero_dim="zero")
-    assert kern.vertex_blocks(np.zeros((3, spec.width))).flat.size == 0
-    p = linearize(spec, 0, [])
-    assert_evidence_matches_block_engine(
-        kern, gp.Dataset.create([p] * 3, [0.4, -0.2, 0.1], noise=1e-2), [0] * 3
-    )
     # one observation, on every kind with per-vertex and tied scales
     spec = chain_space((0, 1, 2))
     p = linearize(spec, 0, [0.3, -0.5, 1.1])
@@ -1012,27 +1009,6 @@ def test_fit_hyperparameters_requires_data(two_leaf):
         gp.fit_hyperparameters(kern, gp.Dataset.create(no_rows(spec), []))
     with pytest.raises(ValueError, match="restarts"):
         gp.fit_hyperparameters(kern, gp.Dataset.create(no_rows(spec), []), restarts=0)
-
-
-def test_fit_hyperparameters_with_nothing_to_fit(monkeypatch):
-    # zero_dim="zero" on a chain of dim-0 vertices leaves no hyperparameter:
-    # the kernel comes back as it is, with its evidence, and no optimizer runs
-    spec = chain_space((0, 0))
-    kern = AddTreeKernel.default(spec, zero_dim="zero")
-    assert kern.theta == ()
-    data = gp.Dataset.create([linearize(spec, 0, [])] * 2, [0.4, -0.2], noise=0.1)
-    def no_lbfgsb(*args, **kwargs):
-        raise AssertionError("L-BFGS-B ran")
-
-    monkeypatch.setattr(gp, "_lbfgsb", no_lbfgsb)
-    result = gp.fit_hyperparameters(kern, data, restarts=3, lengthscale_cap=0.5)
-    assert result.kernel == kern
-    expected = oracles.log_evidence(gp.fit(kern, data))
-    assert result.log_evidence == pytest.approx(expected, rel=1e-12)
-    assert result.restart_evidences == [result.log_evidence]
-    assert result.evaluations == 1
-    with pytest.raises(gp.FactorizationError, match="no hyperparameters"):
-        gp.fit_hyperparameters(kern, gp.Dataset.create(data.X, data.targets, noise=0.0))
 
 
 def test_lengthscale_cap_min_rule():

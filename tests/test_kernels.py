@@ -87,8 +87,6 @@ def test_params_validation():
             AddTreeKernel(spec, theta)
     with pytest.raises(ValueError, match="unknown kernel kind"):
         AddTreeKernel(spec, (1.0, 1.0), "cubic")
-    with pytest.raises(ValueError, match="zero_dim"):
-        AddTreeKernel(spec, (1.0, 1.0), zero_dim="bogus")
     for theta in ((1.0,), (1.0, 1.0, 1.0)):
         with pytest.raises(ValueError, match="expected 2 hyperparameters"):
             AddTreeKernel(spec, theta)
@@ -178,15 +176,14 @@ def test_add_tree_symmetry_exact():
                 assert k(kern, x, y) == k(kern, y, x)
 
 
-@pytest.mark.parametrize("zero_dim", ["constant", "zero"])
-def test_add_tree_matches_vertex_sum_oracle(zero_dim):
+def test_add_tree_matches_vertex_sum_oracle():
     # brute force over every tree vertex, for each kernel kind: the base
     # kernel on the restrictions wherever the vertex is on both leaf paths
     rng = np.random.default_rng(11)
     for seed in range(15):
         spec = random_tree_spec(seed)
         for kind in ("se", "matern32", "matern52"):
-            kern = random_kernel(spec, rng, zero_dim=zero_dim, kind=kind)
+            kern = random_kernel(spec, rng, kind=kind)
             leaves, X = random_points(spec, rng, 5)
             pts = list(zip(leaves, X))
             expected = [[oracles.add_tree(kern, *x, *y) for y in pts] for x in pts]
@@ -247,19 +244,6 @@ def test_gram_psd_on_random_trees():
         assert eigs[0] >= -1e-8 * max(eigs[-1], 1.0)
 
 
-def test_zero_dim_policy_changes_cross_leaf_covariance():
-    spec = bench.jenatton_objective().spec
-    x = linearize(spec, 0, [0.5, 0.0])
-    y = linearize(spec, 2, [0.5, 0.0])  # other branch: shares only the root
-    const = AddTreeKernel.default(spec, zero_dim="constant")
-    zero = AddTreeKernel.default(spec, zero_dim="zero")
-    assert k(const, x, y) == pytest.approx(1.0)  # root output scale
-    assert k(zero, x, y) == 0.0
-    # diagonal: constant counts the root, zero does not
-    assert k(const, x, x) == pytest.approx(3.0)
-    assert k(zero, x, x) == pytest.approx(2.0)
-
-
 def test_stationarity_per_vertex(two_leaf):
     # translating both restrictions at one vertex leaves its contribution fixed
     spec = two_leaf
@@ -284,54 +268,41 @@ def test_log_param_round_trip(two_leaf):
 
 
 def test_config_round_trip(two_leaf, jenatton):
-    # Jenatton's root has no variables, so zero_dim changes its parameters;
-    # random tree 3 is one dim-0 vertex: under "zero" nothing contributes
-    # and there is no shared scale to tie.  After a JSON round trip the
-    # record holds each contributing vertex's theta entries as
-    # param_names() names them.
+    # Jenatton's root has no variables and random tree 3 is one dim-0
+    # vertex; each still has its scale.  After a JSON round trip the record
+    # holds every vertex's theta entries as param_names() names them.
     rng = np.random.default_rng(10)
     lone = random_tree_spec(3, max_dim=2)
     for spec in (two_leaf, jenatton.spec, lone):
-        for zero_dim in ("constant", "zero"):
-            for tied in (False, True):
-                kern = random_kernel(spec, rng, zero_dim=zero_dim, tied_scales=tied)
-                record = json.loads(json.dumps(kern.to_config()))
-                assert (record["kind"], record["zero_dim"], record["tied_scales"]) == (
-                    kern.kind, zero_dim, tied
-                )
-                theta = dict(zip(kern.param_names(), kern.theta))
-                contributing = [
-                    vid for vid in spec.bfs_order
-                    if spec.vertex(vid).dim or zero_dim == "constant"
-                ]
-                assert list(record["params"]) == contributing
-                for vid in contributing:
-                    assert record["params"][vid] == {
-                        "lengthscales": [
-                            theta[f"{vid}::ls{d}"] for d in range(spec.vertex(vid).dim)
-                        ],
-                        "output_scale": theta["shared::scale" if tied else f"{vid}::scale"],
-                    }
+        for tied in (False, True):
+            kern = random_kernel(spec, rng, tied_scales=tied)
+            record = json.loads(json.dumps(kern.to_config()))
+            assert (record["kind"], record["tied_scales"]) == (kern.kind, tied)
+            theta = dict(zip(kern.param_names(), kern.theta))
+            assert list(record["params"]) == list(spec.bfs_order)
+            for vid in spec.bfs_order:
+                assert record["params"][vid] == {
+                    "lengthscales": [
+                        theta[f"{vid}::ls{d}"] for d in range(spec.vertex(vid).dim)
+                    ],
+                    "output_scale": theta["shared::scale" if tied else f"{vid}::scale"],
+                }
 
 
 def test_gram_grads_match_finite_differences():
-    # The packed engine against a dense oracle, for every kind x zero_dim x
-    # tied: each contributing vertex's entries are exactly the lower triangle
-    # (i >= j) of R_v x R_v, K is bitwise gram_matrix of the kernel the same
-    # log vector builds (as a fit does), and each parameter's per-entry
-    # derivatives, scattered into an n x n matrix and mirrored, match central
-    # differences of gram_matrix.  Trees 9, 11 and 32 have contributing dim-0
-    # vertices; every tree has 2-dim vertices.
+    # The packed engine against a dense oracle, for every kind x tied: each
+    # vertex's entries are exactly the lower triangle (i >= j) of R_v x R_v,
+    # K is bitwise gram_matrix of the kernel the same log vector builds (as
+    # a fit does), and each parameter's per-entry derivatives, scattered
+    # into an n x n matrix and mirrored, match central differences of
+    # gram_matrix.  Trees 9, 11 and 32 have dim-0 vertices; every tree has
+    # 2-dim vertices.
     rng = np.random.default_rng(13)
     saw_dim0 = False
     for seed, depth in ((0, 3), (4, 3), (9, 3), (11, 4), (32, 4)):
         spec = random_tree_spec(seed, max_depth=depth, max_dim=2)
-        for kind, zero_dim, tied in itertools.product(
-            ("se", "matern32", "matern52"), ("constant", "zero"), (False, True)
-        ):
-            start = AddTreeKernel.default(
-                spec, kind=kind, zero_dim=zero_dim, tied_scales=tied
-            )
+        for kind, tied in itertools.product(("se", "matern32", "matern52"), (False, True)):
+            start = AddTreeKernel.default(spec, kind=kind, tied_scales=tied)
             vec = rng.uniform(-1.0, 1.0, len(start.param_names()))
             kern = replace(start, theta=np.exp(vec))
             leaves, X = random_points(spec, rng, 12)
@@ -339,8 +310,6 @@ def test_gram_grads_match_finite_differences():
             blocks = kern.vertex_blocks(X)
             pos, starts = 0, []  # entries vertex after vertex
             for vid in spec.bfs_order:
-                if spec.vertex(vid).dim == 0 and zero_dim == "zero":
-                    continue
                 saw_dim0 |= spec.vertex(vid).dim == 0
                 R = np.array([i for i, lf in enumerate(leaves) if oracles.on_path(spec, vid, lf)])
                 if R.size:  # a vertex on no row's path has no block
@@ -414,12 +383,18 @@ def test_gram_and_grads_temporaries_stay_near_its_output():
             tracemalloc.stop()
     assert peak <= 0.1 * (K.nbytes + dK.nbytes)
 
-@pytest.mark.parametrize("zero_dim", ["constant", "zero"])
-def test_diag_and_component_cross_agree_with_gram(zero_dim):
+def test_component_prior_variance_rejects_an_unknown_vertex(jenatton):
+    kern = AddTreeKernel.default(jenatton.spec, output_scale=0.7)
+    assert kern.component_prior_variance("root") == 0.7  # dim-0: its scale
+    with pytest.raises(KeyError, match="'nO'"):
+        kern.component_prior_variance("nO")  # a typo of "n0"
+
+
+def test_diag_and_component_cross_agree_with_gram():
     rng = np.random.default_rng(19)
     for seed in range(10):
         spec = random_tree_spec(seed)
-        kern = random_kernel(spec, rng, zero_dim=zero_dim)
+        kern = random_kernel(spec, rng)
         _, X = random_points(spec, rng, 8)
         np.testing.assert_array_equal(kern.diag(X), np.diag(kern.gram_matrix(X)))
         for leaf, q in zip(*random_points(spec, rng, 3)):
