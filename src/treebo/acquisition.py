@@ -2,9 +2,11 @@
 
 The upper confidence bound ``mu + sqrt(beta) * sigma`` is maximized one
 vertex at a time: every vertex's component posterior yields a low-dimensional
-UCB surface over that vertex's own box, each is maximized independently, per-path
-scores are the sums of the per-vertex maxima along the path, and the best
-path's argmaxes are concatenated into the next evaluation point.
+UCB surface over that vertex's own box, and each is maximized independently.
+Every path gets a score, the sum of the per-vertex maxima along it, and a
+candidate point, its argmaxes joined in path order.  :func:`propose` scores
+every path; the optimization loop (:func:`treebo.bench.run_bo`) chooses one
+across all of its models.
 Component means add exactly along a path, so the mean part of the path score
 is exact; the summed component deviations are a surrogate for the full
 posterior deviation.
@@ -164,15 +166,15 @@ class Proposal:
     """Outcome of one acquisition round.
 
     ``vertex_points``/``vertex_ucb`` hold every vertex's argmax and score;
-    ``path_ucb[i]`` sums the scores along leaf i's path; ``values`` is the
-    path-ordered continuous vector of the winning leaf.
+    ``path_ucb[i]`` sums the scores along leaf i's path, and
+    ``path_values[i]`` joins the argmaxes along it in path order, leaf i's
+    continuous values.  No path is chosen here: the loop picks a leaf.
     """
 
     vertex_points: dict
     vertex_ucb: dict
     path_ucb: np.ndarray
-    chosen_leaf: int
-    values: np.ndarray
+    path_values: tuple
     beta: float
 
 
@@ -372,14 +374,14 @@ def propose(
     n_starts: int,
     scan_budget: int,
 ) -> Proposal:
-    """Run one round of per-vertex UCB maximization and pick the best path.
+    """Run one round of per-vertex UCB maximization and score every path.
 
     Vertices are maximized independently, all vertices of one dimension in
     one batched ascent (see the module docstring) from the best
     ``n_starts`` of ``scan_budget`` scan points (``BoConfig`` holds both);
     beta reads the model's one noise variance, its noise plus any jitter.
-    The result is deterministic.  Ties between equal path scores resolve to
-    the lowest path index.
+    Every leaf gets its path score and its values; the caller chooses the
+    leaf.  The result is deterministic.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -405,19 +407,12 @@ def propose(
         means, variances = component_posterior_batch(model, vid, x[None, :])
         vertex_ucb[vid] = float(means[0] + sqrt_beta * math.sqrt(variances[0]))
 
-    path_ucb = np.array(
-        [sum(vertex_ucb[vid] for vid in path) for path in spec.leaf_paths]
-    )
-    chosen = int(np.argmax(path_ucb))  # first max: lowest path index wins ties
-    values = np.concatenate(
-        [vertex_points[vid] for vid in spec.leaf_paths[chosen]]
-        or [np.empty(0)]
-    )
     return Proposal(
         vertex_points=vertex_points,
         vertex_ucb=vertex_ucb,
-        path_ucb=path_ucb,
-        chosen_leaf=chosen,
-        values=values,
+        path_ucb=np.array([sum(vertex_ucb[vid] for vid in path) for path in spec.leaf_paths]),
+        path_values=tuple(
+            np.concatenate([vertex_points[vid] for vid in path]) for path in spec.leaf_paths
+        ),
         beta=beta_value,
     )

@@ -232,14 +232,12 @@ class BoConfig:
     ``n_init=None`` resolves to 4 plus the space's continuous dimension.
     ``restarts`` is the number of L-BFGS-B starts of a full hyperparameter
     fit: the previous kernel plus ``restarts - 1`` log-uniform draws.  Every
-    regression fit is a full fit; an optimization loop runs one on its first
-    refit and whenever its data has at least doubled since its last full
-    fit, and otherwise one warm-started run from the previous fit.
-    ``gamma_g``/``gamma_b`` of zero mean no schedule adaptation (constant
-    norm bound); fitted lengthscales are always capped by the min rule at
-    ``theta0 / g(t)``, which stops evidence maximization from flattening a
-    barely-observed region into false certainty.  The fit's bounds are
-    :data:`gp.LENGTHSCALE_BOUNDS` and :data:`gp.SCALE_BOUNDS`.
+    regression fit is a full, uncapped fit; :func:`run_bo` says when a loop
+    runs one.  ``gamma_g``/``gamma_b`` of zero mean no schedule adaptation
+    (constant norm bound); a loop's fitted lengthscales are always capped by
+    the min rule at ``theta0 / g(t)``, which stops evidence maximization from
+    flattening a barely-observed region into false certainty.  The fit's
+    bounds are :data:`gp.LENGTHSCALE_BOUNDS` and :data:`gp.SCALE_BOUNDS`.
     ``noise_variance`` is the one noise variance: the GP conditions on it,
     and beta's information gain and noise term read it too, plus any
     jitter a factorization needed, so it must be positive.  A config whose
@@ -284,25 +282,6 @@ class BoConfig:
     def kernel(self, spec: TreeSpec) -> AddTreeKernel:
         """The unfitted starting kernel of this config on a space."""
         return AddTreeKernel.default(spec, kind=self.kernel_kind, tied_scales=self.tie_scales)
-
-    def fit(
-        self, kernel, data, rng, t: float = 0.0, schedule=None, warm: bool = False
-    ) -> "gp.FitResult":
-        """One hyperparameter refit under this config's policy.
-
-        A full fit starts from ``kernel`` and ``restarts - 1`` draws from
-        ``rng``; a ``warm`` fit is one L-BFGS-B run from ``kernel`` and draws
-        nothing.  The min-rule lengthscale cap applies only inside the
-        optimization loop (when a schedule is passed); plain regression fits
-        are uncapped.
-        """
-        return gp.fit_hyperparameters(
-            kernel,
-            data,
-            restarts=1 if warm else self.restarts,
-            rng=rng,
-            lengthscale_cap=None if schedule is None else schedule.lengthscale_cap(t),
-        )
 
 
 @dataclass(frozen=True)
@@ -442,11 +421,13 @@ class _GpLoop:
 
     The loop minimizes, so ``data`` holds the rows of its evaluations and
     -y, which the fits and the UCB machinery both read: the evidence does
-    not see the sign.  A refit is a full multi-start (``config.restarts``
-    starts, drawing from ``rng_fit``) on the first refit and whenever the
-    data has at least doubled since the last full one (``full_fit_size``);
-    every other refit is one L-BFGS-B run from the previous fit, and falls
-    back to a full one in the same step if that run fails.
+    not see the sign.  :meth:`refit` alone sets the refit policy and makes
+    its :func:`gp.fit_hyperparameters` calls, each under the schedule's
+    lengthscale cap at t: a full one (``restarts=config.restarts``, drawing
+    from ``rng_fit``) on the first refit and whenever the data has at least
+    doubled since the last full one (``full_fit_size``), and otherwise a
+    warm one (``restarts=1``, one L-BFGS-B run from the previous fit), which
+    falls back to a full one in the same step if it fails.
     """
 
     def __init__(self, space: _Space, config: BoConfig):
@@ -460,17 +441,22 @@ class _GpLoop:
     def refit(self, t: int, rng_fit: np.random.Generator) -> None:
         """Refit the kernel to the data under the doubling rule."""
         n = len(self.data)
-        args = (self.kernel, self.data, rng_fit, t, self.schedule)
+        cap = self.schedule.lengthscale_cap(t)
         if n < 2 * self.full_fit_size:
             # a failed warm start is a FactorizationError or whatever the
             # optimizer raised (fit_hyperparameters counts any exception as a
             # failed start); a full fit follows at once
             try:
-                self.kernel = self.config.fit(*args, warm=True).kernel
+                self.kernel = gp.fit_hyperparameters(
+                    self.kernel, self.data, restarts=1, rng=rng_fit, lengthscale_cap=cap
+                ).kernel
                 return
             except Exception as exc:
                 logger.warning("t=%d: warm refit failed (%r); running a full refit", t, exc)
-        self.kernel = self.config.fit(*args).kernel
+        self.kernel = gp.fit_hyperparameters(
+            self.kernel, self.data, restarts=self.config.restarts, rng=rng_fit,
+            lengthscale_cap=cap,
+        ).kernel
         self.full_fit_size = n
 
     def suggest(self, t: int, rng_fit: np.random.Generator) -> Proposal:
@@ -506,10 +492,9 @@ def run_bo(
     hyperparameters with ``config.restarts`` starts on its first refit and
     whenever its data has at least doubled since its last such fit, and with
     one warm start from the previous fit in between.  A model-based step
-    asks every loop for its path scores and takes the best leaf (the lowest
-    on ties).
-    The loops maximize the confidence bound of the negated objective
-    (minimization).
+    asks every loop to score its paths and evaluates the best leaf over all
+    of them (the lowest on ties) at that path's values.  The loops maximize
+    the confidence bound of the negated objective (minimization).
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
@@ -552,10 +537,11 @@ def run_bo(
                 leaf, values = sample_uniform_point(spec, rng_init)
             else:
                 props = [loop.suggest(t, rng_fit) for loop in loops]
-                by_leaf = [prop for loop, prop in zip(loops, props) for _ in loop.space.leaves]
-                # first max: the lowest leaf wins ties
+                # the loops' paths cover the leaves in leaf order; first max:
+                # the lowest leaf wins ties
                 leaf = int(np.argmax(np.concatenate([prop.path_ucb for prop in props])))
-                values, beta_value = by_leaf[leaf].values, by_leaf[leaf].beta
+                by_leaf = [(prop.beta, values) for prop in props for values in prop.path_values]
+                beta_value, values = by_leaf[leaf]
 
             y = _evaluate(objective, leaf, values, t)
             best = min(best, y)
@@ -663,7 +649,9 @@ def run_regression_study(
                     dset = gp.Dataset.create(
                         X[:m], y_train[rows[:m]], noise=config.noise_variance
                     )
-                    result = config.fit(config.kernel(space.spec), dset, rng_fit)
+                    result = gp.fit_hyperparameters(
+                        config.kernel(space.spec), dset, restarts=config.restarts, rng=rng_fit
+                    )
                     preds[test_rows] = gp.posterior(gp.fit(result.kernel, dset), Q)[0]
                 mse = float(np.mean((preds - y_test) ** 2))
                 records.append(RegressionRecord(method, n, seed, mse))
@@ -728,10 +716,14 @@ class ComparisonReport:
 
 
 def build_comparison(traces: list[RunTrace], iterations) -> ComparisonReport:
-    """Group traces by algorithm, pair them by seed, and run the tests."""
+    """Group traces by algorithm, pair them by seed, and run the tests; two
+    traces of one (algorithm, seed) raise ``ValueError``."""
     by_algo: dict[str, dict[int, RunTrace]] = {}
     for tr in traces:
-        by_algo.setdefault(tr.meta["algorithm"], {})[int(tr.meta["seed"])] = tr
+        runs, seed = by_algo.setdefault(tr.meta["algorithm"], {}), int(tr.meta["seed"])
+        if seed in runs:
+            raise ValueError(f"two traces of {tr.meta['algorithm']} seed {seed}")
+        runs[seed] = tr
     algorithms = sorted(by_algo)
     if len(algorithms) < 2:
         raise ValueError(f"need traces from >= 2 algorithms, got {algorithms}")

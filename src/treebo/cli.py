@@ -264,22 +264,24 @@ def cmd_compare(args) -> int:
         if not files:
             raise UserError(f"no trace files in {path}")
         try:
-            groups.append((k, [read_trace(f) for f in files]))
+            traces = [read_trace(f) for f in files]
         except ValueError as exc:  # each message names its file
             raise UserError(str(exc)) from None
+        # one directory holds one trace per (algorithm, seed)
+        first: dict[tuple[str, int], Path] = {}
+        for f, tr in zip(files, traces):
+            key = (tr.meta["algorithm"], int(tr.meta["seed"]))
+            if key in first:
+                raise UserError(f"{first[key]} and {f} are both {key[0]} seed {key[1]}")
+            first[key] = f
+        groups.append((k, traces, set(first)))
 
     # If the same (algorithm, seed) shows up in several argument positions,
     # disambiguate by position so self-comparisons still produce a report.
-    seen: set[tuple[str, int]] = set()
-    collide = False
-    for _, traces in groups:
-        for tr in traces:
-            key = (tr.meta["algorithm"], int(tr.meta["seed"]))
-            if key in seen:
-                collide = True
-            seen.add(key)
+    key_sets = [keys for _, _, keys in groups]
+    collide = sum(map(len, key_sets)) > len(set().union(*key_sets))
     all_traces = []
-    for k, traces in groups:
+    for k, traces, _ in groups:
         for tr in traces:
             if collide:
                 tr.meta = dict(tr.meta, algorithm=f"arg{k}:{tr.meta['algorithm']}")

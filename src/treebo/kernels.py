@@ -297,16 +297,18 @@ class AddTreeKernel:
     def component_cross(self, vertex_id: str, V: np.ndarray, A: np.ndarray) -> np.ndarray:
         """Cross-covariance of one vertex's component against stacked rows.
 
-        ``V`` is (m, dim) query values for the vertex (m x 0 for dim-0).
-        Entry (q, i) is the vertex's base kernel between V[q] and row i's
-        restriction when the vertex is on row i's path, else 0.  Raises
-        ``KeyError`` for an id that is no vertex and ``ValueError`` for
-        values of the wrong width or not finite.
+        ``V`` is (m, dim) query values for the vertex (m x 0 for dim-0), or
+        one row as a 1-D array.  Entry (q, i) is the vertex's base kernel
+        between V[q] and row i's restriction when the vertex is on row i's
+        path, else 0.  Raises ``KeyError`` for an id that is no vertex and
+        ``ValueError`` for values of any other shape or not finite.
         """
         dim = self.spec.vertex(vertex_id).dim
         V = np.asarray(V, dtype=float)
         if V.ndim == 1:
             V = V.reshape(1, -1)
+        if V.ndim != 2:
+            raise ValueError(f"vertex {vertex_id!r} expects (m, {dim}) values, got shape {V.shape}")
         if V.shape[1] != dim:
             raise ValueError(
                 f"vertex {vertex_id!r} expects {dim}-dim values, got {V.shape[1]}"

@@ -192,12 +192,14 @@ def test_propose_beta_reads_the_model_noise(jenatton, n, noise):
     assert prop.beta == expected
 
 
-def test_propose_prior_symmetric_tie_breaks_to_first_path(jenatton):
+def test_propose_prior_path_scores_tie_exactly(jenatton):
+    # the prior is symmetric, so every path scores the same to the bit and
+    # the loop's first-max rule decides (see test_bench)
     model = empty_model(jenatton.spec)
     sched = zero_rate_schedule(jenatton.spec.total_dimension)
     prop = acq.propose(model, sched, t=1, **ACQ_ARGS)
-    np.testing.assert_allclose(prop.path_ucb, prop.path_ucb[0])
-    assert prop.chosen_leaf == 0
+    assert len(prop.path_ucb) == len(prop.path_values) == jenatton.spec.n_leaves
+    assert (prop.path_ucb == prop.path_ucb[0]).all()
     # every vertex scored sqrt(beta) * prior component std
     sqrt_beta = math.sqrt(prop.beta)
     for vid, u in prop.vertex_ucb.items():
@@ -302,9 +304,10 @@ def test_propose_deterministic(jenatton):
     sched = zero_rate_schedule(spec.total_dimension)
     a = acq.propose(model, sched, t=10, **ACQ_ARGS)
     b = acq.propose(model, sched, t=10, **ACQ_ARGS)
-    assert a.chosen_leaf == b.chosen_leaf
-    np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.path_ucb, b.path_ucb)
+    assert len(a.path_values) == len(b.path_values) == spec.n_leaves
+    for va, vb in zip(a.path_values, b.path_values):
+        np.testing.assert_array_equal(va, vb)
     for vid in a.vertex_ucb:
         assert a.vertex_ucb[vid] == b.vertex_ucb[vid]
 
@@ -317,13 +320,12 @@ def test_proposal_point_restricts_to_vertex_argmaxes(jenatton):
     model = gp.fit(kern, gp.Dataset.create(X, rng.normal(size=6), noise=1e-6))
     sched = zero_rate_schedule(spec.total_dimension)
     prop = acq.propose(model, sched, t=7, **ACQ_ARGS)
-    leaf = prop.chosen_leaf
-    row = linearize(spec, leaf, prop.values)
-    for vid in spec.leaf_paths[leaf]:
-        np.testing.assert_array_equal(restrict(spec, leaf, row, vid), prop.vertex_points[vid])
-    assert prop.path_ucb[prop.chosen_leaf] == pytest.approx(
-        sum(prop.vertex_ucb[v] for v in spec.leaf_paths[prop.chosen_leaf])
-    )
+    # every leaf's row is its path's vertex argmaxes, and its score their sum
+    for leaf, path in enumerate(spec.leaf_paths):
+        row = linearize(spec, leaf, prop.path_values[leaf])
+        for vid in path:
+            np.testing.assert_array_equal(restrict(spec, leaf, row, vid), prop.vertex_points[vid])
+        assert prop.path_ucb[leaf] == sum(prop.vertex_ucb[v] for v in path)
 
 
 def test_propose_validates_budget(jenatton):

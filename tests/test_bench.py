@@ -161,6 +161,23 @@ def test_initialization_shared_across_algorithms(jenatton):
         assert tr_rand.records[k].leaf == tr_add.records[k].leaf == tr_ind.records[k].leaf
 
 
+@pytest.mark.parametrize("algorithm", ["addtree", "independent"])
+def test_prior_tie_across_all_paths_goes_to_the_first_leaf(jenatton, monkeypatch, algorithm):
+    # with no data every path scores the same, in one model or across the
+    # per-leaf ones, and the loop's first max over all of them is leaf 0
+    scores, inner = [], bench.propose
+
+    def recorded(*args, **kwargs):
+        prop = inner(*args, **kwargs)
+        scores.extend(prop.path_ucb)
+        return prop
+
+    monkeypatch.setattr(bench, "propose", recorded)
+    trace = run_bo(jenatton, algorithm, iterations=1, seed=0, config=BoConfig(n_init=0))
+    assert len(scores) == jenatton.spec.n_leaves and len(set(scores)) == 1
+    assert trace.records[0].leaf == 0 and trace.records[0].beta is not None
+
+
 def test_independent_equals_addtree_on_single_path_space():
     # a chain has one leaf, so per-leaf modelling and shared modelling coincide
     obj = bench.random_tree_objective(depth=2, fanout=1, dims=1, seed=11)
@@ -523,6 +540,13 @@ def test_comparison_rejects_mismatched_seeds():
         _fake_trace("b", 2, [1.0]),
     ]
     with pytest.raises(ValueError, match="seed sets differ"):
+        build_comparison(traces, iterations=[1])
+
+
+def test_comparison_rejects_two_traces_of_one_run():
+    # keeping either of the two would silently drop the other from the report
+    traces = [_fake_trace("a", 0, [1.0]), _fake_trace("b", 0, [1.0]), _fake_trace("a", 0, [99.0])]
+    with pytest.raises(ValueError, match="two traces of a seed 0"):
         build_comparison(traces, iterations=[1])
 
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,20 @@ def test_traces_with_a_zero_dim_header_still_load(tmp_path, capsys):
     assert "arg0:addtree" in report and "arg1:random" in report
 
 
+def test_independent_runs_reproduce_their_recorded_traces(tmp_path):
+    # two 6-iteration Jenatton runs of independent, whose model-based steps
+    # choose one leaf across the per-leaf loops: a run today gives the same
+    # header and the same records, the wall times aside
+    old = DATA / "independent_traces"
+    new = tmp_path / "new"
+    assert run_cli("run", "--objective", "jenatton", "--algorithms", "independent",
+                   "--seeds", "0,1", "--out", str(new), *FAST) == 0
+    paths = sorted(old.glob("*.jsonl"))
+    assert [p.name for p in paths] == ["independent-seed0.jsonl", "independent-seed1.jsonl"]
+    for path in paths:
+        assert _strip_wall_time(new / path.name) == _strip_wall_time(path)
+
+
 def test_config_flag_defaults_are_bo_config_defaults():
     parser = cli._build_parser()
     for argv in (["run", "--out", "X"], ["regression"]):
@@ -403,6 +418,23 @@ def test_compare_mismatched_seeds_is_user_error(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("compare", str(a), str(b), "--iterations", "3") == 1
     assert "seed sets differ" in capsys.readouterr().err
+
+
+def test_compare_two_traces_of_one_run_in_a_directory_is_user_error(tmp_path, capsys):
+    # a copy of a trace with another best is a second trace of the same run:
+    # the error names both files instead of dropping one of them
+    traces = tmp_path / "traces"
+    shutil.copytree(DATA / "zero_dim_traces", traces)
+    original, copy = traces / "addtree-seed0.jsonl", traces / "copy.jsonl"
+    lines = [json.loads(line) for line in original.read_text().splitlines()]
+    for rec in lines[1:]:
+        rec["best"] = 99.0
+    copy.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    assert run_cli("compare", str(traces), "--iterations", "3") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line_error(captured.err)
+    assert f"{original} and {copy} are both addtree seed 0" in captured.err
 
 
 def test_compare_missing_directory_is_user_error(tmp_path, capsys):

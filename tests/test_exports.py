@@ -185,3 +185,15 @@ def test_benchmark_tracer_names_exist(jenatton, monkeypatch):
     )
     assert metrics["gp.fit_hyperparameters.restarts_ok_frac"] == 1.0
     assert metrics["kernels.gram_and_grads.calls"] == sum(r.evaluations for r in results)
+    # and over a regression study, whose fits are all full ones
+    results.clear()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        bench.run_regression_study(
+            jenatton, [4, 8], test_size=3, seeds=[0], config=bench.BoConfig(restarts=2)
+        )
+    metrics = tracer.layer_metrics()
+    assert results and {len(r.restart_evidences) for r in results} == {2}
+    assert metrics["gp.fit_hyperparameters.calls"] == len(results)
+    assert tracer.counts["gp.fit_hyperparameters.restarts"] == 2 * len(results)
+    assert metrics["gp.fit_hyperparameters.restarts_ok_frac"] == 1.0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -332,6 +333,18 @@ def test_component_posterior_rejects_non_finite_values(two_leaf, jenatton):
         model = gp.fit(AddTreeKernel.default(spec), gp.Dataset.create([p], [1.0], noise=1e-6))
         with pytest.raises(ValueError, match=f"'{vid}' value {where} is not finite"):
             gp.component_posterior_batch(model, vid, V)
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 1), (2, 1, 3)])
+def test_component_posterior_rejects_values_of_more_than_two_dimensions(jenatton, shape):
+    # a (2, 1, 1) array must not pass for two rows, nor (2, 1, 3) fail with a
+    # bare IndexError from inside
+    spec = jenatton.spec
+    p = linearize(spec, 0, [0.0, 0.0])
+    model = gp.fit(AddTreeKernel.default(spec), gp.Dataset.create([p], [1.0], noise=1e-6))
+    message = f"'n0' expects (m, 1) values, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gp.component_posterior_batch(model, "n0", np.zeros(shape))
 
 
 def test_component_means_add_to_posterior_mean():
