@@ -85,8 +85,9 @@ class UcbSchedule:
     inflation functions ``g`` and ``b`` (both equal 1 at t = 0 and are
     exactly 1 for a zero rate); ``d`` is the total dimension of the space
     (continuous plus categorical), the exponent on ``g(t)`` in the norm bound.
-    ``theta0`` only sets the cap theta0 / g(t) on fitted lengthscales; a fit
-    starts from lengthscale 1 (``BoConfig.kernel``) or from the last fit.
+    ``theta0`` only sets the cap theta0 / g(t), the upper bound of every
+    lengthscale's box in a fit; a fit starts from lengthscale 1
+    (``BoConfig.kernel``) or from the last fit, clipped into the box.
     """
 
     theta0: float
@@ -119,7 +120,7 @@ class UcbSchedule:
         return 1.0 + self.gamma_b * math.log1p(t)
 
     def lengthscale_cap(self, t: float) -> float:
-        """theta_0 / g(t): the cap in the min rule for fitted lengthscales."""
+        """theta_0 / g(t): the upper bound on every fitted lengthscale."""
         return self.theta0 / self.g(t)
 
 
@@ -381,7 +382,7 @@ def propose(
     ``n_starts`` of ``scan_budget`` scan points (``BoConfig`` holds both);
     beta reads the model's one noise variance, its noise plus any jitter.
     Every leaf gets its path score and its values; the caller chooses the
-    leaf.  The result is deterministic.
+    leaf.  The result is deterministic for a fixed OpenBLAS thread count.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")

@@ -234,10 +234,11 @@ class BoConfig:
     fit: the previous kernel plus ``restarts - 1`` log-uniform draws.  Every
     regression fit is a full, uncapped fit; :func:`run_bo` says when a loop
     runs one.  ``gamma_g``/``gamma_b`` of zero mean no schedule adaptation
-    (constant norm bound); a loop's fitted lengthscales are always capped by
-    the min rule at ``theta0 / g(t)``, which stops evidence maximization from
+    (constant norm bound); a loop's fits search lengthscales only up to the
+    bound ``theta0 / g(t)``, which stops evidence maximization from
     flattening a barely-observed region into false certainty.  The fit's
-    bounds are :data:`gp.LENGTHSCALE_BOUNDS` and :data:`gp.SCALE_BOUNDS`.
+    box is :data:`gp.LENGTHSCALE_BOUNDS`, its top lowered to that bound, and
+    :data:`gp.SCALE_BOUNDS`.
     ``noise_variance`` is the one noise variance: the GP conditions on it,
     and beta's information gain and noise term read it too, plus any
     jitter a factorization needed, so it must be positive.  A config whose
@@ -422,12 +423,13 @@ class _GpLoop:
     The loop minimizes, so ``data`` holds the rows of its evaluations and
     -y, which the fits and the UCB machinery both read: the evidence does
     not see the sign.  :meth:`refit` alone sets the refit policy and makes
-    its :func:`gp.fit_hyperparameters` calls, each under the schedule's
-    lengthscale cap at t: a full one (``restarts=config.restarts``, drawing
-    from ``rng_fit``) on the first refit and whenever the data has at least
-    doubled since the last full one (``full_fit_size``), and otherwise a
-    warm one (``restarts=1``, one L-BFGS-B run from the previous fit), which
-    falls back to a full one in the same step if it fails.
+    its :func:`gp.fit_hyperparameters` calls, each with the schedule's cap
+    at t as the bound of every lengthscale: a full one
+    (``restarts=config.restarts``, drawing from ``rng_fit``) on the first
+    refit and whenever the data has at least doubled since the last full
+    one (``full_fit_size``), and otherwise a warm one (``restarts=1``, one
+    L-BFGS-B run from the previous fit), which falls back to a full one in
+    the same step if it fails.
     """
 
     def __init__(self, space: _Space, config: BoConfig):

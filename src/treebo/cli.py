@@ -113,8 +113,8 @@ _FIT_FLAGS = (
 _LOOP_FLAGS = (
     ("--n-init", "n_init", "random iterations before model-based proposals "
      "(default: 4 + continuous dimension)", {"type": int}),
-    ("--theta0", "theta0", "lengthscale cap at t = 0: fitted lengthscales are capped at "
-     "theta0 / g(t) (fits start from lengthscale 1 or the last fit)", {"type": float}),
+    ("--theta0", "theta0", "lengthscale bound at t = 0: fits search lengthscales only up "
+     "to theta0 / g(t) (fits start from lengthscale 1 or the last fit)", {"type": float}),
     ("--b0", "B0", "initial norm-bound guess", {"type": float}),
     ("--delta", "delta", "confidence level in (0,1)", {"type": float}),
     ("--gamma-g", "gamma_g", "lengthscale-deflation rate; 0 disables adaptation",

@@ -565,8 +565,9 @@ def _lbfgsb(objective, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 @dataclass
 class FitResult:
-    """The fitted kernel, its log evidence, the best evidence each restart
-    reached, and ``evaluations``: the objective evaluations summed over the
+    """The fitted kernel, its log evidence (that of the returned kernel, the
+    best point of the search box), the best evidence each restart reached,
+    and ``evaluations``: the objective evaluations summed over the
     restarts."""
 
     kernel: AddTreeKernel
@@ -586,23 +587,31 @@ def fit_hyperparameters(
 
     Every lengthscale lies in :data:`LENGTHSCALE_BOUNDS` and every output
     scale in :data:`SCALE_BOUNDS`; the dataset's noise variance is taken as
-    given.  The first start is the passed kernel (clipped into the bounds);
-    the remaining ``restarts - 1`` starts are log-uniform draws.
-    ``lengthscale_cap`` applies the min rule afterwards: every fitted
-    lengthscale becomes min(lengthscale, cap), so a capped one is exactly
-    the cap.  Raises :class:`FactorizationError` when every restart ends
+    given.  A ``lengthscale_cap``, which must be positive, bounds the
+    search: every lengthscale's box becomes [min(0.05, cap), min(20, cap)],
+    so a cap below the box fixes every lengthscale at the cap.  The first
+    start is the passed kernel clipped into the box; the remaining
+    ``restarts - 1`` starts are log-uniform draws in it.  The returned
+    kernel is the best point found in the box, and ``log_evidence`` is its
+    evidence.  Raises :class:`FactorizationError` when every restart ends
     where the Gram matrix cannot be factorized.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if lengthscale_cap is not None and not lengthscale_cap > 0:  # NaN fails too
+        raise ValueError(f"lengthscale_cap must be positive, got {lengthscale_cap}")
     if len(data) == 0:
         raise ValueError("hyperparameter fitting needs at least one observation")
     _check_width(kernel, data.X, "data")
     rng = rng if rng is not None else np.random.default_rng(0)
     objective = _negative_evidence(kernel, data)
     is_scale = np.array([nm.endswith("::scale") for nm in kernel.param_names()])
-    lo = np.where(is_scale, np.log(SCALE_BOUNDS[0]), np.log(LENGTHSCALE_BOUNDS[0]))
-    hi = np.where(is_scale, np.log(SCALE_BOUNDS[1]), np.log(LENGTHSCALE_BOUNDS[1]))
+    ls_lo, ls_hi = np.log(LENGTHSCALE_BOUNDS[0]), np.log(LENGTHSCALE_BOUNDS[1])
+    if lengthscale_cap is not None:
+        ls_hi = min(ls_hi, np.log(lengthscale_cap))
+        ls_lo = min(ls_lo, ls_hi)
+    lo = np.where(is_scale, np.log(SCALE_BOUNDS[0]), ls_lo)
+    hi = np.where(is_scale, np.log(SCALE_BOUNDS[1]), ls_hi)
 
     starts = [np.clip(kernel.get_log_params(), lo, hi)]
     for _ in range(restarts - 1):
@@ -632,6 +641,7 @@ def fit_hyperparameters(
 
     theta = np.exp(best_vec)
     if lengthscale_cap is not None:
+        # the box ends at log(cap), and exp(log(cap)) can exceed cap by an ulp
         theta = np.where(is_scale, theta, np.minimum(theta, lengthscale_cap))
     logger.debug(
         "fit_hyperparameters: n=%d best evidence %.4f over %d restarts",

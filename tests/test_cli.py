@@ -248,7 +248,7 @@ def test_config_flags_are_exactly_the_bo_config_fields():
 MOVED = {
     "--n-init": ["3"], "--restarts": ["1"], "--theta0": ["0.5"], "--b0": ["2"],
     "--delta": ["0.5"], "--gamma-g": ["0.1"], "--gamma-b": ["0"],
-    "--noise-variance": ["1e-4"], "--acq-starts": ["2"], "--acq-scan": ["8"],
+    "--noise-variance": ["1e-4"], "--acq-starts": ["1"], "--acq-scan": ["8"],
     "--kernel": ["matern52"], "--no-tie-scales": [],
 }
 

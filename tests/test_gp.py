@@ -1024,22 +1024,79 @@ def test_fit_hyperparameters_requires_data(two_leaf):
         gp.fit_hyperparameters(kern, gp.Dataset.create(no_rows(spec), []), restarts=0)
 
 
-def test_lengthscale_cap_min_rule():
-    # schedule: g(t) = 2, theta0 = 1 -> cap 0.5.  c0 follows sin(8 x) and
-    # fits below the cap; c1 is nearly linear and fits above it.  The capped
-    # fit is the uncapped one with min(ls, 0.5) per lengthscale, bitwise.
+def _cap_instance():
+    """c0 follows sin(8 x) and fits below a cap of 0.5 (g(t) = 2 at
+    theta0 = 1); c1 is nearly linear and fits above it."""
     spec = chain_space((1, 1))
     rng = np.random.default_rng(0)
     X = rng.uniform(-2, 2, size=(30, 2))
     pts = [linearize(spec, 0, x) for x in X]
     data = gp.Dataset.create(pts, np.sin(8 * X[:, 0]) + 0.2 * X[:, 1], noise=1e-4)
-    kern = AddTreeKernel.default(spec)
+    return AddTreeKernel.default(spec), data
+
+
+def _lengthscales(kernel):
+    return [x for x, nm in zip(kernel.theta, kernel.param_names()) if not nm.endswith("::scale")]
+
+
+def test_lengthscale_cap_bounds_the_search():
+    # the cap is the top of the lengthscale box, so the fit returns the best
+    # kernel in it: c1 ends at the cap, the reported evidence is that
+    # kernel's, and it is no lower than the evidence of the uncapped optimum
+    # with its lengthscales clipped to the cap
+    kern, data = _cap_instance()
     free, capped = (
         gp.fit_hyperparameters(
             kern, data, restarts=2, rng=np.random.default_rng(1), lengthscale_cap=cap
-        ).kernel.theta
+        )
         for cap in (None, 0.5)
     )
     assert kern.param_names() == ["c0::ls0", "c0::scale", "c1::ls0", "c1::scale"]
-    assert free[0] < 0.5 < free[2]
-    assert capped == (free[0], free[1], 0.5, free[3])
+    assert free.kernel.theta[0] < 0.5 < free.kernel.theta[2]
+    assert max(_lengthscales(capped.kernel)) <= 0.5
+    assert capped.kernel.theta[2] == pytest.approx(0.5, rel=1e-12)
+    returned = oracles.log_evidence(gp.fit(capped.kernel, data))
+    assert capped.log_evidence == pytest.approx(returned, rel=1e-9)
+    clipped = replace(free.kernel, theta=np.minimum(free.kernel.theta, (0.5, np.inf, 0.5, np.inf)))
+    assert returned >= oracles.log_evidence(gp.fit(clipped, data))
+
+
+@pytest.mark.parametrize("kind", ["se", "matern32", "matern52"])
+def test_capped_fit_reports_the_evidence_of_the_kernel_it_returns(kind):
+    # under a binding cap no fitted lengthscale exceeds it, and the reported
+    # evidence is the returned kernel's, not that of an optimum beyond the cap
+    for seed in (0, 1, 2, 4):  # seed 3's tree has no continuous variable
+        _, kern, data, _ = random_gp_instance(seed, n=12, noise=1e-3, kind=kind)
+        free = gp.fit_hyperparameters(kern, data, restarts=2, rng=np.random.default_rng(seed))
+        cap = 0.5 * min(_lengthscales(free.kernel))
+        result = gp.fit_hyperparameters(
+            kern, data, restarts=2, rng=np.random.default_rng(seed), lengthscale_cap=cap
+        )
+        top = max(_lengthscales(result.kernel))
+        assert top <= cap
+        assert top == pytest.approx(cap, rel=1e-12)  # the cap binds
+        assert result.log_evidence == pytest.approx(
+            oracles.log_evidence(gp.fit(result.kernel, data)), rel=1e-9
+        )
+
+
+def test_cap_below_the_box_fixes_every_lengthscale_at_the_cap():
+    kern, data = _cap_instance()
+    assert 0.01 < gp.LENGTHSCALE_BOUNDS[0]
+    result = gp.fit_hyperparameters(
+        kern, data, restarts=3, rng=np.random.default_rng(0), lengthscale_cap=0.01
+    )
+    assert _lengthscales(result.kernel) == pytest.approx([0.01, 0.01], rel=1e-12)
+    assert result.log_evidence == pytest.approx(
+        oracles.log_evidence(gp.fit(result.kernel, data)), rel=1e-9
+    )
+
+
+@pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0])
+def test_bad_lengthscale_cap_is_rejected_before_any_evaluation(monkeypatch, cap):
+    kern, data = _cap_instance()
+    built = []
+    monkeypatch.setattr(gp, "_negative_evidence", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="lengthscale_cap must be positive"):
+        gp.fit_hyperparameters(kern, data, restarts=2, lengthscale_cap=cap)
+    assert built == []
