@@ -12,10 +12,11 @@ is exact; the summed component deviations are a surrogate for the full
 posterior deviation.
 
 The vertices are maximized together, one batch per dimension: a fixed Sobol
-scan of every vertex's box picks its best starts, and one projected gradient
-ascent (:func:`_ascend`) climbs from all starts of all the batch's vertices
-at once, on :func:`~treebo.gp.stacked_component_posterior` with the
-closed-form gradient of the component UCB.  Each argmax is then scored once
+scan of every vertex's box, which reads UCB values only, picks its best
+starts, and one projected gradient ascent (:func:`_ascend`) climbs from all
+starts of all the batch's vertices at once, on
+:func:`~treebo.gp.stacked_component_posterior` with the closed-form gradient
+of the component UCB.  Each argmax is then scored once
 more by :func:`~treebo.gp.component_posterior_batch`, a solve with the
 Cholesky factor itself, so every reported score comes from the reference
 posterior.  A dim-0 vertex has nothing to maximize; its score is that same
@@ -48,8 +49,10 @@ import scipy
 from .gp import (
     ComponentStack,
     GpModel,
+    clip,
     component_posterior_batch,
     component_stack,
+    einsum,
     stacked_component_posterior,
 )
 
@@ -71,6 +74,7 @@ GAIN_TOL = 1e-12
 ARMIJO = 1e-4
 MEMORY = 10
 STEP_MIN, STEP_MAX = 1e-10, 1e10
+TINY = np.finfo(float).tiny  # 1 / TINY is finite; 1 / a subnormal may not be
 # The Sobol scan's direction numbers: scipy's copy of the Joe-Kuo table, read
 # by path so that ``scipy.stats`` is never imported, and its row count.
 SOBOL_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
@@ -252,31 +256,31 @@ def _unit_sobol(dim: int, budget: int) -> np.ndarray:
     return pts
 
 
-def _ucb_and_grad(
-    stack: ComponentStack, lo: np.ndarray, Z: np.ndarray, sqrt_beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Component UCB of the stacked vertices at points ``Z`` (k, q, dim) in
-    lengthscale units from the box corner ``lo`` (x = lo + Z * lengthscales)
-    and its gradient in those units, taking the sigma part of the gradient
-    as 0 where sigma is 0."""
-    ls = stack.lengthscales[:, None, :]
-    means, variances, dmeans, dvariances = stacked_component_posterior(
-        stack, lo[:, None, :] + Z * ls
-    )
-    sigma = np.sqrt(variances)
-    # d sigma = d sigma^2 / (2 sigma)
-    half_inv = np.divide(0.5, sigma, out=np.zeros_like(sigma), where=sigma > 0)
-    grad = (dmeans + sqrt_beta * half_inv[..., None] * dvariances) * ls
-    return means + sqrt_beta * sigma, grad
+def _component_ucb(stack: ComponentStack, lo: np.ndarray, sqrt_beta: float):
+    """``ucb(Z)``, the component UCB of the stacked vertices at points ``Z``
+    (k, q, dim) in lengthscale units from the box corner ``lo`` (x = lo + Z *
+    lengthscales); with ``grad=True`` also its gradient in those units, whose
+    sigma part is taken as 0 where sigma is 0."""
+    ls, lo = stack.lengthscales[:, None, :], lo[:, None, :]
+
+    def ucb(Z, grad=False):
+        posterior = stacked_component_posterior(stack, lo + Z * ls, grad)
+        sigma = np.sqrt(posterior[1])
+        value = posterior[0] + sqrt_beta * sigma
+        if not grad:
+            return value
+        # d sigma = d sigma^2 / (2 sigma)
+        half_inv = np.divide(0.5, sigma, out=np.zeros(sigma.shape), where=sigma > 0)
+        return value, (posterior[2] + sqrt_beta * half_inv[..., None] * posterior[3]) * ls
+
+    return ucb
 
 
-def _ascend(
-    stack: ComponentStack, lo: np.ndarray, upper: np.ndarray, Z: np.ndarray, sqrt_beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize the UCB from every start row of ``Z`` (k, q, dim) at once by
-    projected gradient ascent on the boxes [0, ``upper``] (k, dim) of
-    :func:`_ucb_and_grad`'s coordinates; returns each row's best point and
-    score.
+def _ascend(ucb, upper: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize ``ucb`` (:func:`_component_ucb`) from every start row of
+    ``Z`` (k, q, dim) at once by projected gradient ascent on the boxes
+    [0, ``upper``] (k, 1, dim) of its coordinates; returns each row's best
+    point and score.
 
     This is the spectral projected gradient method (Birgin, Martinez and
     Raydan 2000): each step goes from z towards the projection of z plus a
@@ -288,40 +292,40 @@ def _ascend(
     ``PG_TOL * max(1, |score|)`` in every coordinate, or once a shrunk step
     no longer promises a gain above round-off of the score.  Every row is
     evaluated on every pass and the finished ones are left where they are.
+    A pass calls numpy's C routines directly: at a few dozen rows their
+    Python wrappers would cost more than their arithmetic.
     """
-    f, g = _ucb_and_grad(stack, lo, Z, sqrt_beta)
+    f, g = ucb(Z, grad=True)
 
-    def projected(Z, g, step):
-        return np.clip(Z + step[..., None] * g, 0.0, upper[:, None, :]) - Z
+    def projected(Z, step_g):
+        return clip(Z + step_g, 0.0, upper) - Z
 
     def pg_norm(Z, g):
-        return np.abs(projected(Z, g, np.ones(Z.shape[:-1]))).max(axis=-1, initial=0.0)
+        return np.maximum.reduce(np.abs(projected(Z, g)), axis=-1, initial=0.0)
 
-    def converged(Z, f, g):
-        return pg_norm(Z, g) <= PG_TOL * np.maximum(1.0, np.abs(f))
-
-    active = ~converged(Z, f, g)
     # first step: the projected gradient scaled to unit length in max-norm
     pg = pg_norm(Z, g)
-    direction = projected(Z, g, np.divide(1.0, pg, out=np.ones_like(pg), where=pg > 0))
-    t = np.ones_like(f)
+    active = ~(pg <= PG_TOL * np.maximum(1.0, np.abs(f)))
+    unit = np.divide(1.0, pg, out=np.ones(pg.shape), where=pg > TINY)
+    direction = projected(Z, unit[..., None] * g)
+    t = np.ones(f.shape)
     recent = np.repeat(f[None], MEMORY, axis=0)
     best_Z, best_f = Z, f
     while True:
         trial = Z + t[..., None] * direction
-        active &= np.any(trial != Z, axis=-1)
-        if not active.any():
+        active &= np.logical_or.reduce(trial != Z, axis=-1)
+        if not np.logical_or.reduce(active, axis=None):
             return best_Z, best_f
-        f_trial, g_trial = _ucb_and_grad(stack, lo, trial, sqrt_beta)
-        slope = np.einsum("kqd,kqd->kq", g, direction)
-        floor = recent.min(axis=0)
+        f_trial, g_trial = ucb(trial, grad=True)
+        slope = einsum("kqd,kqd->kq", g, direction)
+        floor = np.minimum.reduce(recent, axis=0)
         # strictly above the floor, so the floor rises within MEMORY accepted steps
         accept = active & (f_trial > floor) & (f_trial >= floor + ARMIJO * t * slope)
         s, y = trial - Z, g_trial - g
-        curvature = -np.einsum("kqd,kqd->kq", s, y)  # > 0 where the UCB is concave along s
+        curvature = -einsum("kqd,kqd->kq", s, y)  # > 0 where the UCB is concave along s
         bb = np.divide(
-            np.einsum("kqd,kqd->kq", s, s), curvature,
-            out=np.full_like(f, STEP_MAX), where=curvature > 0,
+            einsum("kqd,kqd->kq", s, s), curvature,
+            out=np.full(f.shape, STEP_MAX), where=curvature > 0,
         )
         # a rejected step shrinks to the maximum of the quadratic through
         # the floor, the slope and f_trial, kept within [0.1 t, 0.5 t]
@@ -334,11 +338,12 @@ def _ascend(
         better = f > best_f
         best_Z = np.where(better[..., None], Z, best_Z)
         best_f = np.where(better, f, best_f)
-        step = np.clip(bb, STEP_MIN, STEP_MAX)
-        direction = np.where(accept[..., None], projected(Z, g, step), direction)
-        t = np.where(accept, 1.0, np.clip(shrunk, 0.1 * t, 0.5 * t))
-        active &= ~(accept & converged(Z, f, g))
-        active &= accept | (slope * t > GAIN_TOL * np.maximum(1.0, np.abs(f)))
+        step = clip(bb, STEP_MIN, STEP_MAX)
+        direction = np.where(accept[..., None], projected(Z, step[..., None] * g), direction)
+        t = np.where(accept, 1.0, clip(shrunk, 0.1 * t, 0.5 * t))
+        size = np.maximum(1.0, np.abs(f))
+        active &= ~(accept & (pg_norm(Z, g) <= PG_TOL * size))
+        active &= accept | (slope * t > GAIN_TOL * size)
 
 
 def _maximize_vertices(
@@ -358,12 +363,12 @@ def _maximize_vertices(
     stack = component_stack(model, vertex_ids)
     bounds = np.array([model.kernel.spec.vertex(vid).bounds for vid in vertex_ids])
     lo, hi = bounds[..., 0], bounds[..., 1]
-    upper = (hi - lo) / stack.lengthscales
+    upper = ((hi - lo) / stack.lengthscales)[:, None, :]
 
-    scan = _unit_sobol(lo.shape[1], scan_budget)[None] * upper[:, None, :]
-    scores, _ = _ucb_and_grad(stack, lo, scan, sqrt_beta)
-    top = np.argsort(-scores, axis=1, kind="stable")[:, :n_starts]
-    Z, f = _ascend(stack, lo, upper, np.take_along_axis(scan, top[..., None], axis=1), sqrt_beta)
+    ucb = _component_ucb(stack, lo, sqrt_beta)
+    scan = _unit_sobol(lo.shape[1], scan_budget)[None] * upper
+    top = np.argsort(-ucb(scan), axis=1, kind="stable")[:, :n_starts]
+    Z, f = _ascend(ucb, upper, np.take_along_axis(scan, top[..., None], axis=1))
     z = Z[np.arange(len(vertex_ids)), np.argmax(f, axis=1)]
     return np.clip(lo + z * stack.lengthscales, lo, hi)
 

@@ -77,6 +77,7 @@ hyperparameters only, conditioned on it.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import sys
@@ -89,6 +90,10 @@ import numpy as np
 import scipy
 
 from .kernels import AddTreeKernel, VertexBlocks, _corr_and_weight
+
+# the C routines behind np.einsum and np.clip, called without their Python wrappers
+_core = np._core if hasattr(np, "_core") else np.core  # numpy >= 2, or older
+einsum, clip = _core.multiarray.c_einsum, _core.umath.clip
 
 __all__ = [
     "Dataset",
@@ -318,9 +323,9 @@ def _predict(model: GpModel, C: np.ndarray, prior: float | np.ndarray) -> tuple[
     means = C @ model.alpha
     # a model with no data has no factor to solve with (dtrtrs rejects 0 x 0)
     W = _forward_solve(model.L, C.T) if model.n else C.T  # column q is L^{-1} c_q
-    variances = prior - np.einsum("iq,iq->q", W, W)
+    variances = prior - einsum("iq,iq->q", W, W)
     neg = variances < 0
-    if np.any(neg):
+    if neg.any():
         model.clamp_count += int(neg.sum())
         variances = np.where(neg, 0.0, variances)
     return means, variances
@@ -373,6 +378,16 @@ class ComponentStack:
     lengthscales: np.ndarray  # (k, dim)
     scales: np.ndarray  # (k,)
 
+    @functools.cached_property
+    def _views(self) -> tuple[np.ndarray, ...]:
+        """The views of the arrays that :func:`stacked_component_posterior`
+        broadcasts against, made once per stack."""
+        return (
+            self.values[:, :, None, :], self.lengthscales.T[:, :, None, None],
+            self.lengthscales[:, None, :], self.scales[:, None, None], self.scales[:, None],
+            self.alpha[:, None, :], self.R.transpose(0, 2, 1),
+        )
+
 
 def component_stack(model: GpModel, vertex_ids) -> ComponentStack:
     """The :class:`ComponentStack` of a fitted model's vertices, in the
@@ -406,39 +421,40 @@ def component_stack(model: GpModel, vertex_ids) -> ComponentStack:
 
 
 def stacked_component_posterior(
-    stack: ComponentStack, V: np.ndarray
+    stack: ComponentStack, V: np.ndarray, grad: bool = True
 ) -> tuple[np.ndarray, ...]:
     """Component posteriors of every stacked vertex at its own query rows.
 
     ``V`` is (k, q, dim): q query rows for each of the stack's k vertices.
     Returns the (k, q) means and clamped variances, which equal
-    :func:`component_posterior_batch` vertex by vertex up to round-off, and
-    their (k, q, dim) derivatives with respect to the query values (0 where
-    the variance was clamped).  A query is compared with R_v alone, so a
-    vertex costs |R_v| and not n.  Pure: unlike
+    :func:`component_posterior_batch` vertex by vertex up to round-off, and,
+    unless ``grad`` is False, their (k, q, dim) derivatives with respect to
+    the query values (0 where the variance was clamped); the means and
+    variances are the same bits either way.  A query is compared with R_v
+    alone, so a vertex costs |R_v| and not n.  Pure: unlike
     :func:`component_posterior_batch` it counts no clamps on the model.
     """
-    ls = stack.lengthscales[:, None, :]
+    values, ls_dk, ls, scales, scales_k, alpha, RT = stack._views
     # (dim, k, q, m) scaled differences: the dimension axis first keeps the
     # long row axis contiguous
-    Z = (np.moveaxis(V, -1, 0)[..., None] - stack.values[:, :, None, :]) / (
-        stack.lengthscales.T[:, :, None, None]
-    )
-    r2 = np.einsum("dkqi,dkqi->kqi", Z, Z)
+    Z = (V.transpose(2, 0, 1)[..., None] - values) / ls_dk
+    r2 = einsum("dkqi,dkqi->kqi", Z, Z)
     corr, w = _corr_and_weight(stack.kind, r2)
-    scales = stack.scales[:, None, None]
     C = scales * corr  # (k, q, m)
-    means = np.einsum("kqi,ki->kq", C, stack.alpha)
-    RC = C @ np.swapaxes(stack.R, 1, 2)  # row (k, q) is R c
-    variances = stack.scales[:, None] - np.einsum("kqi,kqi->kq", RC, RC)
+    means = einsum("kqi,ki->kq", C, stack.alpha)
+    RC = C @ RT  # row (k, q) is R c
+    variances = scales_k - einsum("kqi,kqi->kq", RC, RC)
     neg = variances < 0
     variances = np.where(neg, 0.0, variances)
-    # dc/dV_d = -w * (V_d - x_d) / ls_d^2 = -w * Z_d / ls_d
-    w = scales * w
-    dmeans = -np.einsum("kqi,dkqi->kqd", w * stack.alpha[:, None, :], Z) / ls
+    if not grad:
+        return means, variances
+    # dc/dV_d = -w * (V_d - x_d) / ls_d^2 = -w * Z_d / ls_d; for "se" the
+    # weight is the correlation, so s * w is C
+    w = C if w is corr else scales * w
+    dmeans = -einsum("kqi,dkqi->kqd", w * alpha, Z) / ls
     KC = RC @ stack.R  # row (k, q) is K_y^{-1} c restricted to R_v
-    dvariances = 2.0 * np.einsum("kqi,dkqi->kqd", w * KC, Z) / ls
-    dvariances[neg] = 0.0
+    dvariances = 2.0 * einsum("kqi,dkqi->kqd", w * KC, Z) / ls
+    np.copyto(dvariances, 0.0, where=neg[..., None])
     return means, variances, dmeans, dvariances
 
 

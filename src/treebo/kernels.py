@@ -271,15 +271,13 @@ class AddTreeKernel:
 
     def gram_matrix(self, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
         """Kernel matrix between stacked slot arrays (B defaults to A)."""
-        if B is None:
-            B = A
-        K = np.zeros((A.shape[0], B.shape[0]))
+        K = np.zeros((A.shape[0], (A if B is None else B).shape[0]))
         if K.size == 0:
             return K
         for vid, (ls, scale) in self._layout.items():
             rows_a, Va = self._block(vid, A)
             if rows_a.size:
-                rows_b, Vb = self._block(vid, B)
+                rows_b, Vb = (rows_a, Va) if B is None else self._block(vid, B)
                 K[rows_a[:, None], rows_b] += _term(
                     self.kind, self.theta[ls], self.theta[scale], _sq_diffs(Va, Vb)
                 )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,24 @@ def test_proposal_point_restricts_to_vertex_argmaxes(jenatton):
         for vid in path:
             np.testing.assert_array_equal(restrict(spec, leaf, row, vid), prop.vertex_points[vid])
         assert prop.path_ucb[leaf] == sum(prop.vertex_ucb[v] for v in path)
+
+
+def test_first_step_from_a_subnormal_projected_gradient_stays_finite():
+    # the one observation sits 37.8 lengthscales from the box corner, where
+    # the UCB's gradient underflows to a subnormal number; 1 over it
+    # overflows, so the first step must not scale by it
+    spec = make_tree_spec([VertexSpec("v", 1, ((0.0, 1.0),))], [])
+    kern = AddTreeKernel.default(spec, lengthscale=0.02)
+    model = gp.fit(kern, gp.Dataset.create([linearize(spec, 0, [0.756])], [1.0], noise=1.0))
+    sched = zero_rate_schedule(1)
+    ucb = acq._component_ucb(gp.component_stack(model, ["v"]), np.zeros((1, 1)), 1.0)
+    _, g = ucb(np.zeros((1, 1, 1)), grad=True)
+    assert 0.0 < g.item() < np.finfo(float).tiny  # the corner's projected gradient
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the two scan points, 0 and 0.5, are both starts: the corner is one
+        prop = acq.propose(model, sched, t=1, n_starts=2, scan_budget=2)
+    assert np.isfinite(prop.vertex_points["v"]).all() and math.isfinite(prop.vertex_ucb["v"])
 
 
 def test_propose_validates_budget(jenatton):

@@ -225,6 +225,21 @@ def test_independent_runs_reproduce_their_recorded_traces(tmp_path):
         assert _strip_wall_time(new / path.name) == _strip_wall_time(path)
 
 
+def test_addtree_runs_reproduce_their_recorded_traces(tmp_path):
+    # two 16-iteration Jenatton runs of addtree with the default config, 7
+    # model-based steps each: a run today gives the same header and the same
+    # records, the wall times aside, so any change to the fit or the
+    # acquisition that moves a bit shows here
+    old = DATA / "addtree_traces"
+    new = tmp_path / "new"
+    assert run_cli("run", "--objective", "jenatton", "--algorithms", "addtree",
+                   "--seeds", "0,1", "--iterations", "16", "--out", str(new)) == 0
+    paths = sorted(old.glob("*.jsonl"))
+    assert [p.name for p in paths] == ["addtree-seed0.jsonl", "addtree-seed1.jsonl"]
+    for path in paths:
+        assert _strip_wall_time(new / path.name) == _strip_wall_time(path)
+
+
 def test_config_flag_defaults_are_bo_config_defaults():
     parser = cli._build_parser()
     for argv in (["run", "--out", "X"], ["regression"]):

@@ -461,6 +461,46 @@ def test_stacked_component_posterior_matches_reference(two_leaf):
             _stack_matches_reference(model, [v.id], rng.uniform(lo, hi, size=(1, 1, v.dim)))
 
 
+def _value_only_matches_full_call(stack, V):
+    """The value-only stacked posterior on ``V`` against the full call: the
+    same means and variances, bit for bit.  Returns how many were clamped."""
+    full = gp.stacked_component_posterior(stack, V)
+    values = gp.stacked_component_posterior(stack, V, grad=False)
+    assert len(full) == 4 and len(values) == 2
+    for a, b in zip(values, full):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    return int((full[1] == 0.0).sum())
+
+
+@pytest.mark.parametrize("kind", ["se", "matern32", "matern52"])
+def test_value_only_stacked_posterior_is_the_full_call_bit_for_bit(kind):
+    # the scan asks for values only; they must be the bits the ascent reads
+    # from the full call: on every dimension's stack of random trees, and on
+    # noiseless data queried at an observed value, where variances clamp
+    stacks = 0
+    for seed in range(8):
+        spec, kern, data, _ = random_gp_instance(seed, n=12, max_dim=3, kind=kind)
+        model = gp.fit(kern, data)
+        rng = np.random.default_rng(seed)
+        by_dim = {}
+        for v in spec.vertices:
+            if v.dim:
+                by_dim.setdefault(v.dim, []).append(v)
+        for dim, vertices in by_dim.items():
+            V = np.array([rng.uniform(*np.array(v.bounds).T, size=(9, dim)) for v in vertices])
+            _value_only_matches_full_call(gp.component_stack(model, [v.id for v in vertices]), V)
+            stacks += 1
+    spec = chain_space((1,))
+    pts = [linearize(spec, 0, [x]) for x in (0.3, 1.0)]
+    clamped = 0
+    for s in np.linspace(0.5, 3.0, 41):
+        kern = AddTreeKernel.default(spec, kind, output_scale=float(s))
+        model = gp.fit(kern, gp.Dataset.create(pts, [1.0, -0.5], noise=0.0))
+        stack = gp.component_stack(model, ["c0"])
+        clamped += _value_only_matches_full_call(stack, np.array([[[0.3], [1.5]]]))
+    assert stacks > 10 and clamped > 0
+
+
 def _clamp_sweep():
     """Noiseless observations queried at one of their values, over 41 output
     scales: the variance there is 0 up to round-off, which makes it negative

@@ -244,6 +244,21 @@ def test_gram_psd_on_random_trees():
         assert eigs[0] >= -1e-8 * max(eigs[-1], 1.0)
 
 
+@pytest.mark.parametrize("tied", [False, True])
+def test_gram_of_one_row_set_equals_the_gram_against_its_copy(tied):
+    # with B omitted the kernel reads each vertex's block of A once and uses
+    # it for both sides; the result is the same bits as against a copy of A
+    rng = np.random.default_rng(17)
+    for seed in range(12):
+        spec = random_tree_spec(seed, max_depth=3, max_fanout=3)
+        for kind in ("se", "matern32", "matern52"):
+            kern = random_kernel(spec, rng, kind=kind, tied_scales=tied)
+            _, X = random_points(spec, rng, 30)
+            K = kern.gram_matrix(X)
+            assert K.tobytes() == kern.gram_matrix(X, X.copy()).tobytes()
+    assert AddTreeKernel.default(spec).gram_matrix(X[:0]).shape == (0, 0)
+
+
 def test_stationarity_per_vertex(two_leaf):
     # translating both restrictions at one vertex leaves its contribution fixed
     spec = two_leaf
