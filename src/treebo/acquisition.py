@@ -11,19 +11,18 @@ Component means add exactly along a path, so the mean part of the path score
 is exact; the summed component deviations are a surrogate for the full
 posterior deviation.
 
-The vertices are maximized together, one batch per dimension: a fixed Sobol
-scan of every vertex's box, which reads UCB values only, picks its best
-starts, and one projected gradient ascent (:func:`_ascend`) climbs from all
-starts of all the batch's vertices at once, on
+The vertices are maximized together, one batch per dimension: a fixed
+low-discrepancy scan of every vertex's box, which reads UCB values only,
+picks its best starts, and one projected gradient ascent (:func:`_ascend`)
+climbs from all starts of all the batch's vertices at once, on
 :func:`~treebo.gp.stacked_component_posterior` with the closed-form gradient
 of the component UCB.  Each argmax is then scored once
 more by :func:`~treebo.gp.component_posterior_batch`, a solve with the
 Cholesky factor itself, so every reported score comes from the reference
 posterior.  A dim-0 vertex has nothing to maximize; its score is that same
-closed form.  The scan is the unscrambled Sobol sequence, generated here
-(:func:`_unit_sobol`) from scipy's Joe-Kuo direction-number file rather than
-by ``scipy.stats.qmc``: importing ``scipy.stats`` would cost a BO process
-about half a second and 20 MB.
+closed form.  The scan is the R_d Kronecker sequence (:func:`_unit_scan`),
+the lattice frac(0.5 + i * alpha) scaled to the box: plain arithmetic in
+any dimension, with no data file to read.
 
 ``beta`` follows the adaptive confidence schedule (Berkenkamp et al., JMLR
 2019): ``sqrt(beta_t)`` is the inflated norm bound ``b(t) * g(t)^d * B0``
@@ -39,12 +38,9 @@ from __future__ import annotations
 
 import functools
 import math
-import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .gp import (
     ComponentStack,
@@ -75,10 +71,6 @@ ARMIJO = 1e-4
 MEMORY = 10
 STEP_MIN, STEP_MAX = 1e-10, 1e10
 TINY = np.finfo(float).tiny  # 1 / TINY is finite; 1 / a subnormal may not be
-# The Sobol scan's direction numbers: scipy's copy of the Joe-Kuo table, read
-# by path so that ``scipy.stats`` is never imported, and its row count.
-SOBOL_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
-SOBOL_MAX_DIM = 21201
 
 
 @dataclass(frozen=True)
@@ -183,75 +175,21 @@ class Proposal:
     beta: float
 
 
-def _npy_prefix(table: zipfile.ZipFile, name: str, rows: int, cols: int = 0) -> np.ndarray:
-    """``a[:rows]`` of the 1-D array, or ``a[:rows, :cols]`` of the 2-D one,
-    stored as the ``.npy`` member ``name`` of a zip archive.
-
-    Reads the member as a stream and decompresses only up to the last entry
-    wanted: a 2-D array stored column by column (Fortran order) is read one
-    column prefix at a time, skipping the rest of each column.
-    """
-    with table.open(name) as f:
-        version = np.lib.format.read_magic(f)
-        read_header = (
-            np.lib.format.read_array_header_1_0
-            if version == (1, 0)
-            else np.lib.format.read_array_header_2_0
-        )
-        shape, fortran_order, dtype = read_header(f)
-        start, size = f.tell(), dtype.itemsize
-        if len(shape) == 1:
-            return np.frombuffer(f.read(rows * size), dtype)
-        if not fortran_order:  # row by row: the first rows are one prefix
-            return np.frombuffer(f.read(rows * shape[1] * size), dtype).reshape(rows, -1)[:, :cols]
-        block = np.empty((rows, cols), dtype)
-        for c in range(cols):
-            f.seek(start + c * shape[0] * size)
-            block[:, c] = np.frombuffer(f.read(rows * size), dtype)
-        return block
-
-
 @functools.lru_cache(maxsize=64)
-def _unit_sobol(dim: int, budget: int) -> np.ndarray:
-    """The first ``budget`` unscrambled Sobol points in [0, 1)^dim, read-only.
+def _unit_scan(dim: int, budget: int) -> np.ndarray:
+    """The first ``budget`` points of the R_d Kronecker sequence in
+    [0, 1)^dim, read-only.
 
-    Bitwise equal to ``scipy.stats.qmc.Sobol(d=dim, scramble=False)
-    .random_base2(m)[:budget]``, built from the Joe-Kuo (2008) direction
-    numbers that ``qmc.Sobol`` reads itself (:data:`SOBOL_TABLE`), so
-    ``propose`` never pays for importing ``scipy.stats``.  Each cache miss
-    reads only the first ``dim`` polynomials and their initial numbers from
-    the table's compressed members (:func:`_npy_prefix`): decompressing the
-    whole table would take 10-14 ms.
-    Row 0 is all ones; row d >= 1 with primitive polynomial p of degree s
-    starts from its s initial numbers and continues by the Bratley-Fox
-    recurrence.  Point i is the XOR of the direction numbers at the set bits
-    of gray(i) = i ^ (i >> 1), scipy's Antonov-Saleev order, over 2^m.
+    Point i (from 0) is frac(0.5 + i * alpha) with alpha_j = phi^-j for
+    j = 1..dim, and phi the positive root of x^(dim + 1) = x + 1 (Roberts
+    2018, "The unreasonable effectiveness of quasirandom sequences"): a
+    low-discrepancy lattice in any dimension, from arithmetic alone.
     """
-    if dim > SOBOL_MAX_DIM:
-        raise ValueError(f"Maximum supported dimensionality is {SOBOL_MAX_DIM}.")
-    m = max(1, math.ceil(math.log2(max(2, budget))))
-    with zipfile.ZipFile(SOBOL_TABLE) as table:
-        poly = [int(p) for p in _npy_prefix(table, "poly.npy", dim)]
-        degree = max((p.bit_length() - 1 for p in poly[1:]), default=0)
-        vinit = _npy_prefix(table, "vinit.npy", dim, degree)
-    M = np.ones((dim, m), dtype=np.int64)  # row 0 stays all ones
-    for d in range(1, dim):
-        p = poly[d]
-        s = p.bit_length() - 1
-        md = [int(x) for x in vinit[d, :s]]
-        for k in range(s, m):
-            x = md[k - s] ^ (md[k - s] << s)
-            for j in range(1, s):
-                if p >> (s - j) & 1:
-                    x ^= md[k - j] << j
-            md.append(x)
-        M[d] = md[:m]
-    v = M << (m - 1 - np.arange(m))
-    gray = np.arange(budget) ^ (np.arange(budget) >> 1)
-    pts = np.zeros((budget, dim), dtype=np.int64)
-    for bit in range(m):
-        pts[(gray >> bit) & 1 == 1] ^= v[:, bit]
-    pts = pts / 2.0**m
+    phi = 2.0
+    for _ in range(64):  # fixed point of x = (1 + x) ** (1 / (dim + 1))
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    alpha = phi ** -np.arange(1.0, dim + 1)
+    pts = np.mod(0.5 + np.arange(budget)[:, None] * alpha, 1.0)
     pts.flags.writeable = False
     return pts
 
@@ -355,10 +293,12 @@ def _maximize_vertices(
 ) -> np.ndarray:
     """Argmaxes of the component UCB of equal-dimension vertices, (k, dim).
 
-    Deterministic: a fixed low-discrepancy scan of each vertex's box picks its
-    best ``n_starts`` points, and one projected gradient ascent
-    (:func:`_ascend`) runs from all of them; each vertex keeps its best
-    result (the first on ties).
+    Deterministic: the first ``scan_budget`` points of the R_d lattice
+    (:func:`_unit_scan`), scaled to each vertex's box, are scored by UCB
+    value alone; each vertex's best ``n_starts`` of them (the first on ties)
+    are the starts of one projected gradient ascent (:func:`_ascend`) over
+    all of the vertices, and each vertex keeps its best result (the first on
+    ties).
     """
     stack = component_stack(model, vertex_ids)
     bounds = np.array([model.kernel.spec.vertex(vid).bounds for vid in vertex_ids])
@@ -366,7 +306,7 @@ def _maximize_vertices(
     upper = ((hi - lo) / stack.lengthscales)[:, None, :]
 
     ucb = _component_ucb(stack, lo, sqrt_beta)
-    scan = _unit_sobol(lo.shape[1], scan_budget)[None] * upper
+    scan = _unit_scan(lo.shape[1], scan_budget)[None] * upper
     top = np.argsort(-ucb(scan), axis=1, kind="stable")[:, :n_starts]
     Z, f = _ascend(ucb, upper, np.take_along_axis(scan, top[..., None], axis=1))
     z = Z[np.arange(len(vertex_ids)), np.argmax(f, axis=1)]

@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the library against.
 
 Each one is written from the definitions, not through the code under test:
-the base kernels from their closed forms with ``math``, vertex membership from
+the base kernels from their closed forms with ``math``, the scan lattice
+from its defining root in 50-digit ``mpmath``, vertex membership from
 the configuration's leaf, passed next to its slot row, and
 ``spec.leaf_paths`` rather than from tag slots, restrictions from
 ``spec.offsets``, and the evidence with dense ``slogdet`` and ``solve``.
@@ -16,10 +17,10 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from treebo.gp import component_posterior_batch
 from treebo.tree_space import VertexSpec, make_tree_spec
@@ -185,6 +186,30 @@ def block_evidence_and_grad(kernel, leaves, X, y, noise, log_params):
     return float(lml), grad
 
 
+def kronecker(dim, budget):
+    """The first ``budget`` points (from i = 0) of the R_d Kronecker sequence
+    in [0, 1)^dim: frac(0.5 + i * alpha) with alpha_j = phi^-j, j = 1..dim,
+    and phi the positive root of x^(dim + 1) = x + 1 (Roberts 2018).
+
+    phi and alpha come from ``findroot`` in 50 digits; Newton's method
+    starts at 1 + 1/dim, above the root, since a start at 1.5 fails for
+    large dims.  The multiples are taken in 64-bit fixed point, where uint64
+    arithmetic wraps modulo 2^64 and so takes the fraction exactly: a point
+    is off only by alpha's rounding to 2^-64, times i < budget, and by its
+    final rounding to a double.
+    """
+    with mpmath.workdps(50):
+        phi = mpmath.findroot(
+            lambda x: x ** (dim + 1) - x - 1, 1 + mpmath.mpf(1) / dim,
+            solver="newton", df=lambda x: (dim + 1) * x**dim - 1,
+        )
+        alpha = [int(mpmath.nint(phi**-j * 2**64)) for j in range(1, dim + 1)]
+    fixed = np.uint64(2**63) + np.arange(budget, dtype=np.uint64)[:, None] * np.array(
+        alpha, dtype=np.uint64
+    )
+    return fixed / 2.0**64
+
+
 def polish(model, vertex_id, sqrt_beta, x0):
     """Bounded L-BFGS-B on one vertex's component UCB mu + sqrt(beta) * sigma
     from ``x0`` (at most 60 iterations), with scipy's finite-difference
@@ -204,15 +229,14 @@ def polish(model, vertex_id, sqrt_beta, x0):
 def maximize_vertex_ucb(model, vertex_id, sqrt_beta, n_starts=5, scan_budget=32):
     """Per-start reference maximizer of one vertex's component UCB (dim >= 1).
 
-    The first ``scan_budget`` unscrambled Sobol points of the vertex's box
-    are scored, and each of the best ``n_starts`` is polished on its own
-    (:func:`polish`).  Returns the best point and score, the best scan
+    The first ``scan_budget`` points of the R_d lattice (:func:`kronecker`),
+    scaled to the vertex's box, are scored, and each of the best
+    ``n_starts`` is polished on its own (:func:`polish`).  Returns the best point and score, the best scan
     point's when no polish beats it.
     """
     vertex = model.kernel.spec.vertex(vertex_id)
     lo, hi = np.array(vertex.bounds).T
-    m = max(1, math.ceil(math.log2(max(2, scan_budget))))
-    scan = lo + qmc.Sobol(d=vertex.dim, scramble=False).random_base2(m)[:scan_budget] * (hi - lo)
+    scan = lo + kronecker(vertex.dim, scan_budget) * (hi - lo)
     means, variances = component_posterior_batch(model, vertex_id, scan)
     scores = means + sqrt_beta * np.sqrt(variances)
     order = np.argsort(-scores)[:n_starts]

@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import qmc
 
 import oracles
 from conftest import no_rows, random_gp_instance, random_points
@@ -336,15 +335,17 @@ def test_first_step_from_a_subnormal_projected_gradient_stays_finite():
     spec = make_tree_spec([VertexSpec("v", 1, ((0.0, 1.0),))], [])
     kern = AddTreeKernel.default(spec, lengthscale=0.02)
     model = gp.fit(kern, gp.Dataset.create([linearize(spec, 0, [0.756])], [1.0], noise=1.0))
-    sched = zero_rate_schedule(1)
-    ucb = acq._component_ucb(gp.component_stack(model, ["v"]), np.zeros((1, 1)), 1.0)
-    _, g = ucb(np.zeros((1, 1, 1)), grad=True)
+    stack = gp.component_stack(model, ["v"])
+    ucb = acq._component_ucb(stack, np.zeros((1, 1)), 1.0)
+    corner = np.zeros((1, 1, 1))
+    _, g = ucb(corner, grad=True)
     assert 0.0 < g.item() < np.finfo(float).tiny  # the corner's projected gradient
+    upper = (1.0 / stack.lengthscales)[:, None, :]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # the two scan points, 0 and 0.5, are both starts: the corner is one
-        prop = acq.propose(model, sched, t=1, n_starts=2, scan_budget=2)
-    assert np.isfinite(prop.vertex_points["v"]).all() and math.isfinite(prop.vertex_ucb["v"])
+        Z, f = acq._ascend(ucb, upper, corner)
+    assert np.isfinite(Z).all() and np.isfinite(f).all()
+    assert ((0.0 <= Z) & (Z <= upper)).all()
 
 
 def test_propose_validates_budget(jenatton):
@@ -354,23 +355,25 @@ def test_propose_validates_budget(jenatton):
         acq.propose(model, sched, t=1, **{**ACQ_ARGS, "scan_budget": 0})
 
 
-SOBOL_BUDGETS = [1, 2, 3, 5, 8, 31, 32, 33, 100, 1024, 4096]
-# large dimensions only with small budgets, to keep the scans small
-SOBOL_CASES = (
-    [(dim, budget) for dim in range(1, 41) for budget in SOBOL_BUDGETS]
-    + [(1000, budget) for budget in SOBOL_BUDGETS if budget <= 32]
-    + [(acq.SOBOL_MAX_DIM, 2)]
-)
+SCAN_BUDGETS = [1, 2, 3, 5, 8, 31, 32, 33, 100, 1024, 4096]
 
 
-def test_unit_sobol_scan_is_built_once_and_read_only():
-    # scipy's qmc.Sobol is the oracle: the scan must equal it bit for bit
-    for dim, budget in SOBOL_CASES:
-        pts = acq._unit_sobol(dim, budget)
-        m = max(1, math.ceil(math.log2(max(2, budget))))
-        fresh = qmc.Sobol(d=dim, scramble=False).random_base2(m)[:budget]
-        assert pts.shape == fresh.shape and pts.tobytes() == fresh.tobytes(), (dim, budget)
-        assert acq._unit_sobol(dim, budget) is pts
-        assert not pts.flags.writeable
-    with pytest.raises(ValueError, match="dimensionality"):
-        acq._unit_sobol(acq.SOBOL_MAX_DIM + 1, 2)
+def test_unit_scan_is_the_kronecker_lattice_built_once_and_read_only():
+    # near the 50-digit lattice on the circle, where 1 is 0.  In doubles,
+    # phi's relative rounding u = 2^-53 grows j-fold in alpha_j = phi^-j, the
+    # power adds up to 2u and the product i * alpha_j (i < budget) and the
+    # shift by 0.5 u each: the gap is at most u * (budget * (dim + 4) + 1).
+    # Large dimensions only with small budgets, to keep the scans small
+    cases = [(dim, SCAN_BUDGETS) for dim in range(1, 41)]
+    cases.append((1000, [b for b in SCAN_BUDGETS if b <= 32]))
+    for dim, budgets in cases:
+        exact = oracles.kronecker(dim, budgets[-1])
+        for budget in budgets:
+            pts = acq._unit_scan(dim, budget)
+            assert pts.shape == (budget, dim), (dim, budget)
+            gap = np.abs(pts - exact[:budget])
+            bound = 2.0**-53 * (budget * (dim + 4) + 1)
+            assert np.minimum(gap, 1.0 - gap).max() <= bound, (dim, budget)
+            assert ((0.0 <= pts) & (pts < 1.0)).all()
+            assert acq._unit_scan(dim, budget) is pts
+            assert not pts.flags.writeable

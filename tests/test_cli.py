@@ -226,7 +226,7 @@ def test_independent_runs_reproduce_their_recorded_traces(tmp_path):
 
 
 def test_addtree_runs_reproduce_their_recorded_traces(tmp_path):
-    # two 16-iteration Jenatton runs of addtree with the default config, 7
+    # two 16-iteration Jenatton runs of addtree with the default config, 6
     # model-based steps each: a run today gives the same header and the same
     # records, the wall times aside, so any change to the fit or the
     # acquisition that moves a bit shows here

@@ -135,6 +135,46 @@ def test_scipy_stats_is_imported_only_where_used():
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
+# gp loads scipy's compiled modules by file when it is imported; after that,
+# a BO run opens no file in scipy's install directory: scipy's data files,
+# private or not, are no part of the program.  The audit hook, set after the
+# imports, sees every open.
+NO_SCIPY_FILES = """
+import os
+import sys
+
+import scipy
+
+from treebo import bench
+
+SCIPY = os.path.dirname(os.path.realpath(scipy.__file__)) + os.sep
+opened = []
+
+
+def hook(event, args):
+    if event == "open" and not isinstance(args[0], int):
+        path = os.path.realpath(os.fsdecode(args[0]))
+        if path.startswith(SCIPY):
+            opened.append(path)
+
+
+sys.addaudithook(hook)
+objective = bench.random_tree_objective(2, 2, 1, 0)
+config = bench.BoConfig(n_init=2, restarts=1, acq_starts=2, acq_scan=8)
+bench.run_bo(objective, "addtree", 4, 0, config)
+bench.run_bo(objective, "independent", 4, 0, config)
+assert opened == [], opened
+"""
+
+
+def test_bo_runs_open_no_file_in_scipys_install_directory():
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", NO_SCIPY_FILES], capture_output=True, text=True,
+        env=src_env(),
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
 def test_benchmark_tracer_names_exist(jenatton, monkeypatch):
     # perfbench's tracer wraps these functions and kernel methods by name;
     # a missing one fails every traced benchmark run.  The file is read and
